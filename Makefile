@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test race bench bench-store bench-coldstart bench-serve bench-join bench-topk bench-shard bench-update bench-compact bench-json snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
+.PHONY: all build vet fmt-check test bench-smoke race bench bench-store bench-coldstart bench-serve bench-join bench-topk bench-shard bench-update bench-compact bench-json snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
 
-all: vet fmt-check build test
+all: vet fmt-check build test bench-smoke
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark (benchmark/, driven by BENCHMARK.json) is a Go
+# module of its own that compiles against this module's internal API
+# through a replace directive, so `./...` above never sees it: vet it and
+# run its tiny-scale workload smoke whenever that API may have moved.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race -timeout 30m ./...

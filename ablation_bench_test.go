@@ -1,6 +1,7 @@
 package sparqluo_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,14 +53,14 @@ func benchAblated(b *testing.B, st *store.Store, tree *core.Tree, disableMerge, 
 	b.Helper()
 	engine := exec.WCOEngine{}
 	work := tree.Clone()
-	tr := core.NewTransformer(st, engine)
+	tr := core.NewTransformer(context.Background(), st, engine)
 	tr.DisableMerge = disableMerge
 	tr.DisableInject = disableInject
 	applied := tr.Transform(work)
 	var rows int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bag, _ := core.Evaluate(work, st, engine, core.Pruning{})
+		bag, _, _ := core.EvaluateContext(context.Background(), work, st, engine, core.Pruning{}, 1)
 		rows = bag.Len()
 	}
 	b.StopTimer()
@@ -91,10 +92,10 @@ func BenchmarkAblationCPThreshold(b *testing.B) {
 				name := fmt.Sprintf("%s/%s/frac=%g", dataset, q.ID, frac)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						core.Evaluate(tree, st, exec.WCOEngine{}, core.Pruning{
+						core.EvaluateContext(context.Background(), tree, st, exec.WCOEngine{}, core.Pruning{
 							Enabled:        true,
 							FixedThreshold: threshold,
-						})
+						}, 1)
 					}
 				})
 			}
@@ -116,13 +117,13 @@ func TestAblatedTransformersPreserveSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _ := core.Evaluate(tree, st, engine, core.Pruning{})
+		base, _, _ := core.EvaluateContext(context.Background(), tree, st, engine, core.Pruning{}, 1)
 		for _, v := range []struct{ dm, di bool }{{true, true}, {false, true}, {true, false}, {false, false}} {
 			work := tree.Clone()
-			tr := core.NewTransformer(st, engine)
+			tr := core.NewTransformer(context.Background(), st, engine)
 			tr.DisableMerge, tr.DisableInject = v.dm, v.di
 			tr.Transform(work)
-			got, _ := core.Evaluate(work, st, engine, core.Pruning{})
+			got, _, _ := core.EvaluateContext(context.Background(), work, st, engine, core.Pruning{}, 1)
 			if got.Len() != base.Len() {
 				t.Errorf("%s ablation %+v: %d rows, want %d", q.ID, v, got.Len(), base.Len())
 			}

@@ -11,6 +11,7 @@
 package sparqluo_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,14 +53,16 @@ func queryBench(b *testing.B, st *store.Store, q bench.Query, engine exec.Engine
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := core.Build(parsed, st)
+	plan, err := core.BuildPlan(parsed, st)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var res *core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = core.RunTree(tree, st, engine, strat)
+		if res, err = core.ExecPlan(context.Background(), plan, engine, strat, core.ExecOptions{Parallelism: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(res.Bag.Len()), "results")
@@ -87,15 +90,17 @@ func benchQueryStats(b *testing.B, dataset string) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tree, err := core.Build(parsed, st)
+			plan, err := core.BuildPlan(parsed, st)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(tree.CountBGP()), "countBGP")
-			b.ReportMetric(float64(tree.Depth()), "depth")
+			b.ReportMetric(float64(plan.Tree.CountBGP()), "countBGP")
+			b.ReportMetric(float64(plan.Tree.Depth()), "depth")
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = core.RunTree(tree, st, exec.WCOEngine{}, core.Full)
+				if res, err = core.ExecPlan(context.Background(), plan, exec.WCOEngine{}, core.Full, core.ExecOptions{Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(res.Bag.Len()), "results")
 		})

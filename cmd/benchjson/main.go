@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -212,7 +211,7 @@ func microBench() []Micro {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				algebra.JoinCancel(x, y, nil)
+				algebra.Join(x, y)
 			}
 		}),
 		run("JoinHash/n=10000", func(b *testing.B) {
@@ -220,7 +219,7 @@ func microBench() []Micro {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				algebra.JoinCancel(x, y, nil)
+				algebra.Join(x, y)
 			}
 		}),
 		run("JoinSortMerge/n=10000", func(b *testing.B) {
@@ -229,7 +228,7 @@ func microBench() []Micro {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				algebra.JoinCancel(x, y, nil)
+				algebra.Join(x, y)
 			}
 		}),
 		run("LeftJoinMerge/n=10000", func(b *testing.B) {
@@ -237,7 +236,7 @@ func microBench() []Micro {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				algebra.LeftJoinCancel(x, y, nil)
+				algebra.LeftJoin(x, y)
 			}
 		}),
 		run("LeftJoinHash/n=10000", func(b *testing.B) {
@@ -245,7 +244,7 @@ func microBench() []Micro {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				algebra.LeftJoinCancel(x, y, nil)
+				algebra.LeftJoin(x, y)
 			}
 		}),
 		// The top-k family (make bench-topk): a full stable sort vs the
@@ -327,7 +326,7 @@ func shardScaling(reps int) ([]ShardRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", q.ID, err)
 			}
-			ref, err := core.Run(parsed, st, engine, core.Full)
+			ref, err := bench.ExecOnce(parsed, st, engine, core.Full, 1)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", q.ID, err)
 			}
@@ -336,8 +335,7 @@ func shardScaling(reps int) ([]ShardRow, error) {
 				var best time.Duration
 				var results int
 				for rep := 0; rep < reps; rep++ {
-					res, err := core.RunContext(context.Background(), parsed, rd,
-						engine, core.Full, core.ExecOptions{Parallelism: 0})
+					res, err := bench.ExecOnce(parsed, rd, engine, core.Full, 0)
 					if err != nil {
 						return 0, 0, fmt.Errorf("%s %s: %w", q.ID, label, err)
 					}

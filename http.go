@@ -47,8 +47,9 @@ func WithHandlerParallelism(n int) HandlerOption {
 }
 
 // WithPlanCache gives the handler an LRU cache of n prepared plans
-// (default: 0, disabled), keyed by normalized query text plus the
-// requested strategy and engine. A cache hit skips parsing and BE-tree
+// (default: 0, disabled), keyed by normalized query text; one cached
+// plan serves every strategy and engine, which are per-execution
+// options. A cache hit skips parsing and BE-tree
 // construction for the request; every /sparql response then carries an
 // X-Plan-Cache: hit|miss header so cache effectiveness is observable
 // from the client side. Cached plans are immutable and shared safely
@@ -104,7 +105,7 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 			http.Error(w, "missing query parameter", http.StatusBadRequest)
 			return
 		}
-		opts, strategy, engine, err := optionsFromRequest(r)
+		opts, err := optionsFromRequest(r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -120,7 +121,10 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 		// enough not to count against the evaluation-concurrency budget.
 		var prep *Prepared
 		if cache != nil {
-			key := normalizeQueryText(query) + "\x00" + strategy + "\x00" + engine
+			// One Prepared serves every strategy and engine (both are
+			// execution options; estimates are warmed per engine inside
+			// it), so the key is the normalized text alone.
+			key := normalizeQueryText(query)
 			// On a live database the write epoch is part of the key:
 			// plans resolve constant terms against the dictionary at
 			// build time, so a plan built before an update introduced a
@@ -346,46 +350,44 @@ func timeoutFromRequest(r *http.Request, max time.Duration) (time.Duration, erro
 	return d, nil
 }
 
-// optionsFromRequest resolves the strategy/engine form parameters into
-// query options, also returning the normalized parameter names (the
-// plan-cache key components).
-func optionsFromRequest(r *http.Request) (opts []Option, strategy, engine string, err error) {
+// optionsFromRequest resolves the strategy/engine/limit/offset form
+// parameters into query options. All of them apply per execution, never
+// at plan time, so none is part of the plan-cache key: every strategy,
+// engine and page of a query hits the same cached plan.
+func optionsFromRequest(r *http.Request) (opts []Option, err error) {
 	switch s := r.FormValue("strategy"); s {
 	case "", "full":
-		opts, strategy = append(opts, WithStrategy(Full)), "full"
+		opts = append(opts, WithStrategy(Full))
 	case "base":
-		opts, strategy = append(opts, WithStrategy(Base)), "base"
+		opts = append(opts, WithStrategy(Base))
 	case "tt":
-		opts, strategy = append(opts, WithStrategy(TT)), "tt"
+		opts = append(opts, WithStrategy(TT))
 	case "cp":
-		opts, strategy = append(opts, WithStrategy(CP)), "cp"
+		opts = append(opts, WithStrategy(CP))
 	default:
-		return nil, "", "", fmt.Errorf("unknown strategy %q", s)
+		return nil, fmt.Errorf("unknown strategy %q", s)
 	}
 	switch e := r.FormValue("engine"); e {
 	case "", "wco":
-		opts, engine = append(opts, WithEngine(WCO)), "wco"
+		opts = append(opts, WithEngine(WCO))
 	case "binary":
-		opts, engine = append(opts, WithEngine(BinaryJoin)), "binary"
+		opts = append(opts, WithEngine(BinaryJoin))
 	default:
-		return nil, "", "", fmt.Errorf("unknown engine %q", e)
+		return nil, fmt.Errorf("unknown engine %q", e)
 	}
-	// The pagination window is applied per execution, never at plan time,
-	// so it deliberately stays out of the plan-cache key: every page of a
-	// query hits the same cached plan.
 	if raw := r.FormValue("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			return nil, "", "", fmt.Errorf("invalid limit %q", raw)
+			return nil, fmt.Errorf("invalid limit %q", raw)
 		}
 		opts = append(opts, WithLimit(n))
 	}
 	if raw := r.FormValue("offset"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			return nil, "", "", fmt.Errorf("invalid offset %q", raw)
+			return nil, fmt.Errorf("invalid offset %q", raw)
 		}
 		opts = append(opts, WithOffset(n))
 	}
-	return opts, strategy, engine, nil
+	return opts, nil
 }

@@ -26,7 +26,7 @@ func BenchmarkJoin(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					algebra.JoinCancel(x, y, nil)
+					algebra.Join(x, y)
 				}
 			})
 			b.Run("hash/"+tag, func(b *testing.B) {
@@ -34,7 +34,7 @@ func BenchmarkJoin(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					algebra.JoinCancel(x, y, nil)
+					algebra.Join(x, y)
 				}
 			})
 			b.Run("sortmerge/"+tag, func(b *testing.B) {
@@ -43,7 +43,7 @@ func BenchmarkJoin(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					algebra.JoinCancel(x, y, nil)
+					algebra.Join(x, y)
 				}
 			})
 		}
@@ -58,7 +58,7 @@ func BenchmarkLeftJoin(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			algebra.LeftJoinCancel(x, y, nil)
+			algebra.LeftJoin(x, y)
 		}
 	})
 	b.Run("hash", func(b *testing.B) {
@@ -66,7 +66,7 @@ func BenchmarkLeftJoin(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			algebra.LeftJoinCancel(x, y, nil)
+			algebra.LeftJoin(x, y)
 		}
 	})
 }

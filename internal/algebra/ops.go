@@ -68,16 +68,10 @@ func batchStop(stop func() bool) func() bool {
 
 func never() bool { return false }
 
-// JoinCancel is Join with a cancellation probe. stop, when non-nil, is
-// polled periodically; once it returns true the join aborts and the bag
-// built so far is returned. Callers own the decision to discard the
-// truncated result.
-func JoinCancel(a, b *Bag, stop func() bool) *Bag {
-	return JoinWith(a, b, JoinOpts{Stop: stop, Max: -1})
-}
-
-// JoinWith is the fully-configurable join: JoinCancel plus an output
-// cap and a pulled-rows counter (see JoinOpts).
+// JoinWith is the fully-configurable join: Join with a cancellation
+// probe, an output cap and a pulled-rows counter (see JoinOpts). When
+// the probe aborts the join the bag built so far is returned; callers
+// own the decision to discard the truncated result.
 func JoinWith(a, b *Bag, opts JoinOpts) *Bag {
 	out := NewBag(a.Width)
 	out.Cert = a.Cert.Or(b.Cert)
@@ -387,17 +381,10 @@ func semiScan(out *Bag, a, b *Bag, keep bool, hash keyHashFn) {
 // LeftJoin computes Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪bag (Ω1 \ Ω2): every left
 // mapping joined with each compatible right mapping, or passed through
 // unchanged when no right mapping is compatible.
-func LeftJoin(a, b *Bag) *Bag { return LeftJoinCancel(a, b, nil) }
+func LeftJoin(a, b *Bag) *Bag { return LeftJoinWith(a, b, JoinOpts{Max: -1}) }
 
-// LeftJoinCancel is LeftJoin with the cancellation probe of JoinCancel:
-// a true return from stop aborts the fold, yielding a truncated bag for
-// the caller to discard.
-func LeftJoinCancel(a, b *Bag, stop func() bool) *Bag {
-	return LeftJoinWith(a, b, JoinOpts{Stop: stop, Max: -1})
-}
-
-// LeftJoinWith is the fully-configurable left outer join: LeftJoinCancel
-// plus the output cap and pulled-rows counter of JoinOpts. Physical
+// LeftJoinWith is the fully-configurable left outer join: LeftJoin with
+// the cancellation probe, output cap and pulled-rows counter of JoinOpts. Physical
 // operator choice mirrors JoinWith (merge when orders allow, keyed hash
 // probe, nested loop without keys), except that the left side is always
 // the outer side so unmatched left rows are emitted in place — which

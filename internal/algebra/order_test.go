@@ -79,7 +79,7 @@ func forcedMergeJoin(a, b *Bag) *Bag {
 // TestQuickMergeHashNestedJoinAgree proves the three physical joins —
 // streaming merge, hash probe, and the naive nested loop — compute the
 // same multiset on randomized bags with key skew, None holes and empty
-// operands. The dispatched JoinCancel must agree with all of them.
+// operands. The dispatched Join must agree with all of them.
 func TestQuickMergeHashNestedJoinAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -119,7 +119,7 @@ func TestQuickJoinDeterministicOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randSkewBag(rng, 4), randSkewBag(rng, 4)
-		x, y := JoinCancel(a, b, nil), JoinCancel(a, b, nil)
+		x, y := Join(a, b), Join(a, b)
 		if x.Len() != y.Len() {
 			return false
 		}

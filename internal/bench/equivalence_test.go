@@ -39,7 +39,7 @@ func TestStrategyEquivalence(t *testing.T) {
 			var refName string
 			for _, engine := range Engines {
 				for _, strat := range core.Strategies {
-					res, err := core.Run(parsed, st, engine, strat)
+					res, err := ExecOnce(parsed, st, engine, strat, 1)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", engine.Name(), strat, err)
 					}
@@ -73,7 +73,7 @@ func TestLBREquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				full, err := core.Run(parsed, st, exec.WCOEngine{}, core.Full)
+				full, err := ExecOnce(parsed, st, exec.WCOEngine{}, core.Full, 1)
 				if err != nil {
 					t.Fatalf("full: %v", err)
 				}

@@ -35,6 +35,17 @@ type Measurement struct {
 // reported, damping scheduler and cache noise.
 var Reps = 3
 
+// ExecOnce is the one-shot query path: a fresh plan (estimates not yet
+// memoized) built from the parsed query and executed once on a worker
+// pool of the given size.
+func ExecOnce(parsed *sparql.Query, st store.Reader, engine exec.Engine, strat core.Strategy, parallelism int) (*core.Result, error) {
+	plan, err := core.BuildPlan(parsed, st)
+	if err != nil {
+		return nil, err
+	}
+	return core.ExecPlan(context.Background(), plan, engine, strat, core.ExecOptions{Parallelism: parallelism})
+}
+
 // RunOne executes a query with one engine and strategy, repeating Reps
 // times and keeping the fastest run. Each repetition measures the
 // sequential evaluation (ExecTime), the parallel one over a GOMAXPROCS
@@ -57,12 +68,11 @@ func RunOne(st store.Reader, q Query, engine exec.Engine, strat core.Strategy) (
 	plan.WarmEstimates(engine)
 	var best Measurement
 	for rep := 0; rep < Reps; rep++ {
-		res, err := core.Run(parsed, st, engine, strat)
+		res, err := ExecOnce(parsed, st, engine, strat, 1)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("%s: %w", q.ID, err)
 		}
-		par, err := core.RunContext(context.Background(), parsed, st, engine, strat,
-			core.ExecOptions{Parallelism: 0})
+		par, err := ExecOnce(parsed, st, engine, strat, 0)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("%s (parallel): %w", q.ID, err)
 		}
@@ -195,13 +205,17 @@ func QueryStats(w io.Writer, dataset string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", q.ID, err)
 			}
-			tree, err := core.Build(parsed, st)
+			plan, err := core.BuildPlan(parsed, st)
 			if err != nil {
 				return fmt.Errorf("%s: %w", q.ID, err)
 			}
-			res := core.RunTree(tree, st, exec.WCOEngine{}, core.Full)
+			res, err := core.ExecPlan(context.Background(), plan, exec.WCOEngine{}, core.Full,
+				core.ExecOptions{Parallelism: 1})
+			if err != nil {
+				return fmt.Errorf("%s: %w", q.ID, err)
+			}
 			fmt.Fprintf(w, "%-8s %-5s %10d %6d %12d\n",
-				q.ID, q.Type, tree.CountBGP(), tree.Depth(), res.Bag.Len())
+				q.ID, q.Type, plan.Tree.CountBGP(), plan.Tree.Depth(), res.Bag.Len())
 		}
 		return nil
 	}

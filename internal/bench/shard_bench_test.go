@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 // BenchmarkShardScaling runs the Fig10 workload through 1-, 2- and
 // 4-way sharded stores with the parallel evaluator, against the same
 // data. k=1 measures the sharded wrapper's overhead over a monolithic
-// store (it must stay negligible: MatchPattern unwraps single-shard
-// readers); k=2 and k=4 show the scatter-gather speedup on scan-heavy
+// store (it must stay negligible: a single shard's accessors hand back
+// its views zero-copy); k=2 and k=4 show the scatter-gather speedup on scan-heavy
 // queries. Every run is checked against the single store's result size,
 // so a shard that drops or duplicates rows fails the benchmark.
 func BenchmarkShardScaling(b *testing.B) {
@@ -24,7 +23,7 @@ func BenchmarkShardScaling(b *testing.B) {
 			if err != nil {
 				b.Fatalf("%s: %v", q.ID, err)
 			}
-			ref, err := core.Run(parsed, st, Engines[0], core.Full)
+			ref, err := ExecOnce(parsed, st, Engines[0], core.Full, 1)
 			if err != nil {
 				b.Fatalf("%s: %v", q.ID, err)
 			}
@@ -35,8 +34,7 @@ func BenchmarkShardScaling(b *testing.B) {
 				}
 				b.Run(fmt.Sprintf("%s/%s/k=%d", dataset, q.ID, k), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						res, err := core.RunContext(context.Background(), parsed, rd,
-							Engines[0], core.Full, core.ExecOptions{Parallelism: 0})
+						res, err := ExecOnce(parsed, rd, Engines[0], core.Full, 0)
 						if err != nil {
 							b.Fatal(err)
 						}

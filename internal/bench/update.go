@@ -92,7 +92,7 @@ func RunUpdateWorkload(baseUniversities, extraUniversities, batch int) (UpdateRe
 		lastDone.Store(0)
 		for !stopReader.Load() {
 			t0 := time.Now()
-			if _, err := core.Run(parsed, ls, engine, core.Full); err != nil {
+			if _, err := ExecOnce(parsed, ls, engine, core.Full, 1); err != nil {
 				select {
 				case readerErr <- err:
 				default:

@@ -128,7 +128,7 @@ func BenchmarkLiveReadUnderIngest(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(parsed, ls, Engines[0], core.Full); err != nil {
+		if _, err := ExecOnce(parsed, ls, Engines[0], core.Full, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sparqluo/internal/exec"
@@ -72,7 +73,7 @@ func TestDeltaMergeNegativeForSelectiveAnchor(t *testing.T) {
 		?x <http://ex.org/p0> "lit0" .
 		{ ?x <http://ex.org/p1> ?z } UNION { ?x <http://ex.org/p2> ?z }
 	}`)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	d := tr.deltaMerge(tree.Root, 0, 1)
 	if d >= 0 {
 		t.Errorf("Δcost(merge selective anchor) = %v, want negative", d)

@@ -82,19 +82,11 @@ func (ev *evaluator) branch() *evaluator {
 	return &sub
 }
 
-// Evaluate runs the BGP-based evaluation scheme (Algorithm 1) on the tree
-// and returns the bag of solution mappings plus instrumentation. The
-// SELECT projection is applied (and DISTINCT if requested). Evaluation is
-// sequential and non-cancellable; it is the legacy entry point kept for
-// the experiment harness and tests, equivalent to EvaluateContext with a
-// background context and parallelism 1.
-func Evaluate(t *Tree, st store.Reader, engine exec.Engine, prune Pruning) (*algebra.Bag, *EvalStats) {
-	bag, stats, _ := EvaluateContext(context.Background(), t, st, engine, prune, 1)
-	return bag, stats
-}
-
-// EvaluateContext runs Algorithm 1 on the tree, evaluating sibling UNION
-// branches and OPTIONAL subtrees concurrently on a bounded worker pool of
+// EvaluateContext runs the BGP-based evaluation scheme (Algorithm 1) on
+// the tree and returns the bag of solution mappings plus
+// instrumentation, with the solution modifiers applied (ORDER BY, SELECT
+// projection, DISTINCT, OFFSET/LIMIT). Sibling UNION branches and
+// OPTIONAL subtrees are evaluated concurrently on a bounded worker pool of
 // the given size (<= 0 selects GOMAXPROCS; 1 is sequential). Per-branch
 // bags and stats are merged in sibling order, so the returned bag's row
 // order and the instrumentation are identical to a sequential run.
@@ -198,7 +190,7 @@ func applySlice(b *algebra.Bag, offset, limit int) *algebra.Bag {
 	return b.View(offset, end)
 }
 
-// group evaluates a group graph pattern node. incoming carries the
+// groupTop evaluates a group graph pattern node. incoming carries the
 // parent's current partial results for candidate derivation (§6); it does
 // not participate in the join (the caller joins afterwards).
 //
@@ -210,17 +202,14 @@ func applySlice(b *algebra.Bag, offset, limit int) *algebra.Bag {
 // For well-designed patterns this coincides with the W3C left-to-right
 // fold; for non-well-designed ones it is the Pérez-style semantics the
 // paper's Theorems 1–2 assume.
-func (ev *evaluator) group(g *GroupNode, incoming *algebra.Bag) *algebra.Bag {
-	return ev.groupTop(g, incoming, -1)
-}
-
-// groupTop is group with LIMIT push-down: max >= 0 allows the single
-// operation that produces the group's returned bag — and only that one —
-// to stop after max rows. Every upstream child still evaluates fully
-// (intermediate bags feed joins and candidate derivation), and every
-// capped operator emits a deterministic prefix of its uncapped output,
-// so the truncated group result is byte-identical to the full result's
-// first max rows at any parallelism.
+//
+// max is the LIMIT push-down: max >= 0 allows the single operation that
+// produces the group's returned bag — and only that one — to stop after
+// max rows; max < 0 evaluates the group in full. Every upstream child
+// still evaluates fully (intermediate bags feed joins and candidate
+// derivation), and every capped operator emits a deterministic prefix of
+// its uncapped output, so the truncated group result is byte-identical
+// to the full result's first max rows at any parallelism.
 func (ev *evaluator) groupTop(g *GroupNode, incoming *algebra.Bag, max int) *algebra.Bag {
 	if ev.ctx.Err() != nil {
 		return algebra.NewBag(ev.width) // discarded: caller reports ctx.Err()
@@ -248,13 +237,11 @@ func (ev *evaluator) groupTop(g *GroupNode, incoming *algebra.Bag, max int) *alg
 	for i, child := range g.Children {
 		switch child := child.(type) {
 		case *GroupNode:
-			var o *algebra.Bag
-			if cap := childCap(i); cap >= 0 && r == nil {
-				// The subgroup's bag IS the result: push the cap down.
-				o = ev.groupTop(child, pickContext(r, incoming), cap)
-			} else {
-				o = ev.group(child, pickContext(r, incoming))
+			subCap := -1
+			if r == nil {
+				subCap = childCap(i) // the subgroup's bag IS the result: push the cap down
 			}
+			o := ev.groupTop(child, pickContext(r, incoming), subCap)
 			r = ev.joinWithTop(r, o, childCap(i))
 		case *BGPNode:
 			cand := ev.deriveCandidates(child, r, incoming)
@@ -317,7 +304,7 @@ func (ev *evaluator) fanOut(groups []*GroupNode, ctxBag *algebra.Bag) []*algebra
 	out := make([]*algebra.Bag, len(groups))
 	if ev.sem == nil || len(groups) < 2 {
 		for i, g := range groups {
-			out[i] = ev.group(g, ctxBag)
+			out[i] = ev.groupTop(g, ctxBag, -1)
 		}
 		return out
 	}
@@ -332,10 +319,10 @@ func (ev *evaluator) fanOut(groups []*GroupNode, ctxBag *algebra.Bag) []*algebra
 			go func(i int, g *GroupNode) {
 				defer wg.Done()
 				defer func() { <-ev.sem }()
-				out[i] = sub.group(g, ctxBag)
+				out[i] = sub.groupTop(g, ctxBag, -1)
 			}(i, g)
 		default:
-			out[i] = sub.group(g, ctxBag)
+			out[i] = sub.groupTop(g, ctxBag, -1)
 		}
 	}
 	wg.Wait()

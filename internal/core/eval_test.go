@@ -51,7 +51,7 @@ SELECT * WHERE {
 		t.Fatal(err)
 	}
 	// Without pruning, no BGP sees candidates.
-	_, stats := Evaluate(tree, st, exec.WCOEngine{}, Pruning{})
+	_, stats := evaluate(tree, st, exec.WCOEngine{}, Pruning{})
 	if stats.PrunedBGPs != 0 {
 		t.Errorf("unpruned run recorded %d pruned BGPs", stats.PrunedBGPs)
 	}
@@ -59,7 +59,7 @@ SELECT * WHERE {
 		t.Errorf("BGPResults = %v, want 2 entries", stats.BGPResults)
 	}
 	// With pruning, the OPTIONAL-right BGP runs with candidates.
-	_, stats = Evaluate(tree, st, exec.WCOEngine{}, Pruning{Enabled: true, FixedThreshold: 100})
+	_, stats = evaluate(tree, st, exec.WCOEngine{}, Pruning{Enabled: true, FixedThreshold: 100})
 	if stats.PrunedBGPs != 1 {
 		t.Errorf("pruned run recorded %d pruned BGPs, want 1", stats.PrunedBGPs)
 	}
@@ -79,8 +79,8 @@ SELECT * WHERE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plain := Evaluate(tree, st, exec.WCOEngine{}, Pruning{})
-	_, pruned := Evaluate(tree, st, exec.WCOEngine{}, Pruning{Enabled: true, FixedThreshold: 100})
+	_, plain := evaluate(tree, st, exec.WCOEngine{}, Pruning{})
+	_, pruned := evaluate(tree, st, exec.WCOEngine{}, Pruning{Enabled: true, FixedThreshold: 100})
 	last := func(s *EvalStats) int { return s.BGPResults[len(s.BGPResults)-1] }
 	if last(pruned) > last(plain) {
 		t.Errorf("pruned optional BGP produced more rows (%d) than plain (%d)",
@@ -98,7 +98,7 @@ func TestDistinctAppliedAfterProjection(t *testing.T) {
 	}
 	st.Freeze()
 	q := sparql.MustParse(`SELECT DISTINCT ?o WHERE { ?s <http://e/p> ?o }`)
-	res, err := Run(q, st, exec.WCOEngine{}, Base)
+	res, err := run(q, st, exec.WCOEngine{}, Base)
 	if err != nil {
 		t.Fatal(err)
 	}

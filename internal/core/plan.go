@@ -51,20 +51,17 @@ func (p *Plan) Clone() *Plan { return &Plan{Tree: p.Tree.Clone(), st: p.st} }
 // Estimates are engine-specific: warm a dedicated plan copy per engine
 // (see Clone), and do not warm a plan that is concurrently executing.
 func (p *Plan) WarmEstimates(engine exec.Engine) {
-	st := p.st
-	if v, ok := st.(store.Viewer); ok {
-		st = v.View() // one epoch for the whole warming pass
-	}
-	cm := &costModel{st: st, engine: engine}
+	cm := &costModel{st: pinView(p.st), engine: engine}
 	cm.fillEstimates(p.Tree.Root)
 }
 
-// ExecPlan executes a plan with the given strategy and BGP engine,
-// observing ctx for cancellation and fanning evaluation out per opts.
-// The plan is not modified (transforming strategies clone its tree), so
-// concurrent ExecPlan calls on one Plan are safe.
-func ExecPlan(ctx context.Context, p *Plan, engine exec.Engine, strat Strategy, opts ExecOptions) (*Result, error) {
-	return RunTreeContext(ctx, p.Tree, p.st, engine, strat, opts)
+// Transformed returns the tree the given strategy would evaluate for
+// this plan — the step ExecPlan runs before evaluation — without
+// executing it: the plan's own tree under Base and CP, a transformed
+// clone (costed with the engine's estimators) under TT and Full.
+func (p *Plan) Transformed(engine exec.Engine, strat Strategy) *Tree {
+	t, _ := transform(context.Background(), p.Tree, pinView(p.st), engine, strat)
+	return t
 }
 
 // BoundValue is one parameter binding for Plan.Bind: the dictionary ID

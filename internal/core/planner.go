@@ -7,7 +7,6 @@ import (
 
 	"sparqluo/internal/algebra"
 	"sparqluo/internal/exec"
-	"sparqluo/internal/sparql"
 	"sparqluo/internal/store"
 )
 
@@ -83,62 +82,21 @@ type ExecOptions struct {
 	Offset int
 }
 
-// Run plans and executes a parsed query with the given strategy and BGP
-// engine, sequentially and without cancellation. The store must be
-// frozen (for statistics).
-func Run(q *sparql.Query, st store.Reader, engine exec.Engine, strat Strategy) (*Result, error) {
-	return RunContext(context.Background(), q, st, engine, strat, ExecOptions{Parallelism: 1})
-}
-
-// RunContext plans and executes a parsed query, observing ctx for
-// cancellation and fanning evaluation out per opts. It is the one-shot
-// composition of BuildPlan and ExecPlan; callers that execute the same
-// query repeatedly should build the plan once and call ExecPlan per
-// execution instead.
-func RunContext(ctx context.Context, q *sparql.Query, st store.Reader, engine exec.Engine, strat Strategy, opts ExecOptions) (*Result, error) {
-	plan, err := BuildPlan(q, st)
-	if err != nil {
-		return nil, err
-	}
-	return ExecPlan(ctx, plan, engine, strat, opts)
-}
-
-// RunTree executes an already-built BE-tree with the given strategy,
-// sequentially and without cancellation. The input tree is not modified
-// (transforming strategies clone it).
-func RunTree(t *Tree, st store.Reader, engine exec.Engine, strat Strategy) *Result {
-	res, _ := RunTreeContext(context.Background(), t, st, engine, strat, ExecOptions{Parallelism: 1})
-	return res
-}
-
-// RunTreeContext executes an already-built BE-tree with the given
-// strategy, observing ctx for cancellation/deadlines and evaluating with
-// the worker pool configured in opts. The input tree is not modified
-// (transforming strategies clone it). On cancellation the ctx error is
-// returned and the Result is nil.
-func RunTreeContext(ctx context.Context, t *Tree, st store.Reader, engine exec.Engine, strat Strategy, opts ExecOptions) (*Result, error) {
-	// Pin mutable stores (the live-update overlay) to one immutable
-	// view for the whole execution: transformation, pruning thresholds
-	// and evaluation all see exactly one epoch of the data, so a query
-	// running concurrently with ingest or a compaction swap never
-	// observes a partial batch.
-	if v, ok := st.(store.Viewer); ok {
-		st = v.View()
-	}
-	t = applyWindow(t, opts)
+// ExecPlan executes a plan with the given strategy and BGP engine,
+// observing ctx for cancellation/deadlines and evaluating with the
+// worker pool configured in opts. The plan is not modified (transforming
+// strategies clone its tree), so concurrent ExecPlan calls on one Plan
+// are safe. On cancellation the ctx error is returned and the Result is
+// nil.
+func ExecPlan(ctx context.Context, p *Plan, engine exec.Engine, strat Strategy, opts ExecOptions) (*Result, error) {
+	st := pinView(p.st)
+	t := applyWindow(p.Tree, opts)
 	res := &Result{Vars: t.Vars}
-	work := t
-	switch strat {
-	case TT, Full:
-		work = t.Clone()
-		tr := NewTransformerContext(ctx, st, engine)
-		tr.SkipWhenEquivalentToCP = strat == Full
-		start := time.Now()
-		res.Transformations = tr.Transform(work)
-		res.TransformTime = time.Since(start)
-		if err := ctx.Err(); err != nil {
-			return nil, err // Δ-costs were truncated; the plan is unusable
-		}
+	start := time.Now()
+	work, n := transform(ctx, t, st, engine, strat)
+	res.Transformations, res.TransformTime = n, time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, err // Δ-costs were truncated; the plan is unusable
 	}
 	prune := Pruning{}
 	switch strat {
@@ -147,7 +105,7 @@ func RunTreeContext(ctx context.Context, t *Tree, st store.Reader, engine exec.E
 	case Full:
 		prune = Pruning{Enabled: true, Adaptive: true}
 	}
-	start := time.Now()
+	start = time.Now()
 	bag, stats, err := EvaluateContext(ctx, work, st, engine, prune, opts.Parallelism)
 	if err != nil {
 		return nil, err
@@ -155,6 +113,32 @@ func RunTreeContext(ctx context.Context, t *Tree, st store.Reader, engine exec.E
 	res.ExecTime = time.Since(start)
 	res.Bag, res.Tree, res.Stats = bag, work, stats
 	return res, nil
+}
+
+// pinView pins a mutable store (the live-update overlay) to one
+// immutable view, so that everything done with the result — estimate
+// warming, transformation, pruning thresholds, evaluation — sees exactly
+// one epoch of the data and a query running concurrently with ingest or
+// a compaction swap never observes a partial batch. Immutable stores are
+// returned as they are.
+func pinView(st store.Reader) store.Reader {
+	if v, ok := st.(store.Viewer); ok {
+		return v.View()
+	}
+	return st
+}
+
+// transform is the strategy's plan-rewriting step: TT and Full run the
+// cost-driven transformation on a clone of t and return it with the
+// number of transformations applied; Base and CP evaluate t as built.
+func transform(ctx context.Context, t *Tree, st store.Reader, engine exec.Engine, strat Strategy) (*Tree, int) {
+	if strat != TT && strat != Full {
+		return t, 0
+	}
+	work := t.Clone()
+	tr := NewTransformer(ctx, st, engine)
+	tr.SkipWhenEquivalentToCP = strat == Full
+	return work, tr.Transform(work)
 }
 
 // applyWindow composes the exec-time pagination window of opts with the

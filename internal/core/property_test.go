@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -39,7 +40,7 @@ func TestPropertyStrategyEquivalence(t *testing.T) {
 		var refName string
 		for _, engine := range []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}} {
 			for _, strat := range Strategies {
-				res, err := Run(q, st, engine, strat)
+				res, err := run(q, st, engine, strat)
 				if err != nil {
 					t.Fatalf("trial %d: %s/%s: %v\n%s", trial, engine.Name(), strat, err, text)
 				}
@@ -74,16 +75,16 @@ func TestPropertyTransformPreservesSemantics(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		engine := exec.WCOEngine{}
-		before, _ := Evaluate(tree, st, engine, Pruning{})
+		before, _ := evaluate(tree, st, engine, Pruning{})
 
 		work := tree.Clone()
-		tr := NewTransformer(st, engine)
+		tr := NewTransformer(context.Background(), st, engine)
 		n := tr.Transform(work)
 		if err := work.Validate(); err != nil {
 			t.Fatalf("trial %d: transformed tree invalid after %d transformations: %v\n%s",
 				trial, n, err, work)
 		}
-		after, _ := Evaluate(work, st, engine, Pruning{})
+		after, _ := evaluate(work, st, engine, Pruning{})
 		if !algebra.MultisetEqual(before, after) {
 			t.Fatalf("trial %d: transformation changed semantics (%d → %d rows, %d transformations)\nquery: %s\nbefore:\n%s\nafter:\n%s",
 				trial, before.Len(), after.Len(), n, text, tree, work)
@@ -108,13 +109,13 @@ func TestPropertyCandidatePruningSound(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		engine := exec.BinaryJoinEngine{}
-		plain, _ := Evaluate(tree, st, engine, Pruning{})
+		plain, _ := evaluate(tree, st, engine, Pruning{})
 		for _, prune := range []Pruning{
 			{Enabled: true, FixedThreshold: 5},
 			{Enabled: true, FixedThreshold: 1 << 20},
 			{Enabled: true, Adaptive: true},
 		} {
-			pruned, _ := Evaluate(tree, st, engine, prune)
+			pruned, _ := evaluate(tree, st, engine, prune)
 			if !algebra.MultisetEqual(plain, pruned) {
 				t.Fatalf("trial %d: pruning %+v changed semantics (%d → %d rows)\nquery: %s",
 					trial, prune, plain.Len(), pruned.Len(), text)
@@ -186,7 +187,7 @@ func mustEval(t *testing.T, st *store.Store, text string) *algebra.Bag {
 	if err != nil {
 		t.Fatalf("parse %q: %v", text, err)
 	}
-	res, err := Run(q, st, exec.WCOEngine{}, Base)
+	res, err := run(q, st, exec.WCOEngine{}, Base)
 	if err != nil {
 		t.Fatalf("eval %q: %v", text, err)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"sparqluo/internal/algebra"
 	"sparqluo/internal/exec"
 	"sparqluo/internal/rdf"
 	"sparqluo/internal/sparql"
@@ -37,6 +39,23 @@ dbr:Bill_Clinton owl:sameAs fbp:Clinton_William_Jefferson_1946- .
 	return st
 }
 
+// run is the one-shot funnel the tests drive: BuildPlan + a sequential,
+// non-cancellable ExecPlan.
+func run(q *sparql.Query, st store.Reader, engine exec.Engine, strat Strategy) (*Result, error) {
+	plan, err := BuildPlan(q, st)
+	if err != nil {
+		return nil, err
+	}
+	return ExecPlan(context.Background(), plan, engine, strat, ExecOptions{Parallelism: 1})
+}
+
+// evaluate runs Algorithm 1 on a tree sequentially and without
+// cancellation.
+func evaluate(t *Tree, st store.Reader, engine exec.Engine, prune Pruning) (*algebra.Bag, *EvalStats) {
+	bag, stats, _ := EvaluateContext(context.Background(), t, st, engine, prune, 1)
+	return bag, stats
+}
+
 const paperQueryPrefixes = `
 PREFIX dbr: <http://dbpedia.org/resource/>
 PREFIX dbo: <http://dbpedia.org/ontology/>
@@ -64,7 +83,7 @@ SELECT ?x ?name ?birth ?same WHERE {
 	}
 	for _, engine := range []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}} {
 		for _, strat := range Strategies {
-			res, err := Run(q, st, engine, strat)
+			res, err := run(q, st, engine, strat)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", engine.Name(), strat, err)
 			}
@@ -123,7 +142,7 @@ SELECT ?x ?same WHERE {
   OPTIONAL { ?x owl:sameAs ?same }
 }`)
 	for _, strat := range Strategies {
-		res, err := Run(q, st, exec.WCOEngine{}, strat)
+		res, err := run(q, st, exec.WCOEngine{}, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -152,7 +171,7 @@ SELECT ?x ?name WHERE {
   { ?x foaf:name ?name } UNION { ?x rdfs:label ?name }
 }`)
 	for _, strat := range Strategies {
-		res, err := Run(q, st, exec.BinaryJoinEngine{}, strat)
+		res, err := run(q, st, exec.BinaryJoinEngine{}, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}

@@ -30,7 +30,7 @@ func TestPropertyDeepQueryEquivalence(t *testing.T) {
 		}
 		var ref *algebra.Bag
 		for _, strat := range Strategies {
-			res, err := Run(q, st, exec.WCOEngine{}, strat)
+			res, err := run(q, st, exec.WCOEngine{}, strat)
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v", trial, strat, err)
 			}

@@ -31,16 +31,11 @@ type Transformer struct {
 }
 
 // NewTransformer returns a Transformer using the given store statistics
-// and BGP engine estimators.
-func NewTransformer(st store.Reader, engine exec.Engine) *Transformer {
-	return &Transformer{cm: &costModel{st: st, engine: engine}}
-}
-
-// NewTransformerContext is NewTransformer with a context bounding the
-// sampling estimators: once ctx is cancelled the cost model stops
-// sampling and the transformation finishes quickly with meaningless
-// Δ-costs, which the caller discards along with the plan.
-func NewTransformerContext(ctx context.Context, st store.Reader, engine exec.Engine) *Transformer {
+// and BGP engine estimators. ctx bounds the sampling estimators: once it
+// is cancelled the cost model stops sampling and the transformation
+// finishes quickly with meaningless Δ-costs, which the caller discards
+// along with the plan.
+func NewTransformer(ctx context.Context, st store.Reader, engine exec.Engine) *Transformer {
 	return &Transformer{cm: &costModel{st: st, engine: engine, ctx: ctx}}
 }
 

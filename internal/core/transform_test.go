@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestInsertSafeBlocksUncoveredOptionalVars(t *testing.T) {
 		UNION
 		{ ?x <http://ex.org/p2> ?z OPTIONAL { ?y <http://ex.org/p3> ?w } }
 	}`)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	p1 := tree.Root.Children[0].(*BGPNode)
 	u := tree.Root.Children[1].(*UnionNode)
 	if tr.mergeAllowed(tree.Root, 0, 1, p1, u) {
@@ -128,7 +129,7 @@ func TestInjectBlockedByUncoveredOptionalVar(t *testing.T) {
 		?x <http://ex.org/p0> ?y .
 		OPTIONAL { ?x <http://ex.org/p1> ?z OPTIONAL { ?y <http://ex.org/p2> ?w } }
 	}`)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	p1 := tree.Root.Children[0].(*BGPNode)
 	o := tree.Root.Children[1].(*OptionalNode)
 	if tr.injectAllowed(tree.Root, 0, 1, p1, o) {
@@ -143,7 +144,7 @@ func TestMergeRequiresCoalescableBranch(t *testing.T) {
 		?x <http://ex.org/p0> ?y .
 		{ ?a <http://ex.org/p1> ?b } UNION { ?a <http://ex.org/p2> ?b }
 	}`)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	p1 := tree.Root.Children[0].(*BGPNode)
 	u := tree.Root.Children[1].(*UnionNode)
 	if tr.mergeAllowed(tree.Root, 0, 1, p1, u) {
@@ -157,7 +158,7 @@ func TestInjectRequiresCoalescableChild(t *testing.T) {
 		?x <http://ex.org/p0> ?y .
 		OPTIONAL { ?a <http://ex.org/p1> ?b }
 	}`)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	p1 := tree.Root.Children[0].(*BGPNode)
 	o := tree.Root.Children[1].(*OptionalNode)
 	if tr.injectAllowed(tree.Root, 0, 1, p1, o) {
@@ -173,7 +174,7 @@ func TestSkipWhenEquivalentToCP(t *testing.T) {
 	}`
 	// With the §6 special-case skip (full), no transformation happens.
 	tree := buildTree(t, st, text)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	tr.SkipWhenEquivalentToCP = true
 	if n := tr.Transform(tree); n != 0 {
 		t.Errorf("full-mode should skip the single-BGP special case, applied %d", n)
@@ -187,7 +188,7 @@ func TestInjectIsIndependentPerOptional(t *testing.T) {
 		OPTIONAL { ?x <http://ex.org/p1> ?z }
 		OPTIONAL { ?x <http://ex.org/p2> ?w }
 	}`)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	n := tr.Transform(tree)
 	// The selective anchor may be injected into both OPTIONALs; whatever
 	// the cost model decides, the original BGP must remain at the level.
@@ -206,15 +207,15 @@ func TestMergeOnlyOncePerBGP(t *testing.T) {
 		{ ?x <http://ex.org/p1> ?z } UNION { ?x <http://ex.org/p2> ?z }
 		{ ?x <http://ex.org/p3> ?w } UNION { ?x <http://ex.org/p4> ?w }
 	}`)
-	before, _ := Evaluate(tree, st, exec.WCOEngine{}, Pruning{})
+	before, _ := evaluate(tree, st, exec.WCOEngine{}, Pruning{})
 	work := tree.Clone()
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	tr.Transform(work)
 	// Count occurrences of the anchor pattern across the tree: if merged,
 	// it must appear in the branches of exactly one UNION (a BGP is
 	// removed from its original position by merge, so it cannot merge
 	// into two UNIONs — that would change semantics).
-	after, _ := Evaluate(work, st, exec.WCOEngine{}, Pruning{})
+	after, _ := evaluate(work, st, exec.WCOEngine{}, Pruning{})
 	if !algebra.MultisetEqual(before, after) {
 		t.Fatalf("semantics changed:\n%s", work)
 	}
@@ -226,7 +227,7 @@ func TestTransformerFillsEstimates(t *testing.T) {
 		?x <http://ex.org/p0> ?y .
 		OPTIONAL { ?x <http://ex.org/p1> ?z }
 	}`)
-	tr := NewTransformer(st, exec.WCOEngine{})
+	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	tr.Transform(tree)
 	var check func(Node)
 	check = func(n Node) {
@@ -274,7 +275,7 @@ func TestJoinSpaceFolding(t *testing.T) {
 		?x <http://ex.org/p0> ?y .
 		{ ?x <http://ex.org/p1> ?z } UNION { ?x <http://ex.org/p2> ?z }
 	}`)
-	_, stats := Evaluate(tree, st, exec.WCOEngine{}, Pruning{})
+	_, stats := evaluate(tree, st, exec.WCOEngine{}, Pruning{})
 	js := JoinSpace(tree, stats)
 	// JS = |BGP| × (|branch1| + |branch2|); recompute by hand.
 	var sizes []int
@@ -331,7 +332,7 @@ func TestTreeStringMentionsAllNodeKinds(t *testing.T) {
 func TestProjectionOfAbsentVariable(t *testing.T) {
 	st := chainStore(t)
 	q := sparql.MustParse(`SELECT ?ghost WHERE { ?x <http://ex.org/p0> ?y . }`)
-	res, err := Run(q, st, exec.WCOEngine{}, Base)
+	res, err := run(q, st, exec.WCOEngine{}, Base)
 	if err != nil {
 		t.Fatal(err)
 	}

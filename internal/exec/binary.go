@@ -4,7 +4,6 @@ import (
 	"context"
 	"iter"
 	"slices"
-	"sort"
 
 	"sparqluo/internal/algebra"
 	"sparqluo/internal/store"
@@ -46,23 +45,8 @@ func (BinaryJoinEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP
 		}
 		return algebra.Unit(width)
 	}
-	for _, p := range bgp {
-		if p.Impossible() {
-			out := algebra.NewBag(width)
-			for _, v := range bgp.Vars() {
-				out.Cert.Set(v)
-				out.Maybe.Set(v)
-			}
-			return out
-		}
-	}
-	if max == 0 {
-		out := algebra.NewBag(width)
-		for _, v := range bgp.Vars() {
-			out.Cert.Set(v)
-			out.Maybe.Set(v)
-		}
-		return out
+	if max == 0 || slices.ContainsFunc(bgp, Pattern.Impossible) {
+		return newBagOver(width, bgp.Vars())
 	}
 	order := greedyOrderWithCands(st, bgp, cand)
 	poll := ctxPoll{ctx: ctx}
@@ -105,16 +89,10 @@ func (BinaryJoinEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP
 // max >= 0 stops the index scan after max emitted rows; pulled, when
 // non-nil, accumulates the number of rows the scan drew.
 func scanPattern(st store.Reader, pat Pattern, width int, cand Candidates, poll *ctxPoll, max int, pulled *int) *algebra.Bag {
-	if sh, ok := shardedFor(st); ok && scatterable(pat, cand) {
-		if out, ok := scatterScan(sh, pat, width, cand, poll, max, pulled); ok {
-			return out
-		}
+	if out, ok := scatterScan(st, pat, width, cand, poll, max, pulled); ok {
+		return out
 	}
-	out := algebra.NewBag(width)
-	for _, v := range pat.Vars() {
-		out.Cert.Set(v)
-		out.Maybe.Set(v)
-	}
+	out := newBagOver(width, pat.Vars())
 	out.Order = MatchOrder(st, pat, neverBound, cand)
 	seed := make(algebra.Row, width)
 	MatchPattern(st, pat, seed, cand, func(nr algebra.Row) bool {
@@ -172,15 +150,7 @@ func streamMergeTop(st store.Reader, a, b Pattern, width int, poll *ctxPoll, max
 	if !ok {
 		return nil, false
 	}
-	out := algebra.NewBag(width)
-	for _, v := range a.Vars() {
-		out.Cert.Set(v)
-		out.Maybe.Set(v)
-	}
-	for _, v := range b.Vars() {
-		out.Cert.Set(v)
-		out.Maybe.Set(v)
-	}
+	out := newBagOver(width, BGP{a, b}.Vars())
 	// Output order claim, mirroring the materialized merge join: the
 	// merge sequence, extended by the a-side order tail on slots the b
 	// side cannot overwrite.
@@ -274,6 +244,16 @@ func streamMergeTop(st store.Reader, a, b Pattern, width int, poll *ctxPoll, max
 	return out, true
 }
 
+// newBagOver returns an empty bag whose rows certainly bind vars.
+func newBagOver(width int, vars []int) *algebra.Bag {
+	out := algebra.NewBag(width)
+	for _, v := range vars {
+		out.Cert.Set(v)
+		out.Maybe.Set(v)
+	}
+	return out
+}
+
 // neverBound is the bound predicate of a fresh scan: no variable carries
 // a prior binding.
 func neverBound(int) bool { return false }
@@ -284,8 +264,7 @@ func (BinaryJoinEngine) EstimateCard(ctx context.Context, st store.Reader, bgp B
 	if len(bgp) == 0 {
 		return 1
 	}
-	est := newEstimator(st, bgp)
-	cards, _ := est.estimate(ctx, bgp, sortedOrder(st, bgp))
+	cards := estimateCards(ctx, st, bgp, greedyOrderWithCands(st, bgp, nil))
 	return cards[len(cards)-1]
 }
 
@@ -305,9 +284,8 @@ func (BinaryJoinEngine) EstimateCost(ctx context.Context, st store.Reader, bgp B
 	if len(bgp) == 0 {
 		return 0
 	}
-	order := sortedOrder(st, bgp)
-	est := newEstimator(st, bgp)
-	cards, _ := est.estimate(ctx, bgp, order)
+	order := greedyOrderWithCands(st, bgp, nil)
+	cards := estimateCards(ctx, st, bgp, order)
 	cost := float64(ExactCount(st, bgp[order[0]]))
 	accOrder := MatchOrder(st, bgp[order[0]], neverBound, nil)
 	accVars := map[int]bool{}
@@ -343,52 +321,4 @@ func (BinaryJoinEngine) EstimateCost(ctx context.Context, st store.Reader, bgp B
 		}
 	}
 	return cost
-}
-
-// sortedOrder orders patterns by ascending exact count, preferring
-// connected patterns to avoid products (stable within the constraint).
-func sortedOrder(st store.Reader, bgp BGP) []int {
-	n := len(bgp)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	counts := make([]int, n)
-	for i, p := range bgp {
-		counts[i] = ExactCount(st, p)
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return counts[idx[a]] < counts[idx[b]] })
-
-	// Re-walk preferring connectivity.
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := map[int]bool{}
-	for len(order) < n {
-		pick := -1
-		for _, i := range idx {
-			if used[i] {
-				continue
-			}
-			conn := len(order) == 0
-			for _, v := range bgp[i].Vars() {
-				if bound[v] {
-					conn = true
-					break
-				}
-			}
-			if conn {
-				pick = i
-				break
-			}
-			if pick == -1 {
-				pick = i // fallback: smallest disconnected
-			}
-		}
-		used[pick] = true
-		order = append(order, pick)
-		for _, v := range bgp[pick].Vars() {
-			bound[v] = true
-		}
-	}
-	return order
 }

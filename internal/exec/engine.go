@@ -75,49 +75,33 @@ func (c *ctxPoll) done() bool {
 	return c.stopped
 }
 
-// estimator implements the paper's shared cardinality estimation:
+// estimateCards implements the paper's shared cardinality estimation:
 // exact counts for single triple patterns, then for each added pattern a
 // sample of the current partial results is extended and the estimate
-// scaled by #extend/#sample (floored at 1).
-type estimator struct {
-	st    store.Reader
-	width int
-}
-
-func newEstimator(st store.Reader, bgp BGP) *estimator {
-	width := 0
-	for _, v := range bgp.Vars() {
-		if v+1 > width {
-			width = v + 1
-		}
-	}
-	return &estimator{st: st, width: width}
-}
-
-// estimate walks the patterns in the given order, maintaining (card,
-// sample) and returning the per-step cardinalities: card[k] estimates the
-// result size after joining patterns order[0..k]. Each sample-row
+// scaled by #extend/#sample (floored at 1). It walks the patterns in the
+// given order and returns the per-step cardinalities: cards[k] estimates
+// the result size after joining patterns order[0..k]. Each sample-row
 // extension can scan a large index range, so cancellation is polled
 // between rows; a truncated walk leaves the remaining cards at their
 // zero value, which callers discard along with the cancelled plan.
-func (e *estimator) estimate(ctx context.Context, bgp BGP, order []int) (cards []float64, samples [][]algebra.Row) {
-	cards = make([]float64, len(order))
-	samples = make([][]algebra.Row, len(order))
+func estimateCards(ctx context.Context, st store.Reader, bgp BGP, order []int) []float64 {
+	width := bgp.width()
+	cards := make([]float64, len(order))
 	var sample []algebra.Row
 	card := 0.0
 	for k, idx := range order {
 		pat := bgp[idx]
 		if k == 0 {
-			card = float64(ExactCount(e.st, pat))
-			sample = e.sampleSingle(pat)
+			card = float64(ExactCount(st, pat))
+			sample = sampleSingle(st, pat, width)
 		} else {
 			extended := 0
 			var next []algebra.Row
 			for _, r := range sample {
 				if ctx.Err() != nil {
-					return cards, samples
+					return cards
 				}
-				MatchPattern(e.st, pat, r, nil, func(nr algebra.Row) bool {
+				MatchPattern(st, pat, r, nil, func(nr algebra.Row) bool {
 					extended++
 					if len(next) < sampleSize {
 						// nr is MatchPattern's scratch buffer; copy to retain.
@@ -137,38 +121,46 @@ func (e *estimator) estimate(ctx context.Context, bgp BGP, order []int) (cards [
 			sample = next
 		}
 		cards[k] = card
-		samples[k] = sample
 	}
-	return cards, samples
+	return cards
 }
 
-// sampleSingle collects up to sampleSize matches of a single pattern.
-func (e *estimator) sampleSingle(pat Pattern) []algebra.Row {
+// sampleSingle collects the first sampleSize matches of a single pattern,
+// stopping the scan there.
+func sampleSingle(st store.Reader, pat Pattern, width int) []algebra.Row {
 	var out []algebra.Row
-	seed := make(algebra.Row, e.width)
-	MatchPattern(e.st, pat, seed, nil, func(nr algebra.Row) bool {
-		if len(out) < sampleSize {
-			// nr is MatchPattern's scratch buffer; copy to retain.
-			out = append(out, slices.Clone(nr))
-		}
-		return true
+	seed := make(algebra.Row, width)
+	MatchPattern(st, pat, seed, nil, func(nr algebra.Row) bool {
+		// nr is MatchPattern's scratch buffer; copy to retain.
+		out = append(out, slices.Clone(nr))
+		return len(out) < sampleSize
 	})
 	return out
 }
 
-// greedyOrder produces a join order: start from the pattern with the
-// smallest exact count, then repeatedly append the connected pattern
-// (sharing a variable with the chosen set) with the smallest exact count,
-// falling back to the globally smallest remaining pattern when the BGP is
-// disconnected.
-func greedyOrder(st store.Reader, bgp BGP) []int {
+// greedyOrderWithCands is the join order both engines evaluate and
+// estimate along: start from the pattern with the smallest exact count,
+// then repeatedly append the connected pattern (sharing a variable with
+// the chosen set) with the smallest exact count, falling back to the
+// globally smallest remaining pattern when the BGP is disconnected; ties
+// go to the lower pattern index. A pattern whose variable has a
+// candidate set is treated as more selective: candidate sets bound the
+// scan, so starting from them realizes the pruning of §6. Estimators
+// pass nil candidates.
+func greedyOrderWithCands(st store.Reader, bgp BGP, cand Candidates) []int {
 	n := len(bgp)
-	order := make([]int, 0, n)
-	used := make([]bool, n)
 	counts := make([]int, n)
 	for i, p := range bgp {
-		counts[i] = ExactCount(st, p)
+		c := ExactCount(st, p)
+		for _, v := range p.Vars() {
+			if set := cand.Set(v); set != nil && len(set) < c {
+				c = len(set)
+			}
+		}
+		counts[i] = c
 	}
+	order := make([]int, 0, n)
+	used := make([]bool, n)
 	bound := map[int]bool{}
 	for len(order) < n {
 		best, bestCount, bestConn := -1, 0, false

@@ -2,13 +2,17 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sparqluo/internal/algebra"
 	"sparqluo/internal/qgen"
+	"sparqluo/internal/rdf"
 	"sparqluo/internal/store"
 )
 
@@ -106,15 +110,29 @@ func TestQuickMatchPatternMatchesBruteForce(t *testing.T) {
 }
 
 // TestQuickExactCountMatchesBruteForce: the index-derived count equals
-// the brute-force match count.
+// the brute-force match count on the plain store and on 1-, 2- and
+// 4-shard stores, and under a seeded row the table's range size equals
+// the number of rows the scan enumerates.
 func TestQuickExactCountMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomStore(rng, 60)
+		readers := readersOver(t, st)
 		for k := 0; k < 8; k++ {
 			pat := randomPattern(rng, st)
-			if ExactCount(st, pat) != len(bruteMatches(st, pat, 4)) {
-				return false
+			row := randomSeed(rng, st, pat, 4)
+			for i, rd := range readers {
+				if got, want := ExactCount(rd, pat), len(bruteMatches(st, pat, 4)); got != want {
+					t.Logf("reader %d pattern %+v: ExactCount %d, brute force %d", i, pat, got, want)
+					return false
+				}
+				if repeatedVar(pat) {
+					continue // the range size is only an upper bound
+				}
+				if got, want := shapeOf(pat, row).count(rd), len(collectMatches(rd, pat, row, nil)); got != want {
+					t.Logf("reader %d pattern %+v seed %v: table count %d, enumerated %d", i, pat, row, got, want)
+					return false
+				}
 			}
 		}
 		return true
@@ -255,6 +273,47 @@ func TestEstimatesSane(t *testing.T) {
 	}
 }
 
+// TestEstimateSamplingStopsAtSampleSize: estimating a single pattern
+// draws the first sampleSize matches and stops the scan — its cost must
+// not grow with the number of matches (the count comes off the index).
+// The scan's emissions are not observable from outside MatchPattern, so
+// the test compares best-of-N times of two estimates that do identical
+// work when sampling stops: enumerating every match of the large
+// predicate instead is hundreds of times slower, far outside the bound.
+func TestEstimateSamplingStopsAtSampleSize(t *testing.T) {
+	const matches = 1500 * sampleSize
+	st := store.New()
+	iri := func(kind string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/%s%d", kind, i)) }
+	for i := 0; i < matches; i++ {
+		st.Add(rdf.Triple{S: iri("s", i), P: iri("p", 0), O: iri("o", i%97)})
+	}
+	for i := 0; i < sampleSize; i++ {
+		st.Add(rdf.Triple{S: iri("s", i), P: iri("p", 1), O: iri("o", i%97)})
+	}
+	st.Freeze()
+	pred := func(i int) Pattern {
+		id, _ := st.Dict().Lookup(iri("p", i))
+		return Pattern{S: Var(0), P: Const(id), O: Var(1)}
+	}
+	best := func(pat Pattern, want float64) time.Duration {
+		fastest := time.Duration(math.MaxInt64)
+		for i := 0; i < 20; i++ {
+			start := time.Now()
+			got := (WCOEngine{}).EstimateCard(context.Background(), st, BGP{pat})
+			fastest = min(fastest, time.Since(start))
+			if got != want {
+				t.Fatalf("estimate %v, want exact %v", got, want)
+			}
+		}
+		return fastest
+	}
+	small, large := best(pred(1), sampleSize), best(pred(0), matches)
+	if large > 20*small {
+		t.Errorf("estimating a %d-match pattern took %v, a %d-match pattern %v: sampling did not stop at %d rows",
+			matches, large, sampleSize, small, sampleSize)
+	}
+}
+
 func TestCandidatesAllows(t *testing.T) {
 	var nilCand Candidates
 	if !nilCand.Allows(0, 5) {
@@ -280,7 +339,7 @@ func TestGreedyOrderConnectivity(t *testing.T) {
 		{S: Var(1), P: Const(p), O: Var(2)},
 		{S: Var(2), P: Const(p), O: Var(3)},
 	}
-	order := greedyOrder(st, bgp)
+	order := greedyOrderWithCands(st, bgp, nil)
 	bound := map[int]bool{}
 	for i, idx := range order {
 		if i > 0 {

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,34 +30,78 @@ func randomCandidates(rng *rand.Rand, st *store.Store, bgp BGP) Candidates {
 	return cand
 }
 
-// TestQuickMatchOrderSound: the order MatchOrder claims for a fresh scan
-// is an order the emitted rows actually ascend by — with and without
-// candidate sets, across every boundness combination randomPattern
-// produces. This is the contract scanPattern's Order field rests on.
+// readersOver returns st followed by k ∈ {1, 2, 4} ShardedStores over
+// the same triples: every reader must answer the scan policy identically.
+func readersOver(tb testing.TB, st *store.Store) []store.Reader {
+	readers := []store.Reader{st}
+	for _, k := range []int{1, 2, 4} {
+		readers = append(readers, shardStore(tb, st, k))
+	}
+	return readers
+}
+
+// randomSeed returns a seed row that pre-binds a random subset of the
+// pattern's variables to the components of one stored triple, so seeded
+// (non-unit) scans take the bound-variable shapes and usually match.
+func randomSeed(rng *rand.Rand, st *store.Store, pat Pattern, width int) algebra.Row {
+	tris := st.Triples()
+	t := tris[rng.Intn(len(tris))]
+	seed := make(algebra.Row, width)
+	for sl, id := range [3]store.ID{t.S, t.P, t.O} {
+		if pos := pat.at(slot(sl)); pos.IsVar && seed[pos.Var] == store.None && rng.Intn(2) == 0 {
+			seed[pos.Var] = id
+		}
+	}
+	return seed
+}
+
+// TestQuickMatchOrderSound: the order MatchOrder claims is an order the
+// emitted rows actually ascend by — from the unit row and from seeded
+// rows, with and without candidate sets, over the plain store and over
+// 1-, 2- and 4-shard stores (which must also emit the plain store's rows
+// and claim its order), reaching every access kind of the table. This
+// is the contract scanPattern's Order field rests on.
 func TestQuickMatchOrderSound(t *testing.T) {
+	var seen [accPoint + 1]bool
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomStore(rng, 50+rng.Intn(80))
+		readers := readersOver(t, st)
 		const width = 4
 		for k := 0; k < 8; k++ {
 			pat := randomPattern(rng, st)
 			cand := randomCandidates(rng, st, BGP{pat})
-			bag := algebra.NewBag(width)
-			bag.Order = MatchOrder(st, pat, func(int) bool { return false }, cand)
-			MatchPattern(st, pat, make(algebra.Row, width), cand, func(r algebra.Row) bool {
-				bag.Append(r)
-				return true
-			})
-			if !bag.SortedBy(bag.Order) {
-				t.Logf("pattern %+v cand=%v: %d rows not sorted by claimed %v",
-					pat, cand, bag.Len(), bag.Order)
-				return false
+			for _, row := range []algebra.Row{make(algebra.Row, width), randomSeed(rng, st, pat, width)} {
+				bound := func(v int) bool { return row[v] != store.None }
+				var wantRows []algebra.Row
+				var wantOrder []int
+				for i, rd := range readers {
+					seen[planScan(rd, &pat, shapeOf(pat, row), cand).kind] = true
+					rows := collectMatches(rd, pat, row, cand)
+					order := MatchOrder(rd, pat, bound, cand)
+					if !toBag(width, rows).SortedBy(order) {
+						t.Logf("reader %d pattern %+v seed %v cand=%v: %d rows not sorted by claimed %v",
+							i, pat, row, cand, len(rows), order)
+						return false
+					}
+					if i == 0 {
+						wantRows, wantOrder = rows, order
+					} else if !slices.Equal(order, wantOrder) || !rowsEqual(rows, wantRows) {
+						t.Logf("reader %d pattern %+v seed %v cand=%v: differs from the plain store", i, pat, row, cand)
+						return false
+					}
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+	for kind, ok := range seen {
+		if !ok {
+			t.Errorf("access kind %d never exercised", kind)
+		}
 	}
 }
 

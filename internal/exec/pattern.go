@@ -6,6 +6,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"sparqluo/internal/algebra"
@@ -73,6 +74,15 @@ func (b BGP) Vars() []int {
 	return out
 }
 
+// width returns the smallest row width that holds every variable of the BGP.
+func (b BGP) width() int {
+	w := 0
+	for _, v := range b.Vars() {
+		w = max(w, v+1)
+	}
+	return w
+}
+
 // Candidates maps a variable index to the set of term IDs it may take.
 // A nil map (or missing entry) imposes no restriction. Candidate sets are
 // the query-time pruning mechanism of §6.
@@ -99,14 +109,17 @@ func (c Candidates) Set(v int) map[store.ID]struct{} {
 	return c[v]
 }
 
-// resolve returns the concrete ID a position takes under row, and whether
-// it is bound (constants are always bound).
-func resolve(pos Pos, row algebra.Row) (store.ID, bool) {
+// resolve returns the concrete ID a position takes under row, or
+// store.None when it is an unbound variable (every variable is, under a
+// nil row).
+func resolve(pos Pos, row algebra.Row) store.ID {
 	if !pos.IsVar {
-		return pos.ID, true
+		return pos.ID
 	}
-	id := row[pos.Var]
-	return id, id != store.None
+	if row == nil {
+		return store.None
+	}
+	return row[pos.Var]
 }
 
 // bindEmit extends row into scratch with the given (s,p,o) match of pat,
@@ -139,6 +152,178 @@ func bindEmit(pat Pattern, row, scratch algebra.Row, s, p, o store.ID, cand Cand
 	return emit(nr)
 }
 
+// slot names one position of a triple pattern.
+type slot uint8
+
+const (
+	slotS slot = iota
+	slotP
+	slotO
+)
+
+// at returns the pattern's position in the given slot.
+func (p *Pattern) at(sl slot) Pos {
+	switch sl {
+	case slotS:
+		return p.S
+	case slotP:
+		return p.P
+	}
+	return p.O
+}
+
+// access is the kind of index access a pattern scan performs: one per
+// bound-position shape, plus the candidate probes that can replace a
+// shape's range scan.
+type access uint8
+
+const (
+	accAll     access = iota // nothing bound: the canonical SPO array
+	accO                     // OSP run of one object
+	accP                     // POS run of one predicate
+	accPProbeS               // per subject candidate, its objects under the predicate
+	accPProbeO               // per object candidate, its subjects under the predicate
+	accPO                    // subjects of one (predicate, object)
+	accPOProbe               // subject candidates point-checked
+	accS                     // SPO run of one subject
+	accSO                    // predicates of one (subject, object)
+	accSP                    // objects of one (subject, predicate)
+	accSPProbe               // object candidates point-checked
+	accPoint                 // everything bound: one membership test
+)
+
+// probe is a candidate-driven alternative to a shape's range scan: when
+// the pattern variable at position by has a candidate set smaller than
+// the range, the set is enumerated (ascending) against the index
+// instead. This is how §6 candidate pruning restricts scans on the fly.
+type probe struct {
+	kind  access
+	by    slot
+	order []slot
+}
+
+// accessPath is one row of the access-path table: how a bound-position
+// shape is served. order is the emission order over the unbound
+// positions — the order of the permutation range the access reads —
+// and count is the size of that range, read off the index in O(1) or a
+// binary search. adj, on the three shapes with a single open position,
+// fetches the range itself as a zero-copy ID view (whose length is the
+// count for free).
+type accessPath struct {
+	kind   access
+	order  []slot
+	count  func(st store.Reader, s, p, o store.ID) int
+	adj    func(st store.Reader, s, p, o store.ID) []store.ID
+	probes []probe // in preference order
+}
+
+// accessPaths is the single place the scan policy is written down,
+// indexed by shape (bit 2 = S bound, bit 1 = P bound, bit 0 = O bound).
+// MatchPattern enumerates what it says, MatchOrder reports its orders,
+// ExactCount and the scatter gate read its counts.
+var accessPaths = [8]accessPath{
+	0b000: {kind: accAll, order: []slot{slotS, slotP, slotO},
+		count: func(st store.Reader, _, _, _ store.ID) int { return st.NumTriples() }},
+	0b001: {kind: accO, order: []slot{slotS, slotP},
+		count: func(st store.Reader, _, _, o store.ID) int { return st.CountO(o) }},
+	0b010: {kind: accP, order: []slot{slotO, slotS},
+		count: func(st store.Reader, _, p, _ store.ID) int { return st.CountP(p) },
+		probes: []probe{
+			{accPProbeS, slotS, []slot{slotS, slotO}},
+			{accPProbeO, slotO, []slot{slotO, slotS}},
+		}},
+	0b011: {kind: accPO, order: []slot{slotS},
+		count:  func(st store.Reader, _, p, o store.ID) int { return st.CountPO(p, o) },
+		adj:    func(st store.Reader, _, p, o store.ID) []store.ID { return st.SubjectsPO(p, o) },
+		probes: []probe{{accPOProbe, slotS, []slot{slotS}}}},
+	0b100: {kind: accS, order: []slot{slotP, slotO},
+		count: func(st store.Reader, s, _, _ store.ID) int { return st.CountS(s) }},
+	0b101: {kind: accSO, order: []slot{slotP},
+		count: func(st store.Reader, s, _, o store.ID) int { return st.CountSO(s, o) },
+		adj:   func(st store.Reader, s, _, o store.ID) []store.ID { return st.PredsSO(s, o) }},
+	0b110: {kind: accSP, order: []slot{slotO},
+		count:  func(st store.Reader, s, p, _ store.ID) int { return st.CountSP(s, p) },
+		adj:    func(st store.Reader, s, p, _ store.ID) []store.ID { return st.ObjectsSP(s, p) },
+		probes: []probe{{accSPProbe, slotO, []slot{slotO}}}},
+	0b111: {kind: accPoint,
+		count: func(st store.Reader, s, p, o store.ID) int {
+			if st.Contains(s, p, o) {
+				return 1
+			}
+			return 0
+		}},
+}
+
+// shape is a pattern's binding state: the ID at every bound position
+// and the accessPaths index saying which positions those are.
+type shape struct {
+	s, p, o store.ID
+	mask    uint8
+}
+
+// shapeOf resolves pat against row. A nil row binds only the ground
+// positions. Callers have excluded Impossible patterns, so a position
+// is bound exactly when its ID is not store.None.
+func shapeOf(pat Pattern, row algebra.Row) shape {
+	sh := shape{s: resolve(pat.S, row), p: resolve(pat.P, row), o: resolve(pat.O, row)}
+	if sh.s != store.None {
+		sh.mask |= 0b100
+	}
+	if sh.p != store.None {
+		sh.mask |= 0b010
+	}
+	if sh.o != store.None {
+		sh.mask |= 0b001
+	}
+	return sh
+}
+
+// path returns the shape's row of the access-path table.
+func (sh shape) path() *accessPath { return &accessPaths[sh.mask] }
+
+// count returns the size of the index range the shape selects.
+func (sh shape) count(st store.Reader) int { return sh.path().count(st, sh.s, sh.p, sh.o) }
+
+// scan is the scan policy's decision for one pattern under one shape.
+type scan struct {
+	kind  access
+	order []slot                // emission order over the unbound positions
+	adj   []store.ID            // the range itself, on single-open-position shapes
+	cands map[store.ID]struct{} // the candidate set a probe kind enumerates
+}
+
+// planScan is the scan policy: the shape's access path, unless the
+// variable at a probe position has a candidate set smaller than the
+// range, in which case the first such probe replaces the scan. The
+// range size comes from the adjacency view when the shape has one
+// (MatchPattern needs the view anyway) and from the count accessor
+// otherwise, and is only consulted when a candidate set competes.
+func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
+	ap := sh.path()
+	sc := scan{kind: ap.kind, order: ap.order}
+	n := -1
+	if ap.adj != nil {
+		sc.adj = ap.adj(st, sh.s, sh.p, sh.o)
+		n = len(sc.adj)
+	}
+	if cand == nil {
+		return sc
+	}
+	for _, pr := range ap.probes {
+		set := candFor(pat.at(pr.by), cand)
+		if set == nil {
+			continue
+		}
+		if n < 0 {
+			n = sh.count(st)
+		}
+		if len(set) < n {
+			return scan{kind: pr.kind, order: pr.order, cands: set}
+		}
+	}
+	return sc
+}
+
 // MatchPattern enumerates all extensions of row that match pat in st,
 // honoring candidate sets, and calls emit for each extended row. emit
 // returns whether enumeration should continue: a false return stops the
@@ -151,111 +336,91 @@ func bindEmit(pat Pattern, row, scratch algebra.Row, s, p, o store.ID, cand Cand
 //
 // Matches are emitted in the physical order of the permutation range the
 // pattern reads; MatchOrder reports that order as a variable sequence.
+// Every store — plain, sharded, live overlay — is read through the
+// store.Reader accessors, which return global ranges in global order.
 func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates, emit func(algebra.Row) bool) {
 	if pat.Impossible() {
 		return
 	}
-	if sh, ok := st.(store.ShardedReader); ok {
-		if sh.NumShards() > 1 {
-			matchPatternSharded(sh, pat, row, cand, emit)
-			return
-		}
-		st = sh.Shard(0) // single shard: identical content, no indirection
-	}
 	scratch := make(algebra.Row, len(row))
-	s, sb := resolve(pat.S, row)
-	p, pb := resolve(pat.P, row)
-	o, ob := resolve(pat.O, row)
+	sh := shapeOf(pat, row)
+	s, p, o := sh.s, sh.p, sh.o
+	sc := planScan(st, &pat, sh, cand)
 
-	switch {
-	case sb && pb && ob:
+	switch sc.kind {
+	case accPoint:
 		if st.Contains(s, p, o) {
 			bindEmit(pat, row, scratch, s, p, o, cand, emit)
 		}
-	case sb && pb:
-		objs := st.ObjectsSP(s, p)
-		// If the object variable has a small candidate set, probe it
-		// instead of scanning the adjacency list.
-		if set := candFor(pat.O, cand); set != nil && len(set) < len(objs) {
-			for _, x := range sortedSet(set) {
-				if st.Contains(s, p, x) {
-					if !bindEmit(pat, row, scratch, s, p, x, cand, emit) {
-						return
-					}
-				}
-			}
-			return
-		}
-		for _, x := range objs {
+	case accSP:
+		for _, x := range sc.adj {
 			if !bindEmit(pat, row, scratch, s, p, x, cand, emit) {
 				return
 			}
 		}
-	case pb && ob:
-		subs := st.SubjectsPO(p, o)
-		if set := candFor(pat.S, cand); set != nil && len(set) < len(subs) {
-			for _, x := range sortedSet(set) {
-				if st.Contains(x, p, o) {
-					if !bindEmit(pat, row, scratch, x, p, o, cand, emit) {
-						return
-					}
+	case accSPProbe:
+		for _, x := range sortedSet(sc.cands) {
+			if st.Contains(s, p, x) {
+				if !bindEmit(pat, row, scratch, s, p, x, cand, emit) {
+					return
 				}
 			}
-			return
 		}
-		for _, x := range subs {
+	case accPO:
+		for _, x := range sc.adj {
 			if !bindEmit(pat, row, scratch, x, p, o, cand, emit) {
 				return
 			}
 		}
-	case sb && ob:
-		for _, pp := range st.PredsSO(s, o) {
+	case accPOProbe:
+		for _, x := range sortedSet(sc.cands) {
+			if st.Contains(x, p, o) {
+				if !bindEmit(pat, row, scratch, x, p, o, cand, emit) {
+					return
+				}
+			}
+		}
+	case accSO:
+		for _, pp := range sc.adj {
 			if !bindEmit(pat, row, scratch, s, pp, o, cand, emit) {
 				return
 			}
 		}
-	case pb:
-		// Only the predicate is bound: a small candidate set on either
-		// endpoint turns the predicate scan into per-candidate binary
-		// searches; otherwise scan the POS run, sorted by (O,S).
-		if set := candFor(pat.S, cand); set != nil && len(set) < st.CountP(p) {
-			for _, ss := range sortedSet(set) {
-				for _, x := range st.ObjectsSP(ss, p) {
-					if !bindEmit(pat, row, scratch, ss, p, x, cand, emit) {
-						return
-					}
+	case accPProbeS:
+		for _, ss := range sortedSet(sc.cands) {
+			for _, x := range st.ObjectsSP(ss, p) {
+				if !bindEmit(pat, row, scratch, ss, p, x, cand, emit) {
+					return
 				}
 			}
-			return
 		}
-		if set := candFor(pat.O, cand); set != nil && len(set) < st.CountP(p) {
-			for _, oo := range sortedSet(set) {
-				for _, ss := range st.SubjectsPO(p, oo) {
-					if !bindEmit(pat, row, scratch, ss, p, oo, cand, emit) {
-						return
-					}
+	case accPProbeO:
+		for _, oo := range sortedSet(sc.cands) {
+			for _, ss := range st.SubjectsPO(p, oo) {
+				if !bindEmit(pat, row, scratch, ss, p, oo, cand, emit) {
+					return
 				}
 			}
-			return
 		}
+	case accP:
 		for _, t := range st.PredicateTriples(p) {
 			if !bindEmit(pat, row, scratch, t.S, p, t.O, cand, emit) {
 				return
 			}
 		}
-	case sb:
+	case accS:
 		for _, t := range st.SubjectTriples(s) {
 			if !bindEmit(pat, row, scratch, s, t.P, t.O, cand, emit) {
 				return
 			}
 		}
-	case ob:
+	case accO:
 		for _, t := range st.ObjectTriples(o) {
 			if !bindEmit(pat, row, scratch, t.S, t.P, o, cand, emit) {
 				return
 			}
 		}
-	default:
+	case accAll:
 		for _, t := range st.Triples() {
 			if !bindEmit(pat, row, scratch, t.S, t.P, t.O, cand, emit) {
 				return
@@ -304,38 +469,11 @@ func ExactCount(st store.Reader, pat Pattern) int {
 	if repeatedVar(pat) {
 		// A repeated variable (e.g. ?x p ?x) constrains matches beyond
 		// what the index sizes reflect; enumerate.
-		width := 0
-		for _, v := range pat.Vars() {
-			if v+1 > width {
-				width = v + 1
-			}
-		}
 		n := 0
-		MatchPattern(st, pat, make(algebra.Row, width), nil, func(algebra.Row) bool { n++; return true })
+		MatchPattern(st, pat, make(algebra.Row, BGP{pat}.width()), nil, func(algebra.Row) bool { n++; return true })
 		return n
 	}
-	sb, pb, ob := !pat.S.IsVar, !pat.P.IsVar, !pat.O.IsVar
-	switch {
-	case sb && pb && ob:
-		if st.Contains(pat.S.ID, pat.P.ID, pat.O.ID) {
-			return 1
-		}
-		return 0
-	case sb && pb:
-		return st.CountSP(pat.S.ID, pat.P.ID)
-	case pb && ob:
-		return st.CountPO(pat.P.ID, pat.O.ID)
-	case pb:
-		return st.CountP(pat.P.ID)
-	case sb && ob:
-		return st.CountSO(pat.S.ID, pat.O.ID)
-	case sb:
-		return st.CountS(pat.S.ID)
-	case ob:
-		return st.CountO(pat.O.ID)
-	default:
-		return st.NumTriples()
-	}
+	return shapeOf(pat, nil).count(st)
 }
 
 // MatchOrder reports the physical order of MatchPattern's emissions for
@@ -347,68 +485,42 @@ func ExactCount(st store.Reader, pat Pattern) int {
 // rows MatchPattern will be called with (true for BGP evaluation, where
 // every pattern binds all its variables in every row).
 //
-// The sequence is a sound claim, not a complete one: when the branch
-// MatchPattern takes could differ per seed row (a candidate probe gated
-// on a row-dependent count with a different enumeration order), the
-// divergent tail is dropped. An empty sequence promises nothing.
+// The sequence is a sound claim, not a complete one: when the access
+// MatchPattern picks could differ per seed row (a candidate probe with a
+// different emission order, gated on a count that depends on a bound
+// variable's value), nothing is claimed. An empty sequence promises
+// nothing.
 func MatchOrder(st store.Reader, pat Pattern, bound func(int) bool, cand Candidates) []int {
 	if pat.Impossible() {
 		return nil
 	}
-	posBound := func(pos Pos) bool { return !pos.IsVar || bound(pos.Var) }
-	sb, pb, ob := posBound(pat.S), posBound(pat.P), posBound(pat.O)
-	// seq collects the distinct, not-yet-bound variables of the given
-	// positions in enumeration order. A repeated variable keeps its first
+	sh := shapeOf(pat, nil)
+	rowDependent := false
+	for sl := slotS; sl <= slotO; sl++ {
+		if pos := pat.at(sl); pos.IsVar && bound(pos.Var) {
+			sh.mask |= 0b100 >> sl
+			rowDependent = true
+		}
+	}
+	order := sh.path().order
+	for _, pr := range sh.path().probes {
+		if slices.Equal(pr.order, order) || candFor(pat.at(pr.by), cand) == nil {
+			continue // the probe, taken or not, emits in the scan's order
+		}
+		if rowDependent {
+			return nil
+		}
+		order = planScan(st, &pat, sh, cand).order
+		break
+	}
+	// Map positions to variables. A repeated variable keeps its first
 	// occurrence: the scan filtered to equal components stays ascending
 	// in the shared variable.
-	seq := func(poss ...Pos) []int {
-		var out []int
-		for _, pos := range poss {
-			if !pos.IsVar || bound(pos.Var) {
-				continue
-			}
-			dup := false
-			for _, v := range out {
-				if v == pos.Var {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, pos.Var)
-			}
+	var out []int
+	for _, sl := range order {
+		if v := pat.at(sl).Var; !slices.Contains(out, v) {
+			out = append(out, v)
 		}
-		return out
 	}
-	switch {
-	case sb && pb && ob:
-		return nil
-	case sb && pb:
-		// Adjacency scan and candidate probe both ascend in O.
-		return seq(pat.O)
-	case pb && ob:
-		return seq(pat.S)
-	case sb && ob:
-		return seq(pat.P)
-	case pb:
-		// A subject-candidate probe flips the (O,S) scan to (S,O). The
-		// branch is chosen per predicate value: with a ground predicate
-		// it is uniform; with a bound predicate variable it can differ
-		// per row, so no order can be claimed.
-		if set := candFor(pat.S, cand); set != nil {
-			if pat.P.IsVar {
-				return nil
-			}
-			if len(set) < st.CountP(pat.P.ID) {
-				return seq(pat.S, pat.O)
-			}
-		}
-		return seq(pat.O, pat.S)
-	case sb:
-		return seq(pat.P, pat.O)
-	case ob:
-		return seq(pat.S, pat.P)
-	default:
-		return seq(pat.S, pat.P, pat.O)
-	}
+	return out
 }

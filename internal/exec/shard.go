@@ -5,184 +5,47 @@ import (
 	"sparqluo/internal/store"
 )
 
-// This file contains the scatter-gather execution paths over a sharded
-// store. Two rules keep sharded evaluation byte-identical to the
-// single-store run:
+// scatterScan evaluates a fresh whole-pattern scan over a store with
+// more than one shard by fanning the shards out on the store's bounded
+// worker pool — each shard materializes its own matches, capped at max
+// (the first max global rows come from the first ≤ max rows of every
+// shard) — and gathering deterministically: per-shard pull counts are
+// summed in shard order and the partial bags recombine by concatenation
+// or k-way merge depending on whether the shard key leads the scan
+// order. Returns false when the caller must scan sequentially instead:
+// st is not sharded, the subject is ground (it routes to one shard), a
+// candidate set applies to a pattern variable (probe decisions are
+// taken once, against global counts, on the sequential path), or the
+// scan is too small to pay for the fan-out.
 //
-//  1. Every branch decision MatchPattern makes (candidate probe vs index
-//     scan) is taken against GLOBAL counts, exactly as a single store
-//     would take it — never against one shard's local counts.
-//  2. Per-shard enumerations recombine in the global permutation order:
-//     plain concatenation in shard order when the scanned order leads
-//     with the subject (the shard key), a k-way ordered merge otherwise.
-//     Subject ranges are disjoint, so the merge never sees a cross-shard
-//     tie on any key sequence that includes the subject.
-//
-// Parallelism enters only at whole-pattern scans with an unbound subject
-// (scatterScan); everything else streams sequentially through the same
-// per-shard accessors and is trivially deterministic.
-
-// shardedFor returns st's sharded view when fan-out is meaningful
-// (more than one shard).
-func shardedFor(st store.Reader) (store.ShardedReader, bool) {
+// This is the one shard-aware path in the package. Everything else —
+// per-row extension, candidate probes, counts, orders — reads a sharded
+// store through the store.Reader surface it implements, whose accessors
+// return global ranges in global order and global counts, so sharded
+// evaluation is byte-identical to the single-store run by construction.
+func scatterScan(st store.Reader, pat Pattern, width int, cand Candidates, poll *ctxPoll, max int, pulled *int) (*algebra.Bag, bool) {
 	sh, ok := st.(store.ShardedReader)
-	if !ok || sh.NumShards() == 1 {
+	if !ok || sh.NumShards() == 1 || !pat.S.IsVar || pat.Impossible() {
 		return nil, false
-	}
-	return sh, true
-}
-
-// scatterable reports whether a fresh scan of pat may fan out across
-// shards: the subject must be an unbound variable (a ground subject
-// routes to one shard) and no candidate set may apply to any pattern
-// variable — candidate probes make row-count-dependent branch choices
-// that must be taken once, globally, on the sequential path.
-func scatterable(pat Pattern, cand Candidates) bool {
-	if !pat.S.IsVar || pat.Impossible() {
-		return false
 	}
 	for _, v := range pat.Vars() {
 		if cand.Set(v) != nil {
-			return false
+			return nil, false
 		}
 	}
-	return true
-}
-
-// matchPatternSharded is MatchPattern over a sharded store: the same
-// branch structure, with global-count decisions and per-shard streaming
-// recombined in global order. Bound-subject shapes delegate to the one
-// owning shard, where local results equal global results.
-func matchPatternSharded(sh store.ShardedReader, pat Pattern, row algebra.Row, cand Candidates, emit func(algebra.Row) bool) {
-	s, sb := resolve(pat.S, row)
-	p, pb := resolve(pat.P, row)
-	o, ob := resolve(pat.O, row)
-	if sb {
-		MatchPattern(sh.ShardFor(s), pat, row, cand, emit)
-		return
-	}
-	scratch := make(algebra.Row, len(row))
-	k := sh.NumShards()
-
-	switch {
-	case pb && ob:
-		if set := candFor(pat.S, cand); set != nil && len(set) < sh.CountPO(p, o) {
-			for _, x := range sortedSet(set) {
-				if sh.Contains(x, p, o) {
-					if !bindEmit(pat, row, scratch, x, p, o, cand, emit) {
-						return
-					}
-				}
-			}
-			return
-		}
-		// Ascending-subject scan: shard order is global order.
-		for i := 0; i < k; i++ {
-			for _, x := range sh.Shard(i).SubjectsPO(p, o) {
-				if !bindEmit(pat, row, scratch, x, p, o, cand, emit) {
-					return
-				}
-			}
-		}
-	case pb:
-		if set := candFor(pat.S, cand); set != nil && len(set) < sh.CountP(p) {
-			for _, ss := range sortedSet(set) {
-				for _, x := range sh.ShardFor(ss).ObjectsSP(ss, p) {
-					if !bindEmit(pat, row, scratch, ss, p, x, cand, emit) {
-						return
-					}
-				}
-			}
-			return
-		}
-		if set := candFor(pat.O, cand); set != nil && len(set) < sh.CountP(p) {
-			for _, oo := range sortedSet(set) {
-				for i := 0; i < k; i++ {
-					for _, ss := range sh.Shard(i).SubjectsPO(p, oo) {
-						if !bindEmit(pat, row, scratch, ss, p, oo, cand, emit) {
-							return
-						}
-					}
-				}
-			}
-			return
-		}
-		// Full predicate scan in global (O,S) order: streaming k-way merge
-		// of the shards' POS runs. Subjects are disjoint across shards, so
-		// there is never a tie.
-		runs := make([][]store.EncTriple, k)
-		for i := range runs {
-			runs[i] = sh.Shard(i).PredicateTriples(p)
-		}
-		for {
-			best := -1
-			for i, r := range runs {
-				if len(r) == 0 {
-					continue
-				}
-				if best < 0 {
-					best = i
-					continue
-				}
-				a, b := r[0], runs[best][0]
-				if a.O < b.O || (a.O == b.O && a.S < b.S) {
-					best = i
-				}
-			}
-			if best < 0 {
-				return
-			}
-			t := runs[best][0]
-			runs[best] = runs[best][1:]
-			if !bindEmit(pat, row, scratch, t.S, p, t.O, cand, emit) {
-				return
-			}
-		}
-	case ob:
-		// (S,P) order within one object: subject leads, concatenate.
-		for i := 0; i < k; i++ {
-			for _, t := range sh.Shard(i).ObjectTriples(o) {
-				if !bindEmit(pat, row, scratch, t.S, t.P, o, cand, emit) {
-					return
-				}
-			}
-		}
-	default:
-		// Canonical (S,P,O) order: subject leads, concatenate.
-		for i := 0; i < k; i++ {
-			for _, t := range sh.Shard(i).Triples() {
-				if !bindEmit(pat, row, scratch, t.S, t.P, t.O, cand, emit) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// scatterScan evaluates a fresh whole-pattern scan by fanning the shards
-// out on the store's bounded worker pool — each shard materializes its
-// own matches, capped at max (the first max global rows come from the
-// first ≤ max rows of every shard) — and gathering deterministically:
-// per-shard pull counts are summed in shard order and the partial bags
-// recombine by concatenation or k-way merge depending on whether the
-// shard key leads the scan order. Returns false when the pattern's
-// emission order is unknown and the caller must fall back to the
-// sequential path.
-func scatterScan(sh store.ShardedReader, pat Pattern, width int, cand Candidates, poll *ctxPoll, max int, pulled *int) (*algebra.Bag, bool) {
 	ord := MatchOrder(sh, pat, neverBound, cand)
-	if len(ord) == 0 {
-		return nil, false
-	}
 	// Fan-out pays fixed costs — per-shard bags, then a copy (concat) or
 	// compare (merge) of every row at gather time — so small scans run
 	// sequentially. The gate is a pure performance heuristic: both paths
 	// produce identical bytes. Merge recombination costs a comparison per
-	// row, so it needs a larger scan to win than concatenation does.
+	// row, so it needs a larger scan to win than concatenation does. The
+	// table's range size is an upper bound on the rows enumerated (a
+	// repeated variable only shrinks the true count).
 	minRows := scatterMinConcat
 	if ord[0] != pat.S.Var {
 		minRows = scatterMinMerge
 	}
-	if n := scanUpperBound(sh, pat); n < minRows {
+	if shapeOf(pat, nil).count(sh) < minRows {
 		return nil, false
 	}
 	if max >= 0 && max < minRows {
@@ -220,11 +83,7 @@ func scatterScan(sh store.ShardedReader, pat Pattern, width int, cand Candidates
 			*pulled += n
 		}
 	}
-	out := algebra.NewBag(width)
-	for _, v := range pat.Vars() {
-		out.Cert.Set(v)
-		out.Maybe.Set(v)
-	}
+	out := newBagOver(width, pat.Vars())
 	out.Order = ord
 	if ord[0] == pat.S.Var {
 		// The shard key is the leading order variable: concatenation in
@@ -242,7 +101,7 @@ func scatterScan(sh store.ShardedReader, pat Pattern, width int, cand Candidates
 			if rem := total - out.Len(); n > rem {
 				n = rem
 			}
-			appendBagPrefix(out, p, n)
+			out.AppendAll(p.View(0, n))
 			if out.Len() == total {
 				break
 			}
@@ -259,32 +118,3 @@ const (
 	scatterMinConcat = 2048
 	scatterMinMerge  = 16384
 )
-
-// scanUpperBound returns a cheap upper bound on the rows a fresh scan of
-// pat enumerates, from the O(1) global counts. The subject is a variable
-// here (scatterable checked), so only P/O groundness matters; a repeated
-// variable only shrinks the true count below the bound.
-func scanUpperBound(sh store.ShardedReader, pat Pattern) int {
-	pb, ob := !pat.P.IsVar, !pat.O.IsVar
-	switch {
-	case pb && ob:
-		return sh.CountPO(pat.P.ID, pat.O.ID)
-	case pb:
-		return sh.CountP(pat.P.ID)
-	case ob:
-		return sh.CountO(pat.O.ID)
-	default:
-		return sh.NumTriples()
-	}
-}
-
-// appendBagPrefix appends the first n rows of src to dst.
-func appendBagPrefix(dst, src *algebra.Bag, n int) {
-	if n >= src.Len() {
-		dst.AppendAll(src)
-		return
-	}
-	for i := 0; i < n; i++ {
-		dst.Append(src.Row(i))
-	}
-}

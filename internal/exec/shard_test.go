@@ -27,10 +27,10 @@ func shardStore(tb testing.TB, st *store.Store, k int) *store.ShardedStore {
 	return sh
 }
 
-// collectMatches drains MatchPattern into a row slice.
-func collectMatches(st store.Reader, pat Pattern, width int, cand Candidates) []algebra.Row {
+// collectMatches drains MatchPattern from the given seed row into a row
+// slice.
+func collectMatches(st store.Reader, pat Pattern, seed algebra.Row, cand Candidates) []algebra.Row {
 	var out []algebra.Row
-	seed := make(algebra.Row, width)
 	MatchPattern(st, pat, seed, cand, func(r algebra.Row) bool {
 		out = append(out, append(algebra.Row(nil), r...))
 		return true
@@ -77,12 +77,12 @@ func TestQuickShardedMatchPatternIdentical(t *testing.T) {
 			}
 			cand = Candidates{v: set}
 		}
-		want := collectMatches(st, pat, width, cand)
+		want := collectMatches(st, pat, make(algebra.Row, width), cand)
 		for _, k := range []int{1, 2, 3} {
 			if k > st.Dict().Len()+1 {
 				continue
 			}
-			got := collectMatches(shardStore(t, st, k), pat, width, cand)
+			got := collectMatches(shardStore(t, st, k), pat, make(algebra.Row, width), cand)
 			if !rowsEqual(want, got) {
 				t.Logf("seed %d k=%d pat %+v: %d sharded rows vs %d single", seed, k, pat, len(got), len(want))
 				return false
@@ -105,9 +105,9 @@ func TestShardedRepeatedVarPattern(t *testing.T) {
 	tris := st.Triples()
 	p := tris[rng.Intn(len(tris))].P
 	pat := Pattern{S: Var(0), P: Const(p), O: Var(0)}
-	want := collectMatches(st, pat, 2, nil)
+	want := collectMatches(st, pat, make(algebra.Row, 2), nil)
 	for _, k := range []int{2, 4} {
-		got := collectMatches(shardStore(t, st, k), pat, 2, nil)
+		got := collectMatches(shardStore(t, st, k), pat, make(algebra.Row, 2), nil)
 		if !rowsEqual(want, got) {
 			t.Fatalf("k=%d: repeated-var rows differ (%d vs %d)", k, len(got), len(want))
 		}

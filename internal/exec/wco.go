@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"sparqluo/internal/algebra"
 	"sparqluo/internal/store"
@@ -39,23 +40,14 @@ func (e WCOEngine) EvalBGP(ctx context.Context, st store.Reader, bgp BGP, width 
 // full result. pulled accumulates the rows appended across all levels,
 // the engine's work metric.
 func (WCOEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width int, cand Candidates, max int, pulled *int) *algebra.Bag {
-	out := algebra.NewBag(width)
-	for _, v := range bgp.Vars() {
-		out.Cert.Set(v)
-		out.Maybe.Set(v)
-	}
+	out := newBagOver(width, bgp.Vars())
 	if len(bgp) == 0 {
 		if max != 0 {
 			out.TakeRows(algebra.Unit(width))
 		}
 		return out
 	}
-	for _, p := range bgp {
-		if p.Impossible() {
-			return out
-		}
-	}
-	if max == 0 {
+	if max == 0 || slices.ContainsFunc(bgp, Pattern.Impossible) {
 		return out
 	}
 	n := 0
@@ -64,45 +56,26 @@ func (WCOEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width
 	}
 	order := greedyOrderWithCands(st, bgp, cand)
 	poll := ctxPoll{ctx: ctx}
-	rows := algebra.Unit(width)
+	var rows *algebra.Bag
 	boundVars := make(map[int]bool)
 	bound := func(v int) bool { return boundVars[v] }
 	var ord []int
 	ordValid := true
 	for li, idx := range order {
 		pat := bgp[idx]
-		last := li == len(order)-1
-		// An order is only claimable while every step so far reported
-		// one: a step with unknown emission order scrambles the suffix.
-		if ordValid {
-			step := MatchOrder(st, pat, bound, cand)
-			if step == nil && len(seqVars(pat, bound)) > 0 {
-				ord, ordValid = nil, false
-			} else {
-				ord = append(ord, step...)
-			}
+		levelMax := -1
+		if li == len(order)-1 {
+			levelMax = max // only the final level produces result rows
 		}
-		next := algebra.NewBag(width)
-		full := func() bool { return last && max >= 0 && next.Len() >= max }
-		scattered := false
+		var next *algebra.Bag
 		if li == 0 {
-			// The seed level extends the unit mapping — a fresh whole-pattern
-			// scan, which can fan out across shards and recombine in the
-			// same deterministic order the sequential scan would produce.
-			if sh, ok := shardedFor(st); ok && scatterable(pat, cand) {
-				scanMax := -1
-				if last && max >= 0 {
-					scanMax = max
-				}
-				var pn int
-				if sb, ok := scatterScan(sh, pat, width, cand, &poll, scanMax, &pn); ok {
-					next.TakeRows(sb)
-					n += pn
-					scattered = true
-				}
-			}
-		}
-		if !scattered {
+			// The seed level extends the unit mapping: a fresh whole-pattern
+			// scan, shared with the binary engine (fan-out across shards
+			// included).
+			next = scanPattern(st, pat, width, cand, &poll, levelMax, &n)
+		} else {
+			next = algebra.NewBag(width)
+			full := func() bool { return levelMax >= 0 && next.Len() >= levelMax }
 			for i := 0; i < rows.Len(); i++ {
 				MatchPattern(st, pat, rows.Row(i), cand, func(nr algebra.Row) bool {
 					if poll.stopped {
@@ -113,12 +86,22 @@ func (WCOEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width
 					poll.tick()
 					return !full()
 				})
-				if poll.stopped {
-					return out
-				}
-				if full() {
+				if poll.stopped || full() {
 					break
 				}
+			}
+		}
+		// An order is only claimable while every step so far reported
+		// one: a step with unknown emission order scrambles the suffix.
+		if ordValid {
+			step := next.Order
+			if li > 0 {
+				step = MatchOrder(st, pat, bound, cand)
+			}
+			if step == nil && len(seqVars(pat, bound)) > 0 {
+				ord, ordValid = nil, false
+			} else {
+				ord = append(ord, step...)
 			}
 		}
 		if poll.done() {
@@ -149,61 +132,12 @@ func seqVars(pat Pattern, bound func(int) bool) []int {
 	return out
 }
 
-// greedyOrderWithCands is greedyOrder, but a pattern whose variable has a
-// candidate set is treated as more selective: candidate sets bound the
-// scan, so starting from them realizes the pruning of §6.
-func greedyOrderWithCands(st store.Reader, bgp BGP, cand Candidates) []int {
-	if cand == nil {
-		return greedyOrder(st, bgp)
-	}
-	n := len(bgp)
-	counts := make([]int, n)
-	for i, p := range bgp {
-		c := ExactCount(st, p)
-		for _, v := range p.Vars() {
-			if set := cand.Set(v); set != nil && len(set) < c {
-				c = len(set)
-			}
-		}
-		counts[i] = c
-	}
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := map[int]bool{}
-	for len(order) < n {
-		best, bestCount, bestConn := -1, 0, false
-		for i := range bgp {
-			if used[i] {
-				continue
-			}
-			conn := len(order) == 0
-			for _, v := range bgp[i].Vars() {
-				if bound[v] {
-					conn = true
-					break
-				}
-			}
-			if best == -1 || (conn && !bestConn) || (conn == bestConn && counts[i] < bestCount) {
-				best, bestCount, bestConn = i, counts[i], conn
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, v := range bgp[best].Vars() {
-			bound[v] = true
-		}
-	}
-	return order
-}
-
 // EstimateCard implements Engine via the shared sampling estimator.
 func (WCOEngine) EstimateCard(ctx context.Context, st store.Reader, bgp BGP) float64 {
 	if len(bgp) == 0 {
 		return 1
 	}
-	est := newEstimator(st, bgp)
-	order := greedyOrder(st, bgp)
-	cards, _ := est.estimate(ctx, bgp, order)
+	cards := estimateCards(ctx, st, bgp, greedyOrderWithCands(st, bgp, nil))
 	return cards[len(cards)-1]
 }
 
@@ -217,9 +151,8 @@ func (WCOEngine) EstimateCost(ctx context.Context, st store.Reader, bgp BGP) flo
 	if len(bgp) == 0 {
 		return 0
 	}
-	est := newEstimator(st, bgp)
-	order := greedyOrder(st, bgp)
-	cards, _ := est.estimate(ctx, bgp, order)
+	order := greedyOrderWithCands(st, bgp, nil)
+	cards := estimateCards(ctx, st, bgp, order)
 	stats := st.Stats()
 	cost := float64(ExactCount(st, bgp[order[0]]))
 	bound := map[int]bool{}

@@ -1,6 +1,7 @@
 package lbr
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,11 @@ func TestPropertyLBRMatchesBEtree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ref, err := core.Run(q, st, exec.WCOEngine{}, core.Base)
+		plan, err := core.BuildPlan(q, st)
+		if err != nil {
+			t.Fatalf("trial %d: core: %v", trial, err)
+		}
+		ref, err := core.ExecPlan(context.Background(), plan, exec.WCOEngine{}, core.Base, core.ExecOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("trial %d: core: %v", trial, err)
 		}

@@ -55,9 +55,9 @@ type Viewer interface {
 }
 
 // ShardedReader is a Reader whose triple set is range-partitioned by
-// subject ID across standalone shard stores. Engine scan paths use it to
-// fan work out per shard and recombine in global order; everything else
-// can stay on the plain Reader surface.
+// subject ID across standalone shard stores. The engines' scatter scan
+// uses it to fan a fresh whole-pattern scan out per shard and recombine
+// in global order; everything else stays on the plain Reader surface.
 type ShardedReader interface {
 	Reader
 	// NumShards returns the number of shards (≥ 1).
@@ -66,9 +66,6 @@ type ShardedReader interface {
 	// range, so concatenating per-shard results in index order yields
 	// global subject order.
 	Shard(i int) *Store
-	// ShardFor returns the shard owning subject ID s (out-of-range IDs
-	// map to the last shard, whose lookups then come back empty).
-	ShardFor(s ID) *Store
 	// Scatter runs f(0) … f(k-1), using the store's bounded worker pool
 	// for parallelism; it returns only once every call has finished.
 	// Calls may run concurrently — f must not share mutable state across

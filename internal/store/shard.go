@@ -312,8 +312,7 @@ func concatTriples(shards []*Store, get func(*Store) []EncTriple) []EncTriple {
 
 // SubjectsPO returns the global ascending-subject view: per-shard views
 // are ascending within disjoint ascending ranges, so concatenation is
-// already sorted. Engine scan paths stream per shard instead of calling
-// this (it materializes when more than one shard matches).
+// already sorted (it materializes when more than one shard matches).
 func (sh *ShardedStore) SubjectsPO(p, o ID) []ID {
 	return concatIDs(sh.shards, func(s *Store) []ID { return s.SubjectsPO(p, o) })
 }
@@ -337,8 +336,7 @@ func (sh *ShardedStore) Triples() []EncTriple {
 
 // PredicateTriples merges the per-shard (O,S)-sorted views into the
 // global POS order. Subjects are disjoint across shards, so the merge
-// has no ties and is deterministic. Engine scan paths stream the same
-// merge without materializing.
+// has no ties and is deterministic.
 func (sh *ShardedStore) PredicateTriples(p ID) []EncTriple {
 	runs := make([][]EncTriple, 0, len(sh.shards))
 	n := 0

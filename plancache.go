@@ -7,8 +7,9 @@ import (
 )
 
 // planCache is a small mutex-guarded LRU of *Prepared keyed by
-// normalized query text plus the strategy/engine the caller requested.
-// It sits on the HTTP serving path so hot queries skip parsing and plan
+// normalized query text (plus the write epoch on a live database).
+// Strategy and engine are execution options of the one cached Prepared,
+// not part of the key. It sits on the HTTP serving path so hot queries skip parsing and plan
 // construction; entries are immutable Prepared values, so a cached plan
 // may be executed by many requests concurrently.
 type planCache struct {

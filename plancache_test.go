@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"sparqluo"
@@ -12,9 +13,10 @@ import (
 
 // TestHTTPPlanCache checks the serving-path plan cache end to end: the
 // first request for a query misses (X-Plan-Cache: miss), repeats hit,
-// reformatted copies of the same query share the entry, different
-// strategy/engine parameters get their own entries, and hit responses
-// are byte-identical to miss responses.
+// reformatted copies of the same query share the entry — as do requests
+// for a different strategy or engine, which are execution options of the
+// one cached plan — and hit responses are byte-identical to miss
+// responses and to a direct Query with the same options.
 func TestHTTPPlanCache(t *testing.T) {
 	db := openTestDB(t)
 	srv := httptest.NewServer(sparqluo.NewHandler(db, sparqluo.WithPlanCache(8)))
@@ -37,7 +39,8 @@ func TestHTTPPlanCache(t *testing.T) {
 		return resp.Header.Get("X-Plan-Cache"), string(body)
 	}
 
-	q := url.QueryEscape(`PREFIX ex: <http://ex.org/> SELECT ?who ?name WHERE { ?who ex:name ?name }`)
+	qText := `PREFIX ex: <http://ex.org/> SELECT ?who ?name WHERE { ?who ex:name ?name }`
+	q := url.QueryEscape(qText)
 	state, missBody := get(t, "query="+q)
 	if state != "miss" {
 		t.Errorf("first request: X-Plan-Cache = %q, want miss", state)
@@ -60,12 +63,28 @@ func TestHTTPPlanCache(t *testing.T) {
 		t.Errorf("reformatted query served different bytes")
 	}
 
-	// Different strategy or engine → separate entries (first time misses).
-	if state, _ := get(t, "strategy=base&query="+q); state != "miss" {
-		t.Errorf("strategy=base: X-Plan-Cache = %q, want miss", state)
-	}
-	if state, _ := get(t, "engine=binary&query="+q); state != "miss" {
-		t.Errorf("engine=binary: X-Plan-Cache = %q, want miss", state)
+	// Different strategy or engine → hit, same bytes as a direct Query
+	// with those options.
+	for params, opt := range map[string]sparqluo.Option{
+		"strategy=base": sparqluo.WithStrategy(sparqluo.Base),
+		"engine=binary": sparqluo.WithEngine(sparqluo.BinaryJoin),
+	} {
+		state, body := get(t, params+"&query="+q)
+		if state != "hit" {
+			t.Errorf("%s: X-Plan-Cache = %q, want hit", params, state)
+		}
+		res, err := db.Query(qText, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var direct strings.Builder
+		if err := res.WriteJSON(&direct); err != nil {
+			t.Fatal(err)
+		}
+		if body != direct.String() {
+			t.Errorf("%s: cached plan served different bytes than a direct Query:\ncache:  %s\ndirect: %s",
+				params, body, direct.String())
+		}
 	}
 
 	// Without a cache the header is absent entirely.

@@ -108,22 +108,18 @@ func (p *Prepared) ExecContext(ctx context.Context, opts ...Option) (*Results, e
 	return p.db.newResults(p.q, res), nil
 }
 
-// Explain returns the BE-tree plan before and after cost-driven
-// transformation, without executing it. It honors WithEngine (the
+// Explain returns the BE-tree plan as built and as the selected strategy
+// would evaluate it, without executing it — the same transformation step
+// an execution with these options runs. It honors WithEngine (the
 // transformation is costed with that engine's estimators), WithStrategy
-// (Full skips transformations that are equivalent to candidate
-// pruning, per §6) and Bind.
+// (Base and CP never transform; Full skips transformations that are
+// equivalent to candidate pruning, per §6) and Bind.
 func (p *Prepared) Explain(opts ...Option) (before, after string, err error) {
 	cfg, plan, _, err := p.configure(opts)
 	if err != nil {
 		return "", "", err
 	}
-	before = plan.Tree.String()
-	work := plan.Tree.Clone()
-	tr := core.NewTransformer(p.db.st, cfg.engine.impl())
-	tr.SkipWhenEquivalentToCP = cfg.strategy == Full
-	tr.Transform(work)
-	return before, work.String(), nil
+	return plan.Tree.String(), plan.Transformed(cfg.engine.impl(), cfg.strategy).String(), nil
 }
 
 // planFor returns the estimate-warmed plan for an engine, building it

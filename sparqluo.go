@@ -399,10 +399,10 @@ func (db *DB) QueryContext(ctx context.Context, text string, opts ...Option) (*R
 }
 
 // Explain parses the query and returns the BE-tree plan before and after
-// cost-driven transformation, without executing it. The transformation
-// is costed with the engine selected by WithEngine (estimated BGP costs
-// differ between the WCO and binary-join engines, so the chosen plan
-// may too).
+// the selected strategy's cost-driven transformation, without executing
+// it. The transformation is costed with the engine selected by
+// WithEngine (estimated BGP costs differ between the WCO and binary-join
+// engines, so the chosen plan may too).
 func (db *DB) Explain(text string, opts ...Option) (before, after string, err error) {
 	p, err := db.Prepare(text)
 	if err != nil {

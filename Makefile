@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test bench-smoke race bench bench-store bench-coldstart bench-serve bench-join bench-topk bench-shard bench-update bench-compact bench-json snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
+.PHONY: all build vet fmt-check test bench-smoke bench-repo race bench bench-store bench-coldstart bench-serve bench-join bench-topk bench-shard bench-update bench-compact bench-json snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
 
 all: vet fmt-check build test bench-smoke
 
@@ -30,6 +30,17 @@ test:
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# One workload of the repository benchmark, run the way the gate runs it
+# (bash benchmark/run.sh builds it from this checkout into .bench_build/):
+#   make bench-repo WORKLOAD=hot_templates SECONDS=20 SEED=1
+# TRACE=1 adds the per-layer metrics and writes the span file.
+WORKLOAD ?= hot_templates
+SECONDS ?= 20
+SEED ?= 1
+TRACE ?= 0
+bench-repo:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
+
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -50,10 +61,11 @@ bench-coldstart:
 
 # Serving-path comparison on the LUBM-13 repeated-template workload:
 # one-shot Query (parse+build+estimate per call) vs prepared execution,
-# and HTTP QPS with cold parsing vs a warm plan cache vs the direct
-# prepared API. CI runs this with -benchtime=1x as a smoke test; use
-# -benchtime=2s locally for real numbers (recorded in the README's
-# "Serving at scale" section).
+# and HTTP QPS with cold parsing vs a memoized response vs a warm plan
+# whose answer is too large to memoize vs the direct prepared API (all
+# four BenchmarkServeHTTP cases). CI runs this with -benchtime=1x as a
+# smoke test; use -benchtime=2s locally for real numbers (recorded in
+# the README's "Serving at scale" section).
 bench-serve:
 	$(GO) test . -run '^$$' -bench 'QueryOneShot|PreparedExec|ServeHTTP' -benchtime $(BENCHTIME)
 
@@ -185,7 +197,11 @@ live-smoke:
 # and require every acked triple to be queryable with byte-identical
 # JSON to a never-crashed server that applied the same writes. This is
 # the durability contract, exercised through the real binary and a real
-# SIGKILL.
+# SIGKILL. A last stage checks the orderly path: a server journaling
+# under -wal-sync interval with the background flusher effectively off
+# (1h) is stopped with SIGTERM — it must drain, fsync and close the WAL
+# on its way out (exit 0, "stopped" in its log) — and a restart on the
+# same directory must replay every acknowledged batch.
 wal-smoke:
 	@set -e; tmp=$$(mktemp -d); addr=127.0.0.1:18476; \
 	q='SELECT * WHERE { ?s <http://smoke/p> ?o }'; \
@@ -224,7 +240,25 @@ wal-smoke:
 	grep -q 'http://smoke/o3' $$tmp/recovered.json || { echo "wal-smoke: acked triple lost"; exit 1; }; \
 	if grep -q 'http://smoke/o2' $$tmp/recovered.json; then \
 		echo "wal-smoke: acked delete resurrected"; exit 1; fi; \
-	echo "wal-smoke: all acked writes survived kill -9, byte-identical to a never-crashed server"
+	echo "wal-smoke: all acked writes survived kill -9, byte-identical to a never-crashed server"; \
+	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
+	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal2 -wal-sync interval -wal-flush-interval 1h \
+		>$$tmp/server.log 2>&1 & pid=$$!; \
+	wait_ready; ingest; \
+	kill -TERM $$pid; \
+	wait $$pid || { echo "wal-smoke: SIGTERM'd server exited with status $$?"; cat $$tmp/server.log; exit 1; }; \
+	grep -q 'stopped$$' $$tmp/server.log || \
+		{ echo "wal-smoke: SIGTERM'd server did not shut down cleanly"; cat $$tmp/server.log; exit 1; }; \
+	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal2 -wal-sync interval -wal-flush-interval 1h \
+		>$$tmp/server.log 2>&1 & pid=$$!; \
+	wait_ready; \
+	grep -Eq 'wal enabled .*replayed 4 batches' $$tmp/server.log || \
+		{ echo "wal-smoke: restart after SIGTERM did not replay the 4 acked batches"; cat $$tmp/server.log; exit 1; }; \
+	query > $$tmp/graceful.json; \
+	if ! cmp -s $$tmp/graceful.json $$tmp/reference.json; then \
+		echo "wal-smoke: results after a SIGTERM stop differ from a never-stopped server:"; \
+		diff $$tmp/graceful.json $$tmp/reference.json | head -20; exit 1; fi; \
+	echo "wal-smoke: -wal-sync interval server stopped by SIGTERM lost no acked batch"
 
 # Short fuzz smoke for every fuzz target; CI runs this with FUZZTIME=10s.
 fuzz:

@@ -23,8 +23,19 @@
 // bounds concurrently evaluating queries (503 when saturated), and
 // -parallelism sizes each query's evaluation worker pool (0 = GOMAXPROCS).
 // -plan-cache sizes the per-server LRU of prepared query plans: repeated
-// queries skip parsing and plan construction, and every response reports
-// X-Plan-Cache: hit|miss.
+// queries skip parsing and plan construction (X-Plan-Cache: hit|miss),
+// and each cached plan memoizes up to 1 MiB of its encoded responses, so
+// a repeated request is answered from memory without executing or
+// taking an in-flight slot (X-Result-Cache: hit|fill|wait|stream) —
+// at most -plan-cache MiB in all, dropped by the next write batch under
+// -live; larger answers are streamed as without a cache. GET /stats
+// reports the cache's counters.
+//
+// SIGINT or SIGTERM shuts the server down cleanly: it stops accepting
+// connections, lets in-flight requests finish (up to 10s), stops the
+// background compactor and closes the database, which fsyncs the WAL
+// tail — so under -wal-sync interval|never an orderly stop loses no
+// acknowledged write.
 //
 // -live enables live updates: POST /update accepts N-Triples
 // insert/delete batches while queries keep serving (each query pinned
@@ -51,10 +62,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"sparqluo"
@@ -108,6 +123,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	stopCompaction := func() {}
 	if *live {
 		if err := db.EnableLiveUpdates(sparqluo.LiveOptions{
 			SnapshotPath:     *compactSnapshot,
@@ -117,7 +133,7 @@ func main() {
 		}); err != nil {
 			log.Fatal(err)
 		}
-		stop, err := db.StartCompaction(sparqluo.CompactionOptions{
+		stopCompaction, err = db.StartCompaction(sparqluo.CompactionOptions{
 			Interval:  *compactInterval,
 			Threshold: *compactThreshold,
 			OnError:   func(err error) { log.Printf("compaction: %v", err) },
@@ -125,7 +141,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer stop()
 		log.Printf("live updates enabled (compact-interval=%v compact-threshold=%d snapshot=%q)",
 			*compactInterval, *compactThreshold, *compactSnapshot)
 		if *walDir != "" {
@@ -143,9 +158,47 @@ func main() {
 	)
 	log.Printf("listening on %s (source=%s timeout=%v max-inflight=%d parallelism=%d plan-cache=%d)",
 		*addr, source, *timeout, *maxInFlight, *parallelism, *planCache)
-	if err := http.ListenAndServe(*addr, handler); err != nil {
-		log.Fatal(err)
+	srv := &http.Server{
+		Addr:    *addr,
+		Handler: handler,
+		// Queries carry their own deadline (-timeout) and results may
+		// stream for a long time, so only the phases the client controls
+		// alone are bounded: sending the request line and headers, and
+		// idling on a kept-alive connection.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ListenAndServe() }()
+	exitCode := 0
+	select {
+	case err := <-serveErr: // could not listen, or the listener failed
+		log.Printf("serve: %v", err)
+		exitCode = 1
+	case <-ctx.Done():
+		stopSignals() // a second signal kills the process the default way
+		log.Printf("shutting down: draining in-flight requests")
+		drain, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := srv.Shutdown(drain); err != nil {
+			log.Printf("shutdown: %v; closing remaining connections", err)
+			srv.Close()
+		}
+		cancel()
+		if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("serve: %v", err)
+		}
+	}
+	// Requests are done: stop the compactor, then close the database,
+	// which fsyncs and closes the WAL.
+	stopCompaction()
+	if err := db.Close(); err != nil {
+		log.Printf("close: %v", err)
+		exitCode = 1
+	}
+	log.Printf("stopped")
+	os.Exit(exitCode)
 }
 
 // openData loads the dataset from either a snapshot image or an

@@ -5,6 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -352,4 +355,104 @@ func TestLiveConcurrentMutation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestResultCacheHerdPerEpoch is the thundering herd that follows every
+// write batch on a live server: each round inserts a triple that changes
+// the answer, then N clients ask for the same text at once. Whatever the
+// interleaving, the text is evaluated exactly once per round (/stats
+// counts the fills), every client gets the bytes a direct Query gives at
+// that state, and nobody is served the previous round's answer.
+func TestResultCacheHerdPerEpoch(t *testing.T) {
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sparqluo.NewHandler(db, sparqluo.WithPlanCache(4), sparqluo.WithMaxInFlight(2)))
+	defer srv.Close()
+	const text = `SELECT ?s WHERE { ?s <http://ex.org/p> <http://ex.org/o> }`
+	params := "query=" + url.QueryEscape(text)
+
+	const rounds, clients = 6, 16
+	for round := 0; round < rounds; round++ {
+		if err := db.Insert(sparqluo.Triple{S: sparqluo.NewIRI(fmt.Sprintf("http://ex.org/s%d", round)),
+			P: sparqluo.NewIRI("http://ex.org/p"), O: sparqluo.NewIRI("http://ex.org/o")}); err != nil {
+			t.Fatal(err)
+		}
+		want := directJSON(t, db, text)
+		replies := make([]cacheReply, clients)
+		var wg sync.WaitGroup
+		for c := range replies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				replies[c] = cacheGet(t, srv, params)
+			}()
+		}
+		wg.Wait()
+		for c, r := range replies {
+			if r.status != http.StatusOK || r.body != want {
+				t.Fatalf("round %d client %d: status %d (%s), body differs from a direct Query", round, c, r.status, r.result)
+			}
+		}
+	}
+	c := cacheCounters(t, srv)
+	if c["result-cache-fills"] != rounds || c["result-cache-hits"]+c["result-cache-waits"] != rounds*(clients-1) {
+		t.Errorf("%d rounds × %d clients: %v, want %d fills and %d hits+waits", rounds, clients, c, rounds, rounds*(clients-1))
+	}
+}
+
+// TestResultCacheReadersBesideWriter runs readers of one memoized text
+// while a writer keeps inserting rows that belong to its answer. A
+// reader never sees the answer shrink (a body of an older epoch served
+// after a newer one would), and once the writer has stopped every
+// reader's next answer is the final state.
+func TestResultCacheReadersBesideWriter(t *testing.T) {
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sparqluo.NewHandler(db, sparqluo.WithPlanCache(4)))
+	defer srv.Close()
+	const text = `SELECT ?s WHERE { ?s <http://ex.org/p> <http://ex.org/o> }`
+	params := "query=" + url.QueryEscape(text)
+
+	writes := 200
+	if raceEnabled {
+		writes = 60
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for reader := 0; reader < 4; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for done := false; !done; {
+				select {
+				case <-stop:
+					done = true // one more request: it starts after the last write was acknowledged
+				default:
+				}
+				r := cacheGet(t, srv, params)
+				rows := strings.Count(r.body, `"s":`)
+				if r.status != http.StatusOK || rows < last {
+					t.Errorf("reader %d: status %d, %d rows after having seen %d", reader, r.status, rows, last)
+					return
+				}
+				last = rows
+			}
+			if last != writes {
+				t.Errorf("reader %d: %d rows after the writer stopped, want %d", reader, last, writes)
+			}
+		}()
+	}
+	for i := 0; i < writes; i++ {
+		if err := db.Insert(sparqluo.Triple{S: sparqluo.NewIRI(fmt.Sprintf("http://ex.org/s%d", i)),
+			P: sparqluo.NewIRI("http://ex.org/p"), O: sparqluo.NewIRI("http://ex.org/o")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

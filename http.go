@@ -1,9 +1,11 @@
 package sparqluo
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -49,16 +51,40 @@ func WithHandlerParallelism(n int) HandlerOption {
 // WithPlanCache gives the handler an LRU cache of n prepared plans
 // (default: 0, disabled), keyed by normalized query text; one cached
 // plan serves every strategy and engine, which are per-execution
-// options. A cache hit skips parsing and BE-tree
-// construction for the request; every /sparql response then carries an
-// X-Plan-Cache: hit|miss header so cache effectiveness is observable
-// from the client side. Cached plans are immutable and shared safely
-// across concurrent requests. On a live database the write epoch is
-// folded into the cache key: plans resolve constant terms against the
-// dictionary when they are built, so a plan cached before an update
-// could answer from a stale resolution — epoch keying makes every
-// write batch start a fresh cache generation while repeated queries
-// between writes still hit.
+// options. A plan hit skips parsing and BE-tree construction; every
+// /sparql response then carries an X-Plan-Cache: hit|miss header.
+// Cached plans are immutable and shared safely across concurrent
+// requests.
+//
+// Each cached plan also memoizes the encoded response bytes of its
+// executions, keyed by every request option that can change them
+// (engine, strategy, limit, offset), so a repeat of a hot query is a
+// map lookup and one Write with Content-Length — no evaluation, no
+// encoding, and no in-flight slot (WithMaxInFlight bounds evaluations;
+// a memoized answer is not one). X-Result-Cache reports how each
+// response was produced: hit (memoized bytes), fill (executed, captured
+// and memoized), wait (served the bytes of a concurrent fill) or stream
+// (executed and streamed, nothing memoized). A body lives and dies with
+// its plan entry. Memory is bounded: the bodies under one plan entry
+// total at most 1 MiB (responseCacheCap), so the cache holds at most
+// n MiB of them, plus at most 1 MiB of capture buffer per request that
+// is filling; a response that outgrows the cap is streamed row by row
+// as if there were no cache and is never held beyond the captured
+// prefix.
+//
+// Concurrent requests for one uncached (text, options) are coalesced:
+// the first executes, the others wait for it — bounded by their own
+// deadline or cancellation, holding no in-flight slot — and serve its
+// bytes. If that execution is abandoned (error, timeout, client gone,
+// over the cap) each waiter executes for itself through the normal
+// admission valve.
+//
+// On a live database the cache holds exactly one write epoch: plans
+// resolve constant terms against the dictionary when they are built and
+// bodies are answers as of one epoch, so the first lookup after a write
+// batch (or a compaction swap, which advances the epoch too) empties
+// the cache, and no plan or body from an older epoch is served to a
+// request that arrives after the write was acknowledged.
 func WithPlanCache(n int) HandlerOption {
 	return func(c *handlerConfig) { c.planCache = n }
 }
@@ -82,118 +108,29 @@ func WithPlanCache(n int) HandlerOption {
 // WithLimit/WithOffset); because the window is applied at execution
 // time, paginated requests share one plan-cache entry. Operational
 // limits are configured with WithQueryTimeout, WithMaxInFlight and
-// WithHandlerParallelism; WithPlanCache adds an LRU of prepared plans
-// so repeated queries skip parse+build (responses then carry an
-// X-Plan-Cache: hit|miss header).
+// WithHandlerParallelism. WithPlanCache adds an LRU of prepared plans
+// so repeated queries skip parse+build (X-Plan-Cache: hit|miss), each
+// plan memoizing its encoded responses up to 1 MiB so a repeated
+// request is answered without executing (X-Result-Cache:
+// hit|fill|wait|stream): such answers carry a Content-Length instead of
+// being streamed, take no in-flight slot, are dropped by the next write
+// batch on a live database, and concurrent first requests for one text
+// run it once. /stats reports the cache's counters.
 func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 	cfg := handlerConfig{}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var inflight chan struct{}
+	var inflight valve
 	if cfg.maxInFlight > 0 {
-		inflight = make(chan struct{}, cfg.maxInFlight)
+		inflight = make(valve, cfg.maxInFlight)
 	}
 	var cache *planCache
 	if cfg.planCache > 0 {
 		cache = newPlanCache(cfg.planCache)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/sparql", func(w http.ResponseWriter, r *http.Request) {
-		query := r.FormValue("query")
-		if query == "" {
-			http.Error(w, "missing query parameter", http.StatusBadRequest)
-			return
-		}
-		opts, err := optionsFromRequest(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		opts = append(opts, WithParallelism(cfg.parallelism))
-		timeout, err := timeoutFromRequest(r, cfg.timeout)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Resolve the plan before taking an in-flight slot: a cache hit
-		// skips parse+build entirely, and plan construction is cheap
-		// enough not to count against the evaluation-concurrency budget.
-		var prep *Prepared
-		if cache != nil {
-			// One Prepared serves every strategy and engine (both are
-			// execution options; estimates are warmed per engine inside
-			// it), so the key is the normalized text alone.
-			key := normalizeQueryText(query)
-			// On a live database the write epoch is part of the key:
-			// plans resolve constant terms against the dictionary at
-			// build time, so a plan built before an update introduced a
-			// term would keep answering from the old resolution. Stale
-			// epochs age out of the LRU on their own.
-			if ls := db.liveStore(); ls != nil {
-				key += "\x00" + strconv.FormatUint(ls.Epoch(), 10)
-			}
-			cached, hit := cache.get(key)
-			if hit {
-				prep = cached
-				w.Header().Set("X-Plan-Cache", "hit")
-			} else {
-				prep, err = db.Prepare(query)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				cache.put(key, prep)
-				w.Header().Set("X-Plan-Cache", "miss")
-			}
-		} else {
-			prep, err = db.Prepare(query)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		if inflight != nil {
-			select {
-			case inflight <- struct{}{}:
-				defer func() { <-inflight }()
-			default:
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "server overloaded: too many in-flight queries", http.StatusServiceUnavailable)
-				return
-			}
-		}
-		ctx := r.Context()
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		res, err := prep.ExecContext(ctx, opts...)
-		if err != nil {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				http.Error(w, "query timed out", http.StatusGatewayTimeout)
-			case errors.Is(err, context.Canceled):
-				// The client went away: nobody is listening for a status,
-				// and answering 503 would poison intermediaries that treat
-				// it as backend overload (Retry-After storms against a
-				// healthy server). Log and drop; 503 stays reserved for
-				// the in-flight limiter above.
-				log.Printf("sparqluo: query cancelled by client: %v", err)
-			default:
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			}
-			return
-		}
-		// WriteJSON streams bindings row by row; the handler never
-		// materializes a []Solution.
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		if err := res.WriteJSON(w); err != nil {
-			// Headers are already out; nothing more to do.
-			return
-		}
-	})
+	mux.Handle("/sparql", &queryEndpoint{db: db, timeout: cfg.timeout, parallelism: cfg.parallelism, inflight: inflight, cache: cache})
 	// POST /update applies one N-Triples document as one atomic batch of
 	// inserts (default) or deletes (?op=delete) against a live database.
 	// It shares the /sparql admission valve: an update counts against
@@ -218,16 +155,10 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 			http.Error(w, fmt.Sprintf("unknown op %q (want insert or delete)", op), http.StatusBadRequest)
 			return
 		}
-		if inflight != nil {
-			select {
-			case inflight <- struct{}{}:
-				defer func() { <-inflight }()
-			default:
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "server overloaded: too many in-flight queries", http.StatusServiceUnavailable)
-				return
-			}
+		if !inflight.enter(w) {
+			return
 		}
+		defer inflight.leave()
 		var n int
 		var err error
 		if op == "insert" {
@@ -278,6 +209,13 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 			// For a sharded database it aggregates across shards.
 			m := db.st.MemStats()
 			fmt.Fprintf(w, "dict-bytes: %d\nmemory: %s\n", m.DictBytes, m)
+		}
+		if cache != nil {
+			cs := cache.snapshot()
+			fmt.Fprintf(w, "plan-cache-entries: %d\nplan-cache-hits: %d\nplan-cache-misses: %d\n",
+				cs.Entries, cs.PlanHits, cs.PlanMisses)
+			fmt.Fprintf(w, "result-cache-hits: %d\nresult-cache-fills: %d\nresult-cache-waits: %d\nresult-cache-overflows: %d\nresult-cache-bytes: %d\n",
+				cs.Hits, cs.Fills, cs.Waits, cs.Overflows, cs.Bytes)
 		}
 		if ls, ok := db.LiveStats(); ok {
 			fmt.Fprintf(w, "live: true\nepoch: %d\n", ls.Epoch)
@@ -351,43 +289,273 @@ func timeoutFromRequest(r *http.Request, max time.Duration) (time.Duration, erro
 }
 
 // optionsFromRequest resolves the strategy/engine/limit/offset form
-// parameters into query options. All of them apply per execution, never
-// at plan time, so none is part of the plan-cache key: every strategy,
-// engine and page of a query hits the same cached plan.
-func optionsFromRequest(r *http.Request) (opts []Option, err error) {
+// parameters. All of them apply per execution, never at plan time, so
+// none is part of the plan-cache key: every strategy, engine and page
+// of a query hits the same cached plan, and together they key the
+// responses memoized under it.
+func optionsFromRequest(r *http.Request) (respKey, error) {
+	k := respKey{limit: -1}
 	switch s := r.FormValue("strategy"); s {
 	case "", "full":
-		opts = append(opts, WithStrategy(Full))
+		k.strategy = Full
 	case "base":
-		opts = append(opts, WithStrategy(Base))
+		k.strategy = Base
 	case "tt":
-		opts = append(opts, WithStrategy(TT))
+		k.strategy = TT
 	case "cp":
-		opts = append(opts, WithStrategy(CP))
+		k.strategy = CP
 	default:
-		return nil, fmt.Errorf("unknown strategy %q", s)
+		return k, fmt.Errorf("unknown strategy %q", s)
 	}
 	switch e := r.FormValue("engine"); e {
 	case "", "wco":
-		opts = append(opts, WithEngine(WCO))
+		k.engine = WCO
 	case "binary":
-		opts = append(opts, WithEngine(BinaryJoin))
+		k.engine = BinaryJoin
 	default:
-		return nil, fmt.Errorf("unknown engine %q", e)
+		return k, fmt.Errorf("unknown engine %q", e)
 	}
 	if raw := r.FormValue("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("invalid limit %q", raw)
+			return k, fmt.Errorf("invalid limit %q", raw)
 		}
-		opts = append(opts, WithLimit(n))
+		k.limit = n
 	}
 	if raw := r.FormValue("offset"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("invalid offset %q", raw)
+			return k, fmt.Errorf("invalid offset %q", raw)
 		}
-		opts = append(opts, WithOffset(n))
+		k.offset = n
 	}
-	return opts, nil
+	return k, nil
+}
+
+// valve is the admission valve /sparql evaluations and /update share: a
+// counting semaphore that sheds instead of queueing. A nil valve admits
+// everything.
+type valve chan struct{}
+
+// enter takes an in-flight slot, or answers 503 with Retry-After and
+// reports false. Every successful enter is paired with a leave.
+func (v valve) enter(w http.ResponseWriter) bool {
+	if v == nil {
+		return true
+	}
+	select {
+	case v <- struct{}{}:
+		return true
+	default:
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "server overloaded: too many in-flight queries", http.StatusServiceUnavailable)
+		return false
+	}
+}
+
+func (v valve) leave() {
+	if v != nil {
+		<-v
+	}
+}
+
+// queryEndpoint serves /sparql.
+type queryEndpoint struct {
+	db          *DB
+	timeout     time.Duration
+	parallelism int
+	inflight    valve
+	cache       *planCache // nil: every request parses, executes and streams
+}
+
+func (h *queryEndpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	query := r.FormValue("query")
+	if query == "" {
+		http.Error(w, "missing query parameter", http.StatusBadRequest)
+		return
+	}
+	k, err := optionsFromRequest(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	timeout, err := timeoutFromRequest(r, h.timeout)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// The deadline covers everything from here on, including time spent
+	// waiting on another request's fill.
+	ctx := r.Context()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	if h.cache == nil {
+		prep, err := h.db.Prepare(query)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		h.execute(ctx, w, prep, k, w)
+		return
+	}
+
+	// Resolve the plan before taking an in-flight slot: a cache hit
+	// skips parse+build entirely, and plan construction is cheap enough
+	// not to count against the evaluation-concurrency budget. One
+	// Prepared serves every strategy and engine (both are execution
+	// options; estimates are warmed per engine inside it), so the key
+	// is the normalized text alone.
+	key := normalizeQueryText(query)
+	// Epoch 0 is a database that is not live, so that enabling live
+	// updates under a handler starts a new generation: the plans built
+	// before hold the frozen store, not the overlay.
+	var epoch uint64
+	if ls := h.db.liveStore(); ls != nil {
+		epoch = ls.Epoch() + 1
+	}
+	ent := h.cache.get(key, epoch)
+	if ent != nil {
+		w.Header().Set("X-Plan-Cache", "hit")
+	} else {
+		prep, err := h.db.Prepare(query)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		ent = h.cache.put(key, epoch, prep)
+		w.Header().Set("X-Plan-Cache", "miss")
+	}
+
+	body, wait, fill := h.cache.begin(ent, k)
+	outcome := "hit"
+	if wait != nil {
+		select {
+		case <-wait.done:
+		case <-ctx.Done():
+			writeExecError(w, ctx.Err())
+			return
+		}
+		body, outcome = wait.body, "wait"
+	}
+	switch {
+	case body != nil:
+		writeBody(w, outcome, body)
+	case fill != nil:
+		h.fill(ctx, w, ent, k, fill)
+	default: // known to outgrow the cap, or the fill waited on was abandoned
+		w.Header().Set("X-Result-Cache", "stream")
+		h.execute(ctx, w, ent.prep, k, w)
+	}
+}
+
+// execute runs one evaluation through the admission valve and encodes
+// its result to out (w itself, or a capture in front of it), answering
+// 503/504/400 on w when it cannot. It reports whether the whole result
+// was encoded.
+func (h *queryEndpoint) execute(ctx context.Context, w http.ResponseWriter, prep *Prepared, k respKey, out io.Writer) bool {
+	if !h.inflight.enter(w) {
+		return false
+	}
+	defer h.inflight.leave()
+	res, err := prep.ExecContext(ctx, k.apply, WithParallelism(h.parallelism))
+	if err != nil {
+		writeExecError(w, err)
+		return false
+	}
+	// WriteJSON streams bindings row by row; the handler never
+	// materializes a []Solution.
+	w.Header().Set("Content-Type", "application/sparql-results+json")
+	// On failure the headers are already out; nothing more to do.
+	return res.WriteJSON(out) == nil
+}
+
+// fill executes variant k of ent on behalf of every request waiting on
+// f. The response is captured: one that ends under responseCacheCap is
+// memoized and then written in one piece; one that overflows abandons
+// the fill at that moment — releasing the waiters — and goes on
+// streaming exactly as it would without a cache.
+func (h *queryEndpoint) fill(ctx context.Context, w http.ResponseWriter, ent *planCacheEntry, k respKey, f *respFill) {
+	finished := false
+	abandon := func(overflow bool) {
+		if !finished {
+			finished = true
+			h.cache.finish(ent, k, f, nil, overflow)
+		}
+	}
+	defer abandon(false) // error, timeout, client gone — or a panic below: waiters must not hang
+	cw := &captureWriter{w: w, overflow: func() {
+		w.Header().Set("X-Result-Cache", "stream")
+		abandon(true)
+	}}
+	if !h.execute(ctx, w, ent.prep, k, cw) || finished {
+		return
+	}
+	finished = true
+	body := bytes.Clone(cw.buf) // exact size: the cache accounts len, not cap
+	h.cache.finish(ent, k, f, body, false)
+	writeBody(w, "fill", body)
+}
+
+// writeBody answers with a complete encoded response.
+func writeBody(w http.ResponseWriter, outcome string, body []byte) {
+	hd := w.Header()
+	hd.Set("X-Result-Cache", outcome)
+	hd.Set("Content-Type", "application/sparql-results+json")
+	hd.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body) // a failed write means the client is gone
+}
+
+// writeExecError answers a request whose execution (or wait for one)
+// ended without a result.
+func writeExecError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		http.Error(w, "query timed out", http.StatusGatewayTimeout)
+	case errors.Is(err, context.Canceled):
+		// The client went away: nobody is listening for a status, and
+		// answering 503 would poison intermediaries that treat it as
+		// backend overload (Retry-After storms against a healthy
+		// server). Log and drop; 503 stays reserved for the in-flight
+		// limiter.
+		log.Printf("sparqluo: query cancelled by client: %v", err)
+	default:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+}
+
+// captureWriter holds what is written to it, up to responseCacheCap
+// bytes. The write that would pass the cap calls overflow once, flushes
+// the captured prefix to w and turns the writer into a pass-through, so
+// no more than the cap is ever buffered.
+type captureWriter struct {
+	w         http.ResponseWriter
+	buf       []byte
+	overflow  func()
+	streaming bool
+}
+
+func (c *captureWriter) Write(p []byte) (int, error) {
+	if !c.streaming {
+		need := len(c.buf) + len(p)
+		if need <= responseCacheCap {
+			if need > cap(c.buf) { // grow by doubling, never past the cap
+				grown := make([]byte, len(c.buf), min(max(2*cap(c.buf), need), responseCacheCap))
+				copy(grown, c.buf)
+				c.buf = grown
+			}
+			c.buf = append(c.buf, p...)
+			return len(p), nil
+		}
+		c.streaming = true
+		c.overflow()
+		prefix := c.buf
+		c.buf = nil
+		if _, err := c.w.Write(prefix); err != nil {
+			return 0, err
+		}
+	}
+	return c.w.Write(p)
 }

@@ -3,11 +3,13 @@ package sparqluo_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -597,5 +599,290 @@ func TestHTTPPlanCacheLiveInvalidation(t *testing.T) {
 	}
 	if n, cache := get(); n != 1 || cache != "hit" {
 		t.Fatalf("repeat after insert: %d bindings (cache %s), want 1 (hit)", n, cache)
+	}
+}
+
+// cacheReply is one /sparql response as the result-cache tests see it.
+type cacheReply struct {
+	status        int
+	plan, result  string // X-Plan-Cache, X-Result-Cache
+	contentLength int64  // -1 when streamed (chunked)
+	body          string
+}
+
+func cacheGet(t *testing.T, srv *httptest.Server, params string) cacheReply {
+	t.Helper()
+	// Called from client goroutines too: report, never t.Fatal.
+	resp, err := http.Get(srv.URL + "/sparql?" + params)
+	if err != nil {
+		t.Error(err)
+		return cacheReply{}
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+	}
+	return cacheReply{resp.StatusCode, resp.Header.Get("X-Plan-Cache"), resp.Header.Get("X-Result-Cache"), resp.ContentLength, string(body)}
+}
+
+// cacheCounters reads the cache lines of /stats.
+func cacheCounters(t *testing.T, srv *httptest.Server) map[string]int {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	out := map[string]int{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, val, ok := strings.Cut(line, ": ")
+		if !ok || !(strings.HasPrefix(name, "plan-cache-") || strings.HasPrefix(name, "result-cache-")) {
+			continue
+		}
+		n, err := strconv.Atoi(val)
+		if err != nil {
+			t.Fatalf("/stats line %q: %v", line, err)
+		}
+		out[name] = n
+	}
+	return out
+}
+
+func directJSON(t *testing.T, db *sparqluo.DB, q string, opts ...sparqluo.Option) string {
+	t.Helper()
+	res, err := db.Query(q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := res.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestHTTPResultCacheByteIdentity: for every engine × strategy × window
+// the first request executes and memoizes (fill), the repeat is served
+// from the memo (hit), and both are byte-identical to a direct Query
+// with the same options. Each option set fills for itself — none is
+// ever answered with another's body — and /stats accounts for all of it.
+func TestHTTPResultCacheByteIdentity(t *testing.T) {
+	db := lubmTestDB(t, 1)
+	srv := httptest.NewServer(sparqluo.NewHandler(db, sparqluo.WithPlanCache(4)))
+	defer srv.Close()
+	const text = `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+		SELECT ?x ?d ?e WHERE { { ?x ub:headOf ?d } UNION { ?x ub:worksFor ?d } OPTIONAL { ?x ub:emailAddress ?e } }`
+	q := "query=" + url.QueryEscape(text)
+
+	engines := map[string]sparqluo.Engine{"wco": sparqluo.WCO, "binary": sparqluo.BinaryJoin}
+	strategies := map[string]sparqluo.Strategy{"base": sparqluo.Base, "tt": sparqluo.TT, "cp": sparqluo.CP, "full": sparqluo.Full}
+	windows := []struct {
+		params string
+		opts   []sparqluo.Option
+	}{
+		{"", nil},
+		{"&limit=7", []sparqluo.Option{sparqluo.WithLimit(7)}},
+		{"&limit=7&offset=3", []sparqluo.Option{sparqluo.WithLimit(7), sparqluo.WithOffset(3)}},
+	}
+	variants, bytesHeld := 0, 0
+	for en, eng := range engines {
+		for sn, strat := range strategies {
+			bodies := map[string]bool{}
+			for _, win := range windows {
+				params := q + "&engine=" + en + "&strategy=" + sn + win.params
+				want := directJSON(t, db, text, append([]sparqluo.Option{sparqluo.WithEngine(eng), sparqluo.WithStrategy(strat)}, win.opts...)...)
+				first := cacheGet(t, srv, params)
+				if first.result != "fill" || first.body != want || first.contentLength != int64(len(want)) {
+					t.Errorf("%s: first request: X-Result-Cache %q, Content-Length %d, body equal=%v; want fill, %d, true",
+						params, first.result, first.contentLength, first.body == want, len(want))
+				}
+				again := cacheGet(t, srv, params)
+				if again.result != "hit" || again.plan != "hit" || again.body != want || again.contentLength != int64(len(want)) {
+					t.Errorf("%s: repeat: X-Result-Cache %q, X-Plan-Cache %q, body equal=%v; want hit, hit, true",
+						params, again.result, again.plan, again.body == want)
+				}
+				bodies[want] = true
+				variants++
+				bytesHeld += len(want)
+			}
+			if len(bodies) != len(windows) {
+				t.Fatalf("engine=%s strategy=%s: windows do not produce distinct documents; the test cannot tell bodies apart", en, sn)
+			}
+		}
+	}
+	c := cacheCounters(t, srv)
+	if c["result-cache-fills"] != variants || c["result-cache-hits"] != variants || c["result-cache-bytes"] != bytesHeld ||
+		c["plan-cache-entries"] != 1 || c["plan-cache-misses"] != 1 || c["plan-cache-hits"] != 2*variants-1 {
+		t.Errorf("/stats after %d variants (%d bytes): %v", variants, bytesHeld, c)
+	}
+
+	// WithPlanCache(0) stays on the streaming path: no cache headers, no
+	// Content-Length, no cache lines in /stats.
+	plain := httptest.NewServer(sparqluo.NewHandler(db))
+	defer plain.Close()
+	r := cacheGet(t, plain, q)
+	if r.plan != "" || r.result != "" || r.contentLength != -1 || r.body != directJSON(t, db, text) {
+		t.Errorf("cache disabled: headers %q/%q, Content-Length %d", r.plan, r.result, r.contentLength)
+	}
+	if c := cacheCounters(t, plain); len(c) != 0 {
+		t.Errorf("cache disabled: /stats reports %v", c)
+	}
+}
+
+// TestHTTPResultCacheLiveInvalidation: on a live database a memoized
+// answer is valid for one write epoch. After an Insert the next request
+// re-executes (fill, never hit) and contains the insert; a compaction
+// swap invalidates as well (conservative) and no bytes of the older
+// epoch stay accounted.
+func TestHTTPResultCacheLiveInvalidation(t *testing.T) {
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sparqluo.NewIRI("http://ex.org/p")
+	triple := func(i int) sparqluo.Triple {
+		return sparqluo.Triple{S: sparqluo.NewIRI(fmt.Sprintf("http://ex.org/s%d", i)), P: p, O: sparqluo.NewIRI("http://ex.org/o")}
+	}
+	if err := db.Insert(triple(0)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sparqluo.NewHandler(db, sparqluo.WithPlanCache(8)))
+	defer srv.Close()
+	const text = `SELECT ?s WHERE { ?s <http://ex.org/p> <http://ex.org/o> }`
+	q := "query=" + url.QueryEscape(text)
+
+	step := func(name, wantResult string, wantContains string) cacheReply {
+		t.Helper()
+		r := cacheGet(t, srv, q)
+		if r.result != wantResult || r.body != directJSON(t, db, text) || !strings.Contains(r.body, wantContains) {
+			t.Errorf("%s: X-Result-Cache %q (want %q), body %s", name, r.result, wantResult, r.body)
+		}
+		return r
+	}
+	step("first", "fill", "http://ex.org/s0")
+	before := step("repeat", "hit", "http://ex.org/s0")
+
+	if err := db.Insert(triple(1)); err != nil {
+		t.Fatal(err)
+	}
+	after := step("after insert", "fill", "http://ex.org/s1")
+	if after.plan != "miss" {
+		t.Errorf("after insert: X-Plan-Cache %q, want miss", after.plan)
+	}
+	step("repeat after insert", "hit", "http://ex.org/s1")
+	if c := cacheCounters(t, srv); c["result-cache-bytes"] != len(after.body) || c["plan-cache-entries"] != 1 {
+		t.Errorf("after insert the cache should hold the new body only (%d bytes; the old one had %d): %v", len(after.body), len(before.body), c)
+	}
+
+	if _, err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	step("after compaction", "fill", "http://ex.org/s1")
+	step("repeat after compaction", "hit", "http://ex.org/s1")
+}
+
+// TestHTTPResultCacheOverflowStreams: a response larger than the cap is
+// streamed exactly as without a cache (chunked, byte-identical), reports
+// stream, leaves the memoized bytes unchanged and is executed again next
+// time — while a small page of the same text is memoized beside it.
+func TestHTTPResultCacheOverflowStreams(t *testing.T) {
+	db := lubmTestDB(t, 1)
+	srv := httptest.NewServer(sparqluo.NewHandler(db, sparqluo.WithPlanCache(4)))
+	defer srv.Close()
+	const text = `SELECT * WHERE { ?s ?p ?o } LIMIT 15000`
+	q := "query=" + url.QueryEscape(text)
+	want := directJSON(t, db, text)
+	if len(want) <= 1<<20 {
+		t.Fatalf("fixture too small: %d bytes do not exceed the 1 MiB cap", len(want))
+	}
+
+	page := cacheGet(t, srv, q+"&limit=3")
+	if page.result != "fill" {
+		t.Fatalf("page: X-Result-Cache %q, want fill", page.result)
+	}
+	for i, wantOverflows := range []int{1, 1} { // the second time the variant is known oversize: not even captured
+		r := cacheGet(t, srv, q)
+		if r.status != http.StatusOK || r.result != "stream" || r.plan != "hit" || r.contentLength != -1 || r.body != want {
+			t.Errorf("large request %d: status %d, X-Result-Cache %q, X-Plan-Cache %q, Content-Length %d, body equal=%v",
+				i, r.status, r.result, r.plan, r.contentLength, r.body == want)
+		}
+		c := cacheCounters(t, srv)
+		if c["result-cache-bytes"] != len(page.body) || c["result-cache-overflows"] != wantOverflows || c["result-cache-fills"] != 1 {
+			t.Errorf("after large request %d: %v, want %d bytes held, %d overflows, 1 fill", i, c, len(page.body), wantOverflows)
+		}
+	}
+	if r := cacheGet(t, srv, q+"&limit=3"); r.result != "hit" || r.body != page.body {
+		t.Errorf("page after the large requests: X-Result-Cache %q", r.result)
+	}
+}
+
+// TestHTTPResultCacheAdmission: memoized answers take no in-flight slot
+// — they are served while WithMaxInFlight(1) is saturated — and the
+// rest of the request contract is untouched by the cache: parameters
+// are validated before anything is looked up (400 even for a memoized
+// text), an evaluation that finds the valve full is shed with 503, and
+// one that outlives its deadline gets 504.
+func TestHTTPResultCacheAdmission(t *testing.T) {
+	db := lubmTestDB(t, 1)
+	srv := httptest.NewServer(sparqluo.NewHandler(db,
+		sparqluo.WithPlanCache(8), sparqluo.WithMaxInFlight(1), sparqluo.WithQueryTimeout(30*time.Second)))
+	defer srv.Close()
+	hot := "query=" + url.QueryEscape(`SELECT * WHERE { ?s ?p ?o } LIMIT 5`)
+	if r := cacheGet(t, srv, hot); r.result != "fill" {
+		t.Fatalf("warm-up: X-Result-Cache %q, want fill", r.result)
+	}
+
+	// Occupy the only slot until the test is done with it.
+	ctx, release := context.WithCancel(context.Background())
+	heavyDone := make(chan struct{})
+	go func() {
+		defer close(heavyDone)
+		for ctx.Err() == nil { // the probes below race for the slot: retry until this one holds it
+			req, _ := http.NewRequestWithContext(ctx, "GET", srv.URL+"/sparql?query="+url.QueryEscape(heavyQuery), nil)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+	}()
+	defer func() { release(); <-heavyDone }()
+	saturated := false
+	for i := 0; !saturated && i < 2000; i++ { // a new text each time: a probe that slips in first is memoized
+		cold := "query=" + url.QueryEscape(fmt.Sprintf(`SELECT * WHERE { ?s ?p ?o } LIMIT %d`, 100+i))
+		saturated = cacheGet(t, srv, cold).status == http.StatusServiceUnavailable
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !saturated {
+		t.Fatal("never observed 503 while the slot was held")
+	}
+
+	if r := cacheGet(t, srv, hot); r.status != http.StatusOK || r.result != "hit" {
+		t.Errorf("memoized text under saturation: status %d, X-Result-Cache %q; want 200 hit", r.status, r.result)
+	}
+	for _, bad := range []string{"&timeout=banana", "&timeout=-3s", "&limit=-1", "&limit=x", "&offset=1.5", "&strategy=nope", "&engine=nope"} {
+		if r := cacheGet(t, srv, hot+bad); r.status != http.StatusBadRequest {
+			t.Errorf("memoized text with %s: status %d, want 400", bad, r.status)
+		}
+	}
+	// A new window of the memoized text must evaluate, so it is shed.
+	if r := cacheGet(t, srv, hot+"&limit=2"); r.status != http.StatusServiceUnavailable {
+		t.Errorf("new variant under saturation: status %d, want 503", r.status)
+	}
+	release()
+	<-heavyDone
+
+	// The shed fill left nothing behind: the same request now fills.
+	var r cacheReply
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if r = cacheGet(t, srv, hot+"&limit=2"); r.status != http.StatusServiceUnavailable { // until the heavy handler has left the valve
+			break
+		}
+	}
+	if r.status != http.StatusOK || r.result != "fill" {
+		t.Errorf("after release: status %d, X-Result-Cache %q; want 200 fill", r.status, r.result)
+	}
+	if r := cacheGet(t, srv, "timeout=30ms&query="+url.QueryEscape(heavyQuery)); r.status != http.StatusGatewayTimeout {
+		t.Errorf("heavy query through the cache: status %d, want 504", r.status)
 	}
 }

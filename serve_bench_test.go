@@ -1,6 +1,7 @@
 // Serving-path benchmarks: the parse-once/execute-many win of prepared
 // queries on a repeated-template workload, and HTTP queries-per-second
-// with cold parsing, a warm plan cache, and the direct prepared API.
+// with cold parsing, a memoized response, a warm plan whose answer is
+// too large to memoize, and the direct prepared API.
 // CI runs these with -benchtime=1x (make bench-serve) as a smoke test;
 // use -benchtime=2s locally for real numbers.
 package sparqluo_test
@@ -107,20 +108,31 @@ func BenchmarkPreparedExec(b *testing.B) {
 	}
 }
 
+// largeServeQuery is a UO query whose LUBM-13 answer encodes to more
+// than the 1 MiB a cached plan memoizes, so with a plan cache it is a
+// plan hit that still executes and streams on every request.
+const largeServeQuery = `
+	PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+	SELECT * WHERE { ?x ub:memberOf ?d OPTIONAL { ?x ub:emailAddress ?e } OPTIONAL { ?x ub:name ?n } }`
+
 // BenchmarkServeHTTP measures end-to-end HTTP QPS on the template
-// workload (one fixed instantiation, so the plan cache can hit):
-// cold-parse on every request, a warm plan cache, and — as the upper
-// bound the HTTP layers sit on — the direct prepared API.
+// workload, one fixed text per case: cold-parse (no cache: parse, plan,
+// execute, stream), response-cache-hit (the repeated template, answered
+// from the bytes memoized under its cached plan), plan-cache-hit (a
+// text whose answer is over the memo cap: plan reused, executed and
+// streamed every time — the X-Result-Cache header is checked so neither
+// case can silently turn into the other) and, as the upper bound the
+// HTTP layers sit on, the direct prepared API.
 func BenchmarkServeHTTP(b *testing.B) {
 	db := lubm13DB(b)
-	rawQuery := "query=" + url.QueryEscape(instantiate(0))
 
-	drive := func(b *testing.B, handler http.Handler) {
+	drive := func(b *testing.B, handler http.Handler, text, wantResult string) {
 		srv := httptest.NewServer(handler)
 		defer srv.Close()
 		client := srv.Client()
+		target := srv.URL + "/sparql?query=" + url.QueryEscape(text)
 		// Warm the cache (and the connection) outside the timer.
-		resp, err := client.Get(srv.URL + "/sparql?" + rawQuery)
+		resp, err := client.Get(target)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,20 +141,26 @@ func BenchmarkServeHTTP(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			resp, err := client.Get(srv.URL + "/sparql?" + rawQuery)
+			resp, err := client.Get(target)
 			if err != nil {
 				b.Fatal(err)
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
+			if got := resp.Header.Get("X-Result-Cache"); got != wantResult {
+				b.Fatalf("X-Result-Cache = %q, want %q: the case no longer measures what its name says", got, wantResult)
+			}
 		}
 	}
 
 	b.Run("cold-parse", func(b *testing.B) {
-		drive(b, sparqluo.NewHandler(db))
+		drive(b, sparqluo.NewHandler(db), instantiate(0), "")
 	})
 	b.Run("plan-cache-hit", func(b *testing.B) {
-		drive(b, sparqluo.NewHandler(db, sparqluo.WithPlanCache(16)))
+		drive(b, sparqluo.NewHandler(db, sparqluo.WithPlanCache(16)), largeServeQuery, "stream")
+	})
+	b.Run("response-cache-hit", func(b *testing.B) {
+		drive(b, sparqluo.NewHandler(db, sparqluo.WithPlanCache(16)), instantiate(0), "hit")
 	})
 	b.Run("prepared-direct", func(b *testing.B) {
 		prep, err := db.Prepare(instantiate(0))

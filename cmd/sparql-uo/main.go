@@ -9,9 +9,10 @@
 // while -limit only caps how many of them are printed.
 //
 // The query may also be given inline with -q 'SELECT ...'. -data
-// accepts either an N-Triples document or a binary snapshot image
-// (written by `datagen -snapshot` or DB.WriteSnapshot), auto-detected
-// by the image magic; snapshots skip parsing and index building.
+// accepts an N-Triples document, a binary snapshot image (written by
+// `datagen -snapshot` or DB.WriteSnapshot) or a shard manifest
+// (`datagen -snapshot … -shards n`), auto-detected by the file magic;
+// images and manifests skip parsing and index building.
 //
 // The query is prepared once (parse + BE-tree build) and then executed.
 // -bind substitutes a ground term for a query variable at execution
@@ -36,7 +37,7 @@ import (
 
 func main() {
 	var (
-		dataPath  = flag.String("data", "", "N-Triples data file (required)")
+		dataPath  = flag.String("data", "", "data file, auto-detected: N-Triples, snapshot image or shard manifest (required)")
 		queryPath = flag.String("query", "", "file containing the SPARQL query")
 		queryText = flag.String("q", "", "inline SPARQL query text")
 		strategy  = flag.String("strategy", "full", "base|tt|cp|full")

@@ -48,14 +48,8 @@ func MergeSortedBags(dst *Bag, parts []*Bag, seq []int, max int) {
 	}
 }
 
-// appendPrefix appends the first n rows of src to dst (n capped at
-// src.Len() by construction at the call sites).
+// appendPrefix bulk-copies the first n rows of src (n <= src.Len()) to dst.
 func appendPrefix(dst, src *Bag, n int) {
-	if n >= src.Len() {
-		dst.AppendAll(src)
-		return
-	}
-	for i := 0; i < n; i++ {
-		dst.Append(src.Row(i))
-	}
+	dst.data = append(dst.data, src.data[:n*src.Width]...)
+	dst.rows += n
 }

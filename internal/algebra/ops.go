@@ -9,7 +9,7 @@ import (
 // Join computes Ω1 ⋈ Ω2 = {µ1 ∪ µ2 | µ1 ∈ Ω1, µ2 ∈ Ω2, µ1 ∼ µ2} under bag
 // semantics. The join keys are the variables certainly bound on both
 // sides; full compatibility is verified on the remaining possibly-shared
-// positions. Physical operator choice is order-aware:
+// positions. Physical operator choice is order-aware (see joinKernel):
 //
 //   - when both operands are sorted by a shared prefix covering the keys
 //     (or can be, by sorting the smaller side), a streaming sort-merge
@@ -17,7 +17,7 @@ import (
 //   - otherwise the smaller side is hash-partitioned on the keys and the
 //     larger side probes it;
 //   - with no certain key, a nested loop verifies compatibility.
-func Join(a, b *Bag) *Bag { return JoinWith(a, b, JoinOpts{Max: -1}) }
+func Join(a, b *Bag) *Bag { return JoinWith(a, b, unlimited) }
 
 // JoinOpts configures one JoinWith/LeftJoinWith execution.
 type JoinOpts struct {
@@ -36,83 +36,144 @@ type JoinOpts struct {
 	Pulled *int
 }
 
-// joinLimit is the per-execution state behind JoinOpts: a row budget
-// plus a locally-accumulated pull counter flushed to opts.Pulled once.
-type joinLimit struct {
-	max    int // output rows allowed; -1 unlimited
-	pulled int
-}
-
-// full reports whether the output has reached the cap.
-func (l *joinLimit) full(out *Bag) bool { return out.rows == l.max }
-
-// joinStopMask batches cancellation probes in the cancellable joins:
-// stop is polled once per (joinStopMask+1) inner-loop iterations, keeping
-// the hot path to a counter AND.
-const joinStopMask = 2047
-
-// batchStop wraps a cancellation probe so it is only consulted every
-// (joinStopMask+1) calls. A nil stop gets a constant-false closure,
-// keeping the non-cancellable Join/LeftJoin hot loops free of the
-// counter bookkeeping.
-func batchStop(stop func() bool) func() bool {
-	if stop == nil {
-		return never
-	}
-	steps := 0
-	return func() bool {
-		steps++
-		return steps&joinStopMask == 0 && stop()
-	}
-}
-
-func never() bool { return false }
+// unlimited is the JoinOpts of the plain Join/LeftJoin/SemiJoin/Diff:
+// no cancellation, no cap, no counter.
+var unlimited = JoinOpts{Max: -1}
 
 // JoinWith is the fully-configurable join: Join with a cancellation
 // probe, an output cap and a pulled-rows counter (see JoinOpts). When
 // the probe aborts the join the bag built so far is returned; callers
 // own the decision to discard the truncated result.
 func JoinWith(a, b *Bag, opts JoinOpts) *Bag {
-	out := NewBag(a.Width)
-	out.Cert = a.Cert.Or(b.Cert)
-	out.Maybe = a.Maybe.Or(b.Maybe)
-	if a.Len() == 0 || b.Len() == 0 || opts.Max == 0 {
-		return out
-	}
-	keys := a.Cert.And(b.Cert).Indices(a.Width)
-	verify := verifyPositions(a, b, keys)
-	stopped := batchStop(opts.Stop)
-	lim := joinLimit{max: opts.Max}
-	if opts.Pulled != nil {
-		defer func() { *opts.Pulled += lim.pulled }()
-	}
+	return joinKernel(a, b, modeInner, opts, pathAuto, hashKey)
+}
 
-	if len(keys) == 0 {
-		// No certain join key: nested loop with compatibility check.
-		out.Order = orderPrefixNotIn(a.Order, b.Maybe)
-		for i := 0; i < a.rows; i++ {
-			ra := a.Row(i)
-			for j := 0; j < b.rows; j++ {
-				lim.pulled++
-				if Compatible(ra, b.Row(j), verify) {
-					out.AppendMerged(ra, b.Row(j))
-					if lim.full(out) {
-						return out
-					}
-				}
-				if stopped() {
-					return out
-				}
+// LeftJoin computes Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪bag (Ω1 \ Ω2): every left
+// mapping joined with each compatible right mapping, or passed through
+// unchanged when no right mapping is compatible.
+func LeftJoin(a, b *Bag) *Bag { return LeftJoinWith(a, b, unlimited) }
+
+// LeftJoinWith is the fully-configurable left outer join: LeftJoin with
+// the cancellation probe, output cap and pulled-rows counter of JoinOpts.
+// Physical operator choice mirrors JoinWith, except that the left side
+// is always the outer side so unmatched left rows are emitted in place —
+// which keeps emission deterministic and makes the capped output an
+// exact prefix here too.
+func LeftJoinWith(a, b *Bag, opts JoinOpts) *Bag {
+	return joinKernel(a, b, modeLeft, opts, pathAuto, hashKey)
+}
+
+// SemiJoin computes Ω1 ⋉ Ω2: the mappings of Ω1 compatible with at least
+// one mapping of Ω2. It is the pruning primitive of LBR-style evaluation.
+// The output is a subsequence of Ω1 and keeps its physical order, so no
+// operand is ever re-sorted: the merge scan runs only when both sides
+// already share a key-covering order, the keyed hash probe otherwise.
+func SemiJoin(a, b *Bag) *Bag {
+	return joinKernel(a, b, modeSemi, unlimited, pathAuto, hashKey)
+}
+
+// Diff computes Ω1 \ Ω2 = {µ1 ∈ Ω1 | ∀µ2 ∈ Ω2 : µ1 ≁ µ2}, the anti-join
+// twin of SemiJoin: same physical paths, same order preservation.
+func Diff(a, b *Bag) *Bag {
+	return joinKernel(a, b, modeAnti, unlimited, pathAuto, hashKey)
+}
+
+// joinMode is what the kernel emits for an outer row once its compatible
+// inner rows are known.
+type joinMode uint8
+
+const (
+	modeInner joinMode = iota // every compatible pair
+	modeLeft                  // ... and the bare outer row when there is none
+	modeSemi                  // the bare outer row iff a partner exists
+	modeAnti                  // the bare outer row iff none exists
+)
+
+// joinPath restricts the physical matcher; everything but the tests
+// passes pathAuto.
+type joinPath uint8
+
+const (
+	pathAuto   joinPath = iota // the dispatch rule of joinKernel
+	pathNested                 // ignore the certain keys
+	pathHash                   // never merge
+)
+
+// joinKernel is the one implementation behind Join, LeftJoin, SemiJoin
+// and Diff: a shared pre-dispatch picks one of three physical matchers —
+// nested loop (no certain key), merge over a key-sorted inner, hash
+// probe — and each matcher walks the outer operand once, in order,
+// handing every outer row's compatible inner rows to the emission mode.
+// a is the outer side, except that the inner-mode hash join probes with
+// the larger operand; pairs are always merged a-side first. Since every
+// path emits outer-major in operand order, the output capped at opts.Max
+// is the exact prefix of the uncapped output in every mode.
+func joinKernel(a, b *Bag, mode joinMode, opts JoinOpts, path joinPath, hash keyHashFn) *Bag {
+	out := NewBag(a.Width)
+	pairs := mode <= modeLeft // the output holds merged rows, not a subsequence of a
+	switch mode {
+	case modeInner:
+		out.Cert, out.Maybe = a.Cert.Or(b.Cert), a.Maybe.Or(b.Maybe)
+	case modeLeft: // right side only certain on matched rows
+		out.Cert, out.Maybe = a.Cert.Clone(), a.Maybe.Or(b.Maybe)
+	default:
+		out.Cert, out.Maybe, out.Order = a.Cert.Clone(), a.Maybe.Clone(), slices.Clone(a.Order)
+	}
+	m := matcher{out: out, mode: mode, stop: opts.Stop, max: opts.Max}
+	switch {
+	case opts.Max == 0:
+	case b.Len() == 0:
+		// No partner anywhere: left and anti mode pass a through in place.
+		if mode == modeLeft || mode == modeAnti {
+			n := a.Len()
+			if m.max >= 0 && m.max < n {
+				n = m.max
 			}
+			out.Order = slices.Clone(a.Order)
+			appendPrefix(out, a, n)
+			m.pulled = n
 		}
-		return out
+	case a.Len() == 0:
+	default:
+		keys := a.Cert.And(b.Cert).Indices(a.Width)
+		if path == pathNested {
+			keys = nil
+		}
+		m.verify = verifyPositions(a, b, keys)
+		var sa, sb *Bag
+		var seq []int
+		merge := false
+		if len(keys) > 0 && path != pathHash {
+			sa, sb, seq, merge = mergePlan(a, b, keys, pairs)
+		}
+		switch {
+		case len(keys) == 0:
+			if pairs {
+				out.Order = orderPrefixNotIn(a.Order, b.Maybe)
+			}
+			m.nested(a, b)
+		case merge:
+			if pairs {
+				out.Order = mergedOrder(sa.Order, seq, sb.Maybe)
+			}
+			m.merge(sa, sb, seq)
+		default:
+			outer, inner := a, b
+			if mode == modeInner && a.rows < b.rows {
+				// Build on the smaller side, probe with the larger.
+				outer, inner, m.swapped = b, a, true
+			}
+			if pairs {
+				// Outer-major emission carries the outer side's order on
+				// the slots the inner side cannot overwrite.
+				out.Order = orderPrefixNotIn(outer.Order, inner.Maybe)
+			}
+			m.hash(outer, inner, keys, hash)
+		}
 	}
-	if sa, sb, seq, ok := mergePlan(a, b, keys); ok {
-		out.Order = mergedOrder(sa.Order, seq, sb.Maybe)
-		mergeJoin(out, sa, sb, seq, verify, stopped, &lim)
-		return out
+	if opts.Pulled != nil {
+		*opts.Pulled += m.pulled
 	}
-	hashJoin(out, a, b, keys, verify, stopped, hashKey, &lim)
 	return out
 }
 
@@ -122,8 +183,14 @@ func JoinWith(a, b *Bag, opts JoinOpts) *Bag {
 // sequences), the smaller side is re-sorted to match; a bag of at most
 // one row is trivially sorted by any sequence. Operands are never
 // mutated — re-sorting copies. The returned operands keep the (a, b)
-// orientation of the caller.
-func mergePlan(a, b *Bag, keys []int) (sa, sb *Bag, seq []int, ok bool) {
+// orientation of the caller. With resort false (semi and anti mode,
+// whose output must keep a's physical order) only the direct case
+// applies.
+func mergePlan(a, b *Bag, keys []int, resort bool) (sa, sb *Bag, seq []int, ok bool) {
+	if !resort {
+		seq, ok = MergeJoinableOrders(a.Order, b.Order, keys)
+		return a, b, seq, ok
+	}
 	seqA, okA := keyPrefixCovers(a.Order, keys)
 	seqB, okB := keyPrefixCovers(b.Order, keys)
 	wildA, wildB := a.rows <= 1, b.rows <= 1
@@ -154,44 +221,126 @@ func mergePlan(a, b *Bag, keys []int) (sa, sb *Bag, seq []int, ok bool) {
 	return nil, nil, nil, false
 }
 
-// mergeJoin streams two bags sorted by seq with one synchronized pass:
-// equal-key groups are located by advancing two cursors and their cross
-// product is emitted a-major, preserving (µ1, µ2) orientation. Key
-// equality is established by comparison — no hash, no collisions.
-func mergeJoin(out *Bag, a, b *Bag, seq, verify []int, stopped func() bool, lim *joinLimit) {
-	i, j := 0, 0
-	for i < a.rows && j < b.rows {
-		c := compareOn(a.Row(i), b.Row(j), seq)
-		if c != 0 {
-			if c < 0 {
-				i++
-			} else {
-				j++
+// joinStopMask batches cancellation probes: stop is polled once per
+// (joinStopMask+1) matcher steps, keeping the hot path to a counter AND.
+const joinStopMask = 2047
+
+// matcher is the state of one joinKernel execution: the emission mode,
+// the JoinOpts budget, and the positions left to verify on a candidate
+// pair. Its three walks — nested, merge, hash — differ only in how they
+// find an outer row's candidates.
+type matcher struct {
+	out     *Bag
+	mode    joinMode
+	swapped bool  // the outer operand is b: merge pairs inner-first
+	verify  []int // possibly-shared non-key positions
+	stop    func() bool
+	steps   int // stopped() calls so far
+	max     int // output rows allowed; -1 unlimited
+	pulled  int // operand rows drawn, flushed to JoinOpts.Pulled once
+}
+
+// stopped counts one matcher step and polls the cancellation probe on
+// every (joinStopMask+1)-th.
+func (m *matcher) stopped() bool {
+	m.steps++
+	return m.steps&joinStopMask == 0 && m.stop != nil && m.stop()
+}
+
+// finish closes one outer row — left and anti mode emit it bare when it
+// found no partner, semi mode when it found one — and reports whether
+// the join is over: output full, or cancelled.
+func (m *matcher) finish(ro Row, matched bool) bool {
+	if m.mode != modeInner && matched == (m.mode == modeSemi) {
+		m.out.Append(ro)
+	}
+	return m.out.rows == m.max || m.stopped()
+}
+
+// nested is the keyless matcher: every inner row is a candidate.
+func (m *matcher) nested(outer, inner *Bag) {
+	first := m.mode >= modeSemi
+	for i := 0; i < outer.rows; i++ {
+		ro := outer.Row(i)
+		matched := false
+		for j := 0; j < inner.rows; j++ {
+			m.pulled++
+			if ri := inner.Row(j); Compatible(ro, ri, m.verify) {
+				matched = true
+				if first {
+					break
+				}
+				m.out.AppendMerged(ro, ri)
+				if m.out.rows == m.max {
+					return
+				}
 			}
-			lim.pulled++
-			if stopped() {
+			if m.stopped() {
 				return
 			}
-			continue
 		}
-		i2, j2 := groupEnd(a, i, seq), groupEnd(b, j, seq)
-		// Each operand row of the two key groups is pulled once.
-		lim.pulled += (i2 - i) + (j2 - j)
-		for x := i; x < i2; x++ {
-			rx := a.Row(x)
+		if m.finish(ro, matched) {
+			return
+		}
+	}
+}
+
+// merge streams two bags sorted by seq with one synchronized pass: the
+// inner cursor j trails the outer row's key, and [j, j2) is the inner
+// run equal to it — found once, then reused by every outer row of the
+// same key, so an equal-key group emits its cross product outer-major.
+// Key equality is established by comparison — no hash, no collisions.
+// Each outer row is pulled when it is walked, each inner row once: on
+// being skipped, or with its run.
+func (m *matcher) merge(outer, inner *Bag, seq []int) {
+	first := m.mode >= modeSemi
+	j, j2 := 0, 0
+	for i := 0; i < outer.rows; i++ {
+		ro := outer.Row(i)
+		c := 1 // inner cursor row vs ro; an exhausted inner compares greater
+		for ; j < inner.rows; c = 1 {
+			if c = compareOn(inner.Row(j), ro, seq); c >= 0 {
+				break
+			}
+			if j < j2 {
+				j = j2 // past the previous run, pulled when it was found
+			} else {
+				j++
+				m.pulled++
+			}
+			if m.stopped() {
+				return
+			}
+		}
+		if j == inner.rows && (m.mode == modeInner || m.mode == modeSemi) {
+			return // no later outer row can find a partner
+		}
+		m.pulled++
+		matched := false
+		if c == 0 {
+			if j2 <= j {
+				j2 = groupEnd(inner, j, seq)
+				m.pulled += j2 - j
+			}
 			for y := j; y < j2; y++ {
-				if Compatible(rx, b.Row(y), verify) {
-					out.AppendMerged(rx, b.Row(y))
-					if lim.full(out) {
+				if ri := inner.Row(y); Compatible(ro, ri, m.verify) {
+					matched = true
+					if first {
+						break
+					}
+					m.out.AppendMerged(ro, ri)
+					if m.out.rows == m.max {
 						return
 					}
 				}
-				if stopped() {
+				if m.stopped() {
 					return
 				}
 			}
 		}
-		i, j = i2, j2
+		if m.finish(ro, matched) {
+			return
+		}
 	}
 }
 
@@ -205,47 +354,41 @@ func groupEnd(b *Bag, i int, seq []int) int {
 	return j
 }
 
-// hashJoin is the fallback physical join: the smaller side is bucketed
-// by key hash, the larger side probes. Probes verify key equality by
+// hash is the fallback matcher: the inner side is bucketed by key hash
+// and every outer row probes it. Probes verify key equality by
 // comparison — a hash collision on the key columns must not pair rows
 // with different keys — before checking the non-key shared positions.
-func hashJoin(out *Bag, a, b *Bag, keys, verify []int, stopped func() bool, hash keyHashFn, lim *joinLimit) {
-	// Keep a as the probe (outer) side, b as the build side; swap so the
-	// smaller side is built.
-	build, probe := b, a
-	if a.rows < b.rows {
-		build, probe = a, b
-	}
-	// Probe-major emission carries the probe side's order on the slots
-	// the build side cannot overwrite.
-	out.Order = orderPrefixNotIn(probe.Order, build.Maybe)
-	probeIsA := probe == a
-	idx := buildHash(build, keys, hash)
-	lim.pulled += build.rows // the build pass reads every build row
-	for i := 0; i < probe.rows; i++ {
-		rp := probe.Row(i)
-		lim.pulled++
-		for _, bi := range idx[hash(rp, keys)] {
-			rb := build.Row(int(bi))
-			if equalOn(rp, rb, keys) && Compatible(rp, rb, verify) {
-				// Preserve (µ1, µ2) orientation: merge a-side first.
-				if probeIsA {
-					out.AppendMerged(rp, rb)
-				} else {
-					out.AppendMerged(rb, rp)
+func (m *matcher) hash(outer, inner *Bag, keys []int, hash keyHashFn) {
+	first := m.mode >= modeSemi
+	idx := buildHash(inner, keys, hash)
+	m.pulled += inner.rows // the build pass reads every build row
+	for i := 0; i < outer.rows; i++ {
+		ro := outer.Row(i)
+		m.pulled++
+		matched := false
+		for _, bi := range idx[hash(ro, keys)] {
+			if ri := inner.Row(int(bi)); equalOn(ro, ri, keys) && Compatible(ro, ri, m.verify) {
+				matched = true
+				if first {
+					break
 				}
-				if lim.full(out) {
+				if m.swapped {
+					m.out.AppendMerged(ri, ro)
+				} else {
+					m.out.AppendMerged(ro, ri)
+				}
+				if m.out.rows == m.max {
 					return
 				}
 			}
 			// Poll per build-row visit: one skewed hash bucket can hold
 			// most of the build side, so per-probe-row polling would let
 			// a cancelled join run a bucket to completion.
-			if stopped() {
+			if m.stopped() {
 				return
 			}
 		}
-		if stopped() {
+		if m.finish(ro, matched) {
 			return
 		}
 	}
@@ -270,282 +413,31 @@ func Union(a, b *Bag) *Bag {
 	return out
 }
 
-// UnionAll folds Union over several bags.
+// UnionAll concatenates several bags in one pass: the result of folding
+// Union over them from the empty bag, without re-copying the accumulated
+// rows per operand. Empty operands contribute only their Maybe; Cert is
+// the intersection over the non-empty ones, and a sole non-empty operand
+// keeps its Order.
 func UnionAll(width int, bags ...*Bag) *Bag {
-	if len(bags) == 0 {
-		return NewBag(width)
-	}
-	out := bags[0]
-	for _, b := range bags[1:] {
-		out = Union(out, b)
-	}
-	return out
-}
-
-// Diff computes Ω1 \ Ω2 = {µ1 ∈ Ω1 | ∀µ2 ∈ Ω2 : µ1 ≁ µ2}. With certain
-// keys on both sides a compatible µ2 must agree with µ1 on every key, so
-// the scan anti-joins through the same merge/hash machinery as Join; the
-// nested loop remains only for the keyless case. The output is a
-// subsequence of Ω1 and keeps its physical order.
-func Diff(a, b *Bag) *Bag {
-	out := NewBag(a.Width)
-	out.Cert = a.Cert.Clone()
-	out.Maybe = a.Maybe.Clone()
-	out.Order = slices.Clone(a.Order)
-	semiScan(out, a, b, false, hashKey)
-	return out
-}
-
-// SemiJoin computes Ω1 ⋉ Ω2: the mappings of Ω1 compatible with at least
-// one mapping of Ω2. It is the pruning primitive of LBR-style evaluation.
-// Like Diff it preserves Ω1's physical order.
-func SemiJoin(a, b *Bag) *Bag {
-	out := NewBag(a.Width)
-	out.Cert = a.Cert.Clone()
-	out.Maybe = a.Maybe.Clone()
-	out.Order = slices.Clone(a.Order)
-	semiScan(out, a, b, true, hashKey)
-	return out
-}
-
-// semiScan appends to out the rows of a that do (keep=true: semijoin) or
-// do not (keep=false: diff) have a compatible partner in b, walking a in
-// physical order. With certain join keys it runs a synchronized merge
-// scan when both sides are sorted by a common key sequence, and a keyed
-// hash probe otherwise; without keys it degrades to the nested loop.
-func semiScan(out *Bag, a, b *Bag, keep bool, hash keyHashFn) {
-	if a.Len() == 0 {
-		return
-	}
-	if b.Len() == 0 {
-		if !keep {
-			out.AppendAll(a)
-		}
-		return
-	}
-	keys := a.Cert.And(b.Cert).Indices(a.Width)
-	verify := verifyPositions(a, b, keys)
-	if len(keys) == 0 {
-		for i := 0; i < a.rows; i++ {
-			ra := a.Row(i)
-			matched := false
-			for j := 0; j < b.rows; j++ {
-				if Compatible(ra, b.Row(j), verify) {
-					matched = true
-					break
-				}
-			}
-			if matched == keep {
-				out.Append(ra)
-			}
-		}
-		return
-	}
-	if seq, ok := MergeJoinableOrders(a.Order, b.Order, keys); ok {
-		j := 0
-		for i := 0; i < a.rows; i++ {
-			ra := a.Row(i)
-			for j < b.rows && compareOn(b.Row(j), ra, seq) < 0 {
-				j++
-			}
-			matched := false
-			for y := j; y < b.rows && equalOn(b.Row(y), ra, seq); y++ {
-				if Compatible(ra, b.Row(y), verify) {
-					matched = true
-					break
-				}
-			}
-			if matched == keep {
-				out.Append(ra)
-			}
-		}
-		return
-	}
-	idx := buildHash(b, keys, hash)
-	for i := 0; i < a.rows; i++ {
-		ra := a.Row(i)
-		matched := false
-		for _, bj := range idx[hash(ra, keys)] {
-			rb := b.Row(int(bj))
-			if equalOn(ra, rb, keys) && Compatible(ra, rb, verify) {
-				matched = true
-				break
-			}
-		}
-		if matched == keep {
-			out.Append(ra)
-		}
-	}
-}
-
-// LeftJoin computes Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪bag (Ω1 \ Ω2): every left
-// mapping joined with each compatible right mapping, or passed through
-// unchanged when no right mapping is compatible.
-func LeftJoin(a, b *Bag) *Bag { return LeftJoinWith(a, b, JoinOpts{Max: -1}) }
-
-// LeftJoinWith is the fully-configurable left outer join: LeftJoin with
-// the cancellation probe, output cap and pulled-rows counter of JoinOpts. Physical
-// operator choice mirrors JoinWith (merge when orders allow, keyed hash
-// probe, nested loop without keys), except that the left side is always
-// the outer side so unmatched left rows are emitted in place — which
-// keeps emission deterministic and makes the capped output an exact
-// prefix here too.
-func LeftJoinWith(a, b *Bag, opts JoinOpts) *Bag {
-	out := NewBag(a.Width)
-	out.Cert = a.Cert.Clone() // right side only certain on matched rows
-	out.Maybe = a.Maybe.Or(b.Maybe)
-	if opts.Max == 0 {
-		return out
-	}
-	lim := joinLimit{max: opts.Max}
-	if opts.Pulled != nil {
-		defer func() { *opts.Pulled += lim.pulled }()
-	}
-	if b.Len() == 0 {
-		out.Order = slices.Clone(a.Order)
-		if lim.max >= 0 && lim.max < a.Len() {
-			lim.pulled += lim.max
-			out.AppendAll(a.View(0, lim.max))
-			return out
-		}
-		lim.pulled += a.Len()
-		out.AppendAll(a)
-		return out
-	}
-	if a.Len() == 0 {
-		return out
-	}
-	keys := a.Cert.And(b.Cert).Indices(a.Width)
-	verify := verifyPositions(a, b, keys)
-	stopped := batchStop(opts.Stop)
-	if len(keys) == 0 {
-		out.Order = orderPrefixNotIn(a.Order, b.Maybe)
-		for i := 0; i < a.rows; i++ {
-			ra := a.Row(i)
-			matched := false
-			for j := 0; j < b.rows; j++ {
-				lim.pulled++
-				if Compatible(ra, b.Row(j), verify) {
-					matched = true
-					out.AppendMerged(ra, b.Row(j))
-					if lim.full(out) {
-						return out
-					}
-				}
-				if stopped() {
-					return out
-				}
-			}
-			if !matched {
-				out.Append(ra)
-				if lim.full(out) {
-					return out
-				}
-			}
-			if stopped() {
-				return out
-			}
-		}
-		return out
-	}
-	if sa, sb, seq, ok := mergePlan(a, b, keys); ok {
-		out.Order = mergedOrder(sa.Order, seq, sb.Maybe)
-		mergeLeftJoin(out, sa, sb, seq, verify, stopped, &lim)
-		return out
-	}
-	hashLeftJoin(out, a, b, keys, verify, stopped, hashKey, &lim)
-	return out
-}
-
-// hashLeftJoin is the keyed-probe left outer join: b is bucketed on the
-// keys and every a row probes it, passing through unmatched. Like
-// hashJoin, the probe verifies key equality by comparison.
-func hashLeftJoin(out *Bag, a, b *Bag, keys, verify []int, stopped func() bool, hash keyHashFn, lim *joinLimit) {
-	out.Order = orderPrefixNotIn(a.Order, b.Maybe)
-	idx := buildHash(b, keys, hash)
-	lim.pulled += b.rows // the build pass reads every build row
-	for i := 0; i < a.rows; i++ {
-		ra := a.Row(i)
-		lim.pulled++
-		matched := false
-		for _, bj := range idx[hash(ra, keys)] {
-			rb := b.Row(int(bj))
-			if equalOn(ra, rb, keys) && Compatible(ra, rb, verify) {
-				matched = true
-				out.AppendMerged(ra, rb)
-				if lim.full(out) {
-					return
-				}
-			}
-			if stopped() {
-				return
-			}
-		}
-		if !matched {
-			out.Append(ra)
-			if lim.full(out) {
-				return
-			}
-		}
-		if stopped() {
-			return
-		}
-	}
-}
-
-// mergeLeftJoin is the sort-merge left outer join: a single synchronized
-// pass over both sorted operands that emits each left row's matches (or
-// the row itself when none are compatible) in left-major order.
-func mergeLeftJoin(out *Bag, a, b *Bag, seq, verify []int, stopped func() bool, lim *joinLimit) {
-	j := 0
-	i := 0
-	for i < a.rows {
-		ra := a.Row(i)
-		for j < b.rows && compareOn(b.Row(j), ra, seq) < 0 {
-			j++
-			lim.pulled++
-			if stopped() {
-				return
-			}
-		}
-		if j >= b.rows || compareOn(b.Row(j), ra, seq) > 0 {
-			out.Append(ra)
-			i++
-			lim.pulled++
-			if lim.full(out) {
-				return
-			}
-			if stopped() {
-				return
-			}
+	out := NewBag(width)
+	total, live := 0, 0
+	for _, b := range bags {
+		out.Maybe = out.Maybe.Or(b.Maybe)
+		if b.Len() == 0 {
 			continue
 		}
-		i2, j2 := groupEnd(a, i, seq), groupEnd(b, j, seq)
-		lim.pulled += (i2 - i) + (j2 - j)
-		for x := i; x < i2; x++ {
-			rx := a.Row(x)
-			matched := false
-			for y := j; y < j2; y++ {
-				if Compatible(rx, b.Row(y), verify) {
-					matched = true
-					out.AppendMerged(rx, b.Row(y))
-					if lim.full(out) {
-						return
-					}
-				}
-				if stopped() {
-					return
-				}
-			}
-			if !matched {
-				out.Append(rx)
-				if lim.full(out) {
-					return
-				}
-			}
+		if live++; live == 1 {
+			out.Cert, out.Order = b.Cert.Clone(), slices.Clone(b.Order)
+		} else {
+			out.Cert, out.Order = out.Cert.And(b.Cert), nil
 		}
-		i, j = i2, j2
+		total += b.Len()
 	}
+	out.Grow(total)
+	for _, b := range bags {
+		out.AppendAll(b)
+	}
+	return out
 }
 
 // verifyPositions returns the variable positions on which two bags may

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -332,6 +333,34 @@ func TestQuickUnionCommutesUnderMultiset(t *testing.T) {
 		return MultisetEqual(Union(a, b), Union(b, a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickUnionAllIsTheUnionFold pins UnionAll to the left fold of
+// Union from the empty bag it replaces: same rows in the same order,
+// same Cert, Maybe and Order, on zero to five random operands — sorted
+// ones and empty ones (which may still carry claims) included.
+func TestQuickUnionAllIsTheUnionFold(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		bags := make([]*Bag, rng.Intn(6))
+		for i := range bags {
+			bags[i] = randSkewBag(rng, 4)
+			if rng.Intn(4) == 0 {
+				bags[i] = bags[i].View(0, 0) // empty, claims kept
+			}
+		}
+		want := NewBag(4)
+		for _, b := range bags {
+			want = Union(want, b)
+		}
+		got := UnionAll(4, bags...)
+		return slices.Equal(got.data, want.data) && got.rows == want.rows &&
+			slices.Equal(got.Cert, want.Cert) && slices.Equal(got.Maybe, want.Maybe) &&
+			slices.Equal(got.Order, want.Order)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -52,28 +52,17 @@ func randSkewBag(rng *rand.Rand, width int) *Bag {
 	return b
 }
 
-// forcedHashJoin runs the hash-join physical operator regardless of
-// operand orders, with an injectable key hash.
+// forcedHashJoin runs the hash matcher regardless of operand orders,
+// with an injectable key hash.
 func forcedHashJoin(a, b *Bag, hash keyHashFn) *Bag {
-	out := NewBag(a.Width)
-	out.Cert = a.Cert.Or(b.Cert)
-	out.Maybe = a.Maybe.Or(b.Maybe)
-	keys := a.Cert.And(b.Cert).Indices(a.Width)
-	verify := verifyPositions(a, b, keys)
-	hashJoin(out, a, b, keys, verify, never, hash, &joinLimit{max: -1})
-	return out
+	return joinKernel(a, b, modeInner, unlimited, pathHash, hash)
 }
 
-// forcedMergeJoin sorts both operands on the certain keys and runs the
-// merge physical operator.
+// forcedMergeJoin sorts both operands on the certain keys, which makes
+// the dispatch pick the merge matcher.
 func forcedMergeJoin(a, b *Bag) *Bag {
-	out := NewBag(a.Width)
-	out.Cert = a.Cert.Or(b.Cert)
-	out.Maybe = a.Maybe.Or(b.Maybe)
 	keys := a.Cert.And(b.Cert).Indices(a.Width)
-	verify := verifyPositions(a, b, keys)
-	mergeJoin(out, SortBy(a, keys), SortBy(b, keys), keys, verify, never, &joinLimit{max: -1})
-	return out
+	return joinKernel(SortBy(a, keys), SortBy(b, keys), modeInner, unlimited, pathAuto, hashKey)
 }
 
 // TestQuickMergeHashNestedJoinAgree proves the three physical joins —
@@ -248,25 +237,20 @@ func TestHashCollisionProbeVerifiesKeys(t *testing.T) {
 		if len(keys) == 0 {
 			continue
 		}
-		verify := verifyPositions(x, y, keys)
 		if !MultisetEqual(forcedHashJoin(x, y, zero), naiveJoin(x, y)) {
-			t.Fatal("hashJoin relies on hash uniqueness for key equality")
+			t.Fatal("hash join relies on hash uniqueness for key equality")
 		}
-		lj := NewBag(x.Width)
-		lj.Cert = x.Cert.Clone()
-		lj.Maybe = x.Maybe.Or(y.Maybe)
-		hashLeftJoin(lj, x, y, keys, verify, never, zero, &joinLimit{max: -1})
+		lj := joinKernel(x, y, modeLeft, unlimited, pathHash, zero)
 		if !MultisetEqual(lj, naiveLeftJoin(x, y)) {
-			t.Fatal("hashLeftJoin relies on hash uniqueness for key equality")
+			t.Fatal("hash left join relies on hash uniqueness for key equality")
 		}
-		semi, diff := NewBag(x.Width), NewBag(x.Width)
-		semiScan(semi, x, y, true, zero)
-		semiScan(diff, x, y, false, zero)
+		semi := joinKernel(x, y, modeSemi, unlimited, pathHash, zero)
+		diff := joinKernel(x, y, modeAnti, unlimited, pathHash, zero)
 		if semi.Len()+diff.Len() != x.Len() {
-			t.Fatal("semiScan relies on hash uniqueness for key equality")
+			t.Fatal("hash semi/anti join relies on hash uniqueness for key equality")
 		}
 		if !MultisetEqual(SemiJoin(x, y), semi) || !MultisetEqual(Diff(x, y), diff) {
-			t.Fatal("semiScan under constant hash diverges from dispatched result")
+			t.Fatal("semi/anti join under constant hash diverges from dispatched result")
 		}
 	}
 	// Distinct's bucket verification compares full rows on collision.

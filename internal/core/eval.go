@@ -253,11 +253,7 @@ func (ev *evaluator) groupTop(g *GroupNode, incoming *algebra.Bag, max int) *alg
 			o := ev.evalBGP(child, cand, engineCap)
 			r = ev.joinWithTop(r, o, childCap(i))
 		case *UnionNode:
-			branches := ev.fanOut(child.Branches, pickContext(r, incoming))
-			u := algebra.NewBag(ev.width)
-			for _, b := range branches {
-				u = algebra.Union(u, b)
-			}
+			u := algebra.UnionAll(ev.width, ev.fanOut(child.Branches, pickContext(r, incoming))...)
 			if cap := childCap(i); cap >= 0 && r == nil && cap < u.Len() {
 				u = u.View(0, cap)
 			}

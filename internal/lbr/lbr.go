@@ -161,11 +161,11 @@ func (ev *evaluator) group(g *sparql.Group) *algebra.Bag {
 		case *sparql.Group:
 			r = ev.joinWith(r, ev.group(e))
 		case *sparql.Union:
-			u := algebra.NewBag(ev.width)
-			for _, br := range e.Branches {
-				u = algebra.Union(u, ev.group(br))
+			branches := make([]*algebra.Bag, len(e.Branches))
+			for i, br := range e.Branches {
+				branches[i] = ev.group(br)
 			}
-			r = ev.joinWith(r, u)
+			r = ev.joinWith(r, algebra.UnionAll(ev.width, branches...))
 		case *sparql.Optional:
 			optionals = append(optionals, e)
 		}

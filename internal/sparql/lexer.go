@@ -77,7 +77,7 @@ func lex(src string) ([]token, error) {
 			l.emit(token{kind: tokStar, pos: start})
 		case c == '?' || c == '$':
 			l.i++
-			name := l.takeWhile(isNameChar)
+			name := l.takeWhile(IsNameByte)
 			if name == "" {
 				return nil, &Error{start, "empty variable name"}
 			}
@@ -96,9 +96,7 @@ func lex(src string) ([]token, error) {
 			}
 			l.emit(tok)
 		default:
-			word := l.takeWhile(func(r byte) bool {
-				return isNameChar(r) || r == ':' || r == '-' || r == '/' || r == '#'
-			})
+			word := l.takeWhile(IsWordByte)
 			if word == "" {
 				return nil, &Error{start, fmt.Sprintf("unexpected character %q", c)}
 			}
@@ -154,8 +152,24 @@ func isAllDigits(s string) bool {
 	return len(s) > 0
 }
 
-func isNameChar(c byte) bool {
+// The three byte classes that continue a token past its first byte.
+// They are exported so the plan-cache key normalizer strips exactly the
+// comments the lexer skips: '#' starts a comment only where a token
+// would start, and of the three only a word takes it as content.
+
+// IsNameByte reports whether c continues a variable name: a letter,
+// digit or underscore.
+func IsNameByte(c byte) bool {
 	return c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+}
+
+// IsLangTagByte reports whether c continues a literal's @language tag.
+func IsLangTagByte(c byte) bool { return IsNameByte(c) || c == '-' }
+
+// IsWordByte reports whether c continues a word — a keyword, number,
+// prefixed name or ^^datatype name.
+func IsWordByte(c byte) bool {
+	return IsNameByte(c) || c == ':' || c == '-' || c == '/' || c == '#'
 }
 
 func (l *lexer) literal() (token, error) {
@@ -188,7 +202,7 @@ func (l *lexer) literal() (token, error) {
 			// Optional @lang or ^^datatype.
 			if l.i < len(l.src) && l.src[l.i] == '@' {
 				l.i++
-				tok.lang = l.takeWhile(func(r byte) bool { return isNameChar(r) || r == '-' })
+				tok.lang = l.takeWhile(IsLangTagByte)
 				if tok.lang == "" {
 					return token{}, &Error{l.i, "empty language tag"}
 				}
@@ -202,9 +216,7 @@ func (l *lexer) literal() (token, error) {
 					tok.dt = "<" + l.src[l.i+1:l.i+end] + ">"
 					l.i += end + 1
 				} else {
-					tok.dt = l.takeWhile(func(r byte) bool {
-						return isNameChar(r) || r == ':' || r == '-' || r == '/' || r == '#'
-					})
+					tok.dt = l.takeWhile(IsWordByte)
 					if tok.dt == "" {
 						return token{}, &Error{l.i, "missing datatype"}
 					}

@@ -322,8 +322,10 @@ func (p *parser) term(predicatePos bool) (TermOrVar, error) {
 }
 
 func (p *parser) expand(pname string) (string, error) {
-	colon := strings.Index(pname, ":")
-	pfx, local := pname[:colon], pname[colon+1:]
+	pfx, local, ok := strings.Cut(pname, ":")
+	if !ok { // a ^^datatype word: the lexer only vouches for token-level pnames
+		return "", p.errf("expected a prefixed name, got %q", pname)
+	}
 	base, ok := p.prefixes[pfx]
 	if !ok {
 		return "", p.errf("undeclared prefix %q", pfx)

@@ -158,6 +158,7 @@ func TestParseErrors(t *testing.T) {
 		{"empty var", `SELECT ? WHERE { ?x <http://e/p> ?y }`},
 		{"unterminated literal", `SELECT * WHERE { ?x <http://e/p> "abc }`},
 		{"bad prefix decl", `PREFIX <http://e/> SELECT * WHERE { ?x <http://e/p> ?y }`},
+		{"datatype without a colon", `SELECT * WHERE { ?x <http://e/p> "1"^^int }`}, // used to panic
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

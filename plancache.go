@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"strings"
 	"sync"
+
+	"sparqluo/internal/sparql"
 )
 
 // responseCacheCap bounds the encoded response bytes memoized under one
@@ -248,21 +250,25 @@ func (c *planCache) snapshot() cacheStats {
 // terminating newline — crucially, the comment acts as a token
 // separator, so a commented query can never share a key with the
 // uncommented text in which the comment would swallow real tokens.
-// IRI references are preserved byte-for-byte — whitespace and '#'
-// inside <...> are significant. String literals are re-emitted with
-// every lexer-recognized escape in canonical form, so "a\tb" and the
-// same literal holding a raw tab byte — identical queries to the parser
-// — share one entry; a literal the lexer would reject (unknown escape,
-// unterminated) is kept byte-for-byte instead. Two distinct queries can
-// never normalize to the same key: canonical re-encoding is injective
-// on valid literals, and an invalid literal's raw bytes contain a
-// backslash sequence or missing terminator no canonical emission can.
+// A '#' is a comment only where the lexer would begin a token: inside a
+// word (ex:p#a, a ^^xsd:int#x datatype) it is content, while a variable
+// name or language tag ends at it. IRI references are preserved
+// byte-for-byte — whitespace and '#' inside <...> are significant.
+// String literals are re-emitted with every lexer-recognized escape in
+// canonical form, so "a\tb" and the same literal holding a raw tab byte
+// — identical queries to the parser — share one entry; a literal the
+// lexer would reject (unknown escape, unterminated) is kept
+// byte-for-byte instead. Two distinct queries can never normalize to
+// the same key: canonical re-encoding is injective on valid literals,
+// and an invalid literal's raw bytes contain a backslash sequence or
+// missing terminator no canonical emission can.
 func normalizeQueryText(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
-	var quote byte   // '>' while inside an IRI reference
-	pending := false // a space is owed before the next token
-	started := false // a non-space byte has been written
+	var quote byte           // '>' while inside an IRI reference
+	var more func(byte) bool // continues the word, name or tag being copied; nil between tokens
+	pending := false         // a space is owed before the next token
+	started := false         // a non-space byte has been written
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if quote != 0 {
@@ -272,6 +278,11 @@ func normalizeQueryText(s string) string {
 			}
 			continue
 		}
+		if more != nil && more(c) {
+			b.WriteByte(c) // mid-token: '#' is content here
+			continue
+		}
+		more = nil
 		switch c {
 		case ' ', '\t', '\n', '\r':
 			pending = started
@@ -290,10 +301,28 @@ func normalizeQueryText(s string) string {
 			started = true
 			lit, end := canonicalLiteral(s, i)
 			b.WriteString(lit)
+			// The lexer takes a tag or datatype only right behind the
+			// closing quote.
+			switch rest := s[end:]; {
+			case strings.HasPrefix(rest, "@"):
+				b.WriteByte('@')
+				end++
+				more = sparql.IsLangTagByte
+			case strings.HasPrefix(rest, "^^"):
+				b.WriteString("^^")
+				end += 2
+				more = sparql.IsWordByte
+			}
 			i = end - 1
 			continue
 		case '<':
 			quote = '>'
+		case '?', '$':
+			more = sparql.IsNameByte
+		default:
+			if sparql.IsWordByte(c) {
+				more = sparql.IsWordByte
+			}
 		}
 		if pending {
 			b.WriteByte(' ')

@@ -99,6 +99,88 @@ func TestNormalizeQueryTextEscapes(t *testing.T) {
 	}
 }
 
+// TestNormalizeQueryTextHashInsideWord pins where '#' starts a comment:
+// only where the lexer would begin a token. Inside a word — a prefixed
+// name, a ^^datatype name — it is content; a variable name or language
+// tag ends at it.
+func TestNormalizeQueryTextHashInsideWord(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"{ ?x ex:p#a ?y }", "{ ?x ex:p#a ?y }"},
+		{`{ ?x ?p "1"^^xsd:int#x }`, `{ ?x ?p "1"^^xsd:int#x }`},
+		{`{ ?x ?p "1"^^<http://e/int>#x` + "\n}", `{ ?x ?p "1"^^<http://e/int> }`},
+		{"{ ?x#c\n?p ?y }", "{ ?x ?p ?y }"},
+		{"{ ?x:p#a ?y }", "{ ?x:p#a ?y }"}, // the name ends at ':', where a word starts
+		{`{ ?s ?p "a"@en#c` + "\n}", `{ ?s ?p "a"@en }`},
+		{`{ ?s ?p "a"@en-GB#c` + "\n}", `{ ?s ?p "a"@en-GB }`},
+		{`{ ?s ?p "a"#c` + "\n}", `{ ?s ?p "a" }`},
+		{"LIMIT 10#c", "LIMIT 10#c"}, // one (invalid) word, not LIMIT 10
+		{"{ ?s ?p ?o }#c", "{ ?s ?p ?o }"},
+		{"{ ?s ?p ?o .#c\n}", "{ ?s ?p ?o . }"},
+	}
+	for _, c := range cases {
+		if got := normalizeQueryText(c.in); got != c.want {
+			t.Errorf("normalizeQueryText(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// TestPlanCacheHashInsidePrefixedName is the regression test for the
+// key collision: two queries differing only behind a '#' inside a
+// prefixed name shared one cache entry and its memoized response, and a
+// text that is invalid only behind such a '#' was answered from the
+// valid one's entry.
+func TestPlanCacheHashInsidePrefixedName(t *testing.T) {
+	db := Open()
+	if err := db.Load(strings.NewReader(`<http://ex.org/s1> <http://ex.org/p#a> <http://ex.org/o1> .
+<http://ex.org/s1> <http://ex.org/p#b> <http://ex.org/o1> .
+<http://ex.org/s2> <http://ex.org/p#b> <http://ex.org/o2> .
+`)); err != nil {
+		t.Fatal(err)
+	}
+	db.Freeze()
+	const head = `PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE `
+	qa, qb := head+`{ ?x ex:p#a ?y }`, head+`{ ?x ex:p#b ?y }`
+	if normalizeQueryText(qa) == normalizeQueryText(qb) {
+		t.Fatalf("distinct queries share the key %q", normalizeQueryText(qa))
+	}
+
+	h := NewHandler(db, WithPlanCache(4))
+	get := func(query string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, sparqlRequest(context.Background(), query, ""))
+		return rec
+	}
+	for round, wantCache := range []string{"fill", "hit"} {
+		for _, q := range []string{qa, qb} {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := res.WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			rec := get(q)
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Errorf("round %d, %q: status %d, body %q, want %q", round, q, rec.Code, rec.Body, want.Bytes())
+			}
+			if got := rec.Header().Get("X-Result-Cache"); got != wantCache {
+				t.Errorf("round %d, %q: X-Result-Cache %q, want %q", round, q, got, wantCache)
+			}
+		}
+	}
+
+	valid := head + `{ ?x ?p ?y } LIMIT 10`
+	for i := 0; i < 2; i++ { // the second answer is the memoized one
+		if rec := get(valid); rec.Code != http.StatusOK {
+			t.Fatalf("valid query: status %d", rec.Code)
+		}
+	}
+	if rec := get(valid + "#x"); rec.Code != http.StatusBadRequest {
+		t.Errorf("LIMIT 10#x: status %d, want 400 (LIMIT 10 is cached)", rec.Code)
+	}
+}
+
 func TestPlanCacheLRU(t *testing.T) {
 	c := newPlanCache(2)
 	p1, p2, p3 := &Prepared{text: "1"}, &Prepared{text: "2"}, &Prepared{text: "3"}

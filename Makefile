@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test bench-smoke bench-repo race bench bench-store bench-coldstart bench-serve bench-join bench-topk bench-shard bench-update bench-compact bench-json snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
+.PHONY: all build vet fmt-check test bench-smoke bench-repo race bench snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
 
 all: vet fmt-check build test bench-smoke
 
@@ -44,83 +44,14 @@ bench-repo:
 race:
 	$(GO) test -race -timeout 30m ./...
 
+# Every Go benchmark of the module, compiled and run once: the paper's
+# §7 tables and figures (bench_test.go, ablation_bench_test.go) and the
+# micro-benchmarks no BENCHMARK.json metric covers (shard scaling, the
+# interval/never WAL policies, top-k, store accessors, the join family).
+# For real numbers run one family with a real -benchtime, e.g.
+#   go test -run '^$$' -bench 'Join|Distinct' -benchmem -benchtime 2s ./internal/algebra
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Store microbenchmarks: bulk load+freeze and point-lookup paths. CI runs
-# this with -benchtime=1x as a smoke test; use -benchtime=5s locally for
-# real numbers.
-BENCHTIME ?= 1x
-bench-store:
-	$(GO) test ./internal/bench -run '^$$' -bench 'LoadFreeze|Store' -benchtime $(BENCHTIME)
-
-# Cold-start comparison: snapshot open+mmap vs N-Triples parse+freeze
-# on LUBM-13 (the snapshot subsystem's headline number).
-bench-coldstart:
-	$(GO) test ./internal/bench -run '^$$' -bench 'ColdStart' -benchtime $(BENCHTIME)
-
-# Serving-path comparison on the LUBM-13 repeated-template workload:
-# one-shot Query (parse+build+estimate per call) vs prepared execution,
-# and HTTP QPS with cold parsing vs a memoized response vs a warm plan
-# whose answer is too large to memoize vs the direct prepared API (all
-# four BenchmarkServeHTTP cases). CI runs this with -benchtime=1x as a
-# smoke test; use -benchtime=2s locally for real numbers (recorded in
-# the README's "Serving at scale" section).
-bench-serve:
-	$(GO) test . -run '^$$' -bench 'QueryOneShot|PreparedExec|ServeHTTP' -benchtime $(BENCHTIME)
-
-# Join micro-benchmarks: the order-aware merge join vs the hash
-# fallback vs sort+merge on order-compatible operands, plus the arena
-# Distinct. allocs/op is the headline column (merge touches only the
-# output arena). CI runs this with -benchtime=1x as a smoke test; use
-# -benchtime=2s locally for real numbers.
-bench-join:
-	$(GO) test ./internal/algebra -run '^$$' -bench 'Join|Distinct' -benchmem -benchtime $(BENCHTIME)
-
-# Top-k / LIMIT push-down micro-family: full stable sort vs bounded-heap
-# top-k, the output-capped streaming merge join, and the LUBM merge-join
-# query with and without a 20-row window. The -run pattern also executes
-# TestLimitPushdownRowsPulled, which asserts the >= 10x rows-pulled
-# reduction the early-termination path exists to deliver. CI runs this
-# with -benchtime=1x as a smoke test; use -benchtime=2s locally.
-bench-topk:
-	$(GO) test ./internal/bench -run 'LimitPushdown' -bench 'TopK' -benchmem -benchtime $(BENCHTIME)
-
-# Shard scaling on the Fig10 workload: the same queries through a
-# single store and through 2- and 4-way sharded stores with parallel
-# scatter-gather. CI runs this with -benchtime=1x as a smoke test; use
-# -benchtime=2s locally for real numbers.
-bench-shard:
-	$(GO) test ./internal/bench -run '^$$' -bench 'ShardScaling' -benchtime $(BENCHTIME)
-
-# Live-update benchmarks: acknowledged write path (single and batched),
-# compaction fold time, and query latency while a writer streams and the
-# background compactor runs. The LiveWAL family adds the journaled write
-# path under every sync policy plus recovery-replay speed (the
-# wal_durability table in BENCH_<n>.json). CI runs this with
-# -benchtime=1x as a smoke test; use -benchtime=2s locally for real
-# numbers.
-bench-update:
-	$(GO) test ./internal/bench -run '^$$' -bench 'Live' -benchtime $(BENCHTIME)
-
-# Compaction fold comparison: the pre-fold full re-sort rebuild vs the
-# linear merge fold (store.MergeFold) over the same base and delta.
-# The compaction_fold table in BENCH_<n>.json extends this across
-# several base:delta ratios with byte-identity cross-checking. CI runs
-# this with -benchtime=1x as a smoke test; use -benchtime=2s locally
-# for real numbers.
-bench-compact:
-	$(GO) test ./internal/bench -run '^$$' -bench 'CompactionFold' -benchtime $(BENCHTIME)
-
-# Machine-readable bench table: join micro-benchmarks + the Fig10 query
-# workload as JSON, committed per PR (BENCH_<n>.json) so the perf
-# trajectory is diffable across history. The PR number defaults to the
-# CHANGES.md line count (one line per PR — append yours first). CI
-# emits to a scratch path with one repetition as a smoke test.
-BENCHJSON_OUT ?= BENCH_$(shell wc -l < CHANGES.md | tr -d ' ').json
-BENCHJSON_REPS ?= 3
-bench-json:
-	$(GO) run ./cmd/benchjson -reps $(BENCHJSON_REPS) -out $(BENCHJSON_OUT)
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # End-to-end snapshot smoke: generate one dataset in both
 # representations (N-Triples and snapshot image), run the same UO query
@@ -263,6 +194,7 @@ wal-smoke:
 # Short fuzz smoke for every fuzz target; CI runs this with FUZZTIME=10s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sparql/
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalText -fuzztime $(FUZZTIME) ./internal/sparql/
 	$(GO) test -run '^$$' -fuzz FuzzPlanCacheKey -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzNTriples -fuzztime $(FUZZTIME) ./internal/rdf/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) ./internal/snapshot/

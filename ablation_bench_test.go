@@ -13,9 +13,8 @@ import (
 )
 
 // BenchmarkAblationTransforms isolates the contribution of the two
-// BE-tree transformation kinds (DESIGN.md's ablation index): TT with only
-// merge, only inject, both, or neither (base), on the Group 1 queries.
-// Merge targets UNION queries, inject targets OPTIONAL queries; the
+// BE-tree transformation kinds: TT with only merge, only inject, both,
+// or neither (base), on the Group 1 queries. Merge targets UNION queries, inject targets OPTIONAL queries; the
 // per-query ablation shows which transformation carries each speedup.
 func BenchmarkAblationTransforms(b *testing.B) {
 	variants := []struct {

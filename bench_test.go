@@ -2,12 +2,10 @@
 // evaluation (§7). Each benchmark corresponds to one experiment; the
 // sub-benchmark hierarchy mirrors the panels of the figure. Times are the
 // benchmark's ns/op; result sizes and the join-space metric are attached
-// as custom metrics. Run everything with:
+// as custom metrics. This file and ablation_bench_test.go are the one
+// place the paper's numbers are regenerated; one pass over every cell:
 //
-//	go test -bench=. -benchmem
-//
-// See EXPERIMENTS.md for paper-vs-measured shape comparisons and
-// cmd/benchuo for a human-readable rendering of the same data.
+//	go test -run '^$' -bench 'Table|Fig|Ablation' -benchtime 1x .
 package sparqluo_test
 
 import (
@@ -23,10 +21,13 @@ import (
 	"sparqluo/internal/store"
 )
 
-func init() {
-	// The benchmark framework already repeats; disable harness reps.
-	bench.Reps = 1
-}
+// engines are the two BGP execution engines the paper implements on
+// (gStore-style WCO and Jena-style binary join).
+var engines = []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}}
+
+// fig12Scales are the LUBM scale factors (universities) of the
+// scalability study, standing in for the paper's 0.5B–2B triples.
+var fig12Scales = []int{5, 10, 15, 20}
 
 // BenchmarkTable2Stats regenerates Table 2: dataset statistics.
 func BenchmarkTable2Stats(b *testing.B) {
@@ -110,7 +111,7 @@ func benchQueryStats(b *testing.B, dataset string) {
 // BenchmarkFig10Verification regenerates Figure 10: base/TT/CP/full
 // execution time for q1.1–q1.6, per engine and dataset panel.
 func BenchmarkFig10Verification(b *testing.B) {
-	for _, engine := range bench.Engines {
+	for _, engine := range engines {
 		for _, dataset := range []string{"LUBM", "DBpedia"} {
 			st := bench.StoreFor(dataset)
 			for _, q := range bench.Group1(dataset) {
@@ -147,7 +148,7 @@ func BenchmarkFig11JoinSpace(b *testing.B) {
 // BenchmarkFig12Scalability regenerates Figure 12: full's execution time
 // on q1.1–q1.6 across LUBM scale factors.
 func BenchmarkFig12Scalability(b *testing.B) {
-	for _, scale := range bench.Fig12Scales {
+	for _, scale := range fig12Scales {
 		st := bench.LUBMStore(scale)
 		for _, q := range bench.LUBMGroup1 {
 			q := q

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"sparqluo/internal/sparql"
 )
 
 // HandlerOption configures the HTTP endpoint returned by NewHandler.
@@ -407,8 +409,9 @@ func (h *queryEndpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// not to count against the evaluation-concurrency budget. One
 	// Prepared serves every strategy and engine (both are execution
 	// options; estimates are warmed per engine inside it), so the key
-	// is the normalized text alone.
-	key := normalizeQueryText(query)
+	// is the text alone, in the spelling all texts of its token stream
+	// share.
+	key := sparql.CanonicalText(query)
 	// Epoch 0 is a database that is not live, so that enabling live
 	// updates under a handler starts a new generation: the plans built
 	// before hold the frozen store, not the overlay.

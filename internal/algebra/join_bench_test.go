@@ -15,8 +15,8 @@ import (
 // sort is not known, and the sort+merge path when only one side carries
 // its order. allocs/op is the headline: the merge path touches only the
 // output arena, while the hash path also builds the key index. The
-// operands come from benchbags so cmd/benchjson measures the same
-// workload.
+// operands come from benchbags, which the repository benchmark's join
+// kernels (algebra.*_ns_row) draw from too.
 func BenchmarkJoin(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		for _, fanout := range []int{1, 4} {
@@ -86,5 +86,38 @@ func BenchmarkDistinct(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		algebra.Distinct(bag)
+	}
+}
+
+// BenchmarkTopKSortFull vs BenchmarkTopKHeap20: the operator-level pair —
+// a full stable sort of n rows against the bounded max-heap keeping 20.
+func BenchmarkTopKSortFull(b *testing.B) {
+	in := benchbags.SortInput(100000)
+	keys := []algebra.SortKey{{Col: 0}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		algebra.SortByKeys(in, keys)
+	}
+}
+
+func BenchmarkTopKHeap20(b *testing.B) {
+	in := benchbags.SortInput(100000)
+	keys := []algebra.SortKey{{Col: 0}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		algebra.TopK(in, keys, 20)
+	}
+}
+
+// BenchmarkTopKMergeJoin20: early termination inside the streaming
+// merge join — the capped join touches a prefix of both operands.
+func BenchmarkTopKMergeJoin20(b *testing.B) {
+	x, y := benchbags.JoinPair(10000, 4, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		algebra.JoinWith(x, y, algebra.JoinOpts{Max: 20})
 	}
 }

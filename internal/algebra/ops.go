@@ -394,29 +394,9 @@ func (m *matcher) hash(outer, inner *Bag, keys []int, hash keyHashFn) {
 	}
 }
 
-// Union computes Ω1 ∪bag Ω2, concatenating the two bags.
-func Union(a, b *Bag) *Bag {
-	out := NewBag(a.Width)
-	out.Cert = a.Cert.And(b.Cert)
-	out.Maybe = a.Maybe.Or(b.Maybe)
-	if a.Len() == 0 {
-		out.Cert = b.Cert.Clone()
-		out.Order = slices.Clone(b.Order)
-	}
-	if b.Len() == 0 {
-		out.Cert = a.Cert.Clone()
-		out.Order = slices.Clone(a.Order)
-	}
-	out.Grow(a.Len() + b.Len())
-	out.AppendAll(a)
-	out.AppendAll(b)
-	return out
-}
-
-// UnionAll concatenates several bags in one pass: the result of folding
-// Union over them from the empty bag, without re-copying the accumulated
-// rows per operand. Empty operands contribute only their Maybe; Cert is
-// the intersection over the non-empty ones, and a sole non-empty operand
+// UnionAll computes Ω1 ∪bag … ∪bag Ωk, concatenating the bags in one
+// pass. Empty operands contribute only their Maybe; Cert is the
+// intersection over the non-empty ones, and a sole non-empty operand
 // keeps its Order.
 func UnionAll(width int, bags ...*Bag) *Bag {
 	out := NewBag(width)
@@ -555,14 +535,9 @@ func allPositions(width int) []int {
 	return out
 }
 
-// BindingsOf returns the distinct non-None values of variable v across the
-// bag, as a set. Used by candidate pruning (§6).
-func BindingsOf(b *Bag, v int) map[store.ID]struct{} {
-	return BindingsOfCapped(b, v, -1)
-}
-
-// BindingsOfCapped is BindingsOf with an early exit: once the set exceeds
-// cap distinct values it returns nil, bounding the cost of probing large
+// BindingsOfCapped returns the distinct non-None values of variable v
+// across the bag, as a set, for candidate pruning (§6) — or nil once the
+// set exceeds cap distinct values, bounding the cost of probing large
 // intermediate results for candidate sets that would be discarded anyway.
 // cap < 0 means unlimited.
 func BindingsOfCapped(b *Bag, v int, cap int) map[store.ID]struct{} {

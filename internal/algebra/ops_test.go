@@ -103,7 +103,7 @@ func TestJoinNoKeyFallsBackToNestedLoop(t *testing.T) {
 func TestUnionConcatenates(t *testing.T) {
 	a := mkBag(2, []int{1, 2})
 	b := mkBag(2, []int{1, 2}, []int{3, 0})
-	got := Union(a, b)
+	got := UnionAll(2, a, b)
 	if got.Len() != 3 {
 		t.Errorf("union len = %d, want 3", got.Len())
 	}
@@ -316,7 +316,7 @@ func TestQuickLeftJoinDefinition(t *testing.T) {
 		const width = 4
 		a, b := randBag(rng, width), randBag(rng, width)
 		lhs := LeftJoin(a, b)
-		rhs := Union(Join(a, b), Diff(a, b))
+		rhs := UnionAll(width, Join(a, b), Diff(a, b))
 		return MultisetEqual(lhs, rhs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -330,17 +330,36 @@ func TestQuickUnionCommutesUnderMultiset(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randBag(rng, 3), randBag(rng, 3)
-		return MultisetEqual(Union(a, b), Union(b, a))
+		return MultisetEqual(UnionAll(3, a, b), UnionAll(3, b, a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
+// unionPair is the two-operand ∪bag UnionAll generalizes, kept as the
+// reference it is folded against.
+func unionPair(a, b *Bag) *Bag {
+	out := NewBag(a.Width)
+	out.Cert = a.Cert.And(b.Cert)
+	out.Maybe = a.Maybe.Or(b.Maybe)
+	if a.Len() == 0 {
+		out.Cert = b.Cert.Clone()
+		out.Order = slices.Clone(b.Order)
+	}
+	if b.Len() == 0 {
+		out.Cert = a.Cert.Clone()
+		out.Order = slices.Clone(a.Order)
+	}
+	out.AppendAll(a)
+	out.AppendAll(b)
+	return out
+}
+
 // TestQuickUnionAllIsTheUnionFold pins UnionAll to the left fold of
-// Union from the empty bag it replaces: same rows in the same order,
-// same Cert, Maybe and Order, on zero to five random operands — sorted
-// ones and empty ones (which may still carry claims) included.
+// unionPair from the empty bag: same rows in the same order, same Cert,
+// Maybe and Order, on zero to five random operands — sorted ones and
+// empty ones (which may still carry claims) included.
 func TestQuickUnionAllIsTheUnionFold(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -353,7 +372,7 @@ func TestQuickUnionAllIsTheUnionFold(t *testing.T) {
 		}
 		want := NewBag(4)
 		for _, b := range bags {
-			want = Union(want, b)
+			want = unionPair(want, b)
 		}
 		got := UnionAll(4, bags...)
 		return slices.Equal(got.data, want.data) && got.rows == want.rows &&

@@ -199,7 +199,7 @@ func TestQuickOperatorOrderClaimsSound(t *testing.T) {
 			check(t, "leftjoin", LeftJoin(a, b)) &&
 			check(t, "semijoin", SemiJoin(a, b)) &&
 			check(t, "diff", Diff(a, b)) &&
-			check(t, "union", Union(a, b)) &&
+			check(t, "union", UnionAll(4, a, b)) &&
 			check(t, "distinct", Distinct(a)) &&
 			check(t, "project", Project(a, []int{0, 2})) &&
 			check(t, "sortby", SortBy(a, []int{1, 3}))

@@ -1,7 +1,9 @@
-// Package bench is the experiment harness: it owns the benchmark query
-// catalog (Appendix A of the paper, adapted to the synthetic generators'
-// scale), builds and caches the datasets, runs the four strategies and
-// the LBR baseline, and prints every table and figure of §7.
+// Package bench is what the paper's experiments (§7) run on, shared by
+// the Go benchmarks that regenerate its tables and figures, the tests
+// that check all strategies and stores against each other, and the
+// repository benchmark: the query catalog of Appendix A, adapted to the
+// synthetic generators' scale, and the generated datasets, built once
+// per scale.
 package bench
 
 import (
@@ -12,16 +14,16 @@ import (
 	"sparqluo/internal/store"
 )
 
-// Default experiment scales (laptop-sized stand-ins for the paper's
-// 0.5–2B-triple datasets; see DESIGN.md for the substitution rationale).
+// Default experiment scales: laptop-sized stand-ins for the paper's
+// 0.5–2B-triple datasets.
 const (
-	// DefaultLUBMUniversities is the LUBM scale factor used by Tables
+	// defaultLUBMUniversities is the LUBM scale factor used by Tables
 	// 3/4 and Figures 10/11/13. 13 universities guarantee that
 	// University12 (referenced by q2.5/q2.6) exists.
-	DefaultLUBMUniversities = 13
-	// DefaultDBpediaEntities is the article count of the DBpedia-like
+	defaultLUBMUniversities = 13
+	// defaultDBpediaEntities is the article count of the DBpedia-like
 	// dataset.
-	DefaultDBpediaEntities = 12000
+	defaultDBpediaEntities = 12000
 )
 
 var (
@@ -45,9 +47,9 @@ func LUBMStore(universities int) *store.Store {
 	return st
 }
 
-// DBpediaStore returns a frozen store over a generated DBpedia-like
+// dbpediaStore returns a frozen store over a generated DBpedia-like
 // dataset with the given number of entities, cached per scale.
-func DBpediaStore(entities int) *store.Store {
+func dbpediaStore(entities int) *store.Store {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if st, ok := dbpCache[entities]; ok {
@@ -58,4 +60,12 @@ func DBpediaStore(entities int) *store.Store {
 	st.Freeze()
 	dbpCache[entities] = st
 	return st
+}
+
+// StoreFor returns the default experiment store for a dataset name.
+func StoreFor(dataset string) *store.Store {
+	if dataset == "DBpedia" {
+		return dbpediaStore(defaultDBpediaEntities)
+	}
+	return LUBMStore(defaultLUBMUniversities)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"sparqluo/internal/algebra"
@@ -11,13 +12,24 @@ import (
 	"sparqluo/internal/store"
 )
 
+// execOnce is the one-shot query path: a fresh plan built from the
+// parsed query and executed once on a worker pool of the given size
+// (0 = GOMAXPROCS).
+func execOnce(parsed *sparql.Query, st store.Reader, engine exec.Engine, strat core.Strategy, parallelism int) (*core.Result, error) {
+	plan, err := core.BuildPlan(parsed, st)
+	if err != nil {
+		return nil, err
+	}
+	return core.ExecPlan(context.Background(), plan, engine, strat, core.ExecOptions{Parallelism: parallelism})
+}
+
 // smallStores returns reduced-scale datasets so the full cross-product of
 // strategies×engines stays fast in -short runs.
 func smallStores(t testing.TB) map[string]*store.Store {
 	t.Helper()
 	return map[string]*store.Store{
 		"LUBM":    LUBMStore(13),
-		"DBpedia": DBpediaStore(1500),
+		"DBpedia": dbpediaStore(1500),
 	}
 }
 
@@ -37,9 +49,9 @@ func TestStrategyEquivalence(t *testing.T) {
 			}
 			var ref *algebra.Bag
 			var refName string
-			for _, engine := range Engines {
+			for _, engine := range []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}} {
 				for _, strat := range core.Strategies {
-					res, err := ExecOnce(parsed, st, engine, strat, 1)
+					res, err := execOnce(parsed, st, engine, strat, 1)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", engine.Name(), strat, err)
 					}
@@ -73,7 +85,7 @@ func TestLBREquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				full, err := ExecOnce(parsed, st, exec.WCOEngine{}, core.Full, 1)
+				full, err := execOnce(parsed, st, exec.WCOEngine{}, core.Full, 1)
 				if err != nil {
 					t.Fatalf("full: %v", err)
 				}
@@ -144,11 +156,15 @@ func TestQueriesProduceResults(t *testing.T) {
 	for _, dataset := range []string{"LUBM", "DBpedia"} {
 		st := StoreFor(dataset)
 		for _, q := range Group1(dataset) {
-			m, err := RunOne(st, q, exec.WCOEngine{}, core.Full)
+			parsed, err := sparql.Parse(q.Text)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", dataset, q.ID, err)
 			}
-			if m.Results == 0 {
+			res, err := execOnce(parsed, st, exec.WCOEngine{}, core.Full, 1)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", dataset, q.ID, err)
+			}
+			if res.Bag.Len() == 0 {
 				t.Errorf("%s/%s: empty result set", dataset, q.ID)
 			}
 		}

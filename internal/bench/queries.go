@@ -5,8 +5,7 @@ package bench
 // nesting, variable topology — is reproduced exactly; the only adaptation
 // is that entity-constant indexes (e.g. UndergraduateStudent91) are
 // remapped to constants that exist at the synthetic generators' scale,
-// preserving each constant's selectivity role. EXPERIMENTS.md records the
-// substitutions.
+// preserving each constant's selectivity role.
 
 // Query is one benchmark query.
 type Query struct {
@@ -89,8 +88,8 @@ SELECT * WHERE {
   OPTIONAL { { ?v7 ub:headOf ?v1 . } UNION { ?v7 ub:worksFor ?v1 . } } }`},
 }
 
-// LUBMGroup2 is q2.1–q2.6 on LUBM, the LBR comparison set (§7.2).
-var LUBMGroup2 = []Query{
+// lubmGroup2 is q2.1–q2.6 on LUBM, the LBR comparison set (§7.2).
+var lubmGroup2 = []Query{
 	{"q2.1", "LUBM", "O", lubmPrefixes + `
 SELECT * WHERE {
   { ?st ub:teachingAssistantOf ?course .
@@ -131,8 +130,8 @@ SELECT * WHERE {
   OPTIONAL { ?x ub:emailAddress ?y1 . ?x ub:telephone ?y2 . ?x ub:name ?y3 . } }`},
 }
 
-// DBpediaGroup1 is q1.1–q1.6 on DBpedia (§7.1).
-var DBpediaGroup1 = []Query{
+// dbpediaGroup1 is q1.1–q1.6 on DBpedia (§7.1).
+var dbpediaGroup1 = []Query{
 	{"q1.1", "DBpedia", "U", dbpPrefixes + `
 SELECT * WHERE {
   { ?v3 rdfs:label ?v7 . } UNION { ?v3 foaf:name ?v7 . }
@@ -192,8 +191,8 @@ SELECT * WHERE {
       { ?v7 foaf:primaryTopic ?v5 . } UNION { ?v5 foaf:isPrimaryTopicOf ?v7 . } } } }`},
 }
 
-// DBpediaGroup2 is q2.1–q2.6 on DBpedia, the LBR comparison set (§7.2).
-var DBpediaGroup2 = []Query{
+// dbpediaGroup2 is q2.1–q2.6 on DBpedia, the LBR comparison set (§7.2).
+var dbpediaGroup2 = []Query{
 	{"q2.1", "DBpedia", "O", dbpPrefixes + `
 SELECT * WHERE {
   { ?v6 a dbo:PopulatedPlace . ?v6 dbo:abstract ?v1 .
@@ -238,7 +237,7 @@ SELECT * WHERE {
 // Group1 returns q1.1–q1.6 for the named dataset.
 func Group1(dataset string) []Query {
 	if dataset == "DBpedia" {
-		return DBpediaGroup1
+		return dbpediaGroup1
 	}
 	return LUBMGroup1
 }
@@ -246,17 +245,17 @@ func Group1(dataset string) []Query {
 // Group2 returns q2.1–q2.6 for the named dataset.
 func Group2(dataset string) []Query {
 	if dataset == "DBpedia" {
-		return DBpediaGroup2
+		return dbpediaGroup2
 	}
-	return LUBMGroup2
+	return lubmGroup2
 }
 
 // AllQueries returns the full 24-query catalog.
 func AllQueries() []Query {
 	var out []Query
 	out = append(out, LUBMGroup1...)
-	out = append(out, LUBMGroup2...)
-	out = append(out, DBpediaGroup1...)
-	out = append(out, DBpediaGroup2...)
+	out = append(out, lubmGroup2...)
+	out = append(out, dbpediaGroup1...)
+	out = append(out, dbpediaGroup2...)
 	return out
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"sparqluo/internal/core"
+	"sparqluo/internal/exec"
 	"sparqluo/internal/sparql"
+	"sparqluo/internal/store"
 )
 
 // BenchmarkShardScaling runs the Fig10 workload through 1-, 2- and
@@ -14,8 +16,10 @@ import (
 // store (it must stay negligible: a single shard's accessors hand back
 // its views zero-copy); k=2 and k=4 show the scatter-gather speedup on scan-heavy
 // queries. Every run is checked against the single store's result size,
-// so a shard that drops or duplicates rows fails the benchmark.
+// so a shard that drops or duplicates rows fails the benchmark. It is
+// the only sharded traffic any benchmark of this repository generates.
 func BenchmarkShardScaling(b *testing.B) {
+	engine := exec.WCOEngine{}
 	for _, dataset := range []string{"LUBM"} {
 		st := StoreFor(dataset)
 		for _, q := range Group1(dataset) {
@@ -23,18 +27,23 @@ func BenchmarkShardScaling(b *testing.B) {
 			if err != nil {
 				b.Fatalf("%s: %v", q.ID, err)
 			}
-			ref, err := ExecOnce(parsed, st, Engines[0], core.Full, 1)
+			ref, err := execOnce(parsed, st, engine, core.Full, 1)
 			if err != nil {
 				b.Fatalf("%s: %v", q.ID, err)
 			}
 			for _, k := range []int{1, 2, 4} {
-				rd, err := Sharded(st, k)
+				// What OpenShards assembles from a manifest, built in memory.
+				shards, bounds, err := st.ShardBySubject(k)
 				if err != nil {
-					b.Fatalf("Sharded(%d): %v", k, err)
+					b.Fatalf("ShardBySubject(%d): %v", k, err)
+				}
+				rd, err := store.NewShardedStore(shards, bounds, st.Stats())
+				if err != nil {
+					b.Fatalf("NewShardedStore(%d): %v", k, err)
 				}
 				b.Run(fmt.Sprintf("%s/%s/k=%d", dataset, q.ID, k), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						res, err := ExecOnce(parsed, rd, Engines[0], core.Full, 0)
+						res, err := execOnce(parsed, rd, engine, core.Full, 0)
 						if err != nil {
 							b.Fatal(err)
 						}

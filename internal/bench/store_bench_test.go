@@ -4,48 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"sparqluo/internal/lubm"
-	"sparqluo/internal/rdf"
 	"sparqluo/internal/store"
 )
-
-// lubmTriples generates the default LUBM benchmark dataset once per
-// benchmark binary.
-var lubmTriples []rdf.Triple
-
-func benchTriples(b *testing.B) []rdf.Triple {
-	b.Helper()
-	if lubmTriples == nil {
-		lubmTriples = lubm.Generate(lubm.DefaultConfig(DefaultLUBMUniversities))
-	}
-	return lubmTriples
-}
-
-func frozenStore(b *testing.B) *store.Store {
-	b.Helper()
-	return LUBMStore(DefaultLUBMUniversities)
-}
-
-// BenchmarkLoadFreeze measures bulk load plus Freeze on the LUBM default
-// dataset: the per-Add duplicate scan of the map-based layout made this
-// path quadratic in the worst case; the columnar layout defers
-// deduplication to one sort+compact pass.
-func BenchmarkLoadFreeze(b *testing.B) {
-	triples := benchTriples(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := store.New()
-		st.AddAll(triples)
-		st.Freeze()
-		if i == 0 {
-			b.StopTimer()
-			b.Logf("store: %s", st.MemStats())
-			b.StartTimer()
-		}
-	}
-	b.ReportMetric(float64(len(triples)), "triples/op")
-}
 
 // benchProbes returns pseudo-random existing triples to drive point
 // lookups; the seed is fixed so runs are comparable.
@@ -63,7 +23,7 @@ func benchProbes(b *testing.B, st *store.Store, n int) []store.EncTriple {
 // BenchmarkStoreContains measures the ground-triple membership probe
 // (binary search on the SPO permutation).
 func BenchmarkStoreContains(b *testing.B) {
-	st := frozenStore(b)
+	st := StoreFor("LUBM")
 	probes := benchProbes(b, st, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,7 +36,7 @@ func BenchmarkStoreContains(b *testing.B) {
 
 // BenchmarkStoreObjectsSP measures the (s p ?) point lookup.
 func BenchmarkStoreObjectsSP(b *testing.B) {
-	st := frozenStore(b)
+	st := StoreFor("LUBM")
 	probes := benchProbes(b, st, 1024)
 	b.ResetTimer()
 	var n int
@@ -91,7 +51,7 @@ func BenchmarkStoreObjectsSP(b *testing.B) {
 
 // BenchmarkStoreSubjectsPO measures the (? p o) point lookup.
 func BenchmarkStoreSubjectsPO(b *testing.B) {
-	st := frozenStore(b)
+	st := StoreFor("LUBM")
 	probes := benchProbes(b, st, 1024)
 	b.ResetTimer()
 	var n int
@@ -111,7 +71,7 @@ var benchSink int
 // BenchmarkStorePredicateScan measures the full (? p ?) range scan over
 // the POS permutation, the bulk access path of both engines.
 func BenchmarkStorePredicateScan(b *testing.B) {
-	st := frozenStore(b)
+	st := StoreFor("LUBM")
 	probes := benchProbes(b, st, 64)
 	b.ResetTimer()
 	var n int

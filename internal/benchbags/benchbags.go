@@ -1,7 +1,7 @@
-// Package benchbags builds the synthetic join operands shared by the
-// algebra join micro-benchmarks (`make bench-join`) and cmd/benchjson
-// (the committed BENCH_<n>.json), so both report the same workload and
-// their numbers stay comparable.
+// Package benchbags builds the synthetic join and sort operands shared
+// by the algebra micro-benchmarks (BenchmarkJoin, BenchmarkTopK* …) and
+// the repository benchmark's kernels (algebra.*_ns_row), so both report
+// the same workload and their numbers stay comparable.
 package benchbags
 
 import (

@@ -1,12 +1,10 @@
-package bench
+package core
 
 import (
 	"context"
 	"testing"
 
-	"sparqluo/internal/algebra"
-	"sparqluo/internal/benchbags"
-	"sparqluo/internal/core"
+	"sparqluo/internal/bench"
 	"sparqluo/internal/exec"
 	"sparqluo/internal/sparql"
 )
@@ -18,20 +16,20 @@ import (
 const topkJoinQuery = `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
 SELECT * WHERE { ?x ub:worksFor ?y . ?z ub:memberOf ?y }`
 
-// runTopK executes topkJoinQuery on the cached LUBM store with the
+// runTopK executes topkJoinQuery on the cached LUBM-13 store with the
 // binary engine and the given window, returning the result.
-func runTopK(tb testing.TB, opts core.ExecOptions) *core.Result {
+func runTopK(tb testing.TB, opts ExecOptions) *Result {
 	tb.Helper()
-	st := LUBMStore(DefaultLUBMUniversities)
+	st := bench.StoreFor("LUBM")
 	parsed, err := sparql.Parse(topkJoinQuery)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plan, err := core.BuildPlan(parsed, st)
+	plan, err := BuildPlan(parsed, st)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := core.ExecPlan(context.Background(), plan, exec.BinaryJoinEngine{}, core.Base, opts)
+	res, err := ExecPlan(context.Background(), plan, exec.BinaryJoinEngine{}, Base, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,8 +41,8 @@ func runTopK(tb testing.TB, opts core.ExecOptions) *core.Result {
 // rows than running the same plan to completion, and the rows it does
 // return must be the exact prefix of the full result.
 func TestLimitPushdownRowsPulled(t *testing.T) {
-	full := runTopK(t, core.ExecOptions{Parallelism: 1})
-	capped := runTopK(t, core.ExecOptions{Parallelism: 1, Limit: 20, LimitSet: true})
+	full := runTopK(t, ExecOptions{Parallelism: 1})
+	capped := runTopK(t, ExecOptions{Parallelism: 1, Limit: 20, LimitSet: true})
 	if capped.Bag.Len() != 20 {
 		t.Fatalf("capped run returned %d rows, want 20", capped.Bag.Len())
 	}
@@ -67,50 +65,17 @@ func TestLimitPushdownRowsPulled(t *testing.T) {
 // BenchmarkTopKQueryFull and BenchmarkTopKQueryLimit20 bracket the
 // query-level win: same plan, same engine, with and without the window.
 func BenchmarkTopKQueryFull(b *testing.B) {
-	runTopK(b, core.ExecOptions{Parallelism: 1}) // warm the dataset cache
+	runTopK(b, ExecOptions{Parallelism: 1}) // warm the dataset cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runTopK(b, core.ExecOptions{Parallelism: 1})
+		runTopK(b, ExecOptions{Parallelism: 1})
 	}
 }
 
 func BenchmarkTopKQueryLimit20(b *testing.B) {
-	runTopK(b, core.ExecOptions{Parallelism: 1})
+	runTopK(b, ExecOptions{Parallelism: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runTopK(b, core.ExecOptions{Parallelism: 1, Limit: 20, LimitSet: true})
-	}
-}
-
-// BenchmarkTopKSortFull vs BenchmarkTopKHeap20: the operator-level pair —
-// a full stable sort of n rows against the bounded max-heap keeping 20.
-func BenchmarkTopKSortFull(b *testing.B) {
-	in := benchbags.SortInput(100000)
-	keys := []algebra.SortKey{{Col: 0}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algebra.SortByKeys(in, keys)
-	}
-}
-
-func BenchmarkTopKHeap20(b *testing.B) {
-	in := benchbags.SortInput(100000)
-	keys := []algebra.SortKey{{Col: 0}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algebra.TopK(in, keys, 20)
-	}
-}
-
-// BenchmarkTopKMergeJoin20: early termination inside the streaming
-// merge join — the capped join touches a prefix of both operands.
-func BenchmarkTopKMergeJoin20(b *testing.B) {
-	x, y := benchbags.JoinPair(10000, 4, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algebra.JoinWith(x, y, algebra.JoinOpts{Max: 20})
+		runTopK(b, ExecOptions{Parallelism: 1, Limit: 20, LimitSet: true})
 	}
 }

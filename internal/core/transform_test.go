@@ -137,6 +137,33 @@ func TestInjectBlockedByUncoveredOptionalVar(t *testing.T) {
 	}
 }
 
+// TestBGPCoalescable pins Definition 3/4: two BGPs coalesce when some
+// pair of their patterns shares a subject/object variable; a shared
+// predicate variable does not count.
+func TestBGPCoalescable(t *testing.T) {
+	const x, y, z, a, b, p = 0, 1, 2, 3, 4, 5
+	v, c := exec.Var, exec.Const
+	tp := func(s, p, o exec.Pos) exec.BGP { return exec.BGP{{S: s, P: p, O: o}} }
+	cases := []struct {
+		a, b exec.BGP
+		want bool
+	}{
+		{tp(v(x), c(1), v(y)), tp(v(y), c(2), v(z)), true},  // shared ?y
+		{tp(v(x), c(1), v(y)), tp(v(a), c(2), v(b)), false}, // disjoint
+		{tp(v(x), c(1), c(9)), tp(c(9), c(2), v(x)), true},  // shared ?x
+		{tp(v(x), v(p), v(y)), tp(v(a), v(p), v(b)), false}, // predicate variables do not count
+		{tp(c(7), c(1), c(9)), tp(c(7), c(1), c(9)), false}, // no variables at all
+		{tp(v(x), c(1), v(x)), tp(v(a), c(2), v(x)), true},  // ?x at both ends of one pattern
+		{append(tp(v(x), c(1), v(y)), tp(v(z), c(1), c(9))...), // any pair of patterns suffices
+			tp(v(a), c(2), v(z)), true},
+	}
+	for i, tc := range cases {
+		if got := bgpCoalescable(tc.a, tc.b); got != tc.want {
+			t.Errorf("case %d: bgpCoalescable = %v, want %v", i, got, tc.want)
+		}
+	}
+}
+
 func TestMergeRequiresCoalescableBranch(t *testing.T) {
 	st := chainStore(t)
 	// The UNION branches share no subject/object variable with the BGP.

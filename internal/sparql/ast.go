@@ -56,33 +56,6 @@ func (t TriplePattern) Vars() []string {
 	return out
 }
 
-// SubjObjVars returns variable names occurring at the subject or object
-// position; Definition 3's coalescability test inspects only these.
-func (t TriplePattern) SubjObjVars() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, tv := range []TermOrVar{t.S, t.O} {
-		if tv.IsVar && !seen[tv.Var] {
-			seen[tv.Var] = true
-			out = append(out, tv.Var)
-		}
-	}
-	return out
-}
-
-// Coalescable reports whether two triple patterns share a subject/object
-// variable (Definition 3).
-func Coalescable(a, b TriplePattern) bool {
-	for _, x := range a.SubjObjVars() {
-		for _, y := range b.SubjObjVars() {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Element is one syntactic constituent of a group graph pattern, in source
 // order: a triple pattern, a nested group, a UNION chain, or an OPTIONAL.
 type Element interface{ isElement() }

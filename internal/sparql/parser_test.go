@@ -169,33 +169,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestCoalescableTriplePatterns(t *testing.T) {
-	tp := func(s, p, o string) TriplePattern {
-		mk := func(x string) TermOrVar {
-			if strings.HasPrefix(x, "?") {
-				return Variable(x[1:])
-			}
-			return Ground(rdf.NewIRI(x))
-		}
-		return TriplePattern{S: mk(s), P: mk(p), O: mk(o)}
-	}
-	cases := []struct {
-		a, b TriplePattern
-		want bool
-	}{
-		{tp("?x", "p", "?y"), tp("?y", "q", "?z"), true},    // shared ?y
-		{tp("?x", "p", "?y"), tp("?a", "q", "?b"), false},   // disjoint
-		{tp("?x", "p", "c"), tp("c", "q", "?x"), true},      // shared ?x
-		{tp("?x", "?p", "?y"), tp("?a", "?p", "?b"), false}, // predicate vars don't count (Def. 3)
-		{tp("s", "p", "o"), tp("s", "p", "o"), false},       // no variables at all
-	}
-	for i, tc := range cases {
-		if got := Coalescable(tc.a, tc.b); got != tc.want {
-			t.Errorf("case %d: Coalescable = %v, want %v", i, got, tc.want)
-		}
-	}
-}
-
 func TestQueryStringRoundTrip(t *testing.T) {
 	src := `SELECT ?x WHERE {
 		?x <http://e/p> ?y .
@@ -221,10 +194,6 @@ func TestTriplePatternVars(t *testing.T) {
 	vars := tp.Vars()
 	if len(vars) != 2 {
 		t.Errorf("Vars = %v, want [x p]", vars)
-	}
-	so := tp.SubjObjVars()
-	if len(so) != 1 || so[0] != "x" {
-		t.Errorf("SubjObjVars = %v, want [x]", so)
 	}
 }
 

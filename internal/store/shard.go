@@ -152,9 +152,6 @@ func (sh *ShardedStore) NumShards() int { return len(sh.shards) }
 // Shard returns shard i (ascending subject ranges).
 func (sh *ShardedStore) Shard(i int) *Store { return sh.shards[i] }
 
-// Bounds returns the subject-range cut points (len NumShards()+1).
-func (sh *ShardedStore) Bounds() []ID { return sh.bounds }
-
 // ShardFor returns the shard owning subject s.
 func (sh *ShardedStore) ShardFor(s ID) *Store {
 	i := sort.Search(len(sh.shards), func(i int) bool { return sh.bounds[i+1] > s })

@@ -12,117 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sparqluo/internal/sparql"
 )
-
-func TestNormalizeQueryText(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"SELECT * WHERE { ?s ?p ?o }", "SELECT * WHERE { ?s ?p ?o }"},
-		{"  SELECT\t*\nWHERE  {\n?s ?p ?o\n}\n", "SELECT * WHERE { ?s ?p ?o }"},
-		// Whitespace inside string literals is significant: two queries
-		// differing only inside quotes must not share a key.
-		{`SELECT * WHERE { ?s ?p "a  b" }`, `SELECT * WHERE { ?s ?p "a  b" }`},
-		{`SELECT * WHERE { ?s ?p "a b" }`, `SELECT * WHERE { ?s ?p "a b" }`},
-		// Escaped quote inside a literal does not end it.
-		{`{ ?s ?p "a\"  b" }  x`, `{ ?s ?p "a\"  b" } x`},
-		// IRI refs are preserved verbatim too.
-		{"{ ?s <http://e/p>   ?o }", "{ ?s <http://e/p> ?o }"},
-		// Comments are lexically insignificant (the lexer discards them
-		// up to the newline) and act as token separators.
-		{"SELECT * # pick all\nWHERE { ?s ?p ?o }", "SELECT * WHERE { ?s ?p ?o }"},
-		{"{ ?x <http://e/p> ?y . # note\n?y <http://e/q> ?z }", "{ ?x <http://e/p> ?y . ?y <http://e/q> ?z }"},
-		// ... but '#' inside an IRI or literal is content, not a comment.
-		{"{ ?s <http://e/p#frag>  ?o }", "{ ?s <http://e/p#frag> ?o }"},
-		{`{ ?s ?p "a # b" }`, `{ ?s ?p "a # b" }`},
-		// A trailing comment with no newline runs to end of text.
-		{"SELECT * WHERE { ?s ?p ?o } # done", "SELECT * WHERE { ?s ?p ?o }"},
-		{"", ""},
-		{"   ", ""},
-	}
-	for _, c := range cases {
-		if got := normalizeQueryText(c.in); got != c.want {
-			t.Errorf("normalizeQueryText(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-	a := normalizeQueryText(`SELECT * WHERE { ?s ?p "a  b" }`)
-	b := normalizeQueryText(`SELECT * WHERE { ?s ?p "a b" }`)
-	if a == b {
-		t.Error("literal-content whitespace collapsed: distinct queries share a key")
-	}
-	// A commented multi-line query and its single-line flattening — in
-	// which the comment swallows the trailing tokens — are different
-	// queries and must not share a key.
-	multi := normalizeQueryText("{ ?x <http://e/p> ?y . # note\n?y <http://e/q> ?z }")
-	flat := normalizeQueryText("{ ?x <http://e/p> ?y . # note ?y <http://e/q> ?z }")
-	if multi == flat {
-		t.Error("comment-terminating newline collapsed: distinct queries share a key")
-	}
-}
-
-func TestNormalizeQueryTextEscapes(t *testing.T) {
-	// The lexer decodes \n \t \r \" \\ inside literals, so a query
-	// spelling a tab as "\t" and one holding the raw byte are the same
-	// query and must share a cache key.
-	same := [][2]string{
-		{`{ ?s ?p "a\tb" }`, "{ ?s ?p \"a\tb\" }"},
-		{`{ ?s ?p "a\nb" }`, "{ ?s ?p \"a\nb\" }"},
-		{`{ ?s ?p "a\rb" }`, "{ ?s ?p \"a\rb\" }"},
-	}
-	for _, c := range same {
-		if a, b := normalizeQueryText(c[0]), normalizeQueryText(c[1]); a != b {
-			t.Errorf("equivalent literals get distinct keys: %q=%q vs %q=%q", c[0], a, c[1], b)
-		}
-	}
-	// Canonical form is stable: normalizing twice changes nothing.
-	for _, in := range []string{
-		`{ ?s ?p "a\tb" }`, `{ ?s ?p "q\"uo\\te" }`, `{ ?s ?p "plain" }`,
-	} {
-		once := normalizeQueryText(in)
-		if twice := normalizeQueryText(once); twice != once {
-			t.Errorf("not idempotent: %q -> %q -> %q", in, once, twice)
-		}
-	}
-	// Distinct queries must never collide, even when one spells out the
-	// escape the other's content resembles.
-	distinct := [][2]string{
-		{`{ ?s ?p "a\tb" }`, `{ ?s ?p "atb" }`},
-		{`{ ?s ?p "a\\tb" }`, `{ ?s ?p "a\tb" }`},   // literal backslash-t vs tab
-		{`{ ?s ?p "a\\nb" }`, "{ ?s ?p \"a\nb\" }"}, // literal backslash-n vs newline
-		{`{ ?s ?p "a\"b" }`, `{ ?s ?p "a" }`},       // escaped quote is content
-		{`{ ?s ?p "a\xb" }`, `{ ?s ?p "axb" }`},     // invalid escape stays raw
-		{`{ ?s ?p "a\xb" }`, `{ ?s ?p "a\\xb" }`},   // ... and differs from the valid spelling
-		{`{ ?s ?p "unterminated`, `{ ?s ?p "unterminated"`},
-	}
-	for _, c := range distinct {
-		if a, b := normalizeQueryText(c[0]), normalizeQueryText(c[1]); a == b {
-			t.Errorf("distinct queries share key %q: %q vs %q", a, c[0], c[1])
-		}
-	}
-}
-
-// TestNormalizeQueryTextHashInsideWord pins where '#' starts a comment:
-// only where the lexer would begin a token. Inside a word — a prefixed
-// name, a ^^datatype name — it is content; a variable name or language
-// tag ends at it.
-func TestNormalizeQueryTextHashInsideWord(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"{ ?x ex:p#a ?y }", "{ ?x ex:p#a ?y }"},
-		{`{ ?x ?p "1"^^xsd:int#x }`, `{ ?x ?p "1"^^xsd:int#x }`},
-		{`{ ?x ?p "1"^^<http://e/int>#x` + "\n}", `{ ?x ?p "1"^^<http://e/int> }`},
-		{"{ ?x#c\n?p ?y }", "{ ?x ?p ?y }"},
-		{"{ ?x:p#a ?y }", "{ ?x:p#a ?y }"}, // the name ends at ':', where a word starts
-		{`{ ?s ?p "a"@en#c` + "\n}", `{ ?s ?p "a"@en }`},
-		{`{ ?s ?p "a"@en-GB#c` + "\n}", `{ ?s ?p "a"@en-GB }`},
-		{`{ ?s ?p "a"#c` + "\n}", `{ ?s ?p "a" }`},
-		{"LIMIT 10#c", "LIMIT 10#c"}, // one (invalid) word, not LIMIT 10
-		{"{ ?s ?p ?o }#c", "{ ?s ?p ?o }"},
-		{"{ ?s ?p ?o .#c\n}", "{ ?s ?p ?o . }"},
-	}
-	for _, c := range cases {
-		if got := normalizeQueryText(c.in); got != c.want {
-			t.Errorf("normalizeQueryText(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
 
 // TestPlanCacheHashInsidePrefixedName is the regression test for the
 // key collision: two queries differing only behind a '#' inside a
@@ -140,8 +32,8 @@ func TestPlanCacheHashInsidePrefixedName(t *testing.T) {
 	db.Freeze()
 	const head = `PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE `
 	qa, qb := head+`{ ?x ex:p#a ?y }`, head+`{ ?x ex:p#b ?y }`
-	if normalizeQueryText(qa) == normalizeQueryText(qb) {
-		t.Fatalf("distinct queries share the key %q", normalizeQueryText(qa))
+	if sparql.CanonicalText(qa) == sparql.CanonicalText(qb) {
+		t.Fatalf("distinct queries share the key %q", sparql.CanonicalText(qa))
 	}
 
 	h := NewHandler(db, WithPlanCache(4))
@@ -371,7 +263,7 @@ func TestResponseFillCoalesces(t *testing.T) {
 	h := &queryEndpoint{db: db, cache: newPlanCache(4), inflight: make(valve, 1)}
 	// Plant the plan through a different variant so the entry exists.
 	h.ServeHTTP(httptest.NewRecorder(), sparqlRequest(context.Background(), memoTestQuery, "limit=1"))
-	ent := h.cache.get(normalizeQueryText(memoTestQuery), 0)
+	ent := h.cache.get(sparql.CanonicalText(memoTestQuery), 0)
 	if ent == nil {
 		t.Fatal("plan not cached")
 	}
@@ -423,7 +315,7 @@ func TestResponseFillAbandoned(t *testing.T) {
 	db := memoTestDB(t)
 	h := &queryEndpoint{db: db, cache: newPlanCache(4)}
 	h.ServeHTTP(httptest.NewRecorder(), sparqlRequest(context.Background(), memoTestQuery, "limit=1"))
-	ent := h.cache.get(normalizeQueryText(memoTestQuery), 0)
+	ent := h.cache.get(sparql.CanonicalText(memoTestQuery), 0)
 	base := h.cache.snapshot()
 
 	ent.prep.mu.Lock()

@@ -53,14 +53,26 @@ func TestHTTPPlanCache(t *testing.T) {
 		t.Errorf("cache hit served different bytes:\nmiss: %s\nhit:  %s", missBody, hitBody)
 	}
 
-	// Reformatted copy of the same query (whitespace only) must hit.
-	qReformatted := url.QueryEscape("PREFIX ex: <http://ex.org/>\n\tSELECT ?who ?name\n\tWHERE {\n\t\t?who ex:name ?name\n\t}")
-	state, body := get(t, "query="+qReformatted)
-	if state != "hit" {
-		t.Errorf("reformatted query: X-Plan-Cache = %q, want hit", state)
+	// Any other spelling of the same tokens must hit: blanks only, then
+	// keyword case, the other variable sigil, a comment, \v and \f.
+	for _, respelled := range []string{
+		"PREFIX ex: <http://ex.org/>\n\tSELECT ?who ?name\n\tWHERE {\n\t\t?who ex:name ?name\n\t}",
+		"prefix ex:<http://ex.org/>select $who\v$name # all of them\nwhere\f{$who ex:name?name}",
+	} {
+		state, body := get(t, "query="+url.QueryEscape(respelled))
+		if state != "hit" {
+			t.Errorf("%q: X-Plan-Cache = %q, want hit", respelled, state)
+		}
+		if body != missBody {
+			t.Errorf("%q served different bytes", respelled)
+		}
 	}
-	if body != missBody {
-		t.Errorf("reformatted query served different bytes")
+	// A no-break space is not a blank: that text is no spelling of the
+	// cached query, and no query at all.
+	if resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(strings.Replace(qText, "SELECT ", "SELECT\xa0", 1))); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("no-break space in the query: status %d, want 400", resp.StatusCode)
 	}
 
 	// Different strategy or engine → hit, same bytes as a direct Query

@@ -3,6 +3,7 @@ package sparqluo_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http/httptest"
@@ -518,3 +519,44 @@ func TestHTTPStatsReportWAL(t *testing.T) {
 		}
 	}
 }
+
+// liveWALInsert measures the journaled write path as OpenLive wires it:
+// 64-triple insert batches into an empty live database, each framed,
+// appended and acknowledged under the given sync policy.
+func liveWALInsert(b *testing.B, policy sparqluo.WALSyncPolicy) {
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: b.TempDir(), WALSync: policy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	batch := make([]rdf.Triple, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			n := i*64 + j
+			batch[j] = rdf.Triple{
+				S: rdf.NewIRI(fmt.Sprintf("http://bench/s%d", n)),
+				P: rdf.NewIRI(fmt.Sprintf("http://bench/p%d", n%16)),
+				O: rdf.NewIRI(fmt.Sprintf("http://bench/o%d", n%1024)),
+			}
+		}
+		if err := db.Insert(batch...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*64)/b.Elapsed().Seconds(), "triples/s")
+}
+
+// The repository benchmark journals under sync=always only
+// (wal.append_sync_us_p50); these are the other two policies.
+
+// BenchmarkLiveWALInsertSyncInterval acks after the append; a
+// background flusher fsyncs every 100ms.
+func BenchmarkLiveWALInsertSyncInterval(b *testing.B) {
+	liveWALInsert(b, sparqluo.WALSyncInterval)
+}
+
+// BenchmarkLiveWALInsertSyncNever isolates the journal's framing and
+// write-syscall overhead with no fsync anywhere.
+func BenchmarkLiveWALInsertSyncNever(b *testing.B) { liveWALInsert(b, sparqluo.WALSyncNever) }

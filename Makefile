@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test bench-smoke bench-repo race bench snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
+.PHONY: all build vet fmt-check test loc bench-smoke bench-repo race bench snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
 
 all: vet fmt-check build test bench-smoke
 
@@ -22,6 +22,15 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# ROADMAP item 5's measure: non-test code lines (no blank lines, no
+# whole-line // comments) per package and in total. benchmark/ is a
+# module of its own, so ./... leaves it out.
+loc:
+	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -cv '^\s*$$'); \
+		echo "$$n .$${d#$(CURDIR)}"; done | \
+	awk '{ t += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total\n", t }'
 
 # The repository benchmark (benchmark/, driven by BENCHMARK.json) is a Go
 # module of its own that compiles against this module's internal API

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"sparqluo/internal/rdf"
 	"sparqluo/internal/sparql"
 )
 
@@ -138,7 +139,11 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 	// It shares the /sparql admission valve: an update counts against
 	// the same in-flight budget as a query, so overload sheds both
 	// uniformly (503 + Retry-After). The op parameter is read from the
-	// URL only — the body is the N-Triples payload, never a form.
+	// URL only — the body is the N-Triples payload, never a form. A body
+	// that does not parse is the client's fault (400); a batch the
+	// journal could not take is the server's (500) — a failed write or
+	// fsync poisons the log, so every later update answers 500 until the
+	// server is restarted, while /sparql keeps serving.
 	mux.HandleFunc("/update", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", "POST")
@@ -161,20 +166,23 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 			return
 		}
 		defer inflight.leave()
-		var n int
-		var err error
-		if op == "insert" {
-			n, err = db.InsertNTriples(r.Body)
-		} else {
-			n, err = db.DeleteNTriples(r.Body)
-		}
+		ts, err := rdf.ParseAll(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		if op == "insert" {
+			err = db.Insert(ts...)
+		} else {
+			err = db.Delete(ts...)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		ls, _ := db.LiveStats()
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"op\":%q,\"applied\":%d,\"epoch\":%d}\n", op, n, ls.Epoch)
+		fmt.Fprintf(w, "{\"op\":%q,\"applied\":%d,\"epoch\":%d}\n", op, len(ts), ls.Epoch)
 	})
 	// POST /compact synchronously folds the memtable into the frozen
 	// base. It does not take an in-flight slot: compaction never blocks

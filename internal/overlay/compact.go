@@ -22,16 +22,18 @@ type CompactionStats struct {
 	WALRetired int
 }
 
-// Compact freezes the memtable into the base: it claims the pending
-// ops, resolves them (tombstones annihilate their targets), folds the
-// survivors into a fresh frozen base with store.MergeFold — a linear
-// merge of each of the base's already-sorted permutations with the
-// sorted delta, so fold cost is O(base + delta) with no re-sort of the
-// base — optionally persists the new base with the atomic snapshot
-// writer, and swaps it in. Writes accepted while the compaction runs
-// land in a new memtable generation and are never stalled; readers are
-// paused only for the pointer swap (RCU-style — in-flight queries
-// finish on the view they pinned).
+// Compact freezes the memtable into the base by materialising a View:
+// it claims the pending ops, takes the view of exactly that generation
+// — the published one when its epoch is current, otherwise built once,
+// outside the write mutex — and hands the view's two deltas, already
+// resolved against the base and already sorted per permutation, to
+// store.MergeFold: one linear merge per base permutation, so fold cost
+// is O(base + delta) and the ops are resolved and sorted once for
+// readers and fold alike. It optionally persists the new base with the
+// atomic snapshot writer, and swaps it in. Writes accepted while the
+// compaction runs land in a new memtable generation and are never
+// stalled; readers are paused only for the pointer swap (RCU-style —
+// in-flight queries finish on the view they pinned).
 //
 // If the fold or the persist fails, the compaction is rolled back: the
 // claimed ops return to the memtable, the old base keeps serving, and
@@ -55,24 +57,29 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	var mark uint64
 	if ls.journal != nil {
 		var err error
-		if mark, err = ls.journal.Checkpoint(); err != nil {
+		if mark, err = ls.journal.Cut(); err != nil {
 			ls.mu.Unlock()
-			return CompactionStats{}, fmt.Errorf("overlay: wal checkpoint: %w", err)
+			return CompactionStats{}, fmt.Errorf("overlay: wal cut: %w", err)
 		}
 	}
 	// Claim the pending ops. imm is always empty here (compactions are
 	// serialized and both exits below clear it), so this is a move.
 	ls.imm = append(ls.imm, ls.active...)
 	ls.active = nil
-	base := ls.base
-	ops := ls.imm
+	base, ops, epoch := ls.base, ls.imm, ls.seq.Load()
+	v := ls.cur.Load()
 	ls.mu.Unlock()
 
 	ls.compacting.Store(true)
 	defer ls.compacting.Store(false)
 
-	adds, dels := resolve(base, ops)
-	stats := CompactionStats{Adds: len(adds), Dels: len(dels)}
+	// The claim moved ops between generations without changing the
+	// visible triple set, so a view published at this epoch is the view
+	// of the claim (same base, same ops).
+	if v == nil || v.epoch != epoch {
+		v = newView(base, ops, epoch)
+	}
+	stats := CompactionStats{Adds: v.add.Len(), Dels: v.del.Len()}
 
 	// rollback returns the claimed ops to the memtable in front of
 	// anything accepted since, so nothing is lost and a later
@@ -90,9 +97,9 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	}
 
 	nb := base
-	if len(adds) > 0 || len(dels) > 0 {
+	if !v.clean() {
 		var err error
-		if nb, err = store.MergeFold(base, adds, dels, true); err != nil {
+		if nb, err = store.MergeFold(base, v.add.SortedDelta, v.del.SortedDelta, true); err != nil {
 			rollback()
 			stats.Took = time.Since(start)
 			return stats, fmt.Errorf("overlay: compaction fold: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sparqluo/internal/rdf"
@@ -148,5 +149,84 @@ func TestConcurrentWritesDuringCompaction(t *testing.T) {
 	}
 	if got := ls.Base().NumTriples(); got != 600 {
 		t.Errorf("base after compactions = %d triples, want 600", got)
+	}
+}
+
+// TestResolve pins where the general-input cases of a write stream are
+// decided: resolve reduces any op log to the delta MergeRun and
+// MergeFold merge under (adds ∩ base = ∅, dels ⊆ base, adds ∩ dels = ∅,
+// no duplicates), so neither the views nor the fold handle them again.
+func TestResolve(t *testing.T) {
+	base := baseStore([]rdf.Triple{tri("s", "p", "o")}) // IDs: s=1 p=2 o=3
+	d := base.Dict()
+	x := d.Encode(iri("x"))
+	inBase := store.EncTriple{S: 1, P: 2, O: 3}
+	fresh := store.EncTriple{S: x, P: 2, O: 3}
+	for _, c := range []struct {
+		name       string
+		ops        []op
+		adds, dels []store.EncTriple
+	}{
+		{"duplicate adds collapse", []op{{t: fresh}, {t: fresh}}, []store.EncTriple{fresh}, nil},
+		{"add already in base is absorbed", []op{{t: inBase}}, nil, nil},
+		{"tombstone of an absent triple is a no-op", []op{{t: fresh, del: true}}, nil, nil},
+		{"add after tombstone wins, and is in base", []op{{t: inBase, del: true}, {t: inBase}}, nil, nil},
+		{"add after tombstone wins, absent from base", []op{{t: fresh, del: true}, {t: fresh}}, []store.EncTriple{fresh}, nil},
+		{"tombstone after add wins", []op{{t: fresh}, {t: fresh, del: true}, {t: inBase}, {t: inBase, del: true}}, nil, []store.EncTriple{inBase}},
+		{"duplicate tombstones collapse", []op{{t: inBase, del: true}, {t: inBase, del: true}}, nil, []store.EncTriple{inBase}},
+	} {
+		adds, dels := resolve(base, c.ops)
+		if !slices.Equal(adds, c.adds) || !slices.Equal(dels, c.dels) {
+			t.Errorf("%s: resolve = adds %v, dels %v; want adds %v, dels %v", c.name, adds, dels, c.adds, c.dels)
+		}
+	}
+}
+
+// TestCompactionUnresolvedDeltaRollsBack: the fold checks the
+// invariants it merges under, and Compact treats the typed error like
+// any other fold failure. A view whose delta is not resolved against
+// the base (a tombstone the base does not hold; an add it already
+// holds) is published at the current epoch, so the compaction picks it
+// up: the fold refuses it, the claimed ops return to the memtable, and
+// the old base and the old on-disk image keep serving until a later
+// compaction — on a rebuilt view — folds them.
+func TestCompactionUnresolvedDeltaRollsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "live.img")
+	ls := New(baseStore([]rdf.Triple{tri("s", "p", "o")}), Options{SnapshotPath: path})
+	ls.Insert(tri("s2", "p", "o"))
+	if _, err := ls.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	base := ls.Base()
+	inBase, absent := base.Triples()[0], store.EncTriple{S: 1, P: 1, O: 1}
+
+	for name, bad := range map[string]*View{
+		"tombstone absent from base": {add: emptyDelta, del: newDelta([]store.EncTriple{absent})},
+		"add present in base":        {add: newDelta([]store.EncTriple{inBase}), del: emptyDelta},
+	} {
+		ls.Insert(tri("s3", "p", "o"))
+		bad.base, bad.epoch = base, ls.Epoch()
+		ls.cur.Store(bad)
+		if _, err := ls.Compact(); !errors.Is(err, store.ErrDeltaNotResolved) {
+			t.Fatalf("%s: Compact = %v, want ErrDeltaNotResolved", name, err)
+		}
+		if ls.Base() != base {
+			t.Fatalf("%s: base was swapped by a failed fold", name)
+		}
+		if st := ls.LiveStats(); st.MemtableOps == 0 || st.MemtableAdds != 1 {
+			t.Errorf("%s: memtable after rollback = %+v, want the pending insert retained", name, st)
+		}
+		if ls.NumTriples() != 3 {
+			t.Errorf("%s: live store serves %d triples, want 3", name, ls.NumTriples())
+		}
+		if st := openImage(t, path); st.NumTriples() != 2 {
+			t.Errorf("%s: on-disk image holds %d triples, want 2 (old image)", name, st.NumTriples())
+		}
+	}
+	if cs, err := ls.Compact(); err != nil || cs.Merged != 3 {
+		t.Fatalf("retry on a rebuilt view: %+v, %v; want merged=3", cs, err)
+	}
+	if st := openImage(t, path); st.NumTriples() != 3 {
+		t.Errorf("image after retry holds %d triples, want 3", st.NumTriples())
 	}
 }

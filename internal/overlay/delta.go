@@ -7,24 +7,19 @@ import (
 	"sparqluo/internal/store"
 )
 
-// dperm is one sorted permutation of a delta's triple set: the triples
-// in permutation order plus the trailing component extracted into an
-// aligned column, mirroring the base store's layout so range accessors
-// hand out zero-copy []ID views. Deltas are small (a memtable's worth),
-// so lookups are binary searches rather than CSR row pointers — a CSR
-// offset array over the dense dictionary ID space would cost O(dict)
-// memory per view, which a per-write-batch structure cannot afford.
-type dperm struct {
-	tri []store.EncTriple
-	col []store.ID
-}
-
 // delta is an immutable sorted index over one resolved side of the
-// memtable (either the net inserts or the net tombstones).
+// memtable (either the net inserts or the net tombstones): the triple
+// set in SPO, POS and OSP order — the store.SortedDelta a compaction
+// hands to store.MergeFold as is — plus each run's trailing component
+// extracted into an aligned column, mirroring the base store's layout
+// so range accessors hand out zero-copy []ID views. Deltas are small (a
+// memtable's worth), so lookups are binary searches rather than CSR row
+// pointers — a CSR offset array over the dense dictionary ID space
+// would cost O(dict) memory per view, which a per-write-batch structure
+// cannot afford.
 type delta struct {
-	spo dperm // sorted (S,P,O), col = O
-	pos dperm // sorted (P,O,S), col = S
-	osp dperm // sorted (O,S,P), col = P
+	store.SortedDelta
+	colO, colS, colP []store.ID // trailing components of SPO, POS, OSP
 }
 
 // emptyDelta is shared by views with nothing on one side, so accessors
@@ -32,39 +27,36 @@ type delta struct {
 var emptyDelta = &delta{}
 
 // newDelta indexes a resolved, duplicate-free triple set. It takes
-// ownership of tris.
+// ownership of tris. This is the only place a delta is sorted: readers
+// and the compaction fold both consume these runs.
 func newDelta(tris []store.EncTriple) *delta {
 	if len(tris) == 0 {
 		return emptyDelta
 	}
 	mk := func(tris []store.EncTriple, cmp func(a, b store.EncTriple) int,
-		colOf func(store.EncTriple) store.ID) dperm {
+		colOf func(store.EncTriple) store.ID) ([]store.EncTriple, []store.ID) {
 		slices.SortFunc(tris, cmp)
 		col := make([]store.ID, len(tris))
 		for i, t := range tris {
 			col[i] = colOf(t)
 		}
-		return dperm{tri: tris, col: col}
+		return tris, col
 	}
-	pos := slices.Clone(tris)
-	osp := slices.Clone(tris)
-	return &delta{
-		spo: mk(tris, store.CompareSPO, func(t store.EncTriple) store.ID { return t.O }),
-		pos: mk(pos, store.ComparePOS, func(t store.EncTriple) store.ID { return t.S }),
-		osp: mk(osp, store.CompareOSP, func(t store.EncTriple) store.ID { return t.P }),
-	}
+	d := &delta{}
+	d.POS, d.colS = mk(slices.Clone(tris), store.ComparePOS, leadS)
+	d.OSP, d.colP = mk(slices.Clone(tris), store.CompareOSP, leadP)
+	d.SPO, d.colO = mk(tris, store.CompareSPO, leadO)
+	return d
 }
-
-func (d *delta) len() int { return len(d.spo.tri) }
 
 // bytes reports the memory footprint of the three permutations.
 func (d *delta) bytes() int64 {
 	const triSize, idSize = 12, 4
-	return 3 * int64(len(d.spo.tri)) * (triSize + idSize)
+	return 3 * int64(d.Len()) * (triSize + idSize)
 }
 
 func (d *delta) contains(s, p, o store.ID) bool {
-	_, ok := slices.BinarySearchFunc(d.spo.tri, store.EncTriple{S: s, P: p, O: o}, store.CompareSPO)
+	_, ok := slices.BinarySearchFunc(d.SPO, store.EncTriple{S: s, P: p, O: o}, store.CompareSPO)
 	return ok
 }
 
@@ -93,49 +85,49 @@ func leadO(t store.EncTriple) store.ID { return t.O }
 // ascending-ID column views, permutation-sorted triple slices.
 
 func (d *delta) objectsSP(s, p store.ID) []store.ID {
-	lo, hi := run1(d.spo.tri, s, leadS)
-	a, b := run2(d.spo.tri, lo, hi, p, leadP)
-	return d.spo.col[a:b]
+	lo, hi := run1(d.SPO, s, leadS)
+	a, b := run2(d.SPO, lo, hi, p, leadP)
+	return d.colO[a:b]
 }
 
 func (d *delta) subjectsPO(p, o store.ID) []store.ID {
-	lo, hi := run1(d.pos.tri, p, leadP)
-	a, b := run2(d.pos.tri, lo, hi, o, leadO)
-	return d.pos.col[a:b]
+	lo, hi := run1(d.POS, p, leadP)
+	a, b := run2(d.POS, lo, hi, o, leadO)
+	return d.colS[a:b]
 }
 
 func (d *delta) predsSO(s, o store.ID) []store.ID {
-	lo, hi := run1(d.osp.tri, o, leadO)
-	a, b := run2(d.osp.tri, lo, hi, s, leadS)
-	return d.osp.col[a:b]
+	lo, hi := run1(d.OSP, o, leadO)
+	a, b := run2(d.OSP, lo, hi, s, leadS)
+	return d.colP[a:b]
 }
 
 func (d *delta) subjectTriples(s store.ID) []store.EncTriple {
-	lo, hi := run1(d.spo.tri, s, leadS)
-	return d.spo.tri[lo:hi]
+	lo, hi := run1(d.SPO, s, leadS)
+	return d.SPO[lo:hi]
 }
 
 func (d *delta) predicateTriples(p store.ID) []store.EncTriple {
-	lo, hi := run1(d.pos.tri, p, leadP)
-	return d.pos.tri[lo:hi]
+	lo, hi := run1(d.POS, p, leadP)
+	return d.POS[lo:hi]
 }
 
 func (d *delta) objectTriples(o store.ID) []store.EncTriple {
-	lo, hi := run1(d.osp.tri, o, leadO)
-	return d.osp.tri[lo:hi]
+	lo, hi := run1(d.OSP, o, leadO)
+	return d.OSP[lo:hi]
 }
 
 func (d *delta) countS(s store.ID) int {
-	lo, hi := run1(d.spo.tri, s, leadS)
+	lo, hi := run1(d.SPO, s, leadS)
 	return hi - lo
 }
 
 func (d *delta) countP(p store.ID) int {
-	lo, hi := run1(d.pos.tri, p, leadP)
+	lo, hi := run1(d.POS, p, leadP)
 	return hi - lo
 }
 
 func (d *delta) countO(o store.ID) int {
-	lo, hi := run1(d.osp.tri, o, leadO)
+	lo, hi := run1(d.OSP, o, leadO)
 	return hi - lo
 }

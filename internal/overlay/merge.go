@@ -2,12 +2,13 @@ package overlay
 
 import "sparqluo/internal/store"
 
-// mergeIDs returns (base − minus) ∪ plus in ascending order. All three
-// inputs are ascending and duplicate-free, with minus ⊆ base and
-// plus ∩ base = ∅ (the resolve invariants), so the merge is a single
-// three-finger pass with no equality cases between base and plus. The
-// common case — no delta touches this key — returns base itself,
-// keeping the zero-copy fast path of the frozen store.
+// mergeIDs is store.MergeRun over ID columns: it returns
+// (base − minus) ∪ plus ascending, under the same resolve invariants
+// (all three ascending and duplicate-free, minus ⊆ base,
+// plus ∩ base = ∅), and base itself when no delta touches the key. It
+// stays a separate function because it compares with < on the per-row
+// read path of a dirty view; sharing a comparator-taking generic with
+// the triple merge would put an indirect call there.
 func mergeIDs(base, minus, plus []store.ID) []store.ID {
 	if len(minus) == 0 && len(plus) == 0 {
 		return base
@@ -24,29 +25,6 @@ func mergeIDs(base, minus, plus []store.ID) []store.ID {
 			k++
 		}
 		out = append(out, v)
-	}
-	return append(out, plus[k:]...)
-}
-
-// mergeTriples is mergeIDs over triple slices sorted by cmp: it returns
-// (base − minus) ∪ plus in cmp order, under the same invariants.
-func mergeTriples(base, minus, plus []store.EncTriple,
-	cmp func(a, b store.EncTriple) int) []store.EncTriple {
-	if len(minus) == 0 && len(plus) == 0 {
-		return base
-	}
-	out := make([]store.EncTriple, 0, len(base)-len(minus)+len(plus))
-	j, k := 0, 0
-	for _, t := range base {
-		if j < len(minus) && minus[j] == t {
-			j++
-			continue
-		}
-		for k < len(plus) && cmp(plus[k], t) < 0 {
-			out = append(out, plus[k])
-			k++
-		}
-		out = append(out, t)
 	}
 	return append(out, plus[k:]...)
 }

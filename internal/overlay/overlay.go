@@ -22,15 +22,15 @@
 // (via store.Viewer): the view is (re)built lazily at the current epoch
 // and then shared by all readers until the next write, so a running
 // query never observes a partial batch — snapshot isolation by
-// construction. Compaction resolves the memtable against the base
-// (tombstones annihilate their targets), folds the survivors into a
-// fresh frozen base with the store's linear merge fold (store.MergeFold
-// merges each already-sorted base permutation with the sorted delta in
-// one pass — fold cost is O(base + delta), never a re-sort of the
-// base), optionally persists it with the atomic snapshot writer, and
-// swaps the base pointer under the mutex — an RCU-style swap: in-flight
-// queries finish on the old image, and the only reader-visible pause is
-// the pointer swap itself.
+// construction. A compaction is the materialisation of a View: the
+// view's two deltas — the memtable already resolved against the base
+// (tombstones annihilate their targets) and already sorted per
+// permutation for readers — are merged into the base's permutations by
+// store.MergeFold, one linear pass each (fold cost is O(base + delta),
+// nothing is re-sorted); the new base is optionally persisted with the
+// atomic snapshot writer and swapped in under the mutex — an RCU-style
+// swap: in-flight queries finish on the old image, and the only
+// reader-visible pause is the pointer swap itself.
 package overlay
 
 import (
@@ -42,6 +42,7 @@ import (
 	"sparqluo/internal/rdf"
 	"sparqluo/internal/snapshot"
 	"sparqluo/internal/store"
+	"sparqluo/internal/wal"
 )
 
 // op is one memtable entry: a dictionary-encoded triple plus a
@@ -70,11 +71,11 @@ type LiveStore struct {
 	dict *store.Dict
 	opts Options
 
-	// journal, when non-nil, is the write-ahead durability hook: every
-	// batch is appended (under mu, so the compactor's Checkpoint
-	// linearizes against writes) and committed before the write call
-	// returns. Set once during startup via SetJournal.
-	journal Journal
+	// journal, when non-nil, is the write-ahead log: every batch is
+	// appended (under mu, so the compactor's Cut linearizes against
+	// writes) and synced before the write call returns. Set once during
+	// startup via SetJournal.
+	journal *wal.Log
 
 	mu     sync.Mutex   // guards base/imm/active and the compaction bookkeeping
 	base   *store.Store // frozen; replaced (never mutated) by compaction
@@ -118,13 +119,16 @@ func New(base *store.Store, opts Options) *LiveStore {
 	return ls
 }
 
-// SetJournal attaches the write-ahead durability hook: from now on
-// every Insert/Delete batch is journaled before it is applied and
-// committed before it is acknowledged. Call it during startup — after
-// replaying any surviving journal records through Insert/Delete, and
-// before the store is shared with other goroutines; the field itself is
-// not synchronized.
-func (ls *LiveStore) SetJournal(j Journal) { ls.journal = j }
+// SetJournal attaches the write-ahead log: from now on every
+// Insert/Delete batch is appended to it before it lands in the memtable
+// and synced (made durable per the log's policy) before the write call
+// returns — a batch is never acknowledged undurable — and the compactor
+// brackets its fold with Cut/Retire so the log only ever holds the
+// batches the newest persisted base image does not. Call it during
+// startup — after replaying any surviving records through
+// Insert/Delete, and before the store is shared with other goroutines;
+// the field itself is not synchronized.
+func (ls *LiveStore) SetJournal(j *wal.Log) { ls.journal = j }
 
 // Insert adds the given triples as one atomic batch: a concurrent query
 // sees either none or all of them. Duplicates of existing triples are
@@ -132,8 +136,10 @@ func (ls *LiveStore) SetJournal(j Journal) { ls.journal = j }
 // tombstone for the same triple. With a journal attached, a nil return
 // means the batch is durable per the journal's sync policy; on error
 // the batch was not applied (journal append failed) or was applied but
-// not confirmed durable (commit failed — a retry is safe either way,
-// set semantics make replays idempotent).
+// not confirmed durable (sync failed — a retry is safe either way, set
+// semantics make replays idempotent). Either failure poisons the log
+// (wal.ErrFailed): later writes are refused until it is reopened, while
+// reads keep being served.
 func (ls *LiveStore) Insert(ts ...rdf.Triple) error {
 	if len(ts) == 0 {
 		return nil
@@ -146,7 +152,7 @@ func (ls *LiveStore) Insert(ts ...rdf.Triple) error {
 			O: ls.dict.Encode(t.O),
 		}}
 	}
-	return ls.apply(false, ts, ops)
+	return ls.apply(wal.Insert, ts, ops)
 }
 
 // Delete removes the given triples as one atomic batch, by appending
@@ -179,22 +185,22 @@ func (ls *LiveStore) Delete(ts ...rdf.Triple) error {
 	if len(ops) == 0 && ls.journal == nil {
 		return nil
 	}
-	return ls.apply(true, ts, ops)
+	return ls.apply(wal.Delete, ts, ops)
 }
 
 // apply journals (if a journal is attached) and applies one write
 // batch. The journal append happens inside the write mutex — the same
 // critical section that admits the ops into the memtable — so the
-// compactor's Checkpoint, which runs under the same mutex, cleanly
-// partitions journal records into "claimed by this fold" and "after
-// it". The commit (fsync wait) runs outside the mutex: a slow disk
-// stalls only the writers waiting on durability, never readers.
-func (ls *LiveStore) apply(del bool, ts []rdf.Triple, ops []op) error {
+// compactor's Cut, which runs under the same mutex, cleanly partitions
+// journal records into "claimed by this fold" and "after it". The sync
+// (fsync wait) runs outside the mutex: a slow disk stalls only the
+// writers waiting on durability, never readers.
+func (ls *LiveStore) apply(kind wal.Kind, ts []rdf.Triple, ops []op) error {
 	ls.mu.Lock()
 	var seq uint64
 	if ls.journal != nil {
 		var err error
-		seq, err = ls.journal.Append(del, ts)
+		seq, err = ls.journal.Append(kind, ts)
 		if err != nil {
 			ls.mu.Unlock()
 			return fmt.Errorf("overlay: journal append: %w", err)
@@ -206,8 +212,8 @@ func (ls *LiveStore) apply(del bool, ts []rdf.Triple, ops []op) error {
 	}
 	ls.mu.Unlock()
 	if ls.journal != nil {
-		if err := ls.journal.Commit(seq); err != nil {
-			return fmt.Errorf("overlay: journal commit: %w", err)
+		if err := ls.journal.Sync(seq); err != nil {
+			return fmt.Errorf("overlay: journal sync: %w", err)
 		}
 	}
 	return nil
@@ -292,7 +298,7 @@ type LiveStats struct {
 	// WAL reports the attached write-ahead journal, nil when the store
 	// runs without one (writes then die with the process between
 	// compactions).
-	WAL *JournalStats
+	WAL *wal.Stats
 }
 
 // LiveStats returns the current overlay statistics. It resolves the
@@ -305,8 +311,8 @@ func (ls *LiveStore) LiveStats() LiveStats {
 		Epoch:                v.epoch,
 		BaseTriples:          v.base.NumTriples(),
 		MemtableOps:          len(ls.imm) + len(ls.active),
-		MemtableAdds:         v.add.len(),
-		Tombstones:           v.del.len(),
+		MemtableAdds:         v.add.Len(),
+		Tombstones:           v.del.Len(),
 		Compactions:          ls.compactions,
 		Compacting:           ls.compacting.Load(),
 		LastCompaction:       ls.lastCompact,

@@ -43,7 +43,7 @@ func (v *View) Epoch() uint64 { return v.epoch }
 
 // clean reports whether the view is the base alone (empty delta), which
 // unlocks the zero-copy fast paths.
-func (v *View) clean() bool { return v.add.len() == 0 && v.del.len() == 0 }
+func (v *View) clean() bool { return v.add.Len() == 0 && v.del.Len() == 0 }
 
 func (v *View) Dict() *store.Dict { return v.base.Dict() }
 
@@ -59,14 +59,14 @@ func (v *View) Frozen() bool { return true }
 
 // NumTriples is exact: base plus net inserts minus tombstones.
 func (v *View) NumTriples() int {
-	return v.base.NumTriples() + v.add.len() - v.del.len()
+	return v.base.NumTriples() + v.add.Len() - v.del.Len()
 }
 
 // MemStats reports the base footprint with the delta indexes accounted
 // under the log fields (the memtable is the ingestion log's successor).
 func (v *View) MemStats() store.MemStats {
 	m := v.base.MemStats()
-	m.LogTriples += v.add.len() + v.del.len()
+	m.LogTriples += v.add.Len() + v.del.Len()
 	m.LogBytes += v.add.bytes() + v.del.bytes()
 	m.TotalBytes += v.add.bytes() + v.del.bytes()
 	return m
@@ -91,19 +91,26 @@ func (v *View) PredsSO(s, o store.ID) []store.ID {
 	return mergeIDs(v.base.PredsSO(s, o), v.del.predsSO(s, o), v.add.predsSO(s, o))
 }
 
+// The triple-run accessors merge through store.MergeRun, the same pass
+// the compaction fold runs over whole permutations; a view's delta is
+// resolved by construction, so its verdict is not consulted here.
+
 func (v *View) SubjectTriples(s store.ID) []store.EncTriple {
-	return mergeTriples(v.base.SubjectTriples(s),
+	out, _ := store.MergeRun(v.base.SubjectTriples(s),
 		v.del.subjectTriples(s), v.add.subjectTriples(s), store.CompareSPO)
+	return out
 }
 
 func (v *View) PredicateTriples(p store.ID) []store.EncTriple {
-	return mergeTriples(v.base.PredicateTriples(p),
+	out, _ := store.MergeRun(v.base.PredicateTriples(p),
 		v.del.predicateTriples(p), v.add.predicateTriples(p), store.ComparePOS)
+	return out
 }
 
 func (v *View) ObjectTriples(o store.ID) []store.EncTriple {
-	return mergeTriples(v.base.ObjectTriples(o),
+	out, _ := store.MergeRun(v.base.ObjectTriples(o),
 		v.del.objectTriples(o), v.add.objectTriples(o), store.CompareOSP)
+	return out
 }
 
 // SubjectsOfPredicate returns the distinct subjects of p ascending.
@@ -145,7 +152,7 @@ func (v *View) Triples() []store.EncTriple {
 		return v.base.Triples()
 	}
 	v.allOnce.Do(func() {
-		v.all = mergeTriples(v.base.Triples(), v.del.spo.tri, v.add.spo.tri, store.CompareSPO)
+		v.all, _ = store.MergeRun(v.base.Triples(), v.del.SPO, v.add.SPO, store.CompareSPO)
 	})
 	return v.all
 }

@@ -90,7 +90,11 @@ func Open(path string) (*store.Store, *Mapping, error) {
 // Sniff reports whether the file at path begins with the snapshot
 // magic. A file too short to carry the magic is simply not a snapshot,
 // not an error.
-func Sniff(path string) (bool, error) {
+func Sniff(path string) (bool, error) { return sniffMagic(path, Magic) }
+
+// sniffMagic reports whether the file at path begins with magic; a file
+// shorter than the magic is simply not one.
+func sniffMagic(path string, magic [8]byte) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return false, err
@@ -103,7 +107,7 @@ func Sniff(path string) (bool, error) {
 		}
 		return false, err
 	}
-	return head == Magic, nil
+	return head == magic, nil
 }
 
 // Load reconstructs a frozen store from snapshot image bytes without

@@ -204,60 +204,22 @@ func ReadManifest(path string) (*Manifest, error) {
 	return ParseManifest(data)
 }
 
-// WriteManifest writes the manifest to path atomically (same temp +
-// fsync + rename discipline as WriteFile).
+// WriteManifest writes the manifest to path atomically and durably
+// (writeAtomic, the discipline WriteFile uses).
 func WriteManifest(path string, m *Manifest) error {
 	data, err := m.encode()
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
+	return writeAtomic(path, ".manifest-*", func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // SniffManifest reports whether the file at path begins with the shard
 // manifest magic.
-func SniffManifest(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return false, nil
-		}
-		return false, err
-	}
-	return head == ManifestMagic, nil
-}
+func SniffManifest(path string) (bool, error) { return sniffMagic(path, ManifestMagic) }
 
 // ShardImageName returns the image file name of shard i for a manifest
 // at path: "<base>.<i padded to 3>".

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sparqluo/internal/rdf"
@@ -146,6 +148,63 @@ func TestWriteRequiresFrozen(t *testing.T) {
 	st.Add(rdf.Triple{S: rdf.NewIRI("s"), P: rdf.NewIRI("p"), O: rdf.NewIRI("o")})
 	if err := Write(&bytes.Buffer{}, st); err == nil {
 		t.Fatal("Write on an unfrozen store should fail")
+	}
+}
+
+// TestWriteAtomicFailureLeavesNothing: WriteFile and WriteManifest
+// share one temp+fsync+rename writer; when the content callback fails
+// midway, no temp file stays behind and the target is neither created
+// nor — when it already exists — touched.
+func TestWriteAtomicFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "target")
+	boom := errors.New("disk full")
+	requireOnly := func(want ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("directory holds %v, want %v", got, want)
+		}
+	}
+	for _, pattern := range []string{".snapshot-*", ".manifest-*"} {
+		err := writeAtomic(target, pattern, func(w io.Writer) error {
+			w.Write([]byte("half a fi"))
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("writeAtomic(%s) = %v, want the callback's error", pattern, err)
+		}
+		requireOnly()
+	}
+	// Through a real caller: Write refuses an unfrozen store.
+	st := store.New()
+	st.Add(rdf.Triple{S: rdf.NewIRI("s"), P: rdf.NewIRI("p"), O: rdf.NewIRI("o")})
+	if err := WriteFile(target, st); err == nil {
+		t.Fatal("WriteFile of an unfrozen store should fail")
+	}
+	requireOnly()
+
+	// An existing target survives a failed overwrite byte for byte.
+	if err := WriteManifest(target, &Manifest{Stats: testStore(t).Stats()}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(target)
+	if err := writeAtomic(target, ".manifest-*", func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatal(err)
+	}
+	requireOnly("target")
+	if after, _ := os.ReadFile(target); !bytes.Equal(before, after) || len(before) == 0 {
+		t.Error("failed overwrite changed the existing target")
+	}
+	if fi, err := os.Stat(target); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Errorf("target mode = %v, %v; want 0644", fi.Mode(), err)
 	}
 }
 

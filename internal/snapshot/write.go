@@ -107,51 +107,52 @@ func Write(w io.Writer, st *store.Store) error {
 	return bw.Flush()
 }
 
-// WriteFile writes the snapshot to path atomically: the image is
-// assembled in a sibling temp file, synced to stable storage, and
-// renamed into place, so a crash mid-write never leaves a half image
-// under the target name.
+// WriteFile writes the snapshot to path atomically (see writeAtomic).
 func WriteFile(path string, st *store.Store) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
+	return writeAtomic(path, ".snapshot-*", func(w io.Writer) error { return Write(w, st) })
+}
+
+// writeAtomic creates path with the content write produces, atomically
+// and durably: the bytes are assembled in a sibling temp file (named by
+// tmpPattern), synced to stable storage and renamed into place, so a
+// crash mid-write never leaves a half file under the target name, and
+// any failure removes the temp file and leaves the target untouched.
+func writeAtomic(path, tmpPattern string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if err := Write(f, st); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		// CreateTemp opens 0600; images are shareable artifacts like the
+		// N-Triples they cache (a deploy job often writes them as a
+		// different user than the server reads them as).
+		err = f.Chmod(0o644)
 	}
-	// CreateTemp opens 0600; images are shareable artifacts like the
-	// N-Triples they cache (a deploy job often writes them as a
-	// different user than the server reads them as).
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		// Flush data before the rename: otherwise the filesystem may
+		// commit the rename but not the pages, leaving a truncated file
+		// under the final name after power loss — exactly what the temp
+		// file exists to prevent.
+		err = f.Sync()
 	}
-	// Flush data before the rename: otherwise the filesystem may commit
-	// the rename but not the pages, leaving a truncated image under the
-	// final name after power loss — exactly what the temp file exists
-	// to prevent.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	// Make the rename itself durable: without a directory fsync the
 	// new name can vanish on power loss even though the data pages are
-	// on the platter. The WAL retires its segments the moment this
-	// function returns, so the image must actually exist after a crash.
-	// Best effort on platforms that cannot fsync a directory.
+	// on the platter. The WAL retires its segments the moment a
+	// compaction's WriteFile returns, so the image must actually exist
+	// after a crash. Best effort on platforms that cannot fsync a
+	// directory.
 	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		d.Sync()
 		d.Close()

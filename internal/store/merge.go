@@ -1,58 +1,117 @@
 package store
 
 import (
+	"errors"
 	"math"
-	"slices"
 )
 
-// MergeFold builds a frozen store holding (base − dels) ∪ adds without
-// re-sorting the base: each of the three permutations is produced by a
-// linear merge of the base's own already-sorted permutation with the
-// delta (sorted per permutation order — the only sorting done, over the
-// delta alone), annihilating tombstones by comparison during the merge
-// instead of through a hash set. Row pointers, trailing columns and the
-// POS level-2 runs are rebuilt by a linear index pass over each merged
-// run, and the Freeze statistics are recomputed off the merged arrays —
-// O(n+m) per permutation for an n-triple base and m-op delta, with no
-// intermediate flattened slice and no copy of base.Triples().
+// SortedDelta is one resolved side of a write delta — the net inserts
+// or the net tombstones pending against a frozen base — held as the
+// same triple set sorted in each of the three permutation orders. It is
+// the currency between the overlay's memtable view (which keeps one per
+// side for its read path) and MergeFold (which consumes a pair).
+type SortedDelta struct {
+	SPO, POS, OSP []EncTriple
+}
+
+// Len returns the number of triples in the delta.
+func (d SortedDelta) Len() int { return len(d.SPO) }
+
+// ErrDeltaNotResolved is returned by MergeFold when a delta breaks the
+// invariants the fold merges under (see MergeRun): a tombstone without
+// its base triple, an insert the base already holds, a run in the wrong
+// order, or permutations that disagree in length.
+var ErrDeltaNotResolved = errors.New("store: delta is not resolved against the base")
+
+// MergeRun returns (base − minus) ∪ plus in cmp order. All three inputs
+// are sorted by cmp and duplicate-free, with minus ⊆ base and
+// plus ∩ base = ∅, so the merge is a single three-finger pass with no
+// equality cases between base and plus. When no delta touches the run,
+// base itself is returned — the zero-copy fast path of the frozen store.
 //
-// The semantics match a full FromTriples rebuild of the flattened
-// (base − dels) ∪ adds slice exactly, including the edge cases:
-// duplicate adds collapse, an add of a triple already in base is
-// absorbed, a tombstone of an absent triple is a no-op, and a triple
-// both tombstoned and added survives (the add wins). The output is
-// byte-identical to that rebuild — same permutation arrays, row
-// pointers, level-2 runs and statistics.
+// resolved reports what the pass learns for free about those
+// invariants: every minus finger met its base triple and no plus tied
+// with one. Readers of a view, whose delta is resolved by construction,
+// ignore it; MergeFold turns a false into ErrDeltaNotResolved.
+func MergeRun(base, minus, plus []EncTriple, cmp func(a, b EncTriple) int) (out []EncTriple, resolved bool) {
+	if len(minus) == 0 && len(plus) == 0 {
+		return base, true
+	}
+	out = make([]EncTriple, 0, max(len(base)-len(minus), 0)+len(plus))
+	j, k, tie := 0, 0, false
+	for _, t := range base {
+		if j < len(minus) && minus[j] == t {
+			j++
+			continue
+		}
+		for k < len(plus) {
+			c := cmp(plus[k], t)
+			if c > 0 {
+				break
+			}
+			tie = tie || c == 0
+			out = append(out, plus[k])
+			k++
+		}
+		out = append(out, t)
+	}
+	return append(out, plus[k:]...), j == len(minus) && !tie
+}
+
+// MergeFold builds a frozen store holding (base − del) ∪ add without
+// sorting anything: each of the base's three permutations is merged
+// with the delta's run in the same order by MergeRun, one linear pass
+// per permutation. Row pointers, trailing columns and the POS level-2
+// runs are rebuilt by a linear index pass over each merged run, and the
+// Freeze statistics are recomputed off the merged arrays — O(n+m) per
+// permutation for an n-triple base and m-triple delta.
 //
-// The three permutation merges run concurrently on a worker group sized
-// off GOMAXPROCS at call time (inline on a single processor, identical
-// output either way). The result shares base's dictionary and is frozen
-// by construction; base itself is never mutated. An oversized result
-// returns ErrTooManyTriples.
-func MergeFold(base *Store, adds, dels []EncTriple, withStats bool) (*Store, error) {
+// add and del must be resolved against base (add ∩ base = ∅,
+// del ⊆ base, add ∩ del = ∅); the output is then byte-identical to a
+// FromTriples rebuild of the flattened triple set — same permutation
+// arrays, row pointers, level-2 runs and statistics. Because the merge
+// assumes the invariants it also checks them, at no extra cost: every
+// tombstone consumed, no insert tying with a base triple, and every
+// merged run exactly len(base) − len(del) + len(add) long; a delta that
+// fails returns ErrDeltaNotResolved before any index is built.
+//
+// The three merges, then the three index builds, run concurrently on a
+// worker group sized off GOMAXPROCS at call time (inline on a single
+// processor, identical output either way). The result shares base's
+// dictionary and is frozen by construction; base itself is never
+// mutated. An oversized result returns ErrTooManyTriples.
+func MergeFold(base *Store, add, del SortedDelta, withStats bool) (*Store, error) {
 	base.ensure()
-	if int64(len(base.spo.tri))+int64(len(adds)) > math.MaxInt32 {
+	want := len(base.spo.tri) - del.Len() + add.Len()
+	if want > math.MaxInt32 {
 		return nil, ErrTooManyTriples
+	}
+	var spo, pos, osp []EncTriple
+	var ok [3]bool
+	runParallel(
+		func() { spo, ok[0] = MergeRun(base.spo.tri, del.SPO, add.SPO, cmpSPO) },
+		func() { pos, ok[1] = MergeRun(base.pos.tri, del.POS, add.POS, cmpPOS) },
+		func() { osp, ok[2] = MergeRun(base.osp.tri, del.OSP, add.OSP, cmpOSP) },
+	)
+	if !(ok[0] && ok[1] && ok[2]) || len(spo) != want || len(pos) != want || len(osp) != want {
+		return nil, ErrDeltaNotResolved
 	}
 	maxID := base.dict.Len()
 	st := &Store{dict: base.dict, built: true, frozen: true}
 	runParallel(
 		func() {
-			tri := mergeDelta(base.spo.tri, adds, dels, cmpSPO)
-			st.spo = makePerm(tri, maxID,
+			st.spo = makePerm(spo, maxID,
 				func(t EncTriple) ID { return t.S },
 				func(t EncTriple) ID { return t.O })
 		},
 		func() {
-			tri := mergeDelta(base.pos.tri, adds, dels, cmpPOS)
-			st.pos = makePerm(tri, maxID,
+			st.pos = makePerm(pos, maxID,
 				func(t EncTriple) ID { return t.P },
 				func(t EncTriple) ID { return t.S })
-			st.posObjKeys, st.posObjOff, st.posObjIdx = buildPOSRuns(tri, maxID)
+			st.posObjKeys, st.posObjOff, st.posObjIdx = buildPOSRuns(pos, maxID)
 		},
 		func() {
-			tri := mergeDelta(base.osp.tri, adds, dels, cmpOSP)
-			st.osp = makePerm(tri, maxID,
+			st.osp = makePerm(osp, maxID,
 				func(t EncTriple) ID { return t.O },
 				func(t EncTriple) ID { return t.P })
 		},
@@ -61,66 +120,4 @@ func MergeFold(base *Store, adds, dels []EncTriple, withStats bool) (*Store, err
 		st.stats = computeStats(st)
 	}
 	return st, nil
-}
-
-// mergeDelta linearly merges a sorted duplicate-free base run with a
-// delta under the given total order, returning (base − dels) ∪ adds in
-// that order. adds and dels arrive unsorted (compaction resolves them
-// out of a map); they are copied and sorted here — m log m over the
-// delta only, never over the base. Three fingers walk base, adds and
-// dels in lockstep: a base triple equal to the front tombstone is
-// dropped, an add is always emitted (a consecutive-duplicate check
-// collapses duplicate adds and adds already present in base), and a
-// triple both tombstoned and re-added survives because the add side
-// emits it regardless of the tombstone finger.
-func mergeDelta(base, adds, dels []EncTriple, cmp func(a, b EncTriple) int) []EncTriple {
-	if len(adds) > 0 {
-		adds = append([]EncTriple(nil), adds...)
-		slices.SortFunc(adds, cmp)
-	}
-	if len(dels) > 0 {
-		dels = append([]EncTriple(nil), dels...)
-		slices.SortFunc(dels, cmp)
-	}
-	out := make([]EncTriple, 0, len(base)+len(adds))
-	emit := func(t EncTriple) {
-		if n := len(out); n > 0 && out[n-1] == t {
-			return
-		}
-		out = append(out, t)
-	}
-	b, a, d := 0, 0, 0
-	for b < len(base) || a < len(adds) {
-		takeAdd := b >= len(base)
-		if !takeAdd && a < len(adds) {
-			switch c := cmp(adds[a], base[b]); {
-			case c < 0:
-				takeAdd = true
-			case c == 0:
-				// Present on both sides: the add re-asserts the triple,
-				// overriding any tombstone; consume both fingers.
-				emit(adds[a])
-				a++
-				b++
-				continue
-			}
-		}
-		if takeAdd {
-			emit(adds[a])
-			a++
-			continue
-		}
-		t := base[b]
-		b++
-		for d < len(dels) && cmp(dels[d], t) < 0 {
-			d++
-		}
-		if d < len(dels) && dels[d] == t {
-			continue // annihilated by its tombstone
-		}
-		emit(t)
-	}
-	// Duplicate adds and no-op tombstones leave spare capacity; the run
-	// lives for the store's lifetime.
-	return slices.Clip(out)
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -9,12 +10,26 @@ import (
 	"testing/quick"
 )
 
-// foldCase is one randomized MergeFold input over a frozen base:
-// adds with duplicates and triples already present, dels with
-// tombstones of absent triples, and triples on both sides at once.
+// foldCase is one randomized MergeFold input over a frozen base: a
+// resolved delta (adds absent from the base, tombstones present in it,
+// no duplicates), as the overlay's resolve produces it, in arrival
+// order. fold sorts it per permutation the way the overlay's views do.
 type foldCase struct {
 	base       *Store
 	adds, dels []EncTriple
+}
+
+// sortedDelta sorts one resolved side in each permutation order.
+func sortedDelta(tris []EncTriple) SortedDelta {
+	d := SortedDelta{SPO: slices.Clone(tris), POS: slices.Clone(tris), OSP: slices.Clone(tris)}
+	slices.SortFunc(d.SPO, cmpSPO)
+	slices.SortFunc(d.POS, cmpPOS)
+	slices.SortFunc(d.OSP, cmpOSP)
+	return d
+}
+
+func (c foldCase) fold() (*Store, error) {
+	return MergeFold(c.base, sortedDelta(c.adds), sortedDelta(c.dels), true)
 }
 
 func randFoldCase(rng *rand.Rand) foldCase {
@@ -26,37 +41,25 @@ func randFoldCase(rng *rand.Rand) foldCase {
 	d := st.Dict()
 	tris := st.Triples()
 
-	randEnc := func() EncTriple {
-		// Terms from the base's universe plus a few fresh ones, so adds
-		// grow the shared dictionary exactly as live inserts do.
-		term := func(prefix string) ID {
-			return d.Encode(tri(prefix+itoa(rng.Intn(14)), "", "").S)
-		}
-		return EncTriple{S: term("ns"), P: term("np"), O: term("no")}
+	// Terms from the base's universe plus a few fresh ones, so adds
+	// grow the shared dictionary exactly as live inserts do.
+	term := func(prefix string) ID {
+		return d.Encode(tri(prefix+itoa(rng.Intn(14)), "", "").S)
 	}
+	seen := map[EncTriple]bool{}
 	var adds, dels []EncTriple
-	for i, n := 0, rng.Intn(30); i < n; i++ {
-		t := randEnc()
-		adds = append(adds, t)
-		if rng.Intn(3) == 0 {
-			adds = append(adds, t) // duplicate add
+	for i, n := 0, rng.Intn(40); i < n; i++ {
+		t := EncTriple{S: term("ns"), P: term("np"), O: term("no")}
+		if !seen[t] && !st.Contains(t.S, t.P, t.O) {
+			seen[t] = true
+			adds = append(adds, t)
 		}
 	}
-	for i, n := 0, rng.Intn(20); i < n && len(tris) > 0; i++ {
-		adds = append(adds, tris[rng.Intn(len(tris))]) // add already in base
-	}
-	for i, n := 0, rng.Intn(25); i < n && len(tris) > 0; i++ {
-		t := tris[rng.Intn(len(tris))]
-		dels = append(dels, t)
-		if rng.Intn(4) == 0 {
-			dels = append(dels, t) // duplicate tombstone
+	for i, n := 0, rng.Intn(30); i < n && len(tris) > 0; i++ {
+		if t := tris[rng.Intn(len(tris))]; !seen[t] {
+			seen[t] = true
+			dels = append(dels, t)
 		}
-	}
-	for i, n := 0, rng.Intn(15); i < n; i++ {
-		dels = append(dels, randEnc()) // tombstone of a (likely) absent triple
-	}
-	if len(adds) > 0 && rng.Intn(2) == 0 {
-		dels = append(dels, adds[rng.Intn(len(adds))]) // tombstoned AND added
 	}
 	return foldCase{base: st, adds: adds, dels: dels}
 }
@@ -121,16 +124,17 @@ func requireIdentical(t *testing.T, got, want *Store) bool {
 	return true
 }
 
-// TestMergeFoldMatchesRebuild: on randomized add/del sets — duplicate
-// adds, adds already in base, duplicate tombstones, tombstones of
-// absent triples, and triples simultaneously tombstoned and re-added —
-// MergeFold's output is byte-identical (all three permutations, row
-// pointers, level-2 runs, statistics) to a full FromTriples rebuild of
-// the flattened (base − dels) ∪ adds slice.
+// TestMergeFoldMatchesRebuild: on randomized resolved deltas, sorted
+// per permutation, MergeFold's output is byte-identical (all three
+// permutations, row pointers, level-2 runs, statistics) to a full
+// FromTriples rebuild of the flattened (base − dels) ∪ adds slice. (How
+// duplicate adds, adds already in base, tombstones of absent triples
+// and add-beats-tombstone reduce to such a delta is decided — and
+// tested — in the overlay's resolve.)
 func TestMergeFoldMatchesRebuild(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randFoldCase(rand.New(rand.NewSource(seed)))
-		got, err := MergeFold(c.base, c.adds, c.dels, true)
+		got, err := c.fold()
 		if err != nil {
 			t.Logf("MergeFold: %v", err)
 			return false
@@ -146,13 +150,12 @@ func TestMergeFoldMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestMergeFoldEmptyDelta: an empty delta reproduces the base exactly
-// (a fresh store over equal arrays), and a delta against an empty base
-// is just a sorted dedup of the adds.
+// TestMergeFoldEmptyDelta: an empty delta reproduces the base exactly,
+// and a delta against an empty base is just the adds.
 func TestMergeFoldEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := foldCase{base: randFoldCase(rng).base}
-	got, err := MergeFold(c.base, nil, nil, true)
+	got, err := c.fold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +167,46 @@ func TestMergeFoldEmptyDelta(t *testing.T) {
 	if err := empty.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	adds := []EncTriple{
-		{S: empty.Dict().Encode(tri("s1", "", "").S), P: empty.Dict().Encode(tri("p1", "", "").S), O: empty.Dict().Encode(tri("o1", "", "").S)},
-	}
-	adds = append(adds, adds[0]) // duplicate
-	onto, err := MergeFold(empty, adds, []EncTriple{{S: 1, P: 1, O: 1}}, true)
+	d := empty.Dict()
+	onto, err := foldCase{base: empty, adds: []EncTriple{
+		{S: d.Encode(tri("s1", "", "").S), P: d.Encode(tri("p1", "", "").S), O: d.Encode(tri("o1", "", "").S)},
+	}}.fold()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if onto.NumTriples() != 1 {
 		t.Fatalf("fold onto empty base: %d triples, want 1", onto.NumTriples())
+	}
+}
+
+// TestMergeFoldRejectsUnresolvedDelta: the fold assumes the resolve
+// invariants, so it checks them — a tombstone whose triple the base
+// does not hold, an add the base already holds, a run sorted in the
+// wrong order and permutations of different lengths each return
+// ErrDeltaNotResolved instead of a store with a wrong triple set.
+func TestMergeFoldRejectsUnresolvedDelta(t *testing.T) {
+	c := randFoldCase(rand.New(rand.NewSource(5)))
+	if len(c.adds) < 2 || len(c.dels) < 2 {
+		t.Fatalf("seed yields too small a delta: %d adds, %d dels", len(c.adds), len(c.dels))
+	}
+	inBase := c.base.Triples()[3]
+	swapped := sortedDelta(c.dels)
+	swapped.SPO, swapped.POS = swapped.POS, swapped.SPO
+	short := sortedDelta(c.adds)
+	short.OSP = short.OSP[1:]
+	for name, bad := range map[string][2]SortedDelta{
+		"tombstone absent from base": {sortedDelta(c.adds[1:]), sortedDelta(slices.Concat(c.dels, c.adds[:1]))},
+		"add present in base":        {sortedDelta(slices.Concat(c.adds, []EncTriple{inBase})), sortedDelta(nil)},
+		"runs in the wrong order":    {sortedDelta(c.adds), swapped},
+		"permutations disagree":      {short, sortedDelta(c.dels)},
+		"more tombstones than base":  {sortedDelta(nil), sortedDelta(slices.Concat(c.base.Triples(), c.adds))},
+	} {
+		if st, err := MergeFold(c.base, bad[0], bad[1], true); !errors.Is(err, ErrDeltaNotResolved) {
+			t.Errorf("%s: MergeFold = %v, %v; want ErrDeltaNotResolved", name, st, err)
+		}
+	}
+	if _, err := c.fold(); err != nil {
+		t.Fatalf("the resolved delta itself must fold: %v", err)
 	}
 }
 
@@ -196,7 +229,7 @@ func TestBuildParallelSequentialIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := randFoldCase(rand.New(rand.NewSource(23)))
-		folded, err := MergeFold(c.base, c.adds, c.dels, true)
+		folded, err := c.fold()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +263,7 @@ func TestFreezeTooManyTriplesSurfaces(t *testing.T) {
 	if _, err := FromTriples(st.Dict(), nil, false); err != nil {
 		t.Fatalf("FromTriples: %v", err)
 	}
-	if _, err := MergeFold(st, nil, nil, false); err != nil {
+	if _, err := MergeFold(st, SortedDelta{}, SortedDelta{}, false); err != nil {
 		t.Fatalf("MergeFold: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 
 	"sparqluo/internal/rdf"
@@ -198,7 +197,7 @@ func replaySegment(path string, index uint64, fn func(Record) error) error {
 			return &CorruptError{Segment: path, Offset: off, Reason: reason}
 		}
 		kind, batch, payload, _ := decodeBody(data[off+frameHeader : off+n])
-		ts, perr := decodePayload(payload)
+		ts, perr := rdf.ParseAll(bytes.NewReader(payload))
 		if perr != nil {
 			return &CorruptError{Segment: path, Offset: off, Reason: fmt.Sprintf("payload: %v", perr)}
 		}
@@ -208,20 +207,4 @@ func replaySegment(path string, index uint64, fn func(Record) error) error {
 		off += n
 	}
 	return nil
-}
-
-// decodePayload parses the record's N-Triples payload.
-func decodePayload(payload []byte) ([]rdf.Triple, error) {
-	d := rdf.NewDecoder(bytes.NewReader(payload))
-	var ts []rdf.Triple
-	for {
-		t, err := d.Decode()
-		if err == io.EOF {
-			return ts, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
 }

@@ -44,6 +44,14 @@
 //     returns immediately. Bounded loss window under power failure.
 //   - SyncNever: the OS decides when pages reach the platter.
 //
+// A failed segment write or fsync poisons the log: the first such error
+// is kept, and Append, Sync and Cut return it wrapped in ErrFailed from
+// then on. An fsync is never retried — on Linux a retry can succeed
+// after the kernel dropped the dirty pages, which would acknowledge a
+// batch that never reached the device — and nothing is appended behind
+// a possibly torn frame. Close still closes; reopening and replaying
+// the directory is the way back.
+//
 // # Recovery
 //
 // Open validates every segment front to back. A torn final record —
@@ -67,6 +75,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -195,6 +204,10 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("wal: corrupt log: %s at offset %d: %s", e.Segment, e.Offset, e.Reason)
 }
 
+// ErrFailed wraps the first write or fsync error of a poisoned log (see
+// the durability contract); match it with errors.Is.
+var ErrFailed = errors.New("wal: log failed, reopen and replay to recover")
+
 // Stats is a point-in-time picture of the log, reported by /stats and
 // /healthz via the overlay.
 type Stats struct {
@@ -225,6 +238,7 @@ type Log struct {
 	f        *os.File  // active segment
 	segments []segment // ascending by index; last is active
 	closed   bool
+	failed   error // sticky: the first write or fsync error, wrapped in ErrFailed
 
 	nextBatch   uint64
 	lastBatch   uint64 // most recently appended batch ID
@@ -369,25 +383,42 @@ func (l *Log) openSegmentLocked(index uint64) error {
 	return nil
 }
 
+// failLocked poisons the log with err unless an earlier failure already
+// did, and returns the sticky error. Called with mu held.
+func (l *Log) failLocked(op string, err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("%w: %s: %w", ErrFailed, op, err)
+	}
+	return l.failed
+}
+
 // rotateLocked seals the active segment (fsync + close) and opens a
 // fresh one. Called with mu held; waits out any in-flight group-commit
-// fsync so the file is never closed under it.
+// fsync so the file is never closed under it (and re-checks the poison
+// state, which that fsync may have set).
 func (l *Log) rotateLocked() error {
 	for l.syncing {
 		l.syncCond.Wait()
 	}
+	if l.failed != nil {
+		return l.failed
+	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sealing segment: %w", err)
+		return l.failLocked("sealing segment", err)
 	}
 	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: sealing segment: %w", err)
+		return l.failLocked("sealing segment", err)
 	}
 	// Everything appended so far now sits in sealed, synced segments.
 	l.syncedBatch = l.lastBatch
 	l.syncs++
 	l.lastSync = time.Now()
-	next := l.segments[len(l.segments)-1].index + 1
-	return l.openSegmentLocked(next)
+	// The sealed file is closed: without a successor there is nothing
+	// left to append to.
+	if err := l.openSegmentLocked(l.segments[len(l.segments)-1].index + 1); err != nil {
+		return l.failLocked("opening segment", err)
+	}
+	return nil
 }
 
 // encodeRecord frames one batch: crc | len | kind | batch | payload-len
@@ -429,6 +460,9 @@ func (l *Log) Append(kind Kind, ts []rdf.Triple) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: append on closed log")
 	}
+	if l.failed != nil {
+		return 0, l.failed
+	}
 	batch := l.nextBatch
 	frame := encodeRecord(kind, batch, ts)
 	active := &l.segments[len(l.segments)-1]
@@ -440,8 +474,9 @@ func (l *Log) Append(kind Kind, ts []rdf.Triple) (uint64, error) {
 	}
 	if _, err := l.f.Write(frame); err != nil {
 		// A partial write is exactly the torn tail recovery truncates;
-		// the batch is not acknowledged, so nothing is lost.
-		return 0, fmt.Errorf("wal: append: %w", err)
+		// the batch is not acknowledged, so nothing is lost — as long as
+		// nothing is ever appended behind it.
+		return 0, l.failLocked("append", err)
 	}
 	active.bytes += int64(len(frame))
 	l.nextBatch++
@@ -466,6 +501,10 @@ func (l *Log) Sync(batch uint64) error {
 func (l *Log) fsyncBatch(batch uint64) error {
 	l.mu.Lock()
 	for {
+		if l.failed != nil {
+			l.mu.Unlock()
+			return l.failed
+		}
 		if l.syncedBatch >= batch {
 			l.mu.Unlock()
 			return nil
@@ -490,19 +529,18 @@ func (l *Log) fsyncBatch(batch uint64) error {
 	err := f.Sync()
 	l.mu.Lock()
 	l.syncing = false
-	if err == nil {
-		if target > l.syncedBatch {
-			l.syncedBatch = target
-		}
+	if err != nil {
+		// The followers woken below find the log poisoned and return the
+		// same error; none becomes a leader and retries.
+		err = l.failLocked("sync", err)
+	} else {
+		l.syncedBatch = max(l.syncedBatch, target)
 		l.syncs++
 		l.lastSync = time.Now()
 	}
 	l.syncCond.Broadcast()
 	l.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	return nil
+	return err
 }
 
 // flushLoop is the SyncInterval background flusher.
@@ -521,7 +559,7 @@ func (l *Log) flushLoop() {
 		batch := l.lastBatch
 		l.mu.Unlock()
 		if dirty {
-			l.fsyncBatch(batch) // best effort; next tick retries
+			l.fsyncBatch(batch) // a failure poisons the log; the next Append reports it
 		}
 	}
 }

@@ -422,3 +422,131 @@ func TestEmptyAndForeignFiles(t *testing.T) {
 		t.Fatalf("segments = %d", st.Segments)
 	}
 }
+
+// swapFile replaces the active segment's handle (as a fault injector:
+// a closed handle fails every write and fsync) and returns the old one.
+func swapFile(l *Log, f *os.File) *os.File {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	old := l.f
+	l.f = f
+	return old
+}
+
+func closedFile(t *testing.T, path string) *os.File {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	return f
+}
+
+// TestFailedSyncPoisonsLog: a failed fsync must never be retried — on
+// Linux the retry can succeed after the kernel dropped the dirty pages,
+// acknowledging a batch that never reached the device. The leader and
+// every queued follower of the failed group commit get the error, the
+// log refuses Append, Sync and Cut from then on even though the file
+// works again, and a reopen replays every batch acknowledged before
+// the fault.
+func TestFailedSyncPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
+	for i := 0; i < 3; i++ {
+		appendSync(t, l, Insert, batch(i, 1)) // acknowledged before the fault
+	}
+	var pending []uint64
+	for i := 3; i < 9; i++ {
+		seq, err := l.Append(Insert, batch(i, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, seq)
+	}
+	syncs := l.Stats().Syncs
+
+	good := swapFile(l, closedFile(t, l.segmentPath(1)))
+	errs := make([]error, len(pending))
+	var wg sync.WaitGroup
+	for i, seq := range pending {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = l.Sync(seq)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrFailed) {
+			t.Errorf("Sync(%d) during the fault = %v, want ErrFailed", pending[i], err)
+		}
+	}
+
+	// The device answers again; a retry would now "succeed".
+	swapFile(l, good)
+	if err := l.Sync(pending[0]); !errors.Is(err, ErrFailed) {
+		t.Errorf("Sync after the fault cleared = %v: a retried fsync acknowledged a batch whose fsync had failed", err)
+	}
+	if _, err := l.Append(Insert, batch(99, 1)); !errors.Is(err, ErrFailed) {
+		t.Errorf("Append on a poisoned log = %v, want ErrFailed", err)
+	}
+	if _, err := l.Cut(); !errors.Is(err, ErrFailed) {
+		t.Errorf("Cut on a poisoned log = %v, want ErrFailed", err)
+	}
+	if got := l.Stats().Syncs; got != syncs {
+		t.Errorf("Stats().Syncs advanced %d -> %d across failed fsyncs", syncs, got)
+	}
+	if err := l.Close(); err != nil {
+		t.Errorf("Close of a poisoned log: %v", err)
+	}
+
+	// No crash followed, so the six batches whose ack was refused are
+	// still in the file and replay too (refused is not absent); the
+	// refused Append left nothing behind.
+	l = mustOpen(t, dir, Options{})
+	defer l.Close()
+	recs := collect(t, l)
+	if len(recs) != 9 {
+		t.Fatalf("replayed %d batches after reopen, want the 9 appended before the fault", len(recs))
+	}
+	for i, r := range recs {
+		if r.Batch != uint64(i+1) || r.Triples[0] != triple(i) {
+			t.Errorf("record %d = batch %d %v", i, r.Batch, r.Triples)
+		}
+	}
+}
+
+// TestFailedAppendPoisonsLog: a failed segment write may have left a
+// torn frame, and nothing may ever be appended behind one. The log is
+// poisoned by the write error itself; reopen+replay returns exactly the
+// batches acknowledged before the fault.
+func TestFailedAppendPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
+	appendSync(t, l, Insert, batch(0, 2))
+	appendSync(t, l, Delete, batch(2, 1))
+
+	good := swapFile(l, closedFile(t, l.segmentPath(1)))
+	if _, err := l.Append(Insert, batch(3, 1)); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Append with a failing write = %v, want ErrFailed", err)
+	}
+	swapFile(l, good)
+	if _, err := l.Append(Insert, batch(4, 1)); !errors.Is(err, ErrFailed) {
+		t.Errorf("Append after the fault cleared = %v, want ErrFailed", err)
+	}
+	if err := l.Sync(2); !errors.Is(err, ErrFailed) {
+		t.Errorf("Sync on a poisoned log = %v, want ErrFailed", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Errorf("Close of a poisoned log: %v", err)
+	}
+
+	l = mustOpen(t, dir, Options{})
+	defer l.Close()
+	recs := collect(t, l)
+	if len(recs) != 2 || recs[0].Kind != Insert || recs[1].Kind != Delete || recs[1].Batch != 2 {
+		t.Fatalf("replay after reopen = %+v, want exactly the two acknowledged batches", recs)
+	}
+	appendSync(t, l, Insert, batch(5, 1)) // a reopened log takes writes again
+}

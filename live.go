@@ -33,7 +33,7 @@ type LiveStats = overlay.LiveStats
 
 // WALStats is the journal slice of LiveStats: segment count and bytes,
 // append/sync counters, and what recovery found at open.
-type WALStats = overlay.JournalStats
+type WALStats = wal.Stats
 
 // CompactionStats describes one completed compaction.
 type CompactionStats = overlay.CompactionStats
@@ -97,18 +97,8 @@ type RecoveryStats struct {
 }
 
 // CompactionOptions configures the background compactor started by
-// DB.StartCompaction.
-type CompactionOptions struct {
-	// Interval is the maximum time the memtable may stay dirty before
-	// a compaction runs (default 30s).
-	Interval time.Duration
-	// Threshold is the pending-operation count that triggers an
-	// immediate compaction (default 10000).
-	Threshold int
-	// OnError, if non-nil, receives background compaction failures.
-	// The compactor keeps running; the memtable retains the writes.
-	OnError func(error)
-}
+// DB.StartCompaction: Interval, Threshold and OnError.
+type CompactionOptions = overlay.CompactionOptions
 
 // OpenLive returns a live database: Insert/Delete work immediately,
 // queries may run concurrently with writes, and a background compactor
@@ -159,8 +149,8 @@ func (db *DB) EnableLiveUpdates(opts LiveOptions) error {
 }
 
 // attachWAL opens the journal named by opts.WALDir (a no-op when
-// unset), replays its surviving batches into ls, and wires it in as the
-// overlay's durability hook. Replay happens before SetJournal, so
+// unset), replays its surviving batches into ls, and hands the log to
+// the overlay. Replay happens before SetJournal, so
 // recovered batches are not re-journaled — they already live in the
 // segments that carried them here, and the next persisted compaction
 // retires them.
@@ -193,7 +183,7 @@ func (db *DB) attachWAL(ls *overlay.LiveStore, opts LiveOptions) error {
 		return fmt.Errorf("sparqluo: wal replay: %w", err)
 	}
 	rec.TruncatedBytes = wlog.Stats().TruncatedBytes
-	ls.SetJournal(walJournal{wlog})
+	ls.SetJournal(wlog)
 	db.wal = wlog
 	db.recovery = &rec
 	return nil
@@ -206,35 +196,6 @@ func (db *DB) Recovery() (rec RecoveryStats, ok bool) {
 		return RecoveryStats{}, false
 	}
 	return *db.recovery, true
-}
-
-// walJournal adapts *wal.Log to the overlay's Journal hook.
-type walJournal struct{ log *wal.Log }
-
-func (j walJournal) Append(del bool, ts []rdf.Triple) (uint64, error) {
-	kind := wal.Insert
-	if del {
-		kind = wal.Delete
-	}
-	return j.log.Append(kind, ts)
-}
-
-func (j walJournal) Commit(seq uint64) error         { return j.log.Sync(seq) }
-func (j walJournal) Checkpoint() (uint64, error)     { return j.log.Cut() }
-func (j walJournal) Retire(mark uint64) (int, error) { return j.log.Retire(mark) }
-
-func (j walJournal) Stats() overlay.JournalStats {
-	s := j.log.Stats()
-	return overlay.JournalStats{
-		Segments:       s.Segments,
-		Bytes:          s.Bytes,
-		Appended:       s.Appended,
-		Syncs:          s.Syncs,
-		LastSync:       s.LastSync,
-		LastBatch:      s.LastBatch,
-		Replayed:       s.Replayed,
-		TruncatedBytes: s.TruncatedBytes,
-	}
 }
 
 // Live reports whether live updates are enabled.
@@ -274,14 +235,13 @@ func (db *DB) Delete(ts ...Triple) error {
 
 // InsertNTriples decodes an N-Triples document (with optional
 // Turtle-style @prefix directives) and inserts every triple as one
-// atomic batch, returning the number of triples decoded. The HTTP
-// POST /update endpoint is a thin wrapper over it.
+// atomic batch, returning the number of triples decoded.
 func (db *DB) InsertNTriples(r io.Reader) (int, error) {
 	ls := db.liveStore()
 	if ls == nil {
 		return 0, ErrNotLive
 	}
-	ts, err := decodeAll(r)
+	ts, err := rdf.ParseAll(r)
 	if err != nil {
 		return 0, err
 	}
@@ -298,7 +258,7 @@ func (db *DB) DeleteNTriples(r io.Reader) (int, error) {
 	if ls == nil {
 		return 0, ErrNotLive
 	}
-	ts, err := decodeAll(r)
+	ts, err := rdf.ParseAll(r)
 	if err != nil {
 		return 0, err
 	}
@@ -308,28 +268,12 @@ func (db *DB) DeleteNTriples(r io.Reader) (int, error) {
 	return len(ts), nil
 }
 
-func decodeAll(r io.Reader) ([]Triple, error) {
-	d := rdf.NewDecoder(r)
-	var ts []Triple
-	for {
-		t, err := d.Decode()
-		if err == io.EOF {
-			return ts, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ts = append(ts, t)
-	}
-}
-
 // Flush synchronously compacts the memtable into the frozen base:
 // tombstones annihilate their targets and the survivors are folded in
-// with the store's linear merge fold (store.MergeFold — each sorted
-// permutation of the base is merged with the sorted delta in one pass,
-// so fold cost is proportional to base + delta with no re-sort of the
-// base), and (with a SnapshotPath configured) the new base is
-// persisted atomically before the swap.
+// by store.MergeFold — the current view's sorted deltas merged once per
+// permutation of the base, so fold cost is proportional to base + delta
+// and nothing is re-sorted — and (with a SnapshotPath configured) the
+// new base is persisted atomically before the swap.
 // After a Flush with no concurrent writers the database is quiesced —
 // every read serves the frozen base's zero-copy paths, and results are
 // byte-identical to a freshly frozen store over the same triples.
@@ -363,11 +307,7 @@ func (db *DB) StartCompaction(opts CompactionOptions) (stop func(), err error) {
 	if ls == nil {
 		return nil, ErrNotLive
 	}
-	return ls.StartCompaction(overlay.CompactionOptions{
-		Interval:  opts.Interval,
-		Threshold: opts.Threshold,
-		OnError:   opts.OnError,
-	}), nil
+	return ls.StartCompaction(opts), nil
 }
 
 // LiveStats returns overlay statistics and whether the database is

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -517,6 +519,69 @@ func TestHTTPStatsReportWAL(t *testing.T) {
 		if !strings.Contains(healthz, want) {
 			t.Errorf("/healthz missing %q:\n%s", want, healthz)
 		}
+	}
+}
+
+// TestHTTPUpdateFailedJournal: /update separates the client's fault from
+// the server's. A body that does not parse is 400; a batch the journal
+// cannot take is 500 — and because a failed segment write or fsync
+// poisons the log (wal.ErrFailed), every later update is 500 too, while
+// /sparql keeps answering from what was applied. The fault is a WAL
+// directory that stops being one, so the rotation the tiny segment size
+// forces on the second batch cannot open its next segment.
+func TestHTTPUpdateFailedJournal(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir, WALSegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := httptest.NewServer(sparqluo.NewHandler(db))
+	defer srv.Close()
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	query := "/sparql?query=" + url.QueryEscape("SELECT ?o WHERE { <http://ex/s> <http://ex/p> ?o }")
+
+	if code, body := do("POST", "/update", "<http://ex/s> <http://ex/p> \"one\" .\n"); code != 200 {
+		t.Fatalf("healthy update = %d %s", code, body)
+	}
+	if code, body := do("POST", "/update", "<http://ex/s> <http://ex/p> unterminated"); code != 400 {
+		t.Errorf("malformed body = %d %s, want 400", code, body)
+	}
+
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		code, body := do("POST", "/update", "<http://ex/s> <http://ex/p> \"two\" .\n")
+		if code != 500 || !strings.Contains(body, wal.ErrFailed.Error()) {
+			t.Errorf("update %d on a failed journal = %d %q, want 500 naming %q", i, code, body, wal.ErrFailed)
+		}
+	}
+	if code, body := do("POST", "/compact", ""); code != 500 {
+		t.Errorf("compact on a failed journal = %d %s, want 500", code, body)
+	}
+	code, body := do("GET", query, "")
+	if code != 200 || !strings.Contains(body, `"one"`) || strings.Contains(body, `"two"`) {
+		t.Errorf("query on a failed journal = %d %s, want 200 with the acknowledged triple only", code, body)
 	}
 }
 

@@ -15,7 +15,7 @@
 // With -shards k (k > 1), the snapshot is instead written as k
 // subject-range shard images plus a CRC-checked manifest at the
 // -snapshot path; sparql-server and sparql-uo open the manifest
-// directly and serve the shards with parallel scatter-gather:
+// directly and serve the shards as one store:
 //
 //	datagen -dataset lubm -scale 13 -snapshot lubm13.shards -shards 4
 //

@@ -14,8 +14,8 @@
 // leading magic bytes. N-Triples are parsed and indexed at boot
 // (O(n log n)); a snapshot or shard set is memory-mapped and served
 // immediately, the intended cold-start path for production replicas. A
-// sharded set scatters index scans across the shards in parallel and
-// gathers results in deterministic global order, so responses are
+// sharded set routes bound-subject lookups to one shard and recombines
+// every other index range in global order, so responses are
 // byte-identical to a single-store server. Startup logs report which
 // path ran and how long it took.
 //

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -137,39 +138,56 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 // TestQueryContextCancellation checks both cancellation paths: a context
 // that is already expired fails before evaluation starts, and a deadline
 // expiring mid-join aborts the engines promptly instead of letting a
-// cross-product run to completion.
+// cross-product run to completion. The sharded subtests run the same
+// checks over a 4-shard copy of the store, whose scans are the same
+// scanPattern poll reading a different Reader.
 func TestQueryContextCancellation(t *testing.T) {
-	db := lubmTestDB(t, 1)
+	single := lubmTestDB(t, 1)
+	manifest := filepath.Join(t.TempDir(), "lubm.shards")
+	if _, err := single.WriteShards(manifest, 4); err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := sparqluo.OpenShards(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
 	// This cross product is far too large to ever materialize; only
 	// cancellation can bring the call back.
 	const heavy = `SELECT * WHERE { ?a ?p ?b . ?c ?q ?d . ?e ?r ?f }`
 
-	t.Run("pre-expired", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := db.QueryContext(ctx, parallelTestQuery)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	})
-
-	for _, eng := range []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin} {
-		eng := eng
-		t.Run(fmt.Sprintf("mid-join/engine=%d", eng), func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-			defer cancel()
-			start := time.Now()
-			_, err := db.QueryContext(ctx, heavy, sparqluo.WithEngine(eng))
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			// Generous bound: the engines poll every few thousand rows, so
-			// even loaded CI machines return within a couple of seconds.
-			if elapsed > 5*time.Second {
-				t.Errorf("cancellation took %v, want prompt return", elapsed)
+	for _, in := range []struct {
+		prefix string
+		db     *sparqluo.DB
+	}{{"", single}, {"sharded/", sharded}} {
+		db := in.db
+		t.Run(in.prefix+"pre-expired", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := db.QueryContext(ctx, parallelTestQuery)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 		})
+
+		for _, eng := range []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin} {
+			eng := eng
+			t.Run(fmt.Sprintf("%smid-join/engine=%d", in.prefix, eng), func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+				defer cancel()
+				start := time.Now()
+				_, err := db.QueryContext(ctx, heavy, sparqluo.WithEngine(eng))
+				elapsed := time.Since(start)
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+				}
+				// Generous bound: the engines poll every few thousand rows, so
+				// even loaded CI machines return within a couple of seconds.
+				if elapsed > 5*time.Second {
+					t.Errorf("cancellation took %v, want prompt return", elapsed)
+				}
+			})
+		}
 	}
 }
 

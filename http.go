@@ -211,13 +211,14 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "triples: %d\n", db.NumTriples())
 		fmt.Fprintf(w, "shards: %d\n", db.NumShards())
-		if s := db.st.Stats(); s != nil {
+		st := db.reader()
+		if s := st.Stats(); s != nil {
 			fmt.Fprintf(w, "entities: %d\npredicates: %d\nliterals: %d\n",
 				s.NumEntities, s.NumPreds, s.NumLiterals)
 			// MemStats may (re)build indexes on an unfrozen store, so
 			// only report it once frozen, where it is a pure read.
 			// For a sharded database it aggregates across shards.
-			m := db.st.MemStats()
+			m := st.MemStats()
 			fmt.Fprintf(w, "dict-bytes: %d\nmemory: %s\n", m.DictBytes, m)
 		}
 		if cache != nil {
@@ -258,7 +259,7 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 	// misconfigured replica out of rotation instead of serving errors.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if db.st.Stats() == nil {
+		if db.reader().Stats() == nil {
 			http.Error(w, "loading: store not frozen yet", http.StatusServiceUnavailable)
 			return
 		}
@@ -421,11 +422,12 @@ func (h *queryEndpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// share.
 	key := sparql.CanonicalText(query)
 	// Epoch 0 is a database that is not live, so that enabling live
-	// updates under a handler starts a new generation: the plans built
-	// before hold the frozen store, not the overlay.
+	// updates under a handler starts a new generation: the responses
+	// memoized before came from the frozen store, and a plan encodes its
+	// constants against the dictionary of its own epoch.
 	var epoch uint64
-	if ls := h.db.liveStore(); ls != nil {
-		epoch = ls.Epoch() + 1
+	if h.db.live != nil {
+		epoch = h.db.live.Epoch() + 1
 	}
 	ent := h.cache.get(key, epoch)
 	if ent != nil {

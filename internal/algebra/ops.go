@@ -130,7 +130,7 @@ func joinKernel(a, b *Bag, mode joinMode, opts JoinOpts, path joinPath, hash key
 				n = m.max
 			}
 			out.Order = slices.Clone(a.Order)
-			appendPrefix(out, a, n)
+			out.data, out.rows = slices.Clone(a.data[:n*a.Width]), n
 			m.pulled = n
 		}
 	case a.Len() == 0:

@@ -35,8 +35,17 @@ func BuildPlan(q *sparql.Query, st store.Reader) (*Plan, error) {
 	return &Plan{Tree: tree, st: st}, nil
 }
 
-// Store returns the store the plan was built against.
-func (p *Plan) Store() store.Reader { return p.st }
+// On returns the plan retargeted at st: the same tree, read from st on
+// execution. The caller picks the store — a live database pins one
+// immutable view per execution — so st must share the dictionary the
+// plan was built against. It returns p itself when st is already the
+// plan's store.
+func (p *Plan) On(st store.Reader) *Plan {
+	if st == p.st {
+		return p
+	}
+	return &Plan{Tree: p.Tree, st: st}
+}
 
 // Clone returns a deep copy of the plan (sharing the store and the
 // immutable variable table).
@@ -51,7 +60,7 @@ func (p *Plan) Clone() *Plan { return &Plan{Tree: p.Tree.Clone(), st: p.st} }
 // Estimates are engine-specific: warm a dedicated plan copy per engine
 // (see Clone), and do not warm a plan that is concurrently executing.
 func (p *Plan) WarmEstimates(engine exec.Engine) {
-	cm := &costModel{st: pinView(p.st), engine: engine}
+	cm := &costModel{st: p.st, engine: engine}
 	cm.fillEstimates(p.Tree.Root)
 }
 
@@ -60,7 +69,7 @@ func (p *Plan) WarmEstimates(engine exec.Engine) {
 // executing it: the plan's own tree under Base and CP, a transformed
 // clone (costed with the engine's estimators) under TT and Full.
 func (p *Plan) Transformed(engine exec.Engine, strat Strategy) *Tree {
-	t, _ := transform(context.Background(), p.Tree, pinView(p.st), engine, strat)
+	t, _ := transform(context.Background(), p.Tree, p.st, engine, strat)
 	return t
 }
 

@@ -87,13 +87,15 @@ type ExecOptions struct {
 // worker pool configured in opts. The plan is not modified (transforming
 // strategies clone its tree), so concurrent ExecPlan calls on one Plan
 // are safe. On cancellation the ctx error is returned and the Result is
-// nil.
+// nil. Everything the execution does — transformation, pruning
+// thresholds, evaluation — reads the plan's one immutable store; a
+// caller serving live data retargets the plan at a pinned view first
+// (Plan.On).
 func ExecPlan(ctx context.Context, p *Plan, engine exec.Engine, strat Strategy, opts ExecOptions) (*Result, error) {
-	st := pinView(p.st)
 	t := applyWindow(p.Tree, opts)
 	res := &Result{Vars: t.Vars}
 	start := time.Now()
-	work, n := transform(ctx, t, st, engine, strat)
+	work, n := transform(ctx, t, p.st, engine, strat)
 	res.Transformations, res.TransformTime = n, time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, err // Δ-costs were truncated; the plan is unusable
@@ -101,31 +103,18 @@ func ExecPlan(ctx context.Context, p *Plan, engine exec.Engine, strat Strategy, 
 	prune := Pruning{}
 	switch strat {
 	case CP:
-		prune = Pruning{Enabled: true, FixedThreshold: st.NumTriples() / 100}
+		prune = Pruning{Enabled: true, FixedThreshold: p.st.NumTriples() / 100}
 	case Full:
 		prune = Pruning{Enabled: true, Adaptive: true}
 	}
 	start = time.Now()
-	bag, stats, err := EvaluateContext(ctx, work, st, engine, prune, opts.Parallelism)
+	bag, stats, err := EvaluateContext(ctx, work, p.st, engine, prune, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	res.ExecTime = time.Since(start)
 	res.Bag, res.Tree, res.Stats = bag, work, stats
 	return res, nil
-}
-
-// pinView pins a mutable store (the live-update overlay) to one
-// immutable view, so that everything done with the result — estimate
-// warming, transformation, pruning thresholds, evaluation — sees exactly
-// one epoch of the data and a query running concurrently with ingest or
-// a compaction swap never observes a partial batch. Immutable stores are
-// returned as they are.
-func pinView(st store.Reader) store.Reader {
-	if v, ok := st.(store.Viewer); ok {
-		return v.View()
-	}
-	return st
 }
 
 // transform is the strategy's plan-rewriting step: TT and Full run the

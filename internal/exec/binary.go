@@ -89,9 +89,6 @@ func (BinaryJoinEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP
 // max >= 0 stops the index scan after max emitted rows; pulled, when
 // non-nil, accumulates the number of rows the scan drew.
 func scanPattern(st store.Reader, pat Pattern, width int, cand Candidates, poll *ctxPoll, max int, pulled *int) *algebra.Bag {
-	if out, ok := scatterScan(st, pat, width, cand, poll, max, pulled); ok {
-		return out
-	}
 	out := newBagOver(width, pat.Vars())
 	out.Order = MatchOrder(st, pat, neverBound, cand)
 	seed := make(algebra.Row, width)

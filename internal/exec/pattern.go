@@ -220,7 +220,7 @@ type accessPath struct {
 // accessPaths is the single place the scan policy is written down,
 // indexed by shape (bit 2 = S bound, bit 1 = P bound, bit 0 = O bound).
 // MatchPattern enumerates what it says, MatchOrder reports its orders,
-// ExactCount and the scatter gate read its counts.
+// ExactCount and the probe decision read its counts.
 var accessPaths = [8]accessPath{
 	0b000: {kind: accAll, order: []slot{slotS, slotP, slotO},
 		count: func(st store.Reader, _, _, _ store.ID) int { return st.NumTriples() }},
@@ -336,8 +336,8 @@ func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
 //
 // Matches are emitted in the physical order of the permutation range the
 // pattern reads; MatchOrder reports that order as a variable sequence.
-// Every store — plain, sharded, live overlay — is read through the
-// store.Reader accessors, which return global ranges in global order.
+// Every store — plain, sharded, a live overlay's view — is read through
+// the store.Reader accessors, which return global ranges in global order.
 func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates, emit func(algebra.Row) bool) {
 	if pat.Impossible() {
 		return

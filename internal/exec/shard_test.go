@@ -2,13 +2,11 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"sparqluo/internal/algebra"
-	"sparqluo/internal/rdf"
 	"sparqluo/internal/store"
 )
 
@@ -152,41 +150,5 @@ func TestQuickShardedBGPIdentical(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestScatterScanCancellation: a context cancelled before the scatter
-// starts must stop the scan and mark the poll stopped; callers then
-// discard the truncated bag by checking ctx.Err. The fixture is sized so
-// every shard crosses the batched cancellation-check threshold.
-func TestScatterScanCancellation(t *testing.T) {
-	st := store.New()
-	p := rdf.NewIRI("http://ex/p")
-	for i := 0; i < 9000; i++ {
-		st.Add(rdf.Triple{
-			S: rdf.NewIRI(fmt.Sprintf("http://ex/s%04d", i)),
-			P: p,
-			O: rdf.NewIRI(fmt.Sprintf("http://ex/o%04d", i)),
-		})
-	}
-	st.Freeze()
-	if st.NumTriples() < 3*(cancelCheckMask+2) {
-		t.Fatalf("fixture too small to observe batched cancellation: %d triples", st.NumTriples())
-	}
-	sh := shardStore(t, st, 3)
-	pat := Pattern{S: Var(0), P: Var(1), O: Var(2)}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	poll := ctxPoll{ctx: ctx}
-	var pulled int
-	out, ok := scatterScan(sh, pat, 3, nil, &poll, -1, &pulled)
-	if !ok {
-		t.Fatal("scatterScan refused a plain full scan")
-	}
-	if !poll.stopped {
-		t.Error("cancelled context not observed by scatterScan")
-	}
-	if out.Len() >= st.NumTriples() {
-		t.Error("cancelled scatter scanned everything anyway")
 	}
 }

@@ -70,8 +70,7 @@ func (WCOEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width
 		var next *algebra.Bag
 		if li == 0 {
 			// The seed level extends the unit mapping: a fresh whole-pattern
-			// scan, shared with the binary engine (fan-out across shards
-			// included).
+			// scan, shared with the binary engine.
 			next = scanPattern(st, pat, width, cand, &poll, levelMax, &n)
 		} else {
 			next = algebra.NewBag(width)

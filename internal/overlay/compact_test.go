@@ -102,8 +102,8 @@ func TestCompactionWriteFailureServesOldImage(t *testing.T) {
 
 	// (b) The live store lost nothing: the claimed ops went back to the
 	// memtable and the overlay serves all three triples.
-	if ls.NumTriples() != 3 {
-		t.Errorf("live store serves %d triples after failed compaction, want 3", ls.NumTriples())
+	if ls.View().NumTriples() != 3 {
+		t.Errorf("live store serves %d triples after failed compaction, want 3", ls.View().NumTriples())
 	}
 	if stats := ls.LiveStats(); stats.MemtableOps == 0 {
 		t.Error("memtable empty after failed compaction — pending write was dropped")
@@ -216,8 +216,8 @@ func TestCompactionUnresolvedDeltaRollsBack(t *testing.T) {
 		if st := ls.LiveStats(); st.MemtableOps == 0 || st.MemtableAdds != 1 {
 			t.Errorf("%s: memtable after rollback = %+v, want the pending insert retained", name, st)
 		}
-		if ls.NumTriples() != 3 {
-			t.Errorf("%s: live store serves %d triples, want 3", name, ls.NumTriples())
+		if ls.View().NumTriples() != 3 {
+			t.Errorf("%s: live store serves %d triples, want 3", name, ls.View().NumTriples())
 		}
 		if st := openImage(t, path); st.NumTriples() != 2 {
 			t.Errorf("%s: on-disk image holds %d triples, want 2 (old image)", name, st.NumTriples())

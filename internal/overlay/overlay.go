@@ -2,7 +2,7 @@
 // store: an LSM-flavored two-level structure in which a small mutable
 // memtable (an append log of insert and tombstone operations) sits on
 // top of an immutable frozen base store, and the two sorted sides are
-// merged at read time so every store.Reader accessor sees one
+// merged at read time so every store.Reader accessor of a View sees one
 // consistent triple set.
 //
 // The design leans on three properties the repo already has:
@@ -18,19 +18,20 @@
 //
 // Concurrency model. Writes (Insert/Delete) append operations to the
 // memtable under a mutex and bump an epoch counter; each write call is
-// one atomic batch. Reads go through an immutable View pinned per query
-// (via store.Viewer): the view is (re)built lazily at the current epoch
-// and then shared by all readers until the next write, so a running
-// query never observes a partial batch — snapshot isolation by
-// construction. A compaction is the materialisation of a View: the
-// view's two deltas — the memtable already resolved against the base
-// (tombstones annihilate their targets) and already sorted per
-// permutation for readers — are merged into the base's permutations by
-// store.MergeFold, one linear pass each (fold cost is O(base + delta),
-// nothing is re-sorted); the new base is optionally persisted with the
-// atomic snapshot writer and swapped in under the mutex — an RCU-style
-// swap: in-flight queries finish on the old image, and the only
-// reader-visible pause is the pointer swap itself.
+// one atomic batch. The LiveStore is not a store.Reader: a reader asks
+// it for the current View once per query and reads only that immutable
+// view, which is (re)built lazily at the current epoch and then shared
+// by all readers until the next write, so a running query never
+// observes a partial batch — snapshot isolation by construction. A
+// compaction is the materialisation of a View: the view's two deltas —
+// the memtable already resolved against the base (tombstones annihilate
+// their targets) and already sorted per permutation for readers — are
+// merged into the base's permutations by store.MergeFold, one linear
+// pass each (fold cost is O(base + delta), nothing is re-sorted); the
+// new base is optionally persisted with the atomic snapshot writer and
+// swapped in under the mutex — an RCU-style swap: in-flight queries
+// finish on the old image, and the only reader-visible pause is the
+// pointer swap itself.
 package overlay
 
 import (
@@ -63,10 +64,10 @@ type Options struct {
 	SnapshotPath string
 }
 
-// LiveStore is a mutable store.Reader: an immutable frozen base plus a
-// mutex-guarded memtable of pending inserts and tombstones. It
-// implements store.Viewer, so the execution funnel pins one immutable
-// View per query. All methods are safe for concurrent use.
+// LiveStore is a mutable triple set: an immutable frozen base plus a
+// mutex-guarded memtable of pending inserts and tombstones. It is not a
+// store.Reader itself — a reader pins one immutable View per query and
+// reads only that. All methods are safe for concurrent use.
 type LiveStore struct {
 	dict *store.Dict
 	opts Options
@@ -233,12 +234,10 @@ func (ls *LiveStore) Base() *store.Store {
 	return ls.base
 }
 
-// View returns an immutable snapshot of the current state
-// (store.Viewer). Views are cached: all readers between two writes
+// View returns an immutable snapshot of the current state, which is
+// what every reader reads. Views are cached: all readers between two writes
 // share one View, and the fast path is two atomic loads.
-func (ls *LiveStore) View() store.Reader { return ls.view() }
-
-func (ls *LiveStore) view() *View {
+func (ls *LiveStore) View() *View {
 	// Load the epoch before the view pointer: if they match, the view
 	// is current; if a write lands in between, the mismatch sends us
 	// through the locked rebuild.
@@ -305,7 +304,7 @@ type LiveStats struct {
 // memtable (building the current view if stale), so the add/tombstone
 // counts are the net effect a query would see.
 func (ls *LiveStore) LiveStats() LiveStats {
-	v := ls.view()
+	v := ls.View()
 	ls.mu.Lock()
 	st := LiveStats{
 		Epoch:                v.epoch,
@@ -359,46 +358,8 @@ func resolve(base *store.Store, ops []op) (adds, dels []store.EncTriple) {
 	return adds, dels
 }
 
-// LiveStore itself satisfies store.Reader by delegating every accessor
-// to the current view, so it can sit directly in a DB; the execution
-// funnel additionally pins one view per query via store.Viewer.
+// Dict returns the dictionary shared by the memtable and every
+// generation of the base.
+func (ls *LiveStore) Dict() *store.Dict { return ls.dict }
 
-func (ls *LiveStore) Dict() *store.Dict        { return ls.dict }
-func (ls *LiveStore) Stats() *store.Stats      { return ls.view().Stats() }
-func (ls *LiveStore) Frozen() bool             { return false }
-func (ls *LiveStore) NumTriples() int          { return ls.view().NumTriples() }
-func (ls *LiveStore) MemStats() store.MemStats { return ls.view().MemStats() }
-
-func (ls *LiveStore) Contains(s, p, o store.ID) bool      { return ls.view().Contains(s, p, o) }
-func (ls *LiveStore) ObjectsSP(s, p store.ID) []store.ID  { return ls.view().ObjectsSP(s, p) }
-func (ls *LiveStore) SubjectsPO(p, o store.ID) []store.ID { return ls.view().SubjectsPO(p, o) }
-func (ls *LiveStore) PredsSO(s, o store.ID) []store.ID    { return ls.view().PredsSO(s, o) }
-func (ls *LiveStore) SubjectTriples(s store.ID) []store.EncTriple {
-	return ls.view().SubjectTriples(s)
-}
-func (ls *LiveStore) PredicateTriples(p store.ID) []store.EncTriple {
-	return ls.view().PredicateTriples(p)
-}
-func (ls *LiveStore) ObjectTriples(o store.ID) []store.EncTriple {
-	return ls.view().ObjectTriples(o)
-}
-func (ls *LiveStore) SubjectsOfPredicate(p store.ID) []store.ID {
-	return ls.view().SubjectsOfPredicate(p)
-}
-func (ls *LiveStore) ObjectsOfPredicate(p store.ID) []store.ID {
-	return ls.view().ObjectsOfPredicate(p)
-}
-func (ls *LiveStore) Triples() []store.EncTriple { return ls.view().Triples() }
-
-func (ls *LiveStore) CountP(p store.ID) int     { return ls.view().CountP(p) }
-func (ls *LiveStore) CountS(s store.ID) int     { return ls.view().CountS(s) }
-func (ls *LiveStore) CountO(o store.ID) int     { return ls.view().CountO(o) }
-func (ls *LiveStore) CountSP(s, p store.ID) int { return ls.view().CountSP(s, p) }
-func (ls *LiveStore) CountPO(p, o store.ID) int { return ls.view().CountPO(p, o) }
-func (ls *LiveStore) CountSO(s, o store.ID) int { return ls.view().CountSO(s, o) }
-
-var (
-	_ store.Reader = (*LiveStore)(nil)
-	_ store.Viewer = (*LiveStore)(nil)
-	_ store.Reader = (*View)(nil)
-)
+var _ store.Reader = (*View)(nil)

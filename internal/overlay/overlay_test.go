@@ -165,11 +165,11 @@ func TestRandomOpsMatchRebuiltStore(t *testing.T) {
 func TestTombstoneLifecycle(t *testing.T) {
 	ls := New(baseStore([]rdf.Triple{tri("s", "p", "o"), tri("s", "p", "o2")}), Options{})
 	ls.Delete(tri("s", "p", "o"))
-	if ls.Contains(1, 2, 3) { // s=1 p=2 o=3 in insertion order
+	if ls.View().Contains(1, 2, 3) { // s=1 p=2 o=3 in insertion order
 		t.Error("deleted triple still visible")
 	}
-	if ls.NumTriples() != 1 {
-		t.Errorf("NumTriples = %d, want 1", ls.NumTriples())
+	if ls.View().NumTriples() != 1 {
+		t.Errorf("NumTriples = %d, want 1", ls.View().NumTriples())
 	}
 	st := ls.LiveStats()
 	if st.Tombstones != 1 {
@@ -183,7 +183,7 @@ func TestTombstoneLifecycle(t *testing.T) {
 	}
 	// Re-insert resurrects the triple.
 	ls.Insert(tri("s", "p", "o"))
-	if !ls.Contains(1, 2, 3) {
+	if !ls.View().Contains(1, 2, 3) {
 		t.Error("re-inserted triple not visible")
 	}
 }
@@ -195,8 +195,8 @@ func TestDeleteUnknownTermsDoesNotGrowDict(t *testing.T) {
 	if ls.Dict().Len() != n {
 		t.Errorf("Delete of unknown term grew the dict: %d -> %d", n, ls.Dict().Len())
 	}
-	if ls.NumTriples() != 1 {
-		t.Errorf("NumTriples = %d, want 1", ls.NumTriples())
+	if ls.View().NumTriples() != 1 {
+		t.Errorf("NumTriples = %d, want 1", ls.View().NumTriples())
 	}
 }
 
@@ -212,9 +212,8 @@ func TestViewCachedBetweenWrites(t *testing.T) {
 		t.Error("view not invalidated by a write")
 	}
 	// The old view still answers from its epoch.
-	old := v1.(*View)
-	if old.NumTriples() != 1 {
-		t.Errorf("pinned old view mutated: %d triples", old.NumTriples())
+	if v1.NumTriples() != 1 {
+		t.Errorf("pinned old view mutated: %d triples", v1.NumTriples())
 	}
 	if v3.NumTriples() != 2 {
 		t.Errorf("new view = %d triples, want 2", v3.NumTriples())
@@ -248,7 +247,7 @@ func TestBatchAtomicity(t *testing.T) {
 		}
 		select {
 		case <-done:
-			if got := ls.NumTriples(); got != 2*n {
+			if got := ls.View().NumTriples(); got != 2*n {
 				t.Fatalf("final NumTriples = %d, want %d", got, 2*n)
 			}
 			return

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 )
 
@@ -79,7 +78,9 @@ func (st *Store) SubjectSpan(lo, hi ID) int {
 // permutation order — plain concatenation when the order leads with the
 // subject, a k-way merge otherwise. Stats are the original store's
 // global statistics (carried by the shard manifest), so plan selection
-// and sampling behave exactly as on the unpartitioned store.
+// and sampling behave exactly as on the unpartitioned store. Nothing
+// above the Reader surface knows the store is sharded: the engines scan
+// it as they scan a single store, and pull the same rows.
 //
 // A ShardedStore is always frozen and safe for concurrent readers.
 type ShardedStore struct {
@@ -87,13 +88,6 @@ type ShardedStore struct {
 	bounds []ID // len(shards)+1; shard i owns subjects [bounds[i], bounds[i+1])
 	stats  *Stats
 	total  int
-	// sem bounds the extra goroutines Scatter may run across concurrent
-	// callers; its capacity is the maximum ever useful (one worker per
-	// shard beyond the caller itself), while each Scatter call sizes its
-	// own fan-out budget off GOMAXPROCS at call time. Acquisition is
-	// non-blocking (callers fall back to inline work), so scatter
-	// fan-out can never deadlock however deeply queries nest.
-	sem chan struct{}
 }
 
 // NewShardedStore assembles a sharded reader over frozen shard stores and
@@ -142,15 +136,11 @@ func NewShardedStore(shards []*Store, bounds []ID, stats *Stats) (*ShardedStore,
 		bounds: append([]ID(nil), bounds...),
 		stats:  stats,
 		total:  total,
-		sem:    make(chan struct{}, k-1),
 	}, nil
 }
 
 // NumShards returns the shard count.
 func (sh *ShardedStore) NumShards() int { return len(sh.shards) }
-
-// Shard returns shard i (ascending subject ranges).
-func (sh *ShardedStore) Shard(i int) *Store { return sh.shards[i] }
 
 // ShardFor returns the shard owning subject s.
 func (sh *ShardedStore) ShardFor(s ID) *Store {
@@ -160,46 +150,6 @@ func (sh *ShardedStore) ShardFor(s ID) *Store {
 		i--
 	}
 	return sh.shards[i]
-}
-
-// Scatter runs f over every shard index. The fan-out budget is sized
-// off runtime.GOMAXPROCS(0) at call time — not at construction — so a
-// process whose processor allowance changes mid-flight gets the right
-// pool on its next query. When a single processor is available (or
-// there is only one shard) every index runs inline with no goroutines
-// or channel traffic at all: the shard_scaling BENCH rows on the
-// single-core CI box showed k>1 fan-out there is pure gather overhead.
-// Otherwise a goroutine is spawned per index while both the call-time
-// budget and the shared bounded pool have capacity, inline otherwise.
-func (sh *ShardedStore) Scatter(f func(i int)) {
-	budget := runtime.GOMAXPROCS(0) - 1
-	if budget <= 0 || len(sh.shards) < 2 {
-		for i := range sh.shards {
-			f(i)
-		}
-		return
-	}
-	done := make(chan int, len(sh.shards))
-	spawned := 0
-	for i := range sh.shards {
-		if spawned < budget {
-			select {
-			case sh.sem <- struct{}{}:
-				spawned++
-				go func(i int) {
-					defer func() { <-sh.sem }()
-					f(i)
-					done <- i
-				}(i)
-				continue
-			default:
-			}
-		}
-		f(i)
-	}
-	for ; spawned > 0; spawned-- {
-		<-done
-	}
 }
 
 // Dict returns the shared dictionary (shard 0's instance; all shards
@@ -263,11 +213,11 @@ func (sh *ShardedStore) CountPO(p, o ID) int {
 	return n
 }
 
-// concatIDs recombines per-shard ID views that are already in global
-// order under concatenation (the values are subject-correlated and the
-// shard ranges ascend). A single non-empty view is returned zero-copy.
-func concatIDs(shards []*Store, get func(*Store) []ID) []ID {
-	var single []ID
+// concat recombines per-shard views that are already in global order
+// under concatenation (the values are subject-correlated and the shard
+// ranges ascend). A single non-empty view is returned zero-copy.
+func concat[T any](shards []*Store, get func(*Store) []T) []T {
+	var single []T
 	n, nonEmpty := 0, 0
 	for _, s := range shards {
 		if v := get(s); len(v) > 0 {
@@ -279,28 +229,7 @@ func concatIDs(shards []*Store, get func(*Store) []ID) []ID {
 	if nonEmpty <= 1 {
 		return single
 	}
-	out := make([]ID, 0, n)
-	for _, s := range shards {
-		out = append(out, get(s)...)
-	}
-	return out
-}
-
-// concatTriples is concatIDs for triple views.
-func concatTriples(shards []*Store, get func(*Store) []EncTriple) []EncTriple {
-	var single []EncTriple
-	n, nonEmpty := 0, 0
-	for _, s := range shards {
-		if v := get(s); len(v) > 0 {
-			n += len(v)
-			nonEmpty++
-			single = v
-		}
-	}
-	if nonEmpty <= 1 {
-		return single
-	}
-	out := make([]EncTriple, 0, n)
+	out := make([]T, 0, n)
 	for _, s := range shards {
 		out = append(out, get(s)...)
 	}
@@ -311,24 +240,24 @@ func concatTriples(shards []*Store, get func(*Store) []EncTriple) []EncTriple {
 // are ascending within disjoint ascending ranges, so concatenation is
 // already sorted (it materializes when more than one shard matches).
 func (sh *ShardedStore) SubjectsPO(p, o ID) []ID {
-	return concatIDs(sh.shards, func(s *Store) []ID { return s.SubjectsPO(p, o) })
+	return concat(sh.shards, func(s *Store) []ID { return s.SubjectsPO(p, o) })
 }
 
 // SubjectsOfPredicate concatenates the per-shard distinct-subject views
 // (disjoint ascending ranges ⇒ globally sorted and distinct).
 func (sh *ShardedStore) SubjectsOfPredicate(p ID) []ID {
-	return concatIDs(sh.shards, func(s *Store) []ID { return s.SubjectsOfPredicate(p) })
+	return concat(sh.shards, func(s *Store) []ID { return s.SubjectsOfPredicate(p) })
 }
 
 // ObjectTriples concatenates the per-shard (S,P)-sorted views — the
 // leading sort component is the subject, so shard order is global order.
 func (sh *ShardedStore) ObjectTriples(o ID) []EncTriple {
-	return concatTriples(sh.shards, func(s *Store) []EncTriple { return s.ObjectTriples(o) })
+	return concat(sh.shards, func(s *Store) []EncTriple { return s.ObjectTriples(o) })
 }
 
 // Triples concatenates the canonical (S,P,O)-sorted shard views.
 func (sh *ShardedStore) Triples() []EncTriple {
-	return concatTriples(sh.shards, func(s *Store) []EncTriple { return s.Triples() })
+	return concat(sh.shards, func(s *Store) []EncTriple { return s.Triples() })
 }
 
 // PredicateTriples merges the per-shard (O,S)-sorted views into the

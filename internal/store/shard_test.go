@@ -3,8 +3,6 @@ package store
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"sparqluo/internal/rdf"
@@ -262,28 +260,6 @@ func TestNewShardedStoreValidation(t *testing.T) {
 		s, b, stats := c.f()
 		if _, err := NewShardedStore(s, b, stats); err == nil {
 			t.Errorf("%s: NewShardedStore succeeded, want error", c.name)
-		}
-	}
-}
-
-// TestScatterRunsEveryShard: Scatter must invoke f exactly once per
-// shard index, whatever mix of inline and goroutine execution the
-// semaphore produces.
-func TestScatterRunsEveryShard(t *testing.T) {
-	st := shardTestStore(t, 300)
-	k := 4
-	if st.Dict().Len() < k {
-		t.Skip("fixture too small")
-	}
-	sh := newSharded(t, st, k)
-	var ran [4]atomic.Int32
-	sh.Scatter(func(i int) {
-		runtime.Gosched()
-		ran[i].Add(1)
-	})
-	for i := range ran {
-		if got := ran[i].Load(); got != 1 {
-			t.Errorf("shard %d ran %d times, want 1", i, got)
 		}
 	}
 }

@@ -109,7 +109,7 @@ type CompactionOptions = overlay.CompactionOptions
 // journaled before it is acknowledged.
 func OpenLive(opts LiveOptions) (*DB, error) {
 	ls := overlay.New(nil, overlay.Options{SnapshotPath: opts.SnapshotPath})
-	db := &DB{st: ls}
+	db := &DB{live: ls}
 	if err := db.attachWAL(ls, opts); err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (db *DB) EnableLiveUpdates(opts LiveOptions) error {
 	if err := db.attachWAL(ls, opts); err != nil {
 		return err
 	}
-	db.st = ls
+	db.st, db.live = nil, ls
 	return nil
 }
 
@@ -199,13 +199,7 @@ func (db *DB) Recovery() (rec RecoveryStats, ok bool) {
 }
 
 // Live reports whether live updates are enabled.
-func (db *DB) Live() bool { return db.liveStore() != nil }
-
-// liveStore returns the live overlay backing the database, or nil.
-func (db *DB) liveStore() *overlay.LiveStore {
-	ls, _ := db.st.(*overlay.LiveStore)
-	return ls
-}
+func (db *DB) Live() bool { return db.live != nil }
 
 // Insert adds the given triples as one atomic batch: a query running
 // concurrently sees either none or all of them (snapshot isolation by
@@ -213,11 +207,10 @@ func (db *DB) liveStore() *overlay.LiveStore {
 // semantics). With a WAL attached, a nil return means the batch is
 // durable per the configured sync policy. Requires live updates.
 func (db *DB) Insert(ts ...Triple) error {
-	ls := db.liveStore()
-	if ls == nil {
+	if db.live == nil {
 		return ErrNotLive
 	}
-	return ls.Insert(ts...)
+	return db.live.Insert(ts...)
 }
 
 // Delete removes the given triples as one atomic batch, by writing
@@ -226,26 +219,24 @@ func (db *DB) Insert(ts ...Triple) error {
 // attached, a nil return means the batch is durable per the configured
 // sync policy. Requires live updates.
 func (db *DB) Delete(ts ...Triple) error {
-	ls := db.liveStore()
-	if ls == nil {
+	if db.live == nil {
 		return ErrNotLive
 	}
-	return ls.Delete(ts...)
+	return db.live.Delete(ts...)
 }
 
 // InsertNTriples decodes an N-Triples document (with optional
 // Turtle-style @prefix directives) and inserts every triple as one
 // atomic batch, returning the number of triples decoded.
 func (db *DB) InsertNTriples(r io.Reader) (int, error) {
-	ls := db.liveStore()
-	if ls == nil {
+	if db.live == nil {
 		return 0, ErrNotLive
 	}
 	ts, err := rdf.ParseAll(r)
 	if err != nil {
 		return 0, err
 	}
-	if err := ls.Insert(ts...); err != nil {
+	if err := db.live.Insert(ts...); err != nil {
 		return 0, err
 	}
 	return len(ts), nil
@@ -254,15 +245,14 @@ func (db *DB) InsertNTriples(r io.Reader) (int, error) {
 // DeleteNTriples decodes an N-Triples document and deletes every triple
 // as one atomic batch, returning the number of triples decoded.
 func (db *DB) DeleteNTriples(r io.Reader) (int, error) {
-	ls := db.liveStore()
-	if ls == nil {
+	if db.live == nil {
 		return 0, ErrNotLive
 	}
 	ts, err := rdf.ParseAll(r)
 	if err != nil {
 		return 0, err
 	}
-	if err := ls.Delete(ts...); err != nil {
+	if err := db.live.Delete(ts...); err != nil {
 		return 0, err
 	}
 	return len(ts), nil
@@ -288,11 +278,10 @@ func (db *DB) Flush() error {
 // in, how long it took, whether an image was persisted, and how many
 // WAL segments the persist let it retire. Requires live updates.
 func (db *DB) Compact() (CompactionStats, error) {
-	ls := db.liveStore()
-	if ls == nil {
+	if db.live == nil {
 		return CompactionStats{}, ErrNotLive
 	}
-	return ls.Compact()
+	return db.live.Compact()
 }
 
 // StartCompaction runs the background compactor: the memtable is
@@ -303,21 +292,19 @@ func (db *DB) Compact() (CompactionStats, error) {
 // function (idempotent) halts the compactor and waits for an in-flight
 // compaction to finish. Requires live updates.
 func (db *DB) StartCompaction(opts CompactionOptions) (stop func(), err error) {
-	ls := db.liveStore()
-	if ls == nil {
+	if db.live == nil {
 		return nil, ErrNotLive
 	}
-	return ls.StartCompaction(opts), nil
+	return db.live.StartCompaction(opts), nil
 }
 
 // LiveStats returns overlay statistics and whether the database is
 // live.
 func (db *DB) LiveStats() (LiveStats, bool) {
-	ls := db.liveStore()
-	if ls == nil {
+	if db.live == nil {
 		return LiveStats{}, false
 	}
-	return ls.LiveStats(), true
+	return db.live.LiveStats(), true
 }
 
 // FromStore wraps an existing single store in a DB, for advanced
@@ -328,9 +315,8 @@ func FromStore(st *store.Store) *DB { return &DB{st: st} }
 // writeLiveSnapshot flushes the memtable and persists the quiesced
 // base; see DB.WriteSnapshot.
 func (db *DB) writeLiveSnapshot(path string) error {
-	ls := db.liveStore()
-	if err := ls.Flush(); err != nil {
+	if err := db.live.Flush(); err != nil {
 		return err
 	}
-	return snapshot.WriteFile(path, ls.Base())
+	return snapshot.WriteFile(path, db.live.Base())
 }

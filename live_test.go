@@ -2,10 +2,12 @@ package sparqluo_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -281,6 +283,139 @@ func TestLiveQueriesSeeOneEpoch(t *testing.T) {
 	}
 	close(compactorDone)
 	wg.Wait()
+}
+
+// TestPreparedAcrossLiveWrites: a *Prepared held across live writes and
+// a compaction reads the epoch current when each execution starts, not
+// the one it was prepared or warmed at. After every insert batch, delete
+// batch and the compaction, p.Exec must answer like a fresh db.Query at
+// that epoch on both engines — byte-identical under Base; as a multiset
+// under TT, CP and Full, whose estimates come from the template by design
+// and may order rows differently — with the batch just inserted visible
+// and the batch just deleted gone.
+func TestPreparedAcrossLiveWrites(t *testing.T) {
+	const ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
+	all := lubm.Generate(lubm.DefaultConfig(1))
+	db := sparqluo.Open()
+	if err := db.AddAll(all); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableLiveUpdates(sparqluo.LiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	q := `PREFIX ub: <` + ub + `>
+		SELECT ?x ?y ?n WHERE { { ?x ub:advisor ?y } UNION { ?x ub:headOf ?y } OPTIONAL { ?y ub:name ?n } }`
+	p, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Explain(); err != nil { // warms the plan at the first epoch
+		t.Fatal(err)
+	}
+
+	advisor := rdf.NewIRI(ub + "advisor")
+	var advised []rdf.Triple
+	for _, tr := range all {
+		if tr.P == advisor {
+			advised = append(advised, tr)
+		}
+	}
+	// pairs renders each solution's (?x, ?y) — the part a write decides.
+	pairs := func(res *sparqluo.Results) map[string]bool {
+		out := map[string]bool{}
+		for _, sol := range res.Solutions() {
+			out[sol["x"].String()+" "+sol["y"].String()] = true
+		}
+		return out
+	}
+	check := func(step string, added, removed []rdf.Triple) {
+		t.Helper()
+		for _, eng := range []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin} {
+			for _, strat := range []sparqluo.Strategy{sparqluo.Base, sparqluo.TT, sparqluo.CP, sparqluo.Full} {
+				opts := []sparqluo.Option{sparqluo.WithEngine(eng), sparqluo.WithStrategy(strat)}
+				want := queryJSON(t, db, q, opts)
+				res, err := p.Exec(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := res.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				got := buf.Bytes()
+				if strat == sparqluo.Base && !bytes.Equal(got, want) {
+					t.Fatalf("%s engine=%d %v: prepared differs from a fresh query\nfresh:    %.200s\nprepared: %.200s",
+						step, eng, strat, want, got)
+				}
+				if g, w := jsonRowMultiset(t, got), jsonRowMultiset(t, want); !slices.Equal(g, w) {
+					t.Fatalf("%s engine=%d %v: prepared returned %d rows, a fresh query %d (or other rows)",
+						step, eng, strat, len(g), len(w))
+				}
+			}
+		}
+		res, err := p.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := pairs(res)
+		for _, tr := range added {
+			if !seen[tr.S.String()+" "+tr.O.String()] {
+				t.Fatalf("%s: inserted %v not visible to the held Prepared", step, tr)
+			}
+		}
+		for _, tr := range removed {
+			if seen[tr.S.String()+" "+tr.O.String()] {
+				t.Fatalf("%s: deleted %v still visible to the held Prepared", step, tr)
+			}
+		}
+	}
+
+	check("prepared", nil, nil)
+	for round := 0; round < 3; round++ {
+		var ins []rdf.Triple
+		for i := 0; i < 20; i++ {
+			ins = append(ins, rdf.Triple{
+				S: rdf.NewIRI(fmt.Sprintf("http://ex/student%d_%d", round, i)),
+				P: advisor,
+				O: advised[(round*20+i)%len(advised)].O,
+			})
+		}
+		if err := db.Insert(ins...); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d insert", round), ins, nil)
+		del := advised[round*10 : round*10+10]
+		if err := db.Delete(del...); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d delete", round), nil, del)
+		if round == 1 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check("compacted", nil, del)
+		}
+	}
+}
+
+// jsonRowMultiset returns the rows of a W3C SPARQL JSON document as
+// sorted strings: the result up to row order.
+func jsonRowMultiset(t *testing.T, doc []byte) []string {
+	t.Helper()
+	var r struct {
+		Results struct {
+			Bindings []json.RawMessage `json:"bindings"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(doc, &r); err != nil {
+		t.Fatalf("bad results document: %v", err)
+	}
+	rows := make([]string, len(r.Results.Bindings))
+	for i, b := range r.Results.Bindings {
+		rows[i] = string(b)
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 // TestLiveSnapshotRoundTrip covers the persistence surface end to end:

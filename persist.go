@@ -70,10 +70,11 @@ func OpenSnapshot(path string) (*DB, error) {
 
 // OpenShards opens a sharded snapshot set from its manifest at path,
 // memory-mapping every shard image in parallel. The returned database
-// is frozen and serves queries by scattering index scans across the
-// shards and gathering the per-shard results in deterministic global
-// order, so results are byte-identical to a single-store database over
-// the same data. Call Close to release all mappings.
+// is frozen and serves queries through the sharded store's accessors,
+// which route bound-subject lookups to the owning shard and recombine
+// every other range in global order, so results — and the rows each
+// query pulls — are identical to a single-store database over the same
+// data. Call Close to release all mappings.
 func OpenShards(path string) (*DB, error) {
 	sh, ms, _, err := snapshot.OpenShards(path)
 	if err != nil {

@@ -15,7 +15,9 @@ import (
 // engine, the memoized cost-model estimates — paying only the
 // per-execution transform+evaluate cost: the parse-once / execute-many
 // half of the query API. A Prepared is safe for concurrent use by any
-// number of goroutines.
+// number of goroutines. On a live database each execution pins the view
+// current when it starts, so a Prepared held across writes and
+// compactions reads the current epoch every time.
 type Prepared struct {
 	db       *DB
 	plan     *core.Plan
@@ -38,7 +40,8 @@ type Prepared struct {
 // given to Exec override them per call. The DB must be frozen (the
 // plan encodes terms against the frozen dictionary).
 func (db *DB) Prepare(text string, opts ...Option) (*Prepared, error) {
-	if db.st.Stats() == nil {
+	st := db.reader()
+	if st.Stats() == nil {
 		return nil, fmt.Errorf("sparqluo: DB must be frozen before preparing queries (call Freeze)")
 	}
 	cfg := defaultQueryConfig()
@@ -49,7 +52,7 @@ func (db *DB) Prepare(text string, opts ...Option) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := core.BuildPlan(q, db.st)
+	plan, err := core.BuildPlan(q, st)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +83,8 @@ func (p *Prepared) Exec(opts ...Option) (*Results, error) {
 // variables before execution (see Bind). Cancelling ctx aborts
 // evaluation promptly and returns an error wrapping ctx.Err().
 func (p *Prepared) ExecContext(ctx context.Context, opts ...Option) (*Results, error) {
-	cfg, plan, bound, err := p.configure(opts)
+	st := p.db.reader()
+	cfg, plan, bound, err := p.configure(st, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +109,7 @@ func (p *Prepared) ExecContext(ctx context.Context, opts ...Option) (*Results, e
 		}
 		res.Bag.SetColumn(idx, v.ID)
 	}
-	return p.db.newResults(p.q, res), nil
+	return newResults(st.Dict(), p.q, res), nil
 }
 
 // Explain returns the BE-tree plan as built and as the selected strategy
@@ -115,7 +119,7 @@ func (p *Prepared) ExecContext(ctx context.Context, opts ...Option) (*Results, e
 // (Base and CP never transform; Full skips transformations that are
 // equivalent to candidate pruning, per §6) and Bind.
 func (p *Prepared) Explain(opts ...Option) (before, after string, err error) {
-	cfg, plan, _, err := p.configure(opts)
+	cfg, plan, _, err := p.configure(p.db.reader(), opts)
 	if err != nil {
 		return "", "", err
 	}
@@ -123,16 +127,16 @@ func (p *Prepared) Explain(opts ...Option) (before, after string, err error) {
 }
 
 // planFor returns the estimate-warmed plan for an engine, building it
-// on first use. Warming happens under mu on a private clone, so
-// concurrent executions never observe a half-warmed tree; afterwards
+// on first use against st. Warming happens under mu on a private clone,
+// so concurrent executions never observe a half-warmed tree; afterwards
 // the plan is read-only (transforming strategies clone it per call).
-func (p *Prepared) planFor(eng Engine) *core.Plan {
+func (p *Prepared) planFor(eng Engine, st store.Reader) *core.Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if plan, ok := p.warmed[eng]; ok {
 		return plan
 	}
-	plan := p.plan.Clone()
+	plan := p.plan.On(st).Clone()
 	plan.WarmEstimates(eng.impl())
 	if p.warmed == nil {
 		p.warmed = make(map[Engine]*core.Plan, 2)
@@ -142,8 +146,10 @@ func (p *Prepared) planFor(eng Engine) *core.Plan {
 }
 
 // configure resolves one execution's options against the prepare-time
-// defaults and applies any parameter bindings to the plan.
-func (p *Prepared) configure(opts []Option) (queryConfig, *core.Plan, map[int]core.BoundValue, error) {
+// defaults, retargets the plan at st — the store this execution reads,
+// on a live database the view pinned for it, so the whole execution sees
+// one epoch — and applies any parameter bindings to the plan.
+func (p *Prepared) configure(st store.Reader, opts []Option) (queryConfig, *core.Plan, map[int]core.BoundValue, error) {
 	cfg := p.defaults
 	cfg.bindings = nil
 	if len(p.defaults.bindings) > 0 {
@@ -155,7 +161,7 @@ func (p *Prepared) configure(opts []Option) (queryConfig, *core.Plan, map[int]co
 	for _, o := range opts {
 		o(&cfg)
 	}
-	plan := p.planFor(cfg.engine)
+	plan := p.planFor(cfg.engine, st).On(st)
 	var bound map[int]core.BoundValue
 	if len(cfg.bindings) > 0 {
 		bound = make(map[int]core.BoundValue, len(cfg.bindings))
@@ -164,7 +170,7 @@ func (p *Prepared) configure(opts []Option) (queryConfig, *core.Plan, map[int]co
 			if !ok {
 				return cfg, nil, nil, fmt.Errorf("sparqluo: cannot bind ?%s: query has no such variable", name)
 			}
-			id, _ := p.db.st.Dict().Lookup(term) // None when absent: patterns become impossible
+			id, _ := st.Dict().Lookup(term) // None when absent: patterns become impossible
 			bound[idx] = core.BoundValue{ID: id, Term: term}
 		}
 		plan = plan.Bind(bound)

@@ -36,8 +36,9 @@ type Results struct {
 	err      error
 }
 
-// newResults wraps one execution's outcome in a fresh cursor.
-func (db *DB) newResults(q *sparql.Query, res *core.Result) *Results {
+// newResults wraps one execution's outcome in a fresh cursor that
+// decodes IDs with dict.
+func newResults(dict *store.Dict, q *sparql.Query, res *core.Result) *Results {
 	names := res.Vars.Names()
 	if len(q.Select) > 0 {
 		names = q.Select
@@ -46,7 +47,7 @@ func (db *DB) newResults(q *sparql.Query, res *core.Result) *Results {
 	for i, n := range names {
 		cols[i], _ = res.Vars.Lookup(n) // Build interns every projected var
 	}
-	return &Results{dict: db.st.Dict(), res: res, names: names, cols: cols}
+	return &Results{dict: dict, res: res, names: names, cols: cols}
 }
 
 // Len returns the number of solutions.

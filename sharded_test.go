@@ -20,10 +20,9 @@ import (
 // byte-identical (W3C SPARQL JSON) to the single parse+freeze database
 // it was written from — across both engines, all four strategies, a
 // sweep of shard counts and both serial and parallel evaluation.
-// Anything the scatter-gather path reorders, drops or duplicates —
-// shard-local branch decisions, a k-way merge tie broken differently,
-// a per-shard LIMIT cap that isn't prefix-sound — surfaces here as a
-// byte difference.
+// Anything the sharded accessors reorder, drop or duplicate — a k-way
+// merge tie broken differently, a shard boundary routed to the wrong
+// shard — surfaces here as a byte difference.
 func TestShardedRoundTripEquivalence(t *testing.T) {
 	lubmScale, dbpScale := 13, 1500
 	if testing.Short() || raceEnabled {
@@ -106,8 +105,11 @@ func TestShardedRoundTripEquivalence(t *testing.T) {
 }
 
 // TestShardedLimitPushdownEquivalence: LIMIT/OFFSET windows — the
-// early-termination path, where per-shard caps must stay prefix-sound —
-// byte-identical between sharded and single stores.
+// early-termination path — are byte-identical between sharded and
+// single stores, and cost the same work. A sharded store is scanned
+// through the same Reader accessors as a single one, so every query ×
+// engine × window pulls exactly the rows the single store pulls — not
+// up to k× them, as a per-shard capped scan would.
 func TestShardedLimitPushdownEquivalence(t *testing.T) {
 	scale := 5
 	if testing.Short() {
@@ -130,32 +132,40 @@ func TestShardedLimitPushdownEquivalence(t *testing.T) {
 		`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,
 		`SELECT ?x ?y WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?y }`,
 	}
+	type window struct{ limit, offset int }
+	windows := []window{{3000, 0}, {20000, 0}}
+	for _, limit := range []int{0, 1, 7, 100} {
+		for _, offset := range []int{0, 3} {
+			windows = append(windows, window{limit, offset})
+		}
+	}
 	for _, text := range queries {
 		for _, eng := range []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin} {
-			for _, limit := range []int{0, 1, 7, 100} {
-				for _, offset := range []int{0, 3} {
-					opts := []sparqluo.Option{
-						sparqluo.WithEngine(eng),
-						sparqluo.WithLimit(limit),
-						sparqluo.WithOffset(offset),
-					}
-					want := queryJSON(t, single, text, opts)
-					got := queryJSON(t, sharded, text, opts)
-					if !bytes.Equal(want, got) {
-						t.Errorf("limit=%d offset=%d: sharded window differs\nsingle:  %.150s\nsharded: %.150s",
-							limit, offset, want, got)
-					}
+			for _, w := range windows {
+				opts := []sparqluo.Option{
+					sparqluo.WithEngine(eng),
+					sparqluo.WithLimit(w.limit),
+					sparqluo.WithOffset(w.offset),
+				}
+				want, wantPulled := queryPulled(t, single, text, opts)
+				got, gotPulled := queryPulled(t, sharded, text, opts)
+				if !bytes.Equal(want, got) {
+					t.Errorf("limit=%d offset=%d: sharded window differs\nsingle:  %.150s\nsharded: %.150s",
+						w.limit, w.offset, want, got)
+				}
+				if gotPulled != wantPulled {
+					t.Errorf("%s engine=%d limit=%d offset=%d: sharded pulled %d rows, single store %d",
+						text, eng, w.limit, w.offset, gotPulled, wantPulled)
 				}
 			}
 		}
 	}
 }
 
-// TestShardedRowsPulledAggregation pins two satellite behaviours: the
-// work metric sums across shards (a last-shard-wins bug would report a
-// fraction of the single store's count on a full scan), and LIMIT
-// push-down savings stay visible on the sharded path (per-shard caps
-// keep the capped pull count far below the full scan's).
+// TestShardedRowsPulledAggregation: the work metric of a sharded store
+// is the single store's, on a full scan (a last-shard-wins bug would
+// report a fraction of it) and under LIMIT push-down (the capped scan
+// stops at the same row, so the savings stay exactly as large).
 func TestShardedRowsPulledAggregation(t *testing.T) {
 	single := sparqluo.Open()
 	single.AddAll(lubm.Generate(lubm.DefaultConfig(3)))
@@ -171,30 +181,21 @@ func TestShardedRowsPulledAggregation(t *testing.T) {
 	defer sharded.Close()
 
 	const scan = `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`
-	full, err := sharded.Query(scan)
-	if err != nil {
-		t.Fatal(err)
+	_, full := queryPulled(t, sharded, scan, nil)
+	_, refFull := queryPulled(t, single, scan, nil)
+	if full != refFull {
+		t.Errorf("full scan pulled %d rows sharded, %d single", full, refFull)
 	}
-	refFull, err := single.Query(scan)
-	if err != nil {
-		t.Fatal(err)
+	if full < sharded.NumTriples() {
+		t.Errorf("full scan pulled %d rows, store has %d triples", full, sharded.NumTriples())
 	}
-	if full.RowsPulled() != refFull.RowsPulled() {
-		t.Errorf("full scan pulled %d rows sharded, %d single: per-shard counts not summed",
-			full.RowsPulled(), refFull.RowsPulled())
+	capOpts := []sparqluo.Option{sparqluo.WithLimit(5)}
+	_, capped := queryPulled(t, sharded, scan, capOpts)
+	_, refCapped := queryPulled(t, single, scan, capOpts)
+	if capped != refCapped {
+		t.Errorf("LIMIT 5 pulled %d rows sharded, %d single", capped, refCapped)
 	}
-	if full.RowsPulled() < sharded.NumTriples() {
-		t.Errorf("full scan pulled %d rows, store has %d triples", full.RowsPulled(), sharded.NumTriples())
-	}
-	capped, err := sharded.Query(scan, sparqluo.WithLimit(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.RowsPulled()*10 > full.RowsPulled() {
-		t.Errorf("LIMIT 5 pulled %d of %d rows: push-down savings lost on the sharded path",
-			capped.RowsPulled(), full.RowsPulled())
-	}
-	t.Logf("rows pulled: full=%d capped=%d", full.RowsPulled(), capped.RowsPulled())
+	t.Logf("rows pulled: full=%d capped=%d", full, capped)
 }
 
 // TestOpenFileDetectsShardManifest: the one-flag data path tells shard

@@ -81,6 +81,14 @@ func TestSnapshotRoundTripEquivalence(t *testing.T) {
 
 func queryJSON(t *testing.T, db *sparqluo.DB, text string, opts []sparqluo.Option) []byte {
 	t.Helper()
+	body, _ := queryPulled(t, db, text, opts)
+	return body
+}
+
+// queryPulled is queryJSON plus the number of rows the execution pulled
+// (Results.RowsPulled), the work the answer cost.
+func queryPulled(t *testing.T, db *sparqluo.DB, text string, opts []sparqluo.Option) ([]byte, int) {
+	t.Helper()
 	res, err := db.Query(text, opts...)
 	if err != nil {
 		t.Fatalf("query: %v", err)
@@ -89,5 +97,5 @@ func queryJSON(t *testing.T, db *sparqluo.DB, text string, opts []sparqluo.Optio
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), res.RowsPulled()
 }

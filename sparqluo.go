@@ -133,6 +133,7 @@ import (
 
 	"sparqluo/internal/core"
 	"sparqluo/internal/exec"
+	"sparqluo/internal/overlay"
 	"sparqluo/internal/rdf"
 	"sparqluo/internal/snapshot"
 	"sparqluo/internal/store"
@@ -188,7 +189,11 @@ func (e Engine) impl() exec.Engine {
 // snapshot set with OpenShards — for a cold start that skips parsing
 // and index building entirely.
 type DB struct {
+	// st is the immutable store of a frozen, snapshot-opened or sharded
+	// database; nil once live updates are enabled.
 	st store.Reader
+	// live is the live-update overlay; nil unless the database is live.
+	live *overlay.LiveStore
 
 	// mappings back snapshot-opened databases (see OpenSnapshot,
 	// OpenShards, Close); empty for in-memory ones.
@@ -205,10 +210,20 @@ type DB struct {
 func Open() *DB { return &DB{st: store.New()} }
 
 // mem returns the mutable single store backing the database, or nil for
-// a sharded (read-only) database.
+// a sharded (read-only) or live database.
 func (db *DB) mem() *store.Store {
 	st, _ := db.st.(*store.Store)
 	return st
+}
+
+// reader returns the store a query reads: the live overlay's current
+// view, or the database's immutable store. The store kind is decided
+// here, once per call; nothing below it sees the decision.
+func (db *DB) reader() store.Reader {
+	if db.live != nil {
+		return db.live.View()
+	}
+	return db.st
 }
 
 // Load reads an N-Triples document (with optional Turtle-style @prefix
@@ -234,8 +249,8 @@ func (db *DB) Load(r io.Reader) error {
 // a sharded database — never a panic, so a serving process can reject
 // stray writes gracefully.
 func (db *DB) Add(t Triple) error {
-	if ls := db.liveStore(); ls != nil {
-		return ls.Insert(t)
+	if db.live != nil {
+		return db.live.Insert(t)
 	}
 	m := db.mem()
 	if m == nil {
@@ -248,8 +263,8 @@ func (db *DB) Add(t Triple) error {
 // live database the batch is atomic: concurrent queries see all of it
 // or none of it.
 func (db *DB) AddAll(ts []Triple) error {
-	if ls := db.liveStore(); ls != nil {
-		return ls.Insert(ts...)
+	if db.live != nil {
+		return db.live.Insert(ts...)
 	}
 	for _, t := range ts {
 		if err := db.Add(t); err != nil {
@@ -273,13 +288,13 @@ func (db *DB) Freeze() error {
 }
 
 // NumTriples returns the number of distinct triples stored.
-func (db *DB) NumTriples() int { return db.st.NumTriples() }
+func (db *DB) NumTriples() int { return db.reader().NumTriples() }
 
 // NumShards returns the number of shards serving this database: 1 for a
 // single in-memory or snapshot-backed store, k for a database opened
 // from a shard manifest.
 func (db *DB) NumShards() int {
-	if sh, ok := db.st.(store.ShardedReader); ok {
+	if sh, ok := db.st.(*store.ShardedStore); ok {
 		return sh.NumShards()
 	}
 	return 1
@@ -287,12 +302,13 @@ func (db *DB) NumShards() int {
 
 // MemStats reports the memory footprint of the database's columnar
 // indexes — aggregated across shards for a sharded database.
-func (db *DB) MemStats() store.MemStats { return db.st.MemStats() }
+func (db *DB) MemStats() store.MemStats { return db.reader().MemStats() }
 
 // Store exposes the underlying single store for advanced integrations
 // (the experiment harness uses it); most callers never need it. It
 // returns nil for a sharded database, whose shards do not form one
-// *store.Store.
+// *store.Store, and for a live database, whose triple set is a base
+// plus a memtable.
 func (db *DB) Store() *store.Store { return db.mem() }
 
 // Option configures a Query, Prepare or Exec call.

@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test loc bench-smoke bench-repo race bench snapshot-smoke shard-smoke live-smoke wal-smoke fuzz clean
+.PHONY: all build vet fmt-check test loc bench-smoke bench-repo race bench data-smoke live-smoke wal-smoke fuzz clean
 
 all: vet fmt-check build test bench-smoke
 
@@ -62,43 +62,22 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# End-to-end snapshot smoke: generate one dataset in both
-# representations (N-Triples and snapshot image), run the same UO query
-# against each through sparql-uo's magic auto-detection, and require
-# byte-identical solutions. The timing line (line 2) is stripped before
-# comparing.
-snapshot-smoke:
-	@set -e; tmp=$$(mktemp -d); \
+# End-to-end data-file smoke: datagen writes one dataset as N-Triples
+# and a snapshot image, then as a 3-way shard set; sparql-uo answers the
+# same UO query from each file through OpenFile's magic detection, and
+# the solutions must be non-empty and byte-identical (the timing line,
+# line 2, is stripped). TestMatrix checks the stores themselves; this
+# covers the CLIs' flag handling.
+data-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
 	q='PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> SELECT * WHERE { { ?x ub:advisor ?y . } UNION { ?x ub:headOf ?y . } OPTIONAL { ?y ub:name ?n } }'; \
 	$(GO) run ./cmd/datagen -dataset lubm -scale 2 -out $$tmp/g.nt -snapshot $$tmp/g.img; \
-	$(GO) run ./cmd/sparql-uo -data $$tmp/g.nt -q "$$q" -limit 0 | tail -n +3 > $$tmp/parsed.out; \
-	$(GO) run ./cmd/sparql-uo -data $$tmp/g.img -q "$$q" -limit 0 | tail -n +3 > $$tmp/snap.out; \
-	if ! cmp -s $$tmp/parsed.out $$tmp/snap.out; then \
-		echo "snapshot-smoke: snapshot results differ from parsed store:"; \
-		diff $$tmp/parsed.out $$tmp/snap.out | head -20; rm -rf $$tmp; exit 1; fi; \
-	if ! test -s $$tmp/parsed.out; then \
-		echo "snapshot-smoke: query returned no solutions"; rm -rf $$tmp; exit 1; fi; \
-	echo "snapshot-smoke: $$(wc -l < $$tmp/parsed.out | tr -d ' ') identical solutions from image and N-Triples"; \
-	rm -rf $$tmp
-
-# End-to-end sharding smoke: write the same dataset as one snapshot
-# image and as a 3-way shard set, run the same query against both
-# through sparql-uo's magic auto-detection, and require byte-identical
-# solutions — the determinism guarantee, exercised through the CLI.
-shard-smoke:
-	@set -e; tmp=$$(mktemp -d); \
-	q='PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> SELECT * WHERE { { ?x ub:advisor ?y . } UNION { ?x ub:headOf ?y . } OPTIONAL { ?y ub:name ?n } }'; \
-	$(GO) run ./cmd/datagen -dataset lubm -scale 2 -snapshot $$tmp/g.img; \
 	$(GO) run ./cmd/datagen -dataset lubm -scale 2 -snapshot $$tmp/g.shards -shards 3; \
-	$(GO) run ./cmd/sparql-uo -data $$tmp/g.img -q "$$q" -limit 0 | tail -n +3 > $$tmp/single.out; \
-	$(GO) run ./cmd/sparql-uo -data $$tmp/g.shards -q "$$q" -limit 0 | tail -n +3 > $$tmp/sharded.out; \
-	if ! cmp -s $$tmp/single.out $$tmp/sharded.out; then \
-		echo "shard-smoke: sharded results differ from single store:"; \
-		diff $$tmp/single.out $$tmp/sharded.out | head -20; rm -rf $$tmp; exit 1; fi; \
-	if ! test -s $$tmp/single.out; then \
-		echo "shard-smoke: query returned no solutions"; rm -rf $$tmp; exit 1; fi; \
-	echo "shard-smoke: $$(wc -l < $$tmp/single.out | tr -d ' ') identical solutions from sharded and single stores"; \
-	rm -rf $$tmp
+	for f in g.nt g.img g.shards; do $(GO) run ./cmd/sparql-uo -data $$tmp/$$f -q "$$q" -limit 0 | tail -n +3 > $$tmp/$$f.out; done; \
+	test -s $$tmp/g.nt.out || { echo "data-smoke: query returned no solutions"; exit 1; }; \
+	for f in g.img g.shards; do cmp -s $$tmp/g.nt.out $$tmp/$$f.out || \
+		{ echo "data-smoke: $$f results differ from N-Triples:"; diff $$tmp/g.nt.out $$tmp/$$f.out | head -20; exit 1; }; done; \
+	echo "data-smoke: $$(wc -l < $$tmp/g.nt.out | tr -d ' ') identical solutions from N-Triples, image and shard set"
 
 # End-to-end live smoke: serve a generated base with -live, apply an
 # insert and a delete over HTTP with a forced compaction in between, and
@@ -205,6 +184,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sparql/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalText -fuzztime $(FUZZTIME) ./internal/sparql/
 	$(GO) test -run '^$$' -fuzz FuzzPlanCacheKey -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzOracle -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzNTriples -fuzztime $(FUZZTIME) ./internal/rdf/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) ./internal/snapshot/
 	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/snapshot/

@@ -63,6 +63,45 @@ func RandomQuery(rng *rand.Rand, cfg Config) string {
 	return b.String()
 }
 
+// RandomModifiers rewrites a RandomQuery text with a random tail of
+// solution modifiers, each present half the time: a random subset of
+// the variables projected instead of *, DISTINCT, ORDER BY with 1–2
+// keys written ASC(?v) or DESC(?v), LIMIT 0–7 and OFFSET 0–4. Keys and
+// projection draw from the whole variable space, so they may name a
+// variable the pattern never binds.
+func RandomModifiers(rng *rand.Rand, query string) string {
+	where, ok := strings.CutPrefix(query, "SELECT * ")
+	if !ok {
+		panic("qgen: not a RandomQuery text: " + query)
+	}
+	var b strings.Builder
+	b.WriteString("SELECT ")
+	if rng.Intn(2) == 0 {
+		b.WriteString("DISTINCT ")
+	}
+	if rng.Intn(2) == 0 {
+		b.WriteString("* ")
+	} else {
+		for _, v := range rng.Perm(numVars)[:1+rng.Intn(numVars-1)] {
+			fmt.Fprintf(&b, "?v%d ", v)
+		}
+	}
+	b.WriteString(where)
+	if rng.Intn(2) == 0 {
+		b.WriteString(" ORDER BY")
+		for i, n := 0, 1+rng.Intn(2); i < n; i++ {
+			fmt.Fprintf(&b, " %s(?v%d)", [2]string{"ASC", "DESC"}[rng.Intn(2)], rng.Intn(numVars))
+		}
+	}
+	if rng.Intn(2) == 0 {
+		fmt.Fprintf(&b, " LIMIT %d", rng.Intn(8))
+	}
+	if rng.Intn(2) == 0 {
+		fmt.Fprintf(&b, " OFFSET %d", rng.Intn(5))
+	}
+	return b.String()
+}
+
 type qgenState struct {
 	rng *rand.Rand
 	cfg Config

@@ -11,8 +11,10 @@ func TestGeneratedQueriesParse(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		text := RandomQuery(rng, DefaultConfig())
-		if _, err := sparql.Parse(text); err != nil {
-			t.Fatalf("trial %d: generated query does not parse: %v\n%s", i, err, text)
+		for _, text := range []string{text, RandomModifiers(rng, text)} {
+			if _, err := sparql.Parse(text); err != nil {
+				t.Fatalf("trial %d: generated query does not parse: %v\n%s", i, err, text)
+			}
 		}
 	}
 }

@@ -129,7 +129,7 @@ func (q *Query) String() string {
 		b.WriteString(" ORDER BY")
 		for _, k := range q.OrderBy {
 			if k.Desc {
-				b.WriteString(" DESC ?" + k.Var)
+				b.WriteString(" DESC(?" + k.Var + ")")
 			} else {
 				b.WriteString(" ?" + k.Var)
 			}

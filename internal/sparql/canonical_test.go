@@ -33,6 +33,7 @@ func TestCanonicalText(t *testing.T) {
 		// Keywords in any case; 'a', names and prefixes keep theirs.
 		{"select Distinct ?X where { ?X a ex:A } order by desc ?X limit 3 offset 1",
 			"SELECT DISTINCT ?X WHERE { ?X a ex:A } ORDER BY DESC ?X LIMIT 3 OFFSET 1"},
+		{"order by desc( ?X )asc($y)", "ORDER BY DESC ( ?X ) ASC ( ?y )"},
 		{"prefix select: <http://e/> SELECT * { ?s select:where ?o }",
 			"PREFIX select: <http://e/> SELECT * { ?s select:where ?o }"},
 		// Both variable sigils are one token.
@@ -179,6 +180,7 @@ func FuzzCanonicalText(f *testing.F) {
 		{`{ ?s ?p "a\xb" }`, `{ ?s ?p "a\\xb" }`},
 		{"SELECT\xa0?x", "SELECT ?x"},
 		{"LIMIT 10#c", "LIMIT 10 OFFSET 007"},
+		{"ORDER BY DESC(?x)", "order by desc ( $x )"},
 	} {
 		f.Add(s[0], s[1])
 	}

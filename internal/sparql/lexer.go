@@ -11,6 +11,8 @@ const (
 	tokEOF tokenKind = iota
 	tokLBrace
 	tokRBrace
+	tokLParen // only around an ORDER BY key: ASC(?v), DESC(?v)
+	tokRParen
 	tokDot
 	tokStar
 	tokVar     // ?name
@@ -153,6 +155,10 @@ func (l *lexer) next() (token, error) {
 		return l.punct(tokLBrace), nil
 	case '}':
 		return l.punct(tokRBrace), nil
+	case '(':
+		return l.punct(tokLParen), nil
+	case ')':
+		return l.punct(tokRParen), nil
 	case '.':
 		return l.punct(tokDot), nil
 	case '*':

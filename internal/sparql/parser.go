@@ -13,7 +13,8 @@ import (
 // Supported grammar (the paper's fragment plus solution modifiers):
 //
 //	query    := prefix* SELECT DISTINCT? (var* | '*')? WHERE? group modifier*
-//	modifier := ORDER BY ((ASC|DESC)? var)+ | LIMIT n | OFFSET n
+//	modifier := ORDER BY key+ | LIMIT n | OFFSET n
+//	key      := var | (ASC|DESC) (var | '(' var ')')
 //	prefix   := PREFIX pname: <iri>
 //	group    := '{' element* '}'
 //	element  := triple '.'? | group unionTail? | OPTIONAL group
@@ -149,16 +150,20 @@ func (p *parser) modifiers(q *Query) error {
 }
 
 // orderBy parses the tail of an ORDER BY clause (the ORDER keyword has
-// been consumed): BY followed by one or more (ASC|DESC)? ?var keys.
+// been consumed): BY followed by one or more keys, each a ?var, or
+// ASC/DESC before a ?var — bracketed, the W3C spelling, or bare.
 func (p *parser) orderBy(q *Query) error {
 	if p.cur().kind != tokKeyword || p.cur().text != "BY" {
 		return p.errf("expected BY after ORDER")
 	}
 	p.next()
 	for {
-		desc := false
+		desc, bracketed := false, false
 		if p.cur().kind == tokKeyword && (p.cur().text == "ASC" || p.cur().text == "DESC") {
 			desc = p.next().text == "DESC"
+			if bracketed = p.cur().kind == tokLParen; bracketed {
+				p.next()
+			}
 			if p.cur().kind != tokVar {
 				return p.errf("expected variable after ASC/DESC")
 			}
@@ -167,6 +172,12 @@ func (p *parser) orderBy(q *Query) error {
 			break
 		}
 		q.OrderBy = append(q.OrderBy, OrderKey{Var: p.next().text, Desc: desc})
+		if bracketed {
+			if p.cur().kind != tokRParen {
+				return p.errf("expected ')' after sort key")
+			}
+			p.next()
+		}
 	}
 	if len(q.OrderBy) == 0 {
 		return p.errf("expected at least one sort key after ORDER BY")

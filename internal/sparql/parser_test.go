@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,6 +224,21 @@ func TestParseOrderBy(t *testing.T) {
 	if len(q2.OrderBy) != 1 || q2.OrderBy[0] != (OrderKey{Var: "y"}) {
 		t.Errorf("OrderBy = %+v", q2.OrderBy)
 	}
+	// The W3C spelling brackets the key; it mixes with the bare forms.
+	for src, want := range map[string][]OrderKey{
+		`SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY DESC(?x)`:                {{Var: "x", Desc: true}},
+		`SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY ASC( ?y ) DESC(?x) ?y`:   {{Var: "y"}, {Var: "x", Desc: true}, {Var: "y"}},
+		`SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY desc($x)asc(?y) LIMIT 1`: {{Var: "x", Desc: true}, {Var: "y"}},
+	} {
+		q, err := Parse(src)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		if !slices.Equal(q.OrderBy, want) {
+			t.Errorf("%s: OrderBy = %+v, want %+v", src, q.OrderBy, want)
+		}
+	}
 }
 
 func TestParseOrderByErrors(t *testing.T) {
@@ -231,6 +247,9 @@ func TestParseOrderByErrors(t *testing.T) {
 		{"no keys", `SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY LIMIT 5`},
 		{"non-variable key", `SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY <http://e/p>`},
 		{"desc without var", `SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY DESC`},
+		{"unclosed bracket", `SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY DESC(?x`},
+		{"empty bracket", `SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY DESC()`},
+		{"bracketed IRI", `SELECT * WHERE { ?x <http://e/p> ?y } ORDER BY DESC(<http://e/x>)`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -268,20 +287,27 @@ func TestParseDuplicateModifiers(t *testing.T) {
 }
 
 func TestOrderByStringRoundTrip(t *testing.T) {
-	src := `SELECT ?x WHERE { ?x <http://e/p> ?y } ORDER BY ?y DESC ?x LIMIT 3 OFFSET 1`
-	q, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := Parse(q.String())
-	if err != nil {
-		t.Fatalf("rendered query does not parse: %v\n%s", err, q.String())
-	}
-	if q2.String() != q.String() {
-		t.Errorf("round trip not stable:\n%s\nvs\n%s", q.String(), q2.String())
-	}
-	if len(q2.OrderBy) != 2 || !q2.OrderBy[1].Desc {
-		t.Errorf("OrderBy lost in round trip: %+v", q2.OrderBy)
+	for _, src := range []string{
+		`SELECT ?x WHERE { ?x <http://e/p> ?y } ORDER BY ?y DESC ?x LIMIT 3 OFFSET 1`,
+		`SELECT ?x WHERE { ?x <http://e/p> ?y } ORDER BY ASC(?y) DESC(?x) LIMIT 3 OFFSET 1`,
+	} {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(q.String(), "DESC(?x)") {
+			t.Errorf("rendered sort key is not bracketed: %s", q.String())
+		}
+		q2, err := Parse(q.String())
+		if err != nil {
+			t.Fatalf("rendered query does not parse: %v\n%s", err, q.String())
+		}
+		if q2.String() != q.String() {
+			t.Errorf("round trip not stable:\n%s\nvs\n%s", q.String(), q2.String())
+		}
+		if len(q2.OrderBy) != 2 || !q2.OrderBy[1].Desc {
+			t.Errorf("OrderBy lost in round trip: %+v", q2.OrderBy)
+		}
 	}
 }
 

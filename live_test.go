@@ -2,12 +2,11 @@ package sparqluo_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 
@@ -15,6 +14,7 @@ import (
 	"sparqluo/internal/bench"
 	"sparqluo/internal/lubm"
 	"sparqluo/internal/rdf"
+	"sparqluo/internal/sparql"
 	"sparqluo/internal/store"
 )
 
@@ -46,151 +46,6 @@ func liveReference(base, inserted, final []rdf.Triple) *sparqluo.DB {
 		panic(err)
 	}
 	return sparqluo.FromStore(ref)
-}
-
-// TestLiveQuiescedEquivalence is the live-update subsystem's central
-// acceptance test: after an arbitrary interleaving of insert and delete
-// batches followed by a Flush, a live database must answer every LUBM
-// benchmark query with output byte-identical (W3C SPARQL JSON) to a
-// freshly frozen store built directly from the surviving triples —
-// across both engines, all four strategies, and both sequential and
-// parallel evaluation. Any divergence in the overlay's merge logic,
-// tombstone annihilation, statistics, or dictionary handling surfaces
-// here as a byte difference.
-func TestLiveQuiescedEquivalence(t *testing.T) {
-	scale := 5
-	if testing.Short() || raceEnabled {
-		scale = 2
-	}
-	all := lubm.Generate(lubm.DefaultConfig(scale))
-	split := len(all) * 4 / 5
-	base, extra := all[:split], all[split:]
-
-	live := sparqluo.Open()
-	if err := live.AddAll(base); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.EnableLiveUpdates(sparqluo.LiveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Deterministic op stream: inserts of the held-out tail interleaved
-	// with deletes of base triples, re-deletes (no-ops), re-inserts of
-	// previously deleted triples, and a mid-stream Flush so part of the
-	// stream compacts through the background path and part stays in the
-	// memtable until the final quiesce.
-	rng := rand.New(rand.NewSource(7))
-	present := make(map[string]bool, len(all))
-	key := func(t rdf.Triple) string { return t.S.String() + "\x00" + t.P.String() + "\x00" + t.O.String() }
-	for _, t := range base {
-		present[key(t)] = true
-	}
-	var inserted []rdf.Triple // every triple ever passed to Insert, in order
-	next := 0
-	var deleted []rdf.Triple
-	for round := 0; next < len(extra) || round < 40; round++ {
-		switch round % 4 {
-		case 0, 2: // insert a batch of new triples
-			n := min(1+rng.Intn(40), len(extra)-next)
-			if n > 0 {
-				batch := extra[next : next+n]
-				next += n
-				if err := live.Insert(batch...); err != nil {
-					t.Fatal(err)
-				}
-				inserted = append(inserted, batch...)
-				for _, tr := range batch {
-					present[key(tr)] = true
-				}
-			}
-		case 1: // delete a batch of base triples (some repeats = no-ops)
-			var batch []rdf.Triple
-			for i := 0; i < 25; i++ {
-				tr := base[rng.Intn(len(base))]
-				batch = append(batch, tr)
-				if present[key(tr)] {
-					deleted = append(deleted, tr)
-				}
-				present[key(tr)] = false
-			}
-			if err := live.Delete(batch...); err != nil {
-				t.Fatal(err)
-			}
-		case 3: // re-insert an earlier victim; occasionally flush
-			if len(deleted) > 0 {
-				tr := deleted[rng.Intn(len(deleted))]
-				if err := live.Insert(tr); err != nil {
-					t.Fatal(err)
-				}
-				inserted = append(inserted, tr)
-				present[key(tr)] = true
-			}
-			if round%8 == 3 {
-				if err := live.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if err := live.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The equivalence claim below is only evidence for the merge-fold
-	// compactor if folds actually ran: every Flush above routed its
-	// add/del delta through store.MergeFold, so pin that the stream
-	// compacted (several times) and fully drained.
-	stats, ok := live.LiveStats()
-	if !ok {
-		t.Fatal("LiveStats: database not live")
-	}
-	if stats.Compactions < 2 {
-		t.Fatalf("only %d compactions ran; the op stream must fold through MergeFold repeatedly", stats.Compactions)
-	}
-	if stats.MemtableOps != 0 {
-		t.Fatalf("%d memtable ops survived the final Flush", stats.MemtableOps)
-	}
-
-	var final []rdf.Triple
-	seen := make(map[string]bool, len(all))
-	for _, tr := range all {
-		if k := key(tr); present[k] && !seen[k] {
-			final = append(final, tr)
-			seen[k] = true
-		}
-	}
-	ref := liveReference(base, inserted, final)
-	if live.NumTriples() != ref.NumTriples() {
-		t.Fatalf("NumTriples = %d, want %d", live.NumTriples(), ref.NumTriples())
-	}
-
-	engines := []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin}
-	engineNames := []string{"wco", "binary"}
-	strategies := []sparqluo.Strategy{sparqluo.Base, sparqluo.TT, sparqluo.CP, sparqluo.Full}
-	for _, q := range bench.AllQueries() {
-		if q.Dataset != "LUBM" {
-			continue
-		}
-		for ei, engine := range engines {
-			for _, strat := range strategies {
-				base := []sparqluo.Option{
-					sparqluo.WithEngine(engine),
-					sparqluo.WithStrategy(strat),
-				}
-				pars := []int{1, 0}
-				if raceEnabled {
-					pars = pars[1:] // the grid is the plain build's job
-				}
-				want := queryJSON(t, ref, q.Text, base)
-				for _, par := range pars {
-					got := queryJSON(t, live, q.Text, append(base[:2:2], sparqluo.WithParallelism(par)))
-					if !bytes.Equal(want, got) {
-						t.Errorf("%s %s/%v par=%d: live results differ from frozen reference\nfrozen: %.200s\nlive:   %.200s",
-							q.ID, engineNames[ei], strat, par, want, got)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestLiveQueriesSeeOneEpoch drives queries concurrently with paired
@@ -347,9 +202,10 @@ func TestPreparedAcrossLiveWrites(t *testing.T) {
 					t.Fatalf("%s engine=%d %v: prepared differs from a fresh query\nfresh:    %.200s\nprepared: %.200s",
 						step, eng, strat, want, got)
 				}
-				if g, w := jsonRowMultiset(t, got), jsonRowMultiset(t, want); !slices.Equal(g, w) {
-					t.Fatalf("%s engine=%d %v: prepared returned %d rows, a fresh query %d (or other rows)",
-						step, eng, strat, len(g), len(w))
+				g, gerr := decodeResults(got)
+				w, werr := decodeResults(want)
+				if err := cmp.Or(gerr, werr, agree(g, w, sparql.MustParse(q), -1, 0)); err != nil {
+					t.Fatalf("%s engine=%d %v: prepared answer differs from a fresh query's: %v", step, eng, strat, err)
 				}
 			}
 		}
@@ -396,26 +252,6 @@ func TestPreparedAcrossLiveWrites(t *testing.T) {
 			check("compacted", nil, del)
 		}
 	}
-}
-
-// jsonRowMultiset returns the rows of a W3C SPARQL JSON document as
-// sorted strings: the result up to row order.
-func jsonRowMultiset(t *testing.T, doc []byte) []string {
-	t.Helper()
-	var r struct {
-		Results struct {
-			Bindings []json.RawMessage `json:"bindings"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(doc, &r); err != nil {
-		t.Fatalf("bad results document: %v", err)
-	}
-	rows := make([]string, len(r.Results.Bindings))
-	for i, b := range r.Results.Bindings {
-		rows[i] = string(b)
-	}
-	slices.Sort(rows)
-	return rows
 }
 
 // TestLiveSnapshotRoundTrip covers the persistence surface end to end:

@@ -29,6 +29,7 @@ func FuzzPlanCacheKey(f *testing.F) {
 		{"SELECT * WHERE { ?s ?p \"a\\tb\" . # note\n ?s <http://e/p#f> \"x # y\"@en-GB }", "SELECT\v* WHERE { ?s ?p \"a\tb\" .\f?s <http://e/p#f> \"x # y\"@en-GB }"},
 		{"SELECT{\"\"^^0", "SELECT\xa0*"}, // once a parser panic: a datatype word without a colon
 		{"SELECT DISTINCT ?s WHERE { { ?s a <c> } UNION { ?s ?p \"1\"^^<http://e/int> } OPTIONAL { ?s ?q ?o } } ORDER BY DESC ?s OFFSET 2", ""},
+		{"SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s) ASC(?o)", "SELECT ?s WHERE { ?s ?p ?o } ORDER BY DESC ?s ASC ?o"},
 	} {
 		f.Add(s[0], s[1])
 	}

@@ -5,80 +5,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"testing"
 
 	"sparqluo"
 	"sparqluo/internal/lubm"
 )
-
-// TestPreparedConcurrentGoldenEquivalence extends the golden-JSON
-// equivalence test to the prepared path: a single *Prepared is executed
-// from N goroutines across both engines and all four strategies, and
-// every execution must serialize byte-identically to a one-shot Query
-// with the same options. The default combination is additionally pinned
-// to the golden file, so prepared execution cannot drift from the
-// serialization contract either.
-func TestPreparedConcurrentGoldenEquivalence(t *testing.T) {
-	db := goldenDB()
-	prep, err := db.Prepare(goldenQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One-shot reference documents, computed up front (single-threaded).
-	type combo struct {
-		strat sparqluo.Strategy
-		eng   sparqluo.Engine
-	}
-	var combos []combo
-	want := map[combo]string{}
-	for _, strat := range []sparqluo.Strategy{sparqluo.Base, sparqluo.TT, sparqluo.CP, sparqluo.Full} {
-		for _, eng := range []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin} {
-			c := combo{strat, eng}
-			combos = append(combos, c)
-			res, err := db.Query(goldenQuery, sparqluo.WithStrategy(strat), sparqluo.WithEngine(eng))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			if err := res.WriteJSON(&sb); err != nil {
-				t.Fatal(err)
-			}
-			want[c] = sb.String()
-		}
-	}
-
-	const goroutinesPerCombo = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, len(combos)*goroutinesPerCombo)
-	for _, c := range combos {
-		for g := 0; g < goroutinesPerCombo; g++ {
-			wg.Add(1)
-			go func(c combo) {
-				defer wg.Done()
-				res, err := prep.Exec(sparqluo.WithStrategy(c.strat), sparqluo.WithEngine(c.eng))
-				if err != nil {
-					errs <- err
-					return
-				}
-				var sb strings.Builder
-				if err := res.WriteJSON(&sb); err != nil {
-					errs <- err
-					return
-				}
-				if sb.String() != want[c] {
-					errs <- fmt.Errorf("strategy %v engine %d: prepared JSON differs from one-shot", c.strat, c.eng)
-				}
-			}(c)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
 
 // TestPreparedBindEquivalence checks Bind's substitution semantics: a
 // prepared template executed with a parameter must return the same

@@ -12,23 +12,24 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with current output")
 
-// goldenDB builds a small fixed dataset exercising every term kind the
-// JSON serializer distinguishes (IRIs, plain/lang/typed literals) plus
-// UNION and OPTIONAL structure. Triples are added in a fixed order so
-// the solution ordering is reproducible.
+// goldenTriples is a small fixed dataset exercising every term kind
+// the JSON serializer distinguishes (IRIs, plain/lang/typed literals)
+// plus UNION and OPTIONAL structure, in a fixed order so the solution
+// ordering is reproducible.
+var goldenTriples = []sparqluo.Triple{
+	{S: sparqluo.NewIRI("http://g/alice"), P: sparqluo.NewIRI("http://g/name"), O: sparqluo.NewLiteral("Alice")},
+	{S: sparqluo.NewIRI("http://g/alice"), P: sparqluo.NewIRI("http://g/role"), O: sparqluo.NewLangLiteral("chercheuse", "fr")},
+	{S: sparqluo.NewIRI("http://g/alice"), P: sparqluo.NewIRI("http://g/age"), O: sparqluo.NewTypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer")},
+	{S: sparqluo.NewIRI("http://g/bob"), P: sparqluo.NewIRI("http://g/name"), O: sparqluo.NewLiteral("Bob")},
+	{S: sparqluo.NewIRI("http://g/bob"), P: sparqluo.NewIRI("http://g/knows"), O: sparqluo.NewIRI("http://g/alice")},
+	{S: sparqluo.NewIRI("http://g/carol"), P: sparqluo.NewIRI("http://g/name"), O: sparqluo.NewLiteral("Carol")},
+	{S: sparqluo.NewIRI("http://g/carol"), P: sparqluo.NewIRI("http://g/knows"), O: sparqluo.NewIRI("http://g/bob")},
+	{S: sparqluo.NewIRI("http://g/carol"), P: sparqluo.NewIRI("http://g/knows"), O: sparqluo.NewIRI("http://g/alice")},
+}
+
 func goldenDB() *sparqluo.DB {
 	db := sparqluo.Open()
-	iri := sparqluo.NewIRI
-	db.AddAll([]sparqluo.Triple{
-		{S: iri("http://g/alice"), P: iri("http://g/name"), O: sparqluo.NewLiteral("Alice")},
-		{S: iri("http://g/alice"), P: iri("http://g/role"), O: sparqluo.NewLangLiteral("chercheuse", "fr")},
-		{S: iri("http://g/alice"), P: iri("http://g/age"), O: sparqluo.NewTypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer")},
-		{S: iri("http://g/bob"), P: iri("http://g/name"), O: sparqluo.NewLiteral("Bob")},
-		{S: iri("http://g/bob"), P: iri("http://g/knows"), O: iri("http://g/alice")},
-		{S: iri("http://g/carol"), P: iri("http://g/name"), O: sparqluo.NewLiteral("Carol")},
-		{S: iri("http://g/carol"), P: iri("http://g/knows"), O: iri("http://g/bob")},
-		{S: iri("http://g/carol"), P: iri("http://g/knows"), O: iri("http://g/alice")},
-	})
+	db.AddAll(goldenTriples)
 	db.Freeze()
 	return db
 }

@@ -1,6 +1,7 @@
 package sparqluo_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -70,35 +71,6 @@ func TestQueryOptionalUnbound(t *testing.T) {
 	}
 }
 
-func TestQueryStrategiesAndEnginesAgree(t *testing.T) {
-	db := openTestDB(t)
-	const q = `
-		PREFIX ex: <http://ex.org/>
-		SELECT * WHERE {
-			{ ?a ex:knows ?b } UNION { ?b ex:knows ?a }
-			OPTIONAL { ?a ex:name ?n }
-		}`
-	var want int
-	first := true
-	for _, strat := range []sparqluo.Strategy{sparqluo.Base, sparqluo.TT, sparqluo.CP, sparqluo.Full} {
-		for _, eng := range []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin} {
-			res, err := db.Query(q, sparqluo.WithStrategy(strat), sparqluo.WithEngine(eng))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first {
-				want = res.Len()
-				first = false
-			} else if res.Len() != want {
-				t.Errorf("strategy %v engine %v: %d rows, want %d", strat, eng, res.Len(), want)
-			}
-		}
-	}
-	if want == 0 {
-		t.Error("query should have results")
-	}
-}
-
 func TestQueryBeforeFreezeFails(t *testing.T) {
 	db := sparqluo.Open()
 	db.Add(sparqluo.Triple{
@@ -164,4 +136,17 @@ func TestAddAllAndNumTriples(t *testing.T) {
 	if db.NumTriples() != 2 {
 		t.Errorf("NumTriples = %d, want 2 (duplicate dropped)", db.NumTriples())
 	}
+}
+
+func queryJSON(t *testing.T, db *sparqluo.DB, text string, opts []sparqluo.Option) []byte {
+	t.Helper()
+	res, err := db.Query(text, opts...)
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	return buf.Bytes()
 }

@@ -33,6 +33,45 @@ func smallStores(t testing.TB) map[string]*store.Store {
 	}
 }
 
+// TestStrategyEquivalence is the central correctness experiment: on every
+// benchmark query, base, TT, CP and full must produce identical result
+// bags under both engines (Theorems 1–2 and the soundness of candidate
+// pruning), and the projected row multisets must agree across engines.
+func TestStrategyEquivalence(t *testing.T) {
+	stores := smallStores(t)
+	for _, q := range AllQueries() {
+		q := q
+		t.Run(q.Dataset+"/"+q.ID, func(t *testing.T) {
+			st := stores[q.Dataset]
+			parsed, err := sparql.Parse(q.Text)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			var ref *algebra.Bag
+			var refName string
+			for _, engine := range []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}} {
+				for _, strat := range core.Strategies {
+					res, err := execOnce(parsed, st, engine, strat, 1)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", engine.Name(), strat, err)
+					}
+					if ref == nil {
+						ref, refName = res.Bag, engine.Name()+"/"+strat.String()
+						continue
+					}
+					if !algebra.MultisetEqual(ref, res.Bag) {
+						t.Errorf("%s/%s: %d rows, differs from %s: %d rows",
+							engine.Name(), strat, res.Bag.Len(), refName, ref.Len())
+					}
+				}
+			}
+			if ref != nil && ref.Len() == 0 {
+				t.Logf("note: %s/%s has empty result at this scale", q.Dataset, q.ID)
+			}
+		})
+	}
+}
+
 // TestLBREquivalence checks that the LBR baseline computes the same bags
 // as the BE-tree approaches on the comparison set q2.1–q2.6.
 func TestLBREquivalence(t *testing.T) {

@@ -82,9 +82,8 @@ func main() {
 	}
 
 	if *snapPath != "" || *memStats {
-		st := store.New()
-		st.AddAll(triples)
-		if err := st.Freeze(); err != nil {
+		st, err := store.FromRDF(triples)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 			os.Exit(1)
 		}

@@ -211,13 +211,11 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "triples: %d\n", db.NumTriples())
 		fmt.Fprintf(w, "shards: %d\n", db.NumShards())
-		st := db.reader()
-		if s := st.Stats(); s != nil {
+		if st := db.reader(); st != nil {
+			s := st.Stats()
 			fmt.Fprintf(w, "entities: %d\npredicates: %d\nliterals: %d\n",
 				s.NumEntities, s.NumPreds, s.NumLiterals)
-			// MemStats may (re)build indexes on an unfrozen store, so
-			// only report it once frozen, where it is a pure read.
-			// For a sharded database it aggregates across shards.
+			// For a sharded database MemStats aggregates across shards.
 			m := st.MemStats()
 			fmt.Fprintf(w, "dict-bytes: %d\nmemory: %s\n", m.DictBytes, m)
 		}
@@ -251,15 +249,14 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 			}
 		}
 	})
-	// Load-balancer readiness probe: 200 exactly when the DB is frozen
-	// (statistics exist), i.e. loading finished and queries are allowed.
-	// Handlers are normally constructed after Freeze (loading a store
-	// while serving it is not supported — pre-Freeze reads are
-	// single-threaded by the store's contract); the 503 branch keeps a
-	// misconfigured replica out of rotation instead of serving errors.
+	// Load-balancer readiness probe: 200 exactly when the DB is frozen,
+	// i.e. loading finished and queries are allowed. Handlers are
+	// normally constructed after Freeze (adding triples while serving
+	// is not supported); the 503 branch keeps a misconfigured replica
+	// out of rotation instead of serving errors.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if db.reader().Stats() == nil {
+		if db.loading() {
 			http.Error(w, "loading: store not frozen yet", http.StatusServiceUnavailable)
 			return
 		}

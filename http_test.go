@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,10 +108,32 @@ func TestHTTPStats(t *testing.T) {
 
 // TestHTTPHealthz: the readiness probe must report 503 while the store
 // is still loading (unfrozen) and 200 once it is queryable, so load
-// balancers only route traffic to ready replicas.
+// balancers only route traffic to ready replicas. While loading,
+// concurrent /stats requests are pure reads of the triples added so far.
 func TestHTTPHealthz(t *testing.T) {
 	loading := sparqluo.Open() // never frozen: still "loading"
+	a := sparqluo.Triple{S: sparqluo.NewIRI("http://ex/a"), P: sparqluo.NewIRI("http://ex/p"), O: sparqluo.NewLiteral("1")}
+	b := sparqluo.Triple{S: sparqluo.NewIRI("http://ex/b"), P: sparqluo.NewIRI("http://ex/p"), O: sparqluo.NewLiteral("1")}
+	loading.AddAll([]sparqluo.Triple{a, a, b})
 	srv := httptest.NewServer(sparqluo.NewHandler(loading))
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(srv.URL + "/stats")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "triples: 2\n") {
+				t.Errorf("loading stats: status %d, want 200 with 2 distinct triples:\n%s", resp.StatusCode, body)
+			}
+		}()
+	}
+	wg.Wait()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

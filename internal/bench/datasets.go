@@ -40,9 +40,10 @@ func LUBMStore(universities int) *store.Store {
 	if st, ok := lubmCache[universities]; ok {
 		return st
 	}
-	st := store.New()
-	st.AddAll(lubm.Generate(lubm.DefaultConfig(universities)))
-	st.Freeze()
+	st, err := store.FromRDF(lubm.Generate(lubm.DefaultConfig(universities)))
+	if err != nil {
+		panic(err)
+	}
 	lubmCache[universities] = st
 	return st
 }
@@ -55,9 +56,10 @@ func dbpediaStore(entities int) *store.Store {
 	if st, ok := dbpCache[entities]; ok {
 		return st
 	}
-	st := store.New()
-	st.AddAll(dbpedia.Generate(dbpedia.DefaultConfig(entities)))
-	st.Freeze()
+	st, err := store.FromRDF(dbpedia.Generate(dbpedia.DefaultConfig(entities)))
+	if err != nil {
+		panic(err)
+	}
 	dbpCache[entities] = st
 	return st
 }

@@ -6,6 +6,7 @@ import (
 
 	"sparqluo/internal/algebra"
 	"sparqluo/internal/exec"
+	"sparqluo/internal/rdf"
 	"sparqluo/internal/sparql"
 	"sparqluo/internal/store"
 )
@@ -89,14 +90,17 @@ SELECT * WHERE {
 }
 
 func TestDistinctAppliedAfterProjection(t *testing.T) {
-	st := store.New()
-	if err := st.LoadNTriples(strings.NewReader(`
+	ts, err := rdf.ParseAll(strings.NewReader(`
 <http://e/a> <http://e/p> <http://e/x> .
 <http://e/b> <http://e/p> <http://e/x> .
-`)); err != nil {
+`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st.Freeze()
+	st, err := store.FromRDF(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := sparql.MustParse(`SELECT DISTINCT ?o WHERE { ?s <http://e/p> ?o }`)
 	res, err := run(q, st, exec.WCOEngine{}, Base)
 	if err != nil {

@@ -25,8 +25,6 @@ type Plan struct {
 // BuildPlan constructs the execution plan of a parsed query against a
 // store: the BE-tree of Definition 8 with triple patterns
 // dictionary-encoded and sibling patterns coalesced into maximal BGPs.
-// The store must be frozen before the plan is executed (statistics
-// drive the cost model).
 func BuildPlan(q *sparql.Query, st store.Reader) (*Plan, error) {
 	tree, err := Build(q, st)
 	if err != nil {

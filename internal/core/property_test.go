@@ -15,9 +15,10 @@ import (
 
 // randomStore builds a store over a random dataset.
 func randomStore(rng *rand.Rand, n int) *store.Store {
-	st := store.New()
-	st.AddAll(qgen.RandomDataset(rng, n))
-	st.Freeze()
+	st, err := store.FromRDF(qgen.RandomDataset(rng, n))
+	if err != nil {
+		panic(err)
+	}
 	return st
 }
 

@@ -31,11 +31,14 @@ dbr:Bill_Clinton dbo:wikiPageWikiLink dbr:President_of_the_United_States .
 dbr:Bill_Clinton dbp:birthDate "1946-08-19"^^<http://www.w3.org/2001/XMLSchema#date> .
 dbr:Bill_Clinton owl:sameAs fbp:Clinton_William_Jefferson_1946- .
 `
-	st := store.New()
-	if err := st.LoadNTriples(strings.NewReader(nt)); err != nil {
+	ts, err := rdf.ParseAll(strings.NewReader(nt))
+	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	st.Freeze()
+	st, err := store.FromRDF(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return st
 }
 

@@ -17,9 +17,10 @@ import (
 // and p1/p2 edges are plentiful, so transformations have clear payoffs.
 func chainStore(t testing.TB) *store.Store {
 	t.Helper()
-	st := store.New()
-	st.AddAll(qgen.RandomDataset(rand.New(rand.NewSource(21)), 400))
-	st.Freeze()
+	st, err := store.FromRDF(qgen.RandomDataset(rand.New(rand.NewSource(21)), 400))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return st
 }
 

@@ -29,9 +29,10 @@ func TestAllTriplesValid(t *testing.T) {
 }
 
 func TestQueryConstantsExist(t *testing.T) {
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(1000)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := st.Dict()
 	constants := []string{
 		DBR + "Economic_system",
@@ -49,9 +50,10 @@ func TestQueryConstantsExist(t *testing.T) {
 }
 
 func TestPredicateVocabulary(t *testing.T) {
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(2000)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(2000)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := st.Dict()
 	preds := []string{
 		RDFS + "label", RDFS + "comment",
@@ -78,9 +80,10 @@ func TestPredicateVocabulary(t *testing.T) {
 // TestHubSelectivity: the named hub constants must be much more selective
 // link targets than the average entity is.
 func TestHubSelectivity(t *testing.T) {
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(3000)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(3000)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := st.Dict()
 	wikiLink, _ := d.Lookup(rdf.NewIRI(DBO + "wikiPageWikiLink"))
 	hub, ok := d.Lookup(rdf.NewIRI(DBR + "Economic_system"))
@@ -134,9 +137,10 @@ func TestScalesWithEntities(t *testing.T) {
 
 func TestMinimumSize(t *testing.T) {
 	// Tiny configs are clamped so the named constants always exist.
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(1)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := st.Dict().Lookup(rdf.NewIRI(DBR + "Air_masses")); !ok {
 		t.Error("clamped generation must still include named constants")
 	}

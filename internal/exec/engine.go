@@ -10,7 +10,7 @@ import (
 
 // Engine evaluates a BGP against a store and estimates result sizes and
 // execution costs, in the sense of §5.1.2. Implementations must be safe
-// for concurrent use once the store is frozen.
+// for concurrent use.
 type Engine interface {
 	// Name identifies the engine ("wco" or "binary").
 	Name() string

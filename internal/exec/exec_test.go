@@ -17,9 +17,10 @@ import (
 )
 
 func randomStore(rng *rand.Rand, n int) *store.Store {
-	st := store.New()
-	st.AddAll(qgen.RandomDataset(rng, n))
-	st.Freeze()
+	st, err := store.FromRDF(qgen.RandomDataset(rng, n))
+	if err != nil {
+		panic(err)
+	}
 	return st
 }
 
@@ -231,14 +232,14 @@ func TestImpossiblePatternYieldsEmpty(t *testing.T) {
 }
 
 func TestRepeatedVariableWithinPattern(t *testing.T) {
-	st := store.New()
 	self := qgen.RandomDataset(rand.New(rand.NewSource(3)), 1)[0]
 	self.O = self.S // force a self-loop
-	st.Add(self)
 	other := self
 	other.O = qgen.RandomDataset(rand.New(rand.NewSource(4)), 1)[0].S
-	st.Add(other)
-	st.Freeze()
+	st, err := store.FromRDF([]rdf.Triple{self, other})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, _ := st.Dict().Lookup(self.P)
 	bgp := BGP{{S: Var(0), P: Const(p), O: Var(0)}} // ?x p ?x
 	for _, engine := range []Engine{WCOEngine{}, BinaryJoinEngine{}} {
@@ -282,15 +283,18 @@ func TestEstimatesSane(t *testing.T) {
 // predicate instead is hundreds of times slower, far outside the bound.
 func TestEstimateSamplingStopsAtSampleSize(t *testing.T) {
 	const matches = 1500 * sampleSize
-	st := store.New()
 	iri := func(kind string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/%s%d", kind, i)) }
+	var ts []rdf.Triple
 	for i := 0; i < matches; i++ {
-		st.Add(rdf.Triple{S: iri("s", i), P: iri("p", 0), O: iri("o", i%97)})
+		ts = append(ts, rdf.Triple{S: iri("s", i), P: iri("p", 0), O: iri("o", i%97)})
 	}
 	for i := 0; i < sampleSize; i++ {
-		st.Add(rdf.Triple{S: iri("s", i), P: iri("p", 1), O: iri("o", i%97)})
+		ts = append(ts, rdf.Triple{S: iri("s", i), P: iri("p", 1), O: iri("o", i%97)})
 	}
-	st.Freeze()
+	st, err := store.FromRDF(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pred := func(i int) Pattern {
 		id, _ := st.Dict().Lookup(iri("p", i))
 		return Pattern{S: Var(0), P: Const(id), O: Var(1)}

@@ -175,9 +175,6 @@ func (WCOEngine) EstimateCost(ctx context.Context, st store.Reader, bgp BGP) flo
 // predicate is itself a variable or no endpoint is bound, it falls back to
 // the overall average degree.
 func avgExtensionSize(stats *store.Stats, pat Pattern, bound map[int]bool) float64 {
-	if stats == nil {
-		return 1
-	}
 	var p store.ID
 	if !pat.P.IsVar {
 		p = pat.P.ID

@@ -13,9 +13,10 @@ import (
 )
 
 func randomStore(rng *rand.Rand, n int) *store.Store {
-	st := store.New()
-	st.AddAll(qgen.RandomDataset(rng, n))
-	st.Freeze()
+	st, err := store.FromRDF(qgen.RandomDataset(rng, n))
+	if err != nil {
+		panic(err)
+	}
 	return st
 }
 

@@ -37,9 +37,10 @@ func TestAllTriplesValid(t *testing.T) {
 }
 
 func TestQueryConstantsExist(t *testing.T) {
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(13)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(13)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := st.Dict()
 	// IRIs referenced by the benchmark query catalog.
 	constants := []string{
@@ -69,9 +70,10 @@ func TestQueryConstantsExist(t *testing.T) {
 }
 
 func TestUniversity0HasThirteenDepartments(t *testing.T) {
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(1)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := st.Dict()
 	if _, ok := d.Lookup(rdf.NewIRI("http://www.Department12.University0.edu")); !ok {
 		t.Error("University0 must always have at least 13 departments")
@@ -79,9 +81,10 @@ func TestUniversity0HasThirteenDepartments(t *testing.T) {
 }
 
 func TestPredicateVocabulary(t *testing.T) {
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(2)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := st.Dict()
 	preds := []string{
 		"headOf", "worksFor", "undergraduateDegreeFrom", "doctoralDegreeFrom",
@@ -112,9 +115,10 @@ func TestPredicateVocabulary(t *testing.T) {
 // TestSelectivityContrast guards the property the experiments rely on:
 // a department-anchored pattern is far more selective than emailAddress.
 func TestSelectivityContrast(t *testing.T) {
-	st := store.New()
-	st.AddAll(Generate(DefaultConfig(5)))
-	st.Freeze()
+	st, err := store.FromRDF(Generate(DefaultConfig(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := st.Dict()
 	email, _ := d.Lookup(rdf.NewIRI(UB + "emailAddress"))
 	memberOf, _ := d.Lookup(rdf.NewIRI(UB + "memberOf"))

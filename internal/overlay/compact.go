@@ -99,7 +99,7 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	nb := base
 	if !v.clean() {
 		var err error
-		if nb, err = store.MergeFold(base, v.add.SortedDelta, v.del.SortedDelta, true); err != nil {
+		if nb, err = store.MergeFold(base, v.add.SortedDelta, v.del.SortedDelta); err != nil {
 			rollback()
 			stats.Took = time.Since(start)
 			return stats, fmt.Errorf("overlay: compaction fold: %w", err)

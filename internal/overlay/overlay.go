@@ -103,14 +103,11 @@ type LiveStore struct {
 	writeSnapshot func(path string, st *store.Store) error
 }
 
-// New layers a live overlay over base. A nil base starts empty. The
-// base is frozen if it is not already (computing stats); it must not be
-// mutated by anyone else afterwards.
+// New layers a live overlay over base. A nil base starts empty.
 func New(base *store.Store, opts Options) *LiveStore {
 	if base == nil {
-		base = store.New()
+		base, _ = store.FromTriples(store.NewDict(), nil) // an empty build cannot fail
 	}
-	base.Freeze()
 	ls := &LiveStore{
 		dict:          base.Dict(),
 		opts:          opts,
@@ -147,11 +144,7 @@ func (ls *LiveStore) Insert(ts ...rdf.Triple) error {
 	}
 	ops := make([]op, len(ts))
 	for i, t := range ts {
-		ops[i] = op{t: store.EncTriple{
-			S: ls.dict.Encode(t.S),
-			P: ls.dict.Encode(t.P),
-			O: ls.dict.Encode(t.O),
-		}}
+		ops[i] = op{t: ls.dict.EncodeTriple(t)}
 	}
 	return ls.apply(wal.Insert, ts, ops)
 }

@@ -19,11 +19,10 @@ func tri(s, p, o string) rdf.Triple {
 }
 
 func baseStore(ts []rdf.Triple) *store.Store {
-	st := store.New()
-	if err := st.AddAll(ts); err != nil {
+	st, err := store.FromRDF(ts)
+	if err != nil {
 		panic(err)
 	}
-	st.Freeze()
 	return st
 }
 
@@ -45,7 +44,7 @@ func checkEquiv(t *testing.T, ls *LiveStore, model map[string]rdf.Triple) {
 		}
 		exp = append(exp, store.EncTriple{S: s, P: p, O: o})
 	}
-	ref, err := store.FromTriples(d, exp, false)
+	ref, err := store.FromTriples(d, exp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,15 +47,12 @@ func (v *View) clean() bool { return v.add.Len() == 0 && v.del.Len() == 0 }
 
 func (v *View) Dict() *store.Dict { return v.base.Dict() }
 
-// Stats returns the base's Freeze-time statistics. The pending delta is
+// Stats returns the base's statistics. The pending delta is
 // deliberately not folded in: statistics feed cardinality *estimation*
 // only, a memtable is small relative to the base, and the O(dictionary)
 // statistics pass is far too expensive per write batch. Exact counts
 // (the Count* accessors) do include the delta.
 func (v *View) Stats() *store.Stats { return v.base.Stats() }
-
-// Frozen reports true: a view is immutable.
-func (v *View) Frozen() bool { return true }
 
 // NumTriples is exact: base plus net inserts minus tombstones.
 func (v *View) NumTriples() int {

@@ -16,13 +16,14 @@ import (
 // inside the format rather than spending its budget rediscovering the
 // magic.
 func FuzzSnapshotLoad(f *testing.F) {
-	st := store.New()
-	st.AddAll([]rdf.Triple{
+	st, err := store.FromRDF([]rdf.Triple{
 		{S: rdf.NewIRI("http://ex/s"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral("v")},
 		{S: rdf.NewIRI("http://ex/s"), P: rdf.NewIRI("http://ex/q"), O: rdf.NewLangLiteral("v", "en")},
 		{S: rdf.NewBlank("b"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewTypedLiteral("1", "http://ex/int")},
 	})
-	st.Freeze()
+	if err != nil {
+		f.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
 		f.Fatal(err)

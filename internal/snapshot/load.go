@@ -433,7 +433,7 @@ func readString(blob []byte, pos *int) (string, error) {
 	return s, nil
 }
 
-// decodeStats reconstructs the Freeze-time statistics and cross-checks
+// decodeStats reconstructs the build-time statistics and cross-checks
 // them against the header counts.
 func decodeStats(b []byte, numTriples, numTerms int) (*store.Stats, error) {
 	if len(b) < 36 {

@@ -17,34 +17,36 @@ import (
 	"sparqluo/internal/store"
 )
 
-// testStore builds a frozen store exercising every term shape the
+// testStore builds a store exercising every term shape the
 // format must preserve: IRIs, blank nodes, plain / language-tagged /
 // typed literals, empty strings, non-ASCII, and characters that need
 // N-Triples escaping.
 func testStore(t testing.TB) *store.Store {
 	t.Helper()
-	st := store.New()
 	name := rdf.NewIRI("http://ex.org/name")
 	knows := rdf.NewIRI("http://ex.org/knows")
-	st.AddAll([]rdf.Triple{
+	ts := []rdf.Triple{
 		{S: rdf.NewIRI("http://ex.org/alice"), P: name, O: rdf.NewLiteral("Alice")},
 		{S: rdf.NewIRI("http://ex.org/alice"), P: name, O: rdf.NewLangLiteral("Алиса \"q\"", "ru")},
 		{S: rdf.NewIRI("http://ex.org/alice"), P: knows, O: rdf.NewBlank("b0")},
 		{S: rdf.NewBlank("b0"), P: name, O: rdf.NewTypedLiteral("42", "http://www.w3.org/2001/XMLSchema#int")},
 		{S: rdf.NewBlank("b0"), P: knows, O: rdf.NewIRI("http://ex.org/alice")},
 		{S: rdf.NewIRI("http://ex.org/carol"), P: name, O: rdf.NewLiteral("")},
-	})
+	}
 	// A pinch of bulk so the permutations have real runs.
 	rng := rand.New(rand.NewSource(7))
 	subjects := []rdf.Term{rdf.NewIRI("http://ex.org/alice"), rdf.NewIRI("http://ex.org/carol"), rdf.NewBlank("b0")}
 	for i := 0; i < 400; i++ {
-		st.Add(rdf.Triple{
+		ts = append(ts, rdf.Triple{
 			S: subjects[rng.Intn(len(subjects))],
 			P: knows,
 			O: rdf.NewIRI("http://ex.org/p" + string(rune('a'+rng.Intn(26)))),
 		})
 	}
-	st.Freeze()
+	st, err := store.FromRDF(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return st
 }
 
@@ -111,9 +113,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if !loaded.Frozen() {
-		t.Error("loaded store should be frozen")
-	}
 	requireEqualStores(t, st, loaded)
 
 	// Spot-check accessors against the original store.
@@ -131,8 +130,10 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRoundTripEmptyStore(t *testing.T) {
-	st := store.New()
-	st.Freeze()
+	st, err := store.FromRDF(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := Load(image(t, st))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -140,14 +141,6 @@ func TestRoundTripEmptyStore(t *testing.T) {
 	if loaded.NumTriples() != 0 || loaded.Dict().Len() != 0 {
 		t.Fatalf("empty store round-tripped to %d triples, %d terms",
 			loaded.NumTriples(), loaded.Dict().Len())
-	}
-}
-
-func TestWriteRequiresFrozen(t *testing.T) {
-	st := store.New()
-	st.Add(rdf.Triple{S: rdf.NewIRI("s"), P: rdf.NewIRI("p"), O: rdf.NewIRI("o")})
-	if err := Write(&bytes.Buffer{}, st); err == nil {
-		t.Fatal("Write on an unfrozen store should fail")
 	}
 }
 
@@ -183,14 +176,6 @@ func TestWriteAtomicFailureLeavesNothing(t *testing.T) {
 		}
 		requireOnly()
 	}
-	// Through a real caller: Write refuses an unfrozen store.
-	st := store.New()
-	st.Add(rdf.Triple{S: rdf.NewIRI("s"), P: rdf.NewIRI("p"), O: rdf.NewIRI("o")})
-	if err := WriteFile(target, st); err == nil {
-		t.Fatal("WriteFile of an unfrozen store should fail")
-	}
-	requireOnly()
-
 	// An existing target survives a failed overwrite byte for byte.
 	if err := WriteManifest(target, &Manifest{Stats: testStore(t).Stats()}); err != nil {
 		t.Fatal(err)

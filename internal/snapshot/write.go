@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -27,13 +26,9 @@ func bytesOf[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
-// Write serializes a frozen store as a snapshot image. The store must
-// be frozen: the image embeds the Freeze-time statistics, and freezing
-// is what guarantees the layout can never change under the writer.
+// Write serializes a store as a snapshot image: its layout, dictionary
+// and statistics.
 func Write(w io.Writer, st *store.Store) error {
-	if !st.Frozen() {
-		return fmt.Errorf("snapshot: store must be frozen before writing")
-	}
 	l := st.Layout()
 	dict := st.Dict()
 
@@ -207,7 +202,7 @@ func encodeDict(terms []rdf.Term) []byte {
 	return blob
 }
 
-// encodeStats serializes the Freeze-time statistics:
+// encodeStats serializes the build-time statistics:
 //
 //	u64 NumTriples · u64 NumEntities · u64 NumPreds · u64 NumLiterals
 //	u32 entry count · entries of {pred u32, count u32, subjects u32, objects u32}

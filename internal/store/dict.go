@@ -1,7 +1,7 @@
 // Package store implements the RDF storage substrate that the BE-tree
 // optimizer sits on: dictionary encoding of terms to dense integer IDs,
 // a columnar sorted-permutation index (flat SPO/POS/OSP arrays with
-// CSR-style offset runs, built once at Freeze) over the encoded
+// CSR-style offset runs, built once per store) over the encoded
 // triples, and the statistics / sampling-based cardinality estimation
 // described in §5.1.2 of the paper.
 package store
@@ -27,7 +27,7 @@ const None ID = 0
 // read-side accessors take a read lock. The term slice is append-only —
 // an ID, once assigned, decodes to the same term forever — which is what
 // lets the live-update overlay share one dictionary between a mutating
-// memtable and immutable frozen bases.
+// memtable and immutable bases.
 type Dict struct {
 	mu       sync.RWMutex
 	ids      map[string]ID
@@ -85,6 +85,11 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	id := ID(len(d.terms))
 	d.ids[key] = id
 	return id
+}
+
+// EncodeTriple encodes the three terms of t with Encode.
+func (d *Dict) EncodeTriple(t rdf.Triple) EncTriple {
+	return EncTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
 }
 
 // Lookup returns the ID for t without inserting, and whether it exists.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,58 +25,6 @@ func randTriples(rng *rand.Rand, n int) []rdf.Triple {
 	return out
 }
 
-// accessorSnapshot captures the output of every read accessor for every
-// ID in the dictionary (plus an absent ID), preserving order.
-type accessorSnapshot struct {
-	numTriples int
-	triples    []EncTriple
-	objectsSP  map[[2]ID][]ID
-	subjectsPO map[[2]ID][]ID
-	predsSO    map[[2]ID][]ID
-	subjTri    map[ID][]EncTriple
-	predTri    map[ID][]EncTriple
-	objTri     map[ID][]EncTriple
-	subjOfP    map[ID][]ID
-	objOfP     map[ID][]ID
-	counts     map[ID][3]int // CountS, CountP, CountO per ID
-	contains   map[EncTriple]bool
-}
-
-func snapshot(st *Store) accessorSnapshot {
-	n := ID(st.Dict().Len() + 2) // include one past-the-end absent ID
-	snap := accessorSnapshot{
-		numTriples: st.NumTriples(),
-		triples:    append([]EncTriple(nil), st.Triples()...),
-		objectsSP:  map[[2]ID][]ID{},
-		subjectsPO: map[[2]ID][]ID{},
-		predsSO:    map[[2]ID][]ID{},
-		subjTri:    map[ID][]EncTriple{},
-		predTri:    map[ID][]EncTriple{},
-		objTri:     map[ID][]EncTriple{},
-		subjOfP:    map[ID][]ID{},
-		objOfP:     map[ID][]ID{},
-		counts:     map[ID][3]int{},
-		contains:   map[EncTriple]bool{},
-	}
-	for a := ID(1); a <= n; a++ {
-		snap.subjTri[a] = append([]EncTriple(nil), st.SubjectTriples(a)...)
-		snap.predTri[a] = append([]EncTriple(nil), st.PredicateTriples(a)...)
-		snap.objTri[a] = append([]EncTriple(nil), st.ObjectTriples(a)...)
-		snap.subjOfP[a] = append([]ID(nil), st.SubjectsOfPredicate(a)...)
-		snap.objOfP[a] = append([]ID(nil), st.ObjectsOfPredicate(a)...)
-		snap.counts[a] = [3]int{st.CountS(a), st.CountP(a), st.CountO(a)}
-		for b := ID(1); b <= n; b++ {
-			snap.objectsSP[[2]ID{a, b}] = append([]ID(nil), st.ObjectsSP(a, b)...)
-			snap.subjectsPO[[2]ID{a, b}] = append([]ID(nil), st.SubjectsPO(a, b)...)
-			snap.predsSO[[2]ID{a, b}] = append([]ID(nil), st.PredsSO(a, b)...)
-		}
-	}
-	for _, t := range snap.triples {
-		snap.contains[t] = st.Contains(t.S, t.P, t.O)
-	}
-	return snap
-}
-
 func idSlicesEqual(a, b []ID) bool {
 	if len(a) != len(b) {
 		return false
@@ -88,87 +37,16 @@ func idSlicesEqual(a, b []ID) bool {
 	return true
 }
 
-func triSlicesEqual(a, b []EncTriple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (a accessorSnapshot) equal(b accessorSnapshot) bool {
-	if a.numTriples != b.numTriples || !triSlicesEqual(a.triples, b.triples) {
-		return false
-	}
-	for k, v := range a.objectsSP {
-		if !idSlicesEqual(v, b.objectsSP[k]) {
-			return false
-		}
-	}
-	for k, v := range a.subjectsPO {
-		if !idSlicesEqual(v, b.subjectsPO[k]) {
-			return false
-		}
-	}
-	for k, v := range a.predsSO {
-		if !idSlicesEqual(v, b.predsSO[k]) {
-			return false
-		}
-	}
-	for k := range a.subjTri {
-		if !triSlicesEqual(a.subjTri[k], b.subjTri[k]) ||
-			!triSlicesEqual(a.predTri[k], b.predTri[k]) ||
-			!triSlicesEqual(a.objTri[k], b.objTri[k]) ||
-			!idSlicesEqual(a.subjOfP[k], b.subjOfP[k]) ||
-			!idSlicesEqual(a.objOfP[k], b.objOfP[k]) ||
-			a.counts[k] != b.counts[k] {
-			return false
-		}
-	}
-	for k, v := range a.contains {
-		if v != b.contains[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestAccessorsFreezeTransparent: every accessor returns identical
-// results — same values, same order — before Freeze (lazy build over the
-// mutable log) and after (frozen permutations), so freezing can never
-// change query results.
-func TestAccessorsFreezeTransparent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st := New()
-		st.AddAll(randTriples(rng, 80+rng.Intn(80)))
-		before := snapshot(st)
-		st.Freeze()
-		after := snapshot(st)
-		if !before.equal(after) {
-			t.Log("accessor output changed across Freeze")
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestAccessorsMatchBruteForce: every accessor agrees with a brute-force
 // filter over the deduplicated triple set, and the range accessors return
 // ascending (deterministic, contractual) ID order.
 func TestAccessorsMatchBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		st := New()
-		st.AddAll(randTriples(rng, 100))
-		st.Freeze()
+		st, err := FromRDF(randTriples(rng, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// Brute-force reference: the deduplicated triple set.
 		set := map[EncTriple]bool{}
@@ -293,13 +171,9 @@ func TestAccessorsMatchBruteForce(t *testing.T) {
 func TestTriplesCanonicalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ts := randTriples(rng, 200)
-	a, b := New(), New()
-	a.AddAll(ts)
-	for i := len(ts) - 1; i >= 0; i-- { // reverse insertion order
-		b.Add(ts[i])
-	}
-	a.Freeze()
-	b.Freeze()
+	rev := slices.Clone(ts)
+	slices.Reverse(rev) // reverse insertion order
+	a, b := mustBuild(t, ts...), mustBuild(t, rev...)
 	ta, tb := a.Triples(), b.Triples()
 	if len(ta) != len(tb) {
 		t.Fatalf("triple counts differ: %d vs %d", len(ta), len(tb))
@@ -331,16 +205,10 @@ func TestTriplesCanonicalOrder(t *testing.T) {
 // TestMemStats: the footprint report is internally consistent and scales
 // with the data.
 func TestMemStats(t *testing.T) {
-	st := New()
-	st.AddAll(randTriples(rand.New(rand.NewSource(11)), 300))
-	pre := st.MemStats()
-	if pre.LogTriples == 0 || pre.LogBytes == 0 {
-		t.Errorf("pre-freeze log should be non-empty: %+v", pre)
-	}
-	st.Freeze()
+	st := mustBuild(t, randTriples(rand.New(rand.NewSource(11)), 300)...)
 	m := st.MemStats()
 	if m.LogTriples != 0 || m.LogBytes != 0 {
-		t.Errorf("frozen store should have released the log: %+v", m)
+		t.Errorf("a built store holds no pending triples: %+v", m)
 	}
 	if m.Triples != st.NumTriples() {
 		t.Errorf("Triples = %d, want %d", m.Triples, st.NumTriples())
@@ -359,5 +227,18 @@ func TestMemStats(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Error("String() empty")
+	}
+
+	// Pending triples are counted without building: duplicates are
+	// held, not stored twice.
+	pending := slices.Concat(st.Triples(), st.Triples())
+	before := slices.Clone(pending)
+	p := PendingMemStats(st.Dict(), pending)
+	if p.Triples != st.NumTriples() || p.LogTriples != len(pending) || p.LogBytes != int64(len(pending))*12 ||
+		p.SPOBytes != 0 || p.TotalBytes != p.LogBytes+m.DictBytes {
+		t.Errorf("PendingMemStats over %d triples (%d distinct) = %+v", len(pending), st.NumTriples(), p)
+	}
+	if !slices.Equal(pending, before) {
+		t.Error("PendingMemStats reordered its input")
 	}
 }

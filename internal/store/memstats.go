@@ -1,13 +1,16 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MemStats reports the memory footprint of the store's columnar arrays,
 // so index-size regressions show up in benchmark and tooling output.
 type MemStats struct {
 	Triples    int   // distinct triples (after sort+compact)
-	LogTriples int   // triples still in the ingestion log (0 once frozen)
-	LogBytes   int64 // bytes held by the ingestion log
+	LogTriples int   // triples outside the permutations: pending ones not yet built, or a live view's delta
+	LogBytes   int64 // bytes held by those triples
 	SPOBytes   int64 // SPO permutation: triples + level-1 runs + object column
 	POSBytes   int64 // POS permutation: triples + level-1/level-2 runs + subject column
 	OSPBytes   int64 // OSP permutation: triples + level-1 runs + predicate column
@@ -16,24 +19,37 @@ type MemStats struct {
 	TotalBytes int64 // log + all permutations + dictionary strings
 }
 
-// MemStats returns the current memory footprint. It builds the
-// permutations if they are stale, so the figures always describe the
-// queryable layout.
+// MemStats returns the memory footprint of the store's permutations
+// and dictionary.
 func (st *Store) MemStats() MemStats {
-	st.ensure()
-	const triSize = 12
 	m := MemStats{
-		Triples:    len(st.spo.tri),
-		LogTriples: len(st.log),
-		LogBytes:   int64(len(st.log)) * triSize,
-		SPOBytes:   st.spo.bytes(),
+		Triples:  len(st.spo.tri),
+		SPOBytes: st.spo.bytes(),
 		POSBytes: st.pos.bytes() + int64(len(st.posObjKeys))*4 +
 			int64(len(st.posObjOff))*4 + int64(len(st.posObjIdx))*4,
 		OSPBytes:  st.osp.bytes(),
 		DictTerms: st.dict.Len(),
 		DictBytes: st.dict.StringBytes(),
 	}
-	m.TotalBytes = m.LogBytes + m.SPOBytes + m.POSBytes + m.OSPBytes + m.DictBytes
+	m.TotalBytes = m.SPOBytes + m.POSBytes + m.OSPBytes + m.DictBytes
+	return m
+}
+
+// PendingMemStats reports the footprint of triples collected over dict
+// but not yet built into a store. tris may hold duplicates; Triples
+// counts the distinct ones on a sorted copy, so neither input is
+// mutated and concurrent callers need no lock.
+func PendingMemStats(dict *Dict, tris []EncTriple) MemStats {
+	sorted := slices.Clone(tris)
+	slices.SortFunc(sorted, cmpSPO)
+	m := MemStats{
+		Triples:    len(slices.Compact(sorted)),
+		LogTriples: len(tris),
+		LogBytes:   int64(len(tris)) * 12,
+		DictTerms:  dict.Len(),
+		DictBytes:  dict.StringBytes(),
+	}
+	m.TotalBytes = m.LogBytes + m.DictBytes
 	return m
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // SortedDelta is one resolved side of a write delta — the net inserts
-// or the net tombstones pending against a frozen base — held as the
+// or the net tombstones pending against a built base — held as the
 // same triple set sorted in each of the three permutation orders. It is
 // the currency between the overlay's memtable view (which keeps one per
 // side for its read path) and MergeFold (which consumes a pair).
@@ -27,7 +27,7 @@ var ErrDeltaNotResolved = errors.New("store: delta is not resolved against the b
 // are sorted by cmp and duplicate-free, with minus ⊆ base and
 // plus ∩ base = ∅, so the merge is a single three-finger pass with no
 // equality cases between base and plus. When no delta touches the run,
-// base itself is returned — the zero-copy fast path of the frozen store.
+// base itself is returned — the zero-copy fast path of a clean view.
 //
 // resolved reports what the pass learns for free about those
 // invariants: every minus finger met its base triple and no plus tied
@@ -58,12 +58,12 @@ func MergeRun(base, minus, plus []EncTriple, cmp func(a, b EncTriple) int) (out 
 	return append(out, plus[k:]...), j == len(minus) && !tie
 }
 
-// MergeFold builds a frozen store holding (base − del) ∪ add without
+// MergeFold builds a store holding (base − del) ∪ add without
 // sorting anything: each of the base's three permutations is merged
 // with the delta's run in the same order by MergeRun, one linear pass
 // per permutation. Row pointers, trailing columns and the POS level-2
 // runs are rebuilt by a linear index pass over each merged run, and the
-// Freeze statistics are recomputed off the merged arrays — O(n+m) per
+// statistics are recomputed off the merged arrays — O(n+m) per
 // permutation for an n-triple base and m-triple delta.
 //
 // add and del must be resolved against base (add ∩ base = ∅,
@@ -75,13 +75,13 @@ func MergeRun(base, minus, plus []EncTriple, cmp func(a, b EncTriple) int) (out 
 // merged run exactly len(base) − len(del) + len(add) long; a delta that
 // fails returns ErrDeltaNotResolved before any index is built.
 //
-// The three merges, then the three index builds, run concurrently on a
-// worker group sized off GOMAXPROCS at call time (inline on a single
+// The three merges, then the three index builds (FromTriples' own,
+// minus its sorts), run concurrently on a worker group sized off
+// GOMAXPROCS at call time (inline on a single
 // processor, identical output either way). The result shares base's
-// dictionary and is frozen by construction; base itself is never
-// mutated. An oversized result returns ErrTooManyTriples.
-func MergeFold(base *Store, add, del SortedDelta, withStats bool) (*Store, error) {
-	base.ensure()
+// dictionary; base itself is never mutated. An oversized result returns
+// ErrTooManyTriples.
+func MergeFold(base *Store, add, del SortedDelta) (*Store, error) {
 	want := len(base.spo.tri) - del.Len() + add.Len()
 	if want > math.MaxInt32 {
 		return nil, ErrTooManyTriples
@@ -96,28 +96,7 @@ func MergeFold(base *Store, add, del SortedDelta, withStats bool) (*Store, error
 	if !(ok[0] && ok[1] && ok[2]) || len(spo) != want || len(pos) != want || len(osp) != want {
 		return nil, ErrDeltaNotResolved
 	}
-	maxID := base.dict.Len()
-	st := &Store{dict: base.dict, built: true, frozen: true}
-	runParallel(
-		func() {
-			st.spo = makePerm(spo, maxID,
-				func(t EncTriple) ID { return t.S },
-				func(t EncTriple) ID { return t.O })
-		},
-		func() {
-			st.pos = makePerm(pos, maxID,
-				func(t EncTriple) ID { return t.P },
-				func(t EncTriple) ID { return t.S })
-			st.posObjKeys, st.posObjOff, st.posObjIdx = buildPOSRuns(pos, maxID)
-		},
-		func() {
-			st.osp = makePerm(osp, maxID,
-				func(t EncTriple) ID { return t.O },
-				func(t EncTriple) ID { return t.P })
-		},
-	)
-	if withStats {
-		st.stats = computeStats(st)
-	}
-	return st, nil
+	return newStore(base.dict, spo,
+		func() []EncTriple { return pos },
+		func() []EncTriple { return osp }), nil
 }

@@ -10,7 +10,7 @@ import (
 	"testing/quick"
 )
 
-// foldCase is one randomized MergeFold input over a frozen base: a
+// foldCase is one randomized MergeFold input over a built base: a
 // resolved delta (adds absent from the base, tombstones present in it,
 // no duplicates), as the overlay's resolve produces it, in arrival
 // order. fold sorts it per permutation the way the overlay's views do.
@@ -29,13 +29,12 @@ func sortedDelta(tris []EncTriple) SortedDelta {
 }
 
 func (c foldCase) fold() (*Store, error) {
-	return MergeFold(c.base, sortedDelta(c.adds), sortedDelta(c.dels), true)
+	return MergeFold(c.base, sortedDelta(c.adds), sortedDelta(c.dels))
 }
 
 func randFoldCase(rng *rand.Rand) foldCase {
-	st := New()
-	st.AddAll(randTriples(rng, 120+rng.Intn(80)))
-	if err := st.Freeze(); err != nil {
+	st, err := FromRDF(randTriples(rng, 120+rng.Intn(80)))
+	if err != nil {
 		panic(err)
 	}
 	d := st.Dict()
@@ -80,7 +79,7 @@ func rebuildReference(t *testing.T, c foldCase) *Store {
 		}
 	}
 	merged = append(merged, c.adds...)
-	ref, err := FromTriples(c.base.Dict(), merged, true)
+	ref, err := FromTriples(c.base.Dict(), merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func rebuildReference(t *testing.T, c foldCase) *Store {
 
 // requireIdentical asserts every array of the two stores' layouts —
 // all three permutations with row pointers and trailing columns, the
-// POS level-2 runs — and the Freeze statistics are byte-identical.
+// POS level-2 runs — and the statistics are byte-identical.
 func requireIdentical(t *testing.T, got, want *Store) bool {
 	t.Helper()
 	g, w := got.Layout(), want.Layout()
@@ -139,10 +138,6 @@ func TestMergeFoldMatchesRebuild(t *testing.T) {
 			t.Logf("MergeFold: %v", err)
 			return false
 		}
-		if !got.Frozen() {
-			t.Log("MergeFold result is not frozen")
-			return false
-		}
 		return requireIdentical(t, got, rebuildReference(t, c))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -163,10 +158,7 @@ func TestMergeFoldEmptyDelta(t *testing.T) {
 		t.Fatal("empty delta diverged from rebuild")
 	}
 
-	empty := New()
-	if err := empty.Freeze(); err != nil {
-		t.Fatal(err)
-	}
+	empty := mustBuild(t)
 	d := empty.Dict()
 	onto, err := foldCase{base: empty, adds: []EncTriple{
 		{S: d.Encode(tri("s1", "", "").S), P: d.Encode(tri("p1", "", "").S), O: d.Encode(tri("o1", "", "").S)},
@@ -201,7 +193,7 @@ func TestMergeFoldRejectsUnresolvedDelta(t *testing.T) {
 		"permutations disagree":      {short, sortedDelta(c.dels)},
 		"more tombstones than base":  {sortedDelta(nil), sortedDelta(slices.Concat(c.base.Triples(), c.adds))},
 	} {
-		if st, err := MergeFold(c.base, bad[0], bad[1], true); !errors.Is(err, ErrDeltaNotResolved) {
+		if st, err := MergeFold(c.base, bad[0], bad[1]); !errors.Is(err, ErrDeltaNotResolved) {
 			t.Errorf("%s: MergeFold = %v, %v; want ErrDeltaNotResolved", name, st, err)
 		}
 	}
@@ -223,9 +215,8 @@ func TestBuildParallelSequentialIdentical(t *testing.T) {
 	ts := randTriples(rng, 250)
 	build := func(procs int) (*Store, *Store) {
 		runtime.GOMAXPROCS(procs)
-		st := New()
-		st.AddAll(ts)
-		if err := st.Freeze(); err != nil {
+		st, err := FromRDF(ts)
+		if err != nil {
 			t.Fatal(err)
 		}
 		c := randFoldCase(rand.New(rand.NewSource(23)))
@@ -247,7 +238,7 @@ func TestBuildParallelSequentialIdentical(t *testing.T) {
 
 // TestFreezeTooManyTriplesSurfaces pins the typed-error contract
 // indirectly: ErrTooManyTriples is a sentinel callers can test with
-// errors.Is through Freeze/FromTriples/MergeFold. (A real >2^31-triple
+// errors.Is through FromRDF/FromTriples/MergeFold. (A real >2^31-triple
 // load needs tens of GiB, so the limit check itself is exercised by
 // construction, not allocation.)
 func TestFreezeTooManyTriplesSurfaces(t *testing.T) {
@@ -255,15 +246,14 @@ func TestFreezeTooManyTriplesSurfaces(t *testing.T) {
 		t.Fatal("ErrTooManyTriples must be a non-nil sentinel")
 	}
 	// The happy paths return nil errors.
-	st := New()
-	st.AddAll(randTriples(rand.New(rand.NewSource(1)), 10))
-	if err := st.Freeze(); err != nil {
-		t.Fatalf("Freeze: %v", err)
+	st, err := FromRDF(randTriples(rand.New(rand.NewSource(1)), 10))
+	if err != nil {
+		t.Fatalf("FromRDF: %v", err)
 	}
-	if _, err := FromTriples(st.Dict(), nil, false); err != nil {
+	if _, err := FromTriples(st.Dict(), nil); err != nil {
 		t.Fatalf("FromTriples: %v", err)
 	}
-	if _, err := MergeFold(st, SortedDelta{}, SortedDelta{}, false); err != nil {
+	if _, err := MergeFold(st, SortedDelta{}, SortedDelta{}); err != nil {
 		t.Fatalf("MergeFold: %v", err)
 	}
 }

@@ -11,13 +11,11 @@ type Reader interface {
 	// Dict exposes the term dictionary. All shards of a sharded store
 	// share one dense ID space, so one dictionary serves every shard.
 	Dict() *Dict
-	// Stats returns the Freeze-time statistics of the full triple set
-	// (nil until frozen). A sharded store reports the statistics of the
-	// original unpartitioned store, not a per-shard aggregate, so cost
-	// models see exactly the numbers a single store would give them.
+	// Stats returns the statistics of the full triple set, computed
+	// when the store was built. A sharded store reports the statistics
+	// of the original unpartitioned store, not a per-shard aggregate, so
+	// cost models see exactly the numbers a single store would give them.
 	Stats() *Stats
-	// Frozen reports whether the triple set is read-only.
-	Frozen() bool
 	// NumTriples is the global distinct-triple count.
 	NumTriples() int
 	// MemStats reports the (aggregate) memory footprint.

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// ShardBySubject splits a frozen store into k standalone shard stores on
+// ShardBySubject splits the store into k standalone shard stores on
 // ascending subject-ID boundaries. Shard i holds exactly the triples
 // whose subject lies in [bounds[i], bounds[i+1]); bounds[0] is 0 and
 // bounds[k] is maxID+1, so the ranges tile the dense ID space with no
@@ -14,12 +14,9 @@ import (
 // subject skew (a single subject's run is never split).
 //
 // Every shard shares the parent's dictionary — the full ID space, so a
-// shard is a self-contained frozen store that can be snapshotted and
-// reopened on its own — and is frozen with its own local statistics.
+// shard is a self-contained store that can be snapshotted and reopened
+// on its own — and carries its own local statistics.
 func (st *Store) ShardBySubject(k int) ([]*Store, []ID, error) {
-	if !st.frozen {
-		return nil, nil, fmt.Errorf("store: ShardBySubject requires a frozen store")
-	}
 	maxID := st.dict.Len()
 	if k < 1 || k > maxID+1 {
 		return nil, nil, fmt.Errorf("store: cannot split a %d-term store into %d shards", maxID, k)
@@ -43,9 +40,9 @@ func (st *Store) ShardBySubject(k int) ([]*Store, []ID, error) {
 	shards := make([]*Store, k)
 	for i := 0; i < k; i++ {
 		a, b := st.spo.off[bounds[i]], st.spo.off[bounds[i+1]]
-		sub := &Store{dict: st.dict, log: append([]EncTriple(nil), st.spo.tri[a:b]...)}
-		if err := sub.Freeze(); err != nil {
-			return nil, nil, fmt.Errorf("store: freezing shard %d: %w", i, err)
+		sub, err := FromTriples(st.dict, append([]EncTriple(nil), st.spo.tri[a:b]...))
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: building shard %d: %w", i, err)
 		}
 		shards[i] = sub
 	}
@@ -56,7 +53,6 @@ func (st *Store) ShardBySubject(k int) ([]*Store, []ID, error) {
 // [lo, hi) — O(1) off the SPO row pointers. The shard loaders use it to
 // verify that an image's triples are confined to its manifest range.
 func (st *Store) SubjectSpan(lo, hi ID) int {
-	st.ensure()
 	last := int32(len(st.spo.tri))
 	at := func(id ID) int32 {
 		if int(id) >= len(st.spo.off) {
@@ -82,7 +78,7 @@ func (st *Store) SubjectSpan(lo, hi ID) int {
 // above the Reader surface knows the store is sharded: the engines scan
 // it as they scan a single store, and pull the same rows.
 //
-// A ShardedStore is always frozen and safe for concurrent readers.
+// A ShardedStore is immutable and safe for concurrent readers.
 type ShardedStore struct {
 	shards []*Store
 	bounds []ID // len(shards)+1; shard i owns subjects [bounds[i], bounds[i+1])
@@ -90,7 +86,7 @@ type ShardedStore struct {
 	total  int
 }
 
-// NewShardedStore assembles a sharded reader over frozen shard stores and
+// NewShardedStore assembles a sharded reader over shard stores and
 // their subject-range bounds, validating that the ranges tile the ID
 // space, every shard's triples are confined to its range, and all shards
 // agree on the dictionary size. stats must be the global statistics of
@@ -115,8 +111,8 @@ func NewShardedStore(shards []*Store, bounds []ID, stats *Stats) (*ShardedStore,
 	}
 	total := 0
 	for i, sh := range shards {
-		if sh == nil || !sh.Frozen() {
-			return nil, fmt.Errorf("store: shard %d is not a frozen store", i)
+		if sh == nil {
+			return nil, fmt.Errorf("store: shard %d is nil", i)
 		}
 		if sh.Dict().Len() != maxID {
 			return nil, fmt.Errorf("store: shard %d has %d dictionary terms, want %d (shards must share one ID space)",
@@ -158,9 +154,6 @@ func (sh *ShardedStore) Dict() *Dict { return sh.shards[0].Dict() }
 
 // Stats returns the global statistics of the full triple set.
 func (sh *ShardedStore) Stats() *Stats { return sh.stats }
-
-// Frozen always reports true — shards are frozen by construction.
-func (sh *ShardedStore) Frozen() bool { return true }
 
 // NumTriples returns the global triple count (sum of shards).
 func (sh *ShardedStore) NumTriples() int { return sh.total }
@@ -350,14 +343,12 @@ func (sh *ShardedStore) MemStats() MemStats {
 	for _, s := range sh.shards {
 		sm := s.MemStats()
 		m.Triples += sm.Triples
-		m.LogTriples += sm.LogTriples
-		m.LogBytes += sm.LogBytes
 		m.SPOBytes += sm.SPOBytes
 		m.POSBytes += sm.POSBytes
 		m.OSPBytes += sm.OSPBytes
 	}
 	m.DictTerms = sh.Dict().Len()
 	m.DictBytes = sh.Dict().StringBytes()
-	m.TotalBytes = m.LogBytes + m.SPOBytes + m.POSBytes + m.OSPBytes + m.DictBytes
+	m.TotalBytes = m.SPOBytes + m.POSBytes + m.OSPBytes + m.DictBytes
 	return m
 }

@@ -8,26 +8,25 @@ import (
 	"sparqluo/internal/rdf"
 )
 
-// shardTestStore builds a frozen store with enough subjects that every
-// shard count in the tests yields non-trivial partitions.
+// shardTestStore builds a store with enough subjects that every shard
+// count in the tests yields non-trivial partitions.
 func shardTestStore(t testing.TB, nTriples int) *Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	st := New()
+	var ts []rdf.Triple
 	for i := 0; i < nTriples; i++ {
-		st.Add(rdf.Triple{
+		ts = append(ts, rdf.Triple{
 			S: rdf.NewIRI("http://ex/s" + string(rune('a'+rng.Intn(40)))),
 			P: rdf.NewIRI("http://ex/p" + string(rune('a'+rng.Intn(6)))),
 			O: rdf.NewIRI("http://ex/o" + string(rune('a'+rng.Intn(25)))),
 		})
 	}
-	st.Freeze()
-	return st
+	return mustBuild(t, ts...)
 }
 
 // TestShardBySubject checks the partition invariants for a sweep of
 // shard counts: bounds cover [0, maxID+1) contiguously, every shard is
-// frozen over the shared dictionary, per-shard triples are exactly the
+// built over the shared dictionary, per-shard triples are exactly the
 // subject-range slice of the original SPO permutation, and nothing is
 // lost or duplicated.
 func TestShardBySubject(t *testing.T) {
@@ -49,9 +48,6 @@ func TestShardBySubject(t *testing.T) {
 		for i, sub := range shards {
 			if bounds[i] >= bounds[i+1] {
 				t.Fatalf("k=%d shard %d: empty range [%d, %d)", k, i, bounds[i], bounds[i+1])
-			}
-			if !sub.Frozen() {
-				t.Fatalf("k=%d shard %d: not frozen", k, i)
 			}
 			if sub.Dict() != st.Dict() {
 				t.Fatalf("k=%d shard %d: dictionary not shared", k, i)
@@ -77,11 +73,6 @@ func TestShardBySubject(t *testing.T) {
 }
 
 func TestShardBySubjectErrors(t *testing.T) {
-	unfrozen := New()
-	unfrozen.Add(rdf.Triple{S: rdf.NewIRI("s"), P: rdf.NewIRI("p"), O: rdf.NewIRI("o")})
-	if _, _, err := unfrozen.ShardBySubject(2); err == nil {
-		t.Error("ShardBySubject on an unfrozen store should fail")
-	}
 	st := shardTestStore(t, 50)
 	if _, _, err := st.ShardBySubject(0); err == nil {
 		t.Error("ShardBySubject(0) should fail")
@@ -146,9 +137,6 @@ func TestShardedStoreEquivalence(t *testing.T) {
 		}
 		if sh.Stats() != st.Stats() {
 			t.Fatalf("k=%d: sharded store must carry the global statistics", k)
-		}
-		if !sh.Frozen() {
-			t.Fatalf("k=%d: sharded store must report frozen", k)
 		}
 		if !eqTriples(sh.Triples(), st.Triples()) {
 			t.Fatalf("k=%d: Triples() differs", k)
@@ -252,8 +240,8 @@ func TestNewShardedStoreValidation(t *testing.T) {
 			}
 			return shards, b, st.Stats()
 		}},
-		{"unfrozen shard", func() ([]*Store, []ID, *Stats) {
-			return []*Store{New()}, []ID{0, ID(st.Dict().Len() + 1)}, st.Stats()
+		{"nil shard", func() ([]*Store, []ID, *Stats) {
+			return []*Store{shards[0], nil}, bounds, st.Stats()
 		}},
 	}
 	for _, c := range cases {

@@ -1,7 +1,7 @@
 package store
 
 // Stats holds the per-predicate statistics used by the BGP cost models of
-// §5.1.2. They are computed once at Freeze time.
+// §5.1.2. They are computed once, when a store is built.
 //
 // averageSize(v, p) in the WCO-join cost formula is the average number of
 // edges with predicate p incident to a single subject (forward direction)
@@ -22,7 +22,6 @@ type Stats struct {
 // walk over the dense ID space classifies each term as subject and/or
 // object (entity or literal) from the emptiness of its SPO/OSP runs.
 func computeStats(st *Store) *Stats {
-	st.ensure()
 	maxID := st.dict.Len()
 	s := &Stats{
 		NumTriples:   len(st.spo.tri),

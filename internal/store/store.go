@@ -2,23 +2,16 @@ package store
 
 import (
 	"errors"
-	"io"
 	"math"
 	"slices"
 
 	"sparqluo/internal/rdf"
 )
 
-// ErrFrozen is returned by Add/AddAll/LoadNTriples on a store that has
-// been made read-only by Freeze or snapshot loading. A serving process
-// must never panic on an ingest path; callers that want live mutation
-// route writes through the overlay subsystem instead.
-var ErrFrozen = errors.New("store: add after freeze (store is read-only)")
-
-// ErrTooManyTriples is returned by the bulk-build entry points (Freeze,
-// FromTriples, MergeFold) when the triple set would exceed the int32
-// CSR row-pointer range. A load that large is a clean failure, never a
-// server crash.
+// ErrTooManyTriples is returned by the bulk-build entry points
+// (FromTriples, FromRDF, MergeFold) when the triple set would exceed
+// the int32 CSR row-pointer range. A load that large is a clean
+// failure, never a server crash.
 var ErrTooManyTriples = errors.New("store: triple count exceeds int32 offset range")
 
 // EncTriple is a dictionary-encoded triple.
@@ -27,9 +20,10 @@ type EncTriple struct {
 }
 
 // Store is an in-memory, dictionary-encoded triple store with a columnar
-// sorted-permutation layout. Ingestion appends to a plain triple log;
-// the first read (or Freeze) sorts and deduplicates the log once and
-// builds three flat permutations of the triple set:
+// sorted-permutation layout. It is built once, from a complete triple
+// set (FromTriples, MergeFold) or a prebuilt layout (FromLayout): the
+// build sorts and deduplicates the triples and derives three flat
+// permutations of the triple set plus its statistics:
 //
 //	spo — sorted (S,P,O): (s p ?) (s ? ?) (s p o)
 //	pos — sorted (P,O,S): (? p o) (? p ?)
@@ -48,19 +42,9 @@ type EncTriple struct {
 // byte-identical-results guarantee rely on; no side ordering structures
 // are needed.
 //
-// A Store is immutable after Freeze and safe for concurrent readers.
-// Reads before Freeze are supported for single-threaded use: each Add
-// invalidates the permutations and the next read rebuilds them.
+// A Store is immutable by construction and safe for concurrent readers.
 type Store struct {
 	dict *Dict
-
-	// log is the append-only ingestion buffer. It may contain duplicate
-	// triples; they are removed by the sort+compact at build time. Freeze
-	// releases it (spo then owns the canonical triple set).
-	log []EncTriple
-
-	built  bool
-	frozen bool
 
 	spo perm // sorted (S,P,O); canonical, deduplicated
 	pos perm // sorted (P,O,S)
@@ -211,11 +195,6 @@ func eqRangeS(tri []EncTriple, lo, hi int, s ID) (int, int) {
 	return first, a
 }
 
-// New returns an empty store.
-func New() *Store {
-	return &Store{dict: NewDict()}
-}
-
 // PermLayout is the flat representation of one sorted permutation: the
 // triples in permutation order, the CSR row-pointer array over the
 // dense ID space, and the trailing-component column.
@@ -238,10 +217,9 @@ type Layout struct {
 	PosObjIdx  []int32
 }
 
-// Layout exposes the store's columnar arrays, building them first if the
-// ingestion log changed. The snapshot writer is the intended consumer.
+// Layout exposes the store's columnar arrays. The snapshot writer is
+// the intended consumer.
 func (st *Store) Layout() Layout {
-	st.ensure()
 	return Layout{
 		SPO:        PermLayout{Tri: st.spo.tri, Off: st.spo.off, Col: st.spo.col},
 		POS:        PermLayout{Tri: st.pos.tri, Off: st.pos.off, Col: st.pos.col},
@@ -254,18 +232,15 @@ func (st *Store) Layout() Layout {
 
 // FromLayout assembles a store over an externally backed layout —
 // typically zero-copy views of a memory-mapped snapshot image — without
-// any sorting or per-triple work. The returned store is frozen (and
-// therefore read-only and safe for concurrent readers) by construction.
+// any sorting or per-triple work.
 //
 // FromLayout trusts its inputs: the arrays must satisfy the invariants
-// Freeze establishes (sorted permutations of one triple set, consistent
+// a build establishes (sorted permutations of one triple set, consistent
 // row pointers, dense IDs covered by dict). The snapshot loader
 // validates structural invariants and checksums before calling it.
 func FromLayout(dict *Dict, l Layout, stats *Stats) *Store {
 	return &Store{
 		dict:       dict,
-		built:      true,
-		frozen:     true,
 		spo:        perm{tri: l.SPO.Tri, off: l.SPO.Off, col: l.SPO.Col},
 		pos:        perm{tri: l.POS.Tri, off: l.POS.Off, col: l.POS.Col},
 		osp:        perm{tri: l.OSP.Tri, off: l.OSP.Off, col: l.OSP.Col},
@@ -276,25 +251,47 @@ func FromLayout(dict *Dict, l Layout, stats *Stats) *Store {
 	}
 }
 
-// FromTriples builds a frozen store over an existing dictionary from an
-// encoded triple slice, running the same sort+compact+permute path as
-// Freeze. It takes ownership of tris (the slice is sorted in place and
-// becomes the SPO permutation). withStats controls whether the
-// O(dictionary) statistics pass runs (required for query planning over
-// the result). An oversized triple set returns ErrTooManyTriples. For
-// folding a delta into an existing built base, MergeFold produces the
-// identical store without re-sorting the base.
-func FromTriples(dict *Dict, tris []EncTriple, withStats bool) (*Store, error) {
-	st := &Store{dict: dict, log: tris}
-	if err := st.build(); err != nil {
-		return nil, err
+// FromTriples builds a store over an existing dictionary from an
+// encoded triple slice that may hold duplicates: it sorts and
+// deduplicates the triples, derives the three permutations and computes
+// the statistics. It takes ownership of tris (the slice is sorted in
+// place). An oversized triple set returns ErrTooManyTriples and leaves
+// tris untouched. For folding a delta into an existing built base,
+// MergeFold produces the identical store without re-sorting the base.
+func FromTriples(dict *Dict, tris []EncTriple) (*Store, error) {
+	if len(tris) > math.MaxInt32 {
+		return nil, ErrTooManyTriples
 	}
-	st.frozen = true
-	st.log = nil
-	if withStats {
-		st.stats = computeStats(st)
+	slices.SortFunc(tris, cmpSPO)
+	spo := make([]EncTriple, 0, len(tris))
+	for i, t := range tris {
+		if i > 0 && t == tris[i-1] {
+			continue
+		}
+		spo = append(spo, t)
 	}
-	return st, nil
+	// Drop the duplicate-proportional spare capacity; spo lives for the
+	// store's lifetime and MemStats reports by length.
+	spo = slices.Clip(spo)
+	sorted := func(cmp func(a, b EncTriple) int) func() []EncTriple {
+		return func() []EncTriple {
+			x := append([]EncTriple(nil), spo...)
+			slices.SortFunc(x, cmp)
+			return x
+		}
+	}
+	return newStore(dict, spo, sorted(cmpPOS), sorted(cmpOSP)), nil
+}
+
+// FromRDF encodes ts into a fresh dictionary and builds a store over
+// them with FromTriples.
+func FromRDF(ts []rdf.Triple) (*Store, error) {
+	dict := NewDict()
+	tris := make([]EncTriple, len(ts))
+	for i, t := range ts {
+		tris[i] = dict.EncodeTriple(t)
+	}
+	return FromTriples(dict, tris)
 }
 
 // CompareSPO orders triples by (S,P,O) — the canonical permutation order.
@@ -306,101 +303,27 @@ func ComparePOS(a, b EncTriple) int { return cmpPOS(a, b) }
 // CompareOSP orders triples by (O,S,P).
 func CompareOSP(a, b EncTriple) int { return cmpOSP(a, b) }
 
-// Frozen reports whether the store has been made read-only (by Freeze or
-// by snapshot loading).
-func (st *Store) Frozen() bool { return st.frozen }
-
 // Dict exposes the store's term dictionary.
 func (st *Store) Dict() *Dict { return st.dict }
 
 // NumTriples returns the number of distinct triples stored (RDF datasets
 // are sets of triples; duplicates are removed at build time).
 func (st *Store) NumTriples() int {
-	st.ensure()
 	return len(st.spo.tri)
 }
 
-// Add inserts one triple. Duplicate triples are deduplicated by the
-// sort+compact pass at build time, keeping Add itself O(1) amortized so
-// bulk loading is O(n log n) overall. Add returns ErrFrozen if called
-// after Freeze.
-func (st *Store) Add(t rdf.Triple) error {
-	if st.frozen {
-		return ErrFrozen
-	}
-	s := st.dict.Encode(t.S)
-	p := st.dict.Encode(t.P)
-	o := st.dict.Encode(t.O)
-	st.log = append(st.log, EncTriple{s, p, o})
-	st.built = false
-	return nil
-}
-
-// AddAll inserts every triple in ts, stopping at the first error.
-func (st *Store) AddAll(ts []rdf.Triple) error {
-	for _, t := range ts {
-		if err := st.Add(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadNTriples reads an N-Triples document from r and inserts every triple.
-func (st *Store) LoadNTriples(r io.Reader) error {
-	d := rdf.NewDecoder(r)
-	for {
-		t, err := d.Decode()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := st.Add(t); err != nil {
-			return err
-		}
-	}
-}
-
-// ensure (re)builds the permutations if the log changed since the last
-// build. Post-Freeze this is a single branch on the read path. Read
-// accessors cannot return errors, so an unbuildable log (more triples
-// than the int32 offset range) panics here; the bulk-build entry points
-// (Freeze, FromTriples, MergeFold) surface the same condition as
-// ErrTooManyTriples before any read can reach it.
-func (st *Store) ensure() {
-	if st.built {
-		return
-	}
-	if err := st.build(); err != nil {
-		panic(err)
-	}
-}
-
-// build sorts the ingestion log, compacts duplicates, and derives the
-// three permutations and their run indexes. The log is kept (pre-Freeze,
-// further Adds re-enter build); Freeze releases it. The SPO sort+compact
-// runs first (it defines the canonical triple set); the three
-// per-permutation index builds then run concurrently on a worker group
-// sized off GOMAXPROCS — they write disjoint fields from disjoint
-// inputs, so the result is byte-identical to the sequential build.
-func (st *Store) build() error {
-	if len(st.log) > math.MaxInt32 {
-		return ErrTooManyTriples
-	}
-	maxID := st.dict.Len()
-	slices.SortFunc(st.log, cmpSPO)
-	spo := make([]EncTriple, 0, len(st.log))
-	for i, t := range st.log {
-		if i > 0 && t == st.log[i-1] {
-			continue
-		}
-		spo = append(spo, t)
-	}
-	// Drop the duplicate-proportional spare capacity; spo lives for the
-	// store's lifetime and MemStats reports by length.
-	spo = slices.Clip(spo)
+// newStore assembles the store over one duplicate-free triple set
+// given in its three permutation orders: spo itself, and producers of
+// the POS- and OSP-sorted runs (a sort in FromTriples, a finished merge
+// in MergeFold). It derives each permutation's row pointers and
+// trailing column, the POS level-2 runs, and then the statistics. The
+// three per-permutation builds, producers included, run concurrently on
+// a worker group sized off GOMAXPROCS — they write disjoint fields from
+// disjoint inputs, so the result is byte-identical to the sequential
+// build.
+func newStore(dict *Dict, spo []EncTriple, pos, osp func() []EncTriple) *Store {
+	st := &Store{dict: dict}
+	maxID := dict.Len()
 	runParallel(
 		func() {
 			st.spo = makePerm(spo, maxID,
@@ -408,30 +331,24 @@ func (st *Store) build() error {
 				func(t EncTriple) ID { return t.O })
 		},
 		func() {
-			pos := append([]EncTriple(nil), spo...)
-			slices.SortFunc(pos, cmpPOS)
-			st.pos = makePerm(pos, maxID,
+			run := pos()
+			st.pos = makePerm(run, maxID,
 				func(t EncTriple) ID { return t.P },
 				func(t EncTriple) ID { return t.S })
-			st.posObjKeys, st.posObjOff, st.posObjIdx = buildPOSRuns(pos, maxID)
+			st.posObjKeys, st.posObjOff, st.posObjIdx = buildPOSRuns(run, maxID)
 		},
 		func() {
-			osp := append([]EncTriple(nil), spo...)
-			slices.SortFunc(osp, cmpOSP)
-			st.osp = makePerm(osp, maxID,
+			st.osp = makePerm(osp(), maxID,
 				func(t EncTriple) ID { return t.O },
 				func(t EncTriple) ID { return t.P })
 		},
 	)
-	st.built = true
-	return nil
+	st.stats = computeStats(st)
+	return st
 }
 
 // buildPOSRuns derives the level-2 runs over a sorted POS permutation:
-// one entry per distinct (predicate, object) pair, in POS order. The
-// arrays are freshly allocated each build — reusing backing arrays
-// would corrupt views handed out before a pre-Freeze Add triggered a
-// rebuild.
+// one entry per distinct (predicate, object) pair, in POS order.
 func buildPOSRuns(pos []EncTriple, maxID int) (keys []ID, off, idx []int32) {
 	idx = make([]int32, maxID+2)
 	for i, t := range pos {
@@ -448,29 +365,7 @@ func buildPOSRuns(pos []EncTriple, maxID int) (keys []ID, off, idx []int32) {
 	return keys, off, idx
 }
 
-// Freeze builds the permutations, computes statistics, releases the
-// ingestion log, and marks the store read-only. Queries may be run
-// before Freeze (single-threaded), but cardinality estimation requires
-// it. Freeze is idempotent. It returns ErrTooManyTriples — leaving the
-// store unfrozen and the log intact — if the triple set exceeds the
-// int32 offset range.
-func (st *Store) Freeze() error {
-	if st.frozen {
-		return nil
-	}
-	if !st.built {
-		if err := st.build(); err != nil {
-			return err
-		}
-	}
-	st.frozen = true
-	st.log = nil
-	st.stats = computeStats(st)
-	return nil
-}
-
-// Stats returns the statistics collected at Freeze time, or nil if the
-// store has not been frozen.
+// Stats returns the statistics computed when the store was built.
 func (st *Store) Stats() *Stats {
 	return st.stats
 }
@@ -478,7 +373,6 @@ func (st *Store) Stats() *Stats {
 // Contains reports whether the fully ground triple (s,p,o) is present,
 // by binary search on the SPO permutation.
 func (st *Store) Contains(s, p, o ID) bool {
-	st.ensure()
 	lo, hi := st.spo.run(s)
 	end := hi
 	tri := st.spo.tri
@@ -498,7 +392,6 @@ func (st *Store) Contains(s, p, o ID) bool {
 // predicate, in ascending ID order. The returned slice is a view into the
 // store's object column; do not modify it.
 func (st *Store) ObjectsSP(s, p ID) []ID {
-	st.ensure()
 	lo, hi := st.spo.run(s)
 	a, b := eqRangeP(st.spo.tri, lo, hi, p)
 	return st.spo.col[a:b]
@@ -507,7 +400,6 @@ func (st *Store) ObjectsSP(s, p ID) []ID {
 // SubjectsPO returns the subjects of all triples with the given predicate
 // and object, in ascending ID order (zero-copy view).
 func (st *Store) SubjectsPO(p, o ID) []ID {
-	st.ensure()
 	if int(p) >= len(st.posObjIdx)-1 {
 		return nil
 	}
@@ -531,7 +423,6 @@ func (st *Store) SubjectsPO(p, o ID) []ID {
 // PredsSO returns the predicates linking subject s to object o, in
 // ascending ID order (zero-copy view of the OSP predicate column).
 func (st *Store) PredsSO(s, o ID) []ID {
-	st.ensure()
 	lo, hi := st.osp.run(o)
 	a, b := eqRangeS(st.osp.tri, lo, hi, s)
 	return st.osp.col[a:b]
@@ -540,7 +431,6 @@ func (st *Store) PredsSO(s, o ID) []ID {
 // SubjectTriples returns all triples with subject s, sorted by (P,O)
 // (zero-copy view of the SPO permutation).
 func (st *Store) SubjectTriples(s ID) []EncTriple {
-	st.ensure()
 	lo, hi := st.spo.run(s)
 	return st.spo.tri[lo:hi]
 }
@@ -548,7 +438,6 @@ func (st *Store) SubjectTriples(s ID) []EncTriple {
 // PredicateTriples returns all triples with predicate p, sorted by (O,S)
 // (zero-copy view of the POS permutation).
 func (st *Store) PredicateTriples(p ID) []EncTriple {
-	st.ensure()
 	lo, hi := st.pos.run(p)
 	return st.pos.tri[lo:hi]
 }
@@ -556,7 +445,6 @@ func (st *Store) PredicateTriples(p ID) []EncTriple {
 // ObjectTriples returns all triples with object o, sorted by (S,P)
 // (zero-copy view of the OSP permutation).
 func (st *Store) ObjectTriples(o ID) []EncTriple {
-	st.ensure()
 	lo, hi := st.osp.run(o)
 	return st.osp.tri[lo:hi]
 }
@@ -565,7 +453,6 @@ func (st *Store) ObjectTriples(o ID) []EncTriple {
 // ascending ID order. The slice is computed per call; engine scan paths
 // iterate PredicateTriples instead.
 func (st *Store) SubjectsOfPredicate(p ID) []ID {
-	st.ensure()
 	lo, hi := st.pos.run(p)
 	subs := append([]ID(nil), st.pos.col[lo:hi]...)
 	slices.Sort(subs)
@@ -575,7 +462,6 @@ func (st *Store) SubjectsOfPredicate(p ID) []ID {
 // ObjectsOfPredicate returns the distinct objects of a predicate in
 // ascending ID order — a zero-copy view of the POS level-2 run keys.
 func (st *Store) ObjectsOfPredicate(p ID) []ID {
-	st.ensure()
 	if int(p) >= len(st.posObjIdx)-1 {
 		return nil
 	}
@@ -585,27 +471,23 @@ func (st *Store) ObjectsOfPredicate(p ID) []ID {
 // Triples returns the full triple set in canonical (S,P,O) sorted order
 // (read-only view).
 func (st *Store) Triples() []EncTriple {
-	st.ensure()
 	return st.spo.tri
 }
 
 // CountP returns the number of triples with predicate p.
 func (st *Store) CountP(p ID) int {
-	st.ensure()
 	lo, hi := st.pos.run(p)
 	return hi - lo
 }
 
 // CountS returns the number of triples with subject s.
 func (st *Store) CountS(s ID) int {
-	st.ensure()
 	lo, hi := st.spo.run(s)
 	return hi - lo
 }
 
 // CountO returns the number of triples with object o.
 func (st *Store) CountO(o ID) int {
-	st.ensure()
 	lo, hi := st.osp.run(o)
 	return hi - lo
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,13 +19,22 @@ func tri(s, p, o string) rdf.Triple {
 	return rdf.Triple{S: mk(s), P: mk(p), O: mk(o)}
 }
 
+// mustBuild builds a store over ts with FromRDF.
+func mustBuild(t testing.TB, ts ...rdf.Triple) *Store {
+	t.Helper()
+	st, err := FromRDF(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestAddAndScan(t *testing.T) {
-	st := New()
-	st.Add(tri("s1", "p1", "o1"))
-	st.Add(tri("s1", "p1", "o2"))
-	st.Add(tri("s2", "p1", "o1"))
-	st.Add(tri("s1", "p2", "o1"))
-	st.Freeze()
+	st := mustBuild(t,
+		tri("s1", "p1", "o1"),
+		tri("s1", "p1", "o2"),
+		tri("s2", "p1", "o1"),
+		tri("s1", "p2", "o1"))
 
 	d := st.Dict()
 	s1, _ := d.Lookup(rdf.NewIRI("s1"))
@@ -51,29 +59,9 @@ func TestAddAndScan(t *testing.T) {
 }
 
 func TestDuplicatesIgnored(t *testing.T) {
-	st := New()
-	st.Add(tri("s", "p", "o"))
-	st.Add(tri("s", "p", "o"))
+	st := mustBuild(t, tri("s", "p", "o"), tri("s", "p", "o"))
 	if st.NumTriples() != 1 {
 		t.Errorf("duplicate triple stored: %d", st.NumTriples())
-	}
-}
-
-func TestAddAfterFreezeErrors(t *testing.T) {
-	st := New()
-	st.Add(tri("s", "p", "o"))
-	st.Freeze()
-	if err := st.Add(tri("s2", "p", "o")); !errors.Is(err, ErrFrozen) {
-		t.Errorf("Add after Freeze: err = %v, want ErrFrozen", err)
-	}
-	if err := st.AddAll([]rdf.Triple{tri("s3", "p", "o")}); !errors.Is(err, ErrFrozen) {
-		t.Errorf("AddAll after Freeze: err = %v, want ErrFrozen", err)
-	}
-	if err := st.LoadNTriples(strings.NewReader("<a:s> <a:p> <a:o> .\n")); !errors.Is(err, ErrFrozen) {
-		t.Errorf("LoadNTriples after Freeze: err = %v, want ErrFrozen", err)
-	}
-	if st.NumTriples() != 1 {
-		t.Errorf("rejected writes mutated the store: %d triples", st.NumTriples())
 	}
 }
 
@@ -119,12 +107,11 @@ func TestDictRoundTrip(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	st := New()
-	st.Add(tri("s1", "p1", "o1"))
-	st.Add(tri("s1", "p1", "o2"))
-	st.Add(tri("s2", "p1", "o2"))
-	st.Add(tri("s1", "p2", `"lit"`))
-	st.Freeze()
+	st := mustBuild(t,
+		tri("s1", "p1", "o1"),
+		tri("s1", "p1", "o2"),
+		tri("s2", "p1", "o2"),
+		tri("s1", "p2", `"lit"`))
 	s := st.Stats()
 	if s.NumTriples != 4 {
 		t.Errorf("NumTriples = %d", s.NumTriples)
@@ -153,34 +140,32 @@ func TestStats(t *testing.T) {
 }
 
 func TestLoadNTriples(t *testing.T) {
-	st := New()
-	err := st.LoadNTriples(strings.NewReader(`
+	ts, err := rdf.ParseAll(strings.NewReader(`
 <http://e/s> <http://e/p> "v" .
 <http://e/s> <http://e/p> <http://e/o> .
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NumTriples() != 2 {
+	if st := mustBuild(t, ts...); st.NumTriples() != 2 {
 		t.Errorf("NumTriples = %d", st.NumTriples())
 	}
-	if err := st.LoadNTriples(strings.NewReader("garbage")); err == nil {
+	if _, err := rdf.ParseAll(strings.NewReader("garbage")); err == nil {
 		t.Error("want error for bad input")
 	}
 }
 
 func TestOrderedScansDeterministic(t *testing.T) {
 	build := func() *Store {
-		st := New()
 		rng := rand.New(rand.NewSource(9))
+		var ts []rdf.Triple
 		for i := 0; i < 500; i++ {
-			st.Add(tri(
+			ts = append(ts, tri(
 				"s"+itoa(rng.Intn(40)),
 				"p"+itoa(rng.Intn(3)),
 				"o"+itoa(rng.Intn(40))))
 		}
-		st.Freeze()
-		return st
+		return mustBuild(t, ts...)
 	}
 	a, b := build(), build()
 	d := a.Dict()
@@ -209,15 +194,15 @@ func itoa(n int) string {
 func TestQuickScansMatchBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		st := New()
 		type raw struct{ s, p, o int }
 		var raws []raw
+		var ts []rdf.Triple
 		for i := 0; i < 60; i++ {
 			r := raw{rng.Intn(8), rng.Intn(3), rng.Intn(8)}
 			raws = append(raws, r)
-			st.Add(tri("s"+itoa(r.s), "p"+itoa(r.p), "o"+itoa(r.o)))
+			ts = append(ts, tri("s"+itoa(r.s), "p"+itoa(r.p), "o"+itoa(r.o)))
 		}
-		st.Freeze()
+		st := mustBuild(t, ts...)
 		d := st.Dict()
 		lookup := func(x string) ID {
 			id, _ := d.Lookup(rdf.NewIRI(x))

@@ -17,7 +17,7 @@ import (
 // or sharded database without live updates enabled. It replaces the
 // historical panic: a serving process must be able to reject a stray
 // write without dying.
-var ErrFrozen = store.ErrFrozen
+var ErrFrozen = errors.New("sparqluo: database is frozen (read-only)")
 
 // ErrNotLive is returned by live-only APIs (Insert, Delete, Flush,
 // StartCompaction) on a database without live updates enabled, and
@@ -133,12 +133,12 @@ func (db *DB) EnableLiveUpdates(opts LiveOptions) error {
 	if db.Live() {
 		return fmt.Errorf("sparqluo: live updates already enabled")
 	}
-	m := db.mem()
+	if err := db.Freeze(); err != nil {
+		return fmt.Errorf("sparqluo: freezing base for live updates: %w", err)
+	}
+	m := db.Store()
 	if m == nil {
 		return fmt.Errorf("sparqluo: live updates on a sharded database are not supported: %w", ErrNotLive)
-	}
-	if err := m.Freeze(); err != nil {
-		return fmt.Errorf("sparqluo: freezing base for live updates: %w", err)
 	}
 	ls := overlay.New(m, overlay.Options{SnapshotPath: opts.SnapshotPath})
 	if err := db.attachWAL(ls, opts); err != nil {
@@ -309,7 +309,7 @@ func (db *DB) LiveStats() (LiveStats, bool) {
 
 // FromStore wraps an existing single store in a DB, for advanced
 // integrations and tests that build stores directly (e.g. with
-// store.FromTriples). The store should be frozen before querying.
+// store.FromTriples). The database is frozen by construction.
 func FromStore(st *store.Store) *DB { return &DB{st: st} }
 
 // writeLiveSnapshot flushes the memtable and persists the quiesced

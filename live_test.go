@@ -3,10 +3,12 @@ package sparqluo_test
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,7 +43,7 @@ func liveReference(base, inserted, final []rdf.Triple) *sparqluo.DB {
 	for i, t := range final {
 		encFinal[i] = enc(t)
 	}
-	ref, err := store.FromTriples(d, encFinal, true)
+	ref, err := store.FromTriples(d, encFinal)
 	if err != nil {
 		panic(err)
 	}
@@ -373,6 +375,18 @@ func TestLiveAPIGuards(t *testing.T) {
 	frozen := sparqluo.Open()
 	frozen.Freeze()
 	tr := sparqluo.Triple{S: rdf.NewIRI("http://ex/s"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewIRI("http://ex/o")}
+	if err := frozen.Add(tr); !errors.Is(err, sparqluo.ErrFrozen) {
+		t.Errorf("Add after Freeze: err = %v, want ErrFrozen", err)
+	}
+	if err := frozen.AddAll([]sparqluo.Triple{tr}); !errors.Is(err, sparqluo.ErrFrozen) {
+		t.Errorf("AddAll after Freeze: err = %v, want ErrFrozen", err)
+	}
+	if err := frozen.Load(strings.NewReader("<a:s> <a:p> <a:o> .\n")); !errors.Is(err, sparqluo.ErrFrozen) {
+		t.Errorf("Load after Freeze: err = %v, want ErrFrozen", err)
+	}
+	if frozen.NumTriples() != 0 {
+		t.Errorf("rejected writes mutated the frozen db: %d triples", frozen.NumTriples())
+	}
 	if err := frozen.Insert(tr); err != sparqluo.ErrNotLive {
 		t.Errorf("Insert on frozen db: err = %v, want ErrNotLive", err)
 	}

@@ -24,12 +24,12 @@ func (db *DB) WriteSnapshot(path string) error {
 		// image.
 		return db.writeLiveSnapshot(path)
 	}
-	m := db.mem()
+	if db.loading() {
+		return fmt.Errorf("sparqluo: DB must be frozen before writing a snapshot (call Freeze)")
+	}
+	m := db.Store()
 	if m == nil {
 		return fmt.Errorf("sparqluo: WriteSnapshot on a sharded database (shards are already snapshot images)")
-	}
-	if m.Stats() == nil {
-		return fmt.Errorf("sparqluo: DB must be frozen before writing a snapshot (call Freeze)")
 	}
 	return snapshot.WriteFile(path, m)
 }
@@ -43,12 +43,12 @@ func (db *DB) WriteSnapshot(path string) error {
 // partial write never yields an openable but incomplete set. It returns
 // the paths of all files written (images first, manifest last).
 func (db *DB) WriteShards(path string, k int) ([]string, error) {
-	m := db.mem()
+	if db.loading() {
+		return nil, fmt.Errorf("sparqluo: DB must be frozen before writing shards (call Freeze)")
+	}
+	m := db.Store()
 	if m == nil {
 		return nil, fmt.Errorf("sparqluo: WriteShards on an already sharded database")
-	}
-	if m.Stats() == nil {
-		return nil, fmt.Errorf("sparqluo: DB must be frozen before writing shards (call Freeze)")
 	}
 	return snapshot.WriteShards(path, m, k)
 }

@@ -40,10 +40,10 @@ type Prepared struct {
 // given to Exec override them per call. The DB must be frozen (the
 // plan encodes terms against the frozen dictionary).
 func (db *DB) Prepare(text string, opts ...Option) (*Prepared, error) {
-	st := db.reader()
-	if st.Stats() == nil {
+	if db.loading() {
 		return nil, fmt.Errorf("sparqluo: DB must be frozen before preparing queries (call Freeze)")
 	}
+	st := db.reader()
 	cfg := defaultQueryConfig()
 	for _, o := range opts {
 		o(&cfg)

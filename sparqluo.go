@@ -127,7 +127,6 @@ package sparqluo
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"strings"
 
@@ -189,8 +188,14 @@ func (e Engine) impl() exec.Engine {
 // snapshot set with OpenShards — for a cold start that skips parsing
 // and index building entirely.
 type DB struct {
+	// dict and pending collect the triples of a loading database (Open,
+	// then Add/AddAll/Load) until Freeze builds st from them; both are
+	// nil once the database has a built store.
+	dict    *store.Dict
+	pending []store.EncTriple
+
 	// st is the immutable store of a frozen, snapshot-opened or sharded
-	// database; nil once live updates are enabled.
+	// database; nil while loading and once live updates are enabled.
 	st store.Reader
 	// live is the live-update overlay; nil unless the database is live.
 	live *overlay.LiveStore
@@ -206,19 +211,17 @@ type DB struct {
 	recovery *RecoveryStats
 }
 
-// Open returns an empty database.
-func Open() *DB { return &DB{st: store.New()} }
+// Open returns an empty database, loading until Freeze.
+func Open() *DB { return &DB{dict: store.NewDict()} }
 
-// mem returns the mutable single store backing the database, or nil for
-// a sharded (read-only) or live database.
-func (db *DB) mem() *store.Store {
-	st, _ := db.st.(*store.Store)
-	return st
-}
+// loading reports whether the database is still collecting triples,
+// that is, has no built store to read yet.
+func (db *DB) loading() bool { return db.st == nil && db.live == nil }
 
 // reader returns the store a query reads: the live overlay's current
-// view, or the database's immutable store. The store kind is decided
-// here, once per call; nothing below it sees the decision.
+// view, or the database's immutable store (nil while loading). The
+// store kind is decided here, once per call; nothing below it sees the
+// decision.
 func (db *DB) reader() store.Reader {
 	if db.live != nil {
 		return db.live.View()
@@ -229,66 +232,79 @@ func (db *DB) reader() store.Reader {
 // Load reads an N-Triples document (with optional Turtle-style @prefix
 // directives) and adds every triple. On a live database the triples are
 // inserted as one atomic batch; on a frozen or sharded database Load
-// returns an error wrapping ErrFrozen.
+// returns ErrFrozen.
 func (db *DB) Load(r io.Reader) error {
 	if db.Live() {
 		_, err := db.InsertNTriples(r)
 		return err
 	}
-	m := db.mem()
-	if m == nil {
-		return fmt.Errorf("sparqluo: Load on a sharded (read-only) database: %w", ErrFrozen)
+	if !db.loading() {
+		return ErrFrozen
 	}
-	return m.LoadNTriples(r)
+	d := rdf.NewDecoder(r)
+	for {
+		t, err := d.Decode()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		db.pending = append(db.pending, db.dict.EncodeTriple(t))
+	}
 }
 
 // Add inserts one triple. Duplicates are ignored (RDF set semantics).
 // On a live database (EnableLiveUpdates/OpenLive) the write is routed
 // to the overlay memtable and is immediately visible to new queries.
-// Otherwise Add returns an error wrapping ErrFrozen after Freeze or on
-// a sharded database — never a panic, so a serving process can reject
-// stray writes gracefully.
+// Otherwise Add returns ErrFrozen after Freeze or on a sharded
+// database — never a panic, so a serving process can reject stray
+// writes gracefully.
 func (db *DB) Add(t Triple) error {
-	if db.live != nil {
-		return db.live.Insert(t)
-	}
-	m := db.mem()
-	if m == nil {
-		return fmt.Errorf("sparqluo: Add on a sharded (read-only) database: %w", ErrFrozen)
-	}
-	return m.Add(t)
+	return db.AddAll([]Triple{t})
 }
 
-// AddAll inserts a batch of triples, stopping at the first error. On a
-// live database the batch is atomic: concurrent queries see all of it
-// or none of it.
+// AddAll inserts a batch of triples. On a live database the batch is
+// atomic: concurrent queries see all of it or none of it.
 func (db *DB) AddAll(ts []Triple) error {
 	if db.live != nil {
 		return db.live.Insert(ts...)
 	}
+	if !db.loading() {
+		return ErrFrozen
+	}
 	for _, t := range ts {
-		if err := db.Add(t); err != nil {
-			return err
-		}
+		db.pending = append(db.pending, db.dict.EncodeTriple(t))
 	}
 	return nil
 }
 
-// Freeze computes statistics and makes the database read-only. Queries
-// run before Freeze cannot use cost-based optimization; call it after
-// loading. Snapshot- and shard-opened databases are frozen already.
-// A bulk load too large for the store's int32 index range returns an
-// error wrapping store.ErrTooManyTriples instead of crashing the
-// process; the database stays unfrozen.
+// Freeze builds the store — sorted permutations and statistics — from
+// the loaded triples and makes the database read-only; queries need it.
+// Snapshot- and shard-opened databases are frozen already, and Freeze
+// is idempotent. A bulk load too large for the store's int32 index
+// range returns an error wrapping store.ErrTooManyTriples instead of
+// crashing the process; the database then keeps loading.
 func (db *DB) Freeze() error {
-	if m := db.mem(); m != nil {
-		return m.Freeze()
+	if !db.loading() {
+		return nil
 	}
+	st, err := store.FromTriples(db.dict, db.pending)
+	if err != nil {
+		return err
+	}
+	db.st, db.dict, db.pending = st, nil, nil
 	return nil
 }
 
-// NumTriples returns the number of distinct triples stored.
-func (db *DB) NumTriples() int { return db.reader().NumTriples() }
+// NumTriples returns the number of distinct triples stored (while
+// loading: added so far).
+func (db *DB) NumTriples() int {
+	if db.loading() {
+		return store.PendingMemStats(db.dict, db.pending).Triples
+	}
+	return db.reader().NumTriples()
+}
 
 // NumShards returns the number of shards serving this database: 1 for a
 // single in-memory or snapshot-backed store, k for a database opened
@@ -301,15 +317,25 @@ func (db *DB) NumShards() int {
 }
 
 // MemStats reports the memory footprint of the database's columnar
-// indexes — aggregated across shards for a sharded database.
-func (db *DB) MemStats() store.MemStats { return db.reader().MemStats() }
+// indexes — aggregated across shards for a sharded database. While
+// loading, it reports the triples added so far, without building
+// anything.
+func (db *DB) MemStats() store.MemStats {
+	if db.loading() {
+		return store.PendingMemStats(db.dict, db.pending)
+	}
+	return db.reader().MemStats()
+}
 
 // Store exposes the underlying single store for advanced integrations
 // (the experiment harness uses it); most callers never need it. It
-// returns nil for a sharded database, whose shards do not form one
-// *store.Store, and for a live database, whose triple set is a base
-// plus a memtable.
-func (db *DB) Store() *store.Store { return db.mem() }
+// returns nil while loading, for a sharded database, whose shards do
+// not form one *store.Store, and for a live database, whose triple set
+// is a base plus a memtable.
+func (db *DB) Store() *store.Store {
+	st, _ := db.st.(*store.Store)
+	return st
+}
 
 // Option configures a Query, Prepare or Exec call.
 type Option func(*queryConfig)

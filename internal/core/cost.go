@@ -21,17 +21,10 @@ import (
 type costModel struct {
 	st     store.Reader
 	engine exec.Engine
-	// ctx bounds the sampling estimators; nil means non-cancellable.
-	// After cancellation estimates are garbage, which is fine: the whole
-	// plan is abandoned with the context's error.
+	// ctx bounds the sampling estimators. After cancellation estimates
+	// are garbage, which is fine: the whole plan is abandoned with the
+	// context's error.
 	ctx context.Context
-}
-
-func (cm *costModel) context() context.Context {
-	if cm.ctx != nil {
-		return cm.ctx
-	}
-	return context.Background()
 }
 
 // estCard returns the engine's estimated result size for a BGP node,
@@ -52,9 +45,8 @@ func (cm *costModel) ensure(b *BGPNode) {
 	if b.estValid {
 		return
 	}
-	ctx := cm.context()
-	b.estCard = cm.engine.EstimateCard(ctx, cm.st, b.Enc)
-	b.estCost = cm.engine.EstimateCost(ctx, cm.st, b.Enc)
+	b.estCard = cm.engine.EstimateCard(cm.ctx, cm.st, b.Enc)
+	b.estCost = cm.engine.EstimateCost(cm.ctx, cm.st, b.Enc)
 	b.estValid = true
 }
 

@@ -9,7 +9,7 @@ import (
 
 func TestNodeCardFolding(t *testing.T) {
 	st := chainStore(t)
-	cm := &costModel{st: st, engine: exec.WCOEngine{}}
+	cm := &costModel{st: st, engine: exec.WCOEngine{}, ctx: context.Background()}
 	tree := buildTree(t, st, `SELECT * WHERE {
 		?x <http://ex.org/p0> ?y .
 		{ ?x <http://ex.org/p1> ?z } UNION { ?x <http://ex.org/p2> ?z }
@@ -44,7 +44,7 @@ func TestNodeCardFolding(t *testing.T) {
 
 func TestLevelCostIncludesBGPCostAndAlgebra(t *testing.T) {
 	st := chainStore(t)
-	cm := &costModel{st: st, engine: exec.WCOEngine{}}
+	cm := &costModel{st: st, engine: exec.WCOEngine{}, ctx: context.Background()}
 	tree := buildTree(t, st, `SELECT * WHERE {
 		?x <http://ex.org/p0> ?y .
 		?a <http://ex.org/p1> ?b .
@@ -82,7 +82,7 @@ func TestDeltaMergeNegativeForSelectiveAnchor(t *testing.T) {
 
 func TestEstimateMemoization(t *testing.T) {
 	st := chainStore(t)
-	cm := &costModel{st: st, engine: exec.WCOEngine{}}
+	cm := &costModel{st: st, engine: exec.WCOEngine{}, ctx: context.Background()}
 	tree := buildTree(t, st, `SELECT * WHERE { ?x <http://ex.org/p0> ?y . }`)
 	b := tree.Root.Children[0].(*BGPNode)
 	first := cm.estCard(b)

@@ -58,7 +58,7 @@ func (p *Plan) Clone() *Plan { return &Plan{Tree: p.Tree.Clone(), st: p.st} }
 // Estimates are engine-specific: warm a dedicated plan copy per engine
 // (see Clone), and do not warm a plan that is concurrently executing.
 func (p *Plan) WarmEstimates(engine exec.Engine) {
-	cm := &costModel{st: p.st, engine: engine}
+	cm := &costModel{st: p.st, engine: engine, ctx: context.Background()}
 	cm.fillEstimates(p.Tree.Root)
 }
 

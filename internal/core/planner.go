@@ -103,7 +103,7 @@ func ExecPlan(ctx context.Context, p *Plan, engine exec.Engine, strat Strategy, 
 	prune := Pruning{}
 	switch strat {
 	case CP:
-		prune = Pruning{Enabled: true, FixedThreshold: p.st.NumTriples() / 100}
+		prune = Pruning{Enabled: true}
 	case Full:
 		prune = Pruning{Enabled: true, Adaptive: true}
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"iter"
 	"slices"
 
 	"sparqluo/internal/algebra"
@@ -30,23 +29,23 @@ func (e BinaryJoinEngine) EvalBGP(ctx context.Context, st store.Reader, bgp BGP,
 // early-termination tiers apply when max >= 0:
 //
 //   - a single-pattern BGP stops its index scan at max emitted rows;
-//   - a two-pattern BGP whose scan orders are directly merge-joinable
-//     runs a fully streaming merge join over lazy pattern cursors,
-//     pulling index rows only as the next output row demands them;
+//   - a two-pattern BGP without candidates whose scan orders are directly
+//     merge-joinable on the shared variables runs the depth-first
+//     extension instead of the merge join: the bound-key access reads the
+//     same permutation run, in the same order, as the merge join's
+//     equal-key group, so it emits the join's rows in the join's order
+//     and stops at every level once max rows exist;
 //   - otherwise the plan materializes as usual and only the final join
 //     is capped, so at least the last operator stops early.
 //
 // All tiers emit in exactly the order the uncapped evaluation would, so
 // the result is a byte-identical prefix of EvalBGP's bag.
 func (BinaryJoinEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width int, cand Candidates, max int, pulled *int) *algebra.Bag {
-	if len(bgp) == 0 {
-		if max == 0 {
-			return algebra.NewBag(width)
-		}
-		return algebra.Unit(width)
-	}
 	if max == 0 || slices.ContainsFunc(bgp, Pattern.Impossible) {
 		return newBagOver(width, bgp.Vars())
+	}
+	if len(bgp) == 0 {
+		return algebra.Unit(width)
 	}
 	order := greedyOrderWithCands(st, bgp, cand)
 	poll := ctxPoll{ctx: ctx}
@@ -54,7 +53,10 @@ func (BinaryJoinEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP
 		return scanPattern(st, bgp[order[0]], width, cand, &poll, max, pulled)
 	}
 	if max >= 0 && len(order) == 2 && cand == nil {
-		if out, ok := streamMergeTop(st, bgp[order[0]], bgp[order[1]], width, &poll, max, pulled); ok {
+		a, b := bgp[order[0]], bgp[order[1]]
+		if ord, ok := mergeJoinOrder(st, a, b); ok {
+			out := extend(st, []Pattern{a, b}, width, nil, &poll, max, pulled)
+			out.Order = ord
 			return out
 		}
 	}
@@ -89,52 +91,22 @@ func (BinaryJoinEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP
 // max >= 0 stops the index scan after max emitted rows; pulled, when
 // non-nil, accumulates the number of rows the scan drew.
 func scanPattern(st store.Reader, pat Pattern, width int, cand Candidates, poll *ctxPoll, max int, pulled *int) *algebra.Bag {
-	out := newBagOver(width, pat.Vars())
+	out := extend(st, []Pattern{pat}, width, cand, poll, max, pulled)
 	out.Order = MatchOrder(st, pat, neverBound, cand)
-	seed := make(algebra.Row, width)
-	MatchPattern(st, pat, seed, cand, func(nr algebra.Row) bool {
-		if poll.stopped {
-			return false
-		}
-		out.Append(nr)
-		poll.tick()
-		return max < 0 || out.Len() < max
-	})
-	if pulled != nil {
-		*pulled += out.Len()
-	}
 	return out
 }
 
-// patternCursor turns MatchPattern's push enumeration into a lazy pull
-// cursor: rows come out one at a time, and dropping the cursor (stop)
-// terminates the underlying index scan. Each row is cloned out of the
-// scratch buffer so it survives the next pull.
-func patternCursor(st store.Reader, pat Pattern, width int) (next func() (algebra.Row, bool), stop func()) {
-	return iter.Pull(func(yield func(algebra.Row) bool) {
-		seed := make(algebra.Row, width)
-		MatchPattern(st, pat, seed, nil, func(nr algebra.Row) bool {
-			return yield(slices.Clone(nr))
-		})
-	})
-}
-
-// streamMergeTop is the fully streaming LIMIT push-down fast path: a
-// two-pattern merge join over lazy cursors that pulls operand rows only
-// while output rows are still owed. It applies when both scans' physical
-// orders are directly merge-joinable on every shared variable (so the
-// shared variables are exactly the certain join keys of the materialized
-// plan and no extra compatibility check is needed), and mirrors
-// mergeJoin's a-major group emission exactly, making its capped output
-// byte-identical to the materializing path's prefix.
-func streamMergeTop(st store.Reader, a, b Pattern, width int, poll *ctxPoll, max int, pulled *int) (*algebra.Bag, bool) {
+// mergeJoinOrder reports whether the scans of a and b are directly
+// merge-joinable on every shared variable (so the shared variables are
+// exactly the certain join keys of the materialized plan), and returns
+// the order the materialized merge join's output claims: the merge
+// sequence, extended by the a-side order tail on slots b cannot
+// overwrite.
+func mergeJoinOrder(st store.Reader, a, b Pattern) ([]int, bool) {
+	bVars := b.Vars()
 	var keys []int
-	bVars := map[int]bool{}
-	for _, v := range b.Vars() {
-		bVars[v] = true
-	}
 	for _, v := range a.Vars() {
-		if bVars[v] {
+		if slices.Contains(bVars, v) {
 			keys = append(keys, v)
 		}
 	}
@@ -142,103 +114,20 @@ func streamMergeTop(st store.Reader, a, b Pattern, width int, poll *ctxPoll, max
 		return nil, false
 	}
 	aOrd := MatchOrder(st, a, neverBound, nil)
-	bOrd := MatchOrder(st, b, neverBound, nil)
-	seq, ok := algebra.MergeJoinableOrders(aOrd, bOrd, keys)
+	seq, ok := algebra.MergeJoinableOrders(aOrd, MatchOrder(st, b, neverBound, nil), keys)
 	if !ok {
 		return nil, false
 	}
-	out := newBagOver(width, BGP{a, b}.Vars())
-	// Output order claim, mirroring the materialized merge join: the
-	// merge sequence, extended by the a-side order tail on slots the b
-	// side cannot overwrite.
 	ord := slices.Clone(seq)
 	if len(aOrd) >= len(seq) && slices.Equal(aOrd[:len(seq)], seq) {
 		for _, p := range aOrd[len(seq):] {
-			if bVars[p] {
+			if slices.Contains(bVars, p) {
 				break
 			}
 			ord = append(ord, p)
 		}
 	}
-	out.Order = ord
-
-	n := 0
-	if pulled != nil {
-		defer func() { *pulled += n }()
-	}
-	nextA, stopA := patternCursor(st, a, width)
-	nextB, stopB := patternCursor(st, b, width)
-	defer stopA()
-	defer stopB()
-	pullA := func() (algebra.Row, bool) {
-		r, ok := nextA()
-		if ok {
-			n++
-			poll.tick()
-		}
-		return r, ok
-	}
-	pullB := func() (algebra.Row, bool) {
-		r, ok := nextB()
-		if ok {
-			n++
-			poll.tick()
-		}
-		return r, ok
-	}
-	cmpOn := func(x, y algebra.Row, seq []int) int {
-		for _, k := range seq {
-			switch {
-			case x[k] < y[k]:
-				return -1
-			case x[k] > y[k]:
-				return 1
-			}
-		}
-		return 0
-	}
-
-	ra, okA := pullA()
-	rb, okB := pullB()
-	var group []algebra.Row
-	for okA && okB && !poll.stopped {
-		c := cmpOn(ra, rb, seq)
-		if c < 0 {
-			ra, okA = pullA()
-			continue
-		}
-		if c > 0 {
-			rb, okB = pullB()
-			continue
-		}
-		// Equal keys: buffer the full b group, then emit each matching a
-		// row against it a-major — mergeJoin's exact emission order.
-		group = append(group[:0], rb)
-		for {
-			nb, ok2 := pullB()
-			if !ok2 {
-				okB = false
-				break
-			}
-			if cmpOn(nb, ra, seq) == 0 {
-				group = append(group, nb)
-				continue
-			}
-			rb = nb
-			break
-		}
-		key := group[0]
-		for okA && cmpOn(ra, key, seq) == 0 && !poll.stopped {
-			for _, g := range group {
-				out.AppendMerged(ra, g)
-				if out.Len() == max {
-					return out, true
-				}
-			}
-			ra, okA = pullA()
-		}
-	}
-	return out, true
+	return ord, true
 }
 
 // newBagOver returns an empty bag whose rows certainly bind vars.
@@ -255,14 +144,9 @@ func newBagOver(width int, vars []int) *algebra.Bag {
 // a prior binding.
 func neverBound(int) bool { return false }
 
-// EstimateCard implements Engine via the shared sampling estimator over
-// the ascending-size order.
+// EstimateCard implements Engine via the shared sampling estimator.
 func (BinaryJoinEngine) EstimateCard(ctx context.Context, st store.Reader, bgp BGP) float64 {
-	if len(bgp) == 0 {
-		return 1
-	}
-	cards := estimateCards(ctx, st, bgp, greedyOrderWithCands(st, bgp, nil))
-	return cards[len(cards)-1]
+	return estimateCard(ctx, st, bgp)
 }
 
 // EstimateCost implements Engine with the binary-join cost formula

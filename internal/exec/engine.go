@@ -75,6 +75,47 @@ func (c *ctxPoll) done() bool {
 	return c.stopped
 }
 
+// extend evaluates pats depth-first, the one extension loop both engines
+// run: each match of pats[k] is extended through pats[k+1] with
+// MatchPattern before the next match is drawn, and every complete row is
+// appended to the returned bag (no patterns: the unit mapping). Rows
+// come out in the lexicographic order of the per-step match indexes —
+// the order a level-by-level extension produces — and no intermediate
+// level is built. Every level stops once max rows exist (max < 0: no
+// cap), or once poll sees cancellation. pulled, when non-nil,
+// accumulates the matches drawn at every level.
+func extend(st store.Reader, pats []Pattern, width int, cand Candidates, poll *ctxPoll, max int, pulled *int) *algebra.Bag {
+	out := newBagOver(width, BGP(pats).Vars())
+	done := func() bool { return poll.stopped || max >= 0 && out.Len() >= max }
+	var walk func(k int, row algebra.Row)
+	walk = func(k int, row algebra.Row) {
+		if k == len(pats) {
+			out.Append(row)
+			return
+		}
+		MatchPattern(st, pats[k], row, cand, func(nr algebra.Row) bool {
+			if pulled != nil {
+				*pulled++
+			}
+			poll.tick()
+			walk(k+1, nr)
+			return !done()
+		})
+	}
+	walk(0, make(algebra.Row, width))
+	return out
+}
+
+// estimateCard is both engines' EstimateCard: the sampling estimator's
+// last step along the greedy order.
+func estimateCard(ctx context.Context, st store.Reader, bgp BGP) float64 {
+	if len(bgp) == 0 {
+		return 1
+	}
+	cards := estimateCards(ctx, st, bgp, greedyOrderWithCands(st, bgp, nil))
+	return cards[len(cards)-1]
+}
+
 // estimateCards implements the paper's shared cardinality estimation:
 // exact counts for single triple patterns, then for each added pattern a
 // sample of the current partial results is extended and the estimate

@@ -108,8 +108,12 @@ func TestQuickMatchOrderSound(t *testing.T) {
 // TestQuickEngineOrderClaimsSound: whatever physical order an engine's
 // EvalBGP result claims, the rows ascend by it. For the WCO engine this
 // exercises the cumulative per-extension-step order; for the binary
-// engine the scan orders carried through the order-aware joins.
+// engine the scan orders carried through the order-aware joins. Capped
+// at max ∈ {0, 1, 3, 7}, EvalBGPTop must return the first max rows of
+// the uncapped bag, pull no more rows than the uncapped run, and claim
+// a sound order too — on every tier of both engines.
 func TestQuickEngineOrderClaimsSound(t *testing.T) {
+	mergeTier := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomStore(rng, 50+rng.Intn(80))
@@ -119,17 +123,48 @@ func TestQuickEngineOrderClaimsSound(t *testing.T) {
 			bgp = append(bgp, randomPattern(rng, st))
 		}
 		cand := randomCandidates(rng, st, bgp)
+		if _, ok := mergeJoinOrder(st, bgp[0], bgp[len(bgp)-1]); ok && len(bgp) == 2 && cand == nil {
+			mergeTier++
+		}
 		for _, engine := range []Engine{WCOEngine{}, BinaryJoinEngine{}} {
-			res := engine.EvalBGP(context.Background(), st, bgp, width, cand)
-			if !res.SortedBy(res.Order) {
-				t.Logf("%s: bgp %+v cand=%v: %d rows not sorted by claimed %v",
-					engine.Name(), bgp, cand, res.Len(), res.Order)
-				return false
+			fullPulled := 0
+			full := engine.EvalBGPTop(context.Background(), st, bgp, width, cand, -1, &fullPulled)
+			for _, max := range []int{-1, 0, 1, 3, 7} {
+				res, pulled := full, fullPulled
+				if max >= 0 {
+					pulled = 0
+					res = engine.EvalBGPTop(context.Background(), st, bgp, width, cand, max, &pulled)
+				}
+				if !res.SortedBy(res.Order) {
+					t.Logf("%s max=%d: bgp %+v cand=%v: %d rows not sorted by claimed %v",
+						engine.Name(), max, bgp, cand, res.Len(), res.Order)
+					return false
+				}
+				if max < 0 {
+					continue
+				}
+				prefix := bagRows(full)[:min(max, full.Len())]
+				if !rowsEqual(bagRows(res), prefix) || pulled > fullPulled {
+					t.Logf("%s max=%d: bgp %+v cand=%v: %d rows (pulled %d), want the first %d of %d (pulled %d)",
+						engine.Name(), max, bgp, cand, res.Len(), pulled, len(prefix), full.Len(), fullPulled)
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	} else if mergeTier == 0 {
+		t.Error("the binary engine's two-pattern merge tier was never exercised")
 	}
+}
+
+// bagRows lists a bag's rows in physical order.
+func bagRows(b *algebra.Bag) []algebra.Row {
+	var out []algebra.Row
+	for _, r := range b.All() {
+		out = append(out, r)
+	}
+	return out
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // WCOEngine evaluates BGPs in the style of gStore's worst-case-optimal
-// join (§5.1.2): one triple pattern is matched at a time, extending every
-// partial mapping through the permutation indexes, so intermediate results
-// never exceed the true prefix result sizes.
+// join (§5.1.2): one triple pattern is matched at a time, extending each
+// partial mapping through the permutation indexes before the next one is
+// drawn, so no intermediate result is ever materialized.
 type WCOEngine struct{}
 
 // Name implements Engine.
@@ -22,122 +22,61 @@ func (WCOEngine) Name() string { return "wco" }
 // abort promptly; the truncated bag is only observed by callers that
 // ignore ctx.Err().
 //
-// Each level of partial mappings lives in a flat bag arena, and the
-// result reports the physical order that falls out of the extension
-// walk: every step enumerates its index range ascending within each
-// parent row, so the concatenated per-step MatchOrder sequences are a
-// lexicographic sort of the output — the "interesting order" the
-// order-aware joins downstream consume.
+// The extension runs depth-first (see extend), so no level of partial
+// mappings is ever built, and the result reports the physical order that
+// falls out of the walk: every step enumerates its index range ascending
+// within each parent row, so the concatenated per-step MatchOrder
+// sequences are a lexicographic sort of the output — the "interesting
+// order" the order-aware joins downstream consume.
 func (e WCOEngine) EvalBGP(ctx context.Context, st store.Reader, bgp BGP, width int, cand Candidates) *algebra.Bag {
 	return e.EvalBGPTop(ctx, st, bgp, width, cand, -1, nil)
 }
 
-// EvalBGPTop implements Engine with LIMIT push-down. The vertex
-// extension keeps intermediate levels complete — every partial mapping
-// may still be needed to produce the first max results — but the final
-// extension level stops as soon as max rows exist: its emission order
-// is deterministic, so the capped bag is a byte-identical prefix of the
-// full result. pulled accumulates the rows appended across all levels,
-// the engine's work metric.
+// EvalBGPTop implements Engine with LIMIT push-down: the depth-first
+// extension stops at every level as soon as max rows exist. Its emission
+// order is deterministic, so the capped bag is a byte-identical prefix
+// of the full result. pulled accumulates the matches drawn at every
+// level, the engine's work metric.
 func (WCOEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width int, cand Candidates, max int, pulled *int) *algebra.Bag {
-	out := newBagOver(width, bgp.Vars())
-	if len(bgp) == 0 {
-		if max != 0 {
-			out.TakeRows(algebra.Unit(width))
-		}
-		return out
-	}
 	if max == 0 || slices.ContainsFunc(bgp, Pattern.Impossible) {
-		return out
+		return newBagOver(width, bgp.Vars())
 	}
-	n := 0
-	if pulled != nil {
-		defer func() { *pulled += n }()
+	pats := make([]Pattern, len(bgp))
+	for i, idx := range greedyOrderWithCands(st, bgp, cand) {
+		pats[i] = bgp[idx]
 	}
-	order := greedyOrderWithCands(st, bgp, cand)
 	poll := ctxPoll{ctx: ctx}
-	var rows *algebra.Bag
-	boundVars := make(map[int]bool)
-	bound := func(v int) bool { return boundVars[v] }
-	var ord []int
-	ordValid := true
-	for li, idx := range order {
-		pat := bgp[idx]
-		levelMax := -1
-		if li == len(order)-1 {
-			levelMax = max // only the final level produces result rows
-		}
-		var next *algebra.Bag
-		if li == 0 {
-			// The seed level extends the unit mapping: a fresh whole-pattern
-			// scan, shared with the binary engine.
-			next = scanPattern(st, pat, width, cand, &poll, levelMax, &n)
-		} else {
-			next = algebra.NewBag(width)
-			full := func() bool { return levelMax >= 0 && next.Len() >= levelMax }
-			for i := 0; i < rows.Len(); i++ {
-				MatchPattern(st, pat, rows.Row(i), cand, func(nr algebra.Row) bool {
-					if poll.stopped {
-						return false // cancelled mid-scan: stop accumulating
-					}
-					next.Append(nr)
-					n++
-					poll.tick()
-					return !full()
-				})
-				if poll.stopped || full() {
-					break
-				}
-			}
-		}
-		// An order is only claimable while every step so far reported
-		// one: a step with unknown emission order scrambles the suffix.
-		if ordValid {
-			step := next.Order
-			if li > 0 {
-				step = MatchOrder(st, pat, bound, cand)
-			}
-			if step == nil && len(seqVars(pat, bound)) > 0 {
-				ord, ordValid = nil, false
-			} else {
-				ord = append(ord, step...)
-			}
-		}
-		if poll.done() {
-			return out
-		}
-		for _, v := range pat.Vars() {
-			boundVars[v] = true
-		}
-		rows = next
-		if rows.Len() == 0 {
-			return out
-		}
+	out := extend(st, pats, width, cand, &poll, max, pulled)
+	if out.Len() > 0 {
+		out.Order = extensionOrder(st, pats, cand)
 	}
-	out.TakeRows(rows)
-	out.Order = ord
 	return out
 }
 
-// seqVars returns the pattern's variables not yet bound — the variables
-// an extension step newly binds.
-func seqVars(pat Pattern, bound func(int) bool) []int {
-	var out []int
-	for _, v := range pat.Vars() {
-		if !bound(v) {
-			out = append(out, v)
+// extensionOrder is the order claim of a depth-first extension through
+// pats: the concatenation of the per-step MatchOrder sequences. It is
+// only claimable while every step reports one: a step that binds a
+// variable in unknown order scrambles the suffix, and nothing is claimed.
+func extensionOrder(st store.Reader, pats []Pattern, cand Candidates) []int {
+	boundVars := make(map[int]bool)
+	bound := func(v int) bool { return boundVars[v] }
+	var ord []int
+	for _, pat := range pats {
+		step := MatchOrder(st, pat, bound, cand)
+		if step == nil && slices.ContainsFunc(pat.Vars(), func(v int) bool { return !boundVars[v] }) {
+			return nil
+		}
+		ord = append(ord, step...)
+		for _, v := range pat.Vars() {
+			boundVars[v] = true
 		}
 	}
-	return out
+	return ord
 }
 
 // EstimateCard implements Engine via the shared sampling estimator.
 func (WCOEngine) EstimateCard(ctx context.Context, st store.Reader, bgp BGP) float64 {
-	if len(bgp) == 0 {
-		return 1
-	}
-	cards := estimateCards(ctx, st, bgp, greedyOrderWithCands(st, bgp, nil))
-	return cards[len(cards)-1]
+	return estimateCard(ctx, st, bgp)
 }
 
 // EstimateCost implements Engine with the WCO-join cost formula:

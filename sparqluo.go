@@ -27,8 +27,9 @@
 // when the plan's streaming joins already produce the requested order,
 // with a bounded-heap top-k when a LIMIT window is present, and with a
 // stable sort otherwise. A LIMIT without ORDER BY is pushed into
-// execution as true early termination: index scans, streaming merge
-// joins and the final join stop as soon as enough rows exist.
+// execution as true early termination: index scans, the engines'
+// depth-first pattern extension and the final join stop as soon as
+// enough rows exist.
 //
 // For serving, WithLimit and WithOffset apply a per-execution window on
 // top of the query text without re-parsing or re-planning, so one
@@ -377,9 +378,10 @@ func WithParallelism(n int) Option {
 // query serves every page size. n < 0 removes a previously set limit.
 //
 // The cap is pushed into execution as true early termination: pattern
-// scans, streaming merge joins and the final join or OPTIONAL fold stop
-// as soon as enough rows exist, and the rows returned are byte-identical
-// to the corresponding prefix of the unlimited result.
+// scans, the engines' depth-first pattern extension and the final join
+// or OPTIONAL fold stop as soon as enough rows exist, and the rows
+// returned are byte-identical to the corresponding prefix of the
+// unlimited result.
 func WithLimit(n int) Option {
 	return func(c *queryConfig) {
 		if n < 0 {

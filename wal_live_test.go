@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"sparqluo/internal/bench"
 	"sparqluo/internal/lubm"
 	"sparqluo/internal/rdf"
+	"sparqluo/internal/sparql"
 	"sparqluo/internal/wal"
 )
 
@@ -112,7 +114,9 @@ func walSegments(t *testing.T, dir string) []string {
 // segment file with a single write syscall, so this is exactly what the
 // OS keeps). Recovery must reproduce results byte-identically to a
 // never-crashed run of the same op stream, across both engines and all
-// four strategies.
+// four strategies, and every recovered answer must agree with the oracle
+// over the acknowledged triple set — the op stream's batches applied in
+// order — so the check does not rest on this engine answering both sides.
 func TestWALRecoveryAckedWritesSurvive(t *testing.T) {
 	all := lubm.Generate(lubm.DefaultConfig(1))
 	ops := walOpStream(all)
@@ -151,6 +155,20 @@ func TestWALRecoveryAckedWritesSurvive(t *testing.T) {
 		t.Fatalf("recovered NumTriples = %d, want %d", got, want)
 	}
 
+	acked, present := []rdf.Triple(nil), map[rdf.Triple]bool{}
+	for _, op := range ops {
+		for _, tr := range op.ts {
+			if !op.del && !present[tr] {
+				acked = append(acked, tr)
+			}
+			present[tr] = !op.del
+		}
+	}
+	acked = slices.DeleteFunc(acked, func(tr rdf.Triple) bool { return !present[tr] })
+	// The LUBM queries have no ORDER BY, so the oracle's term order is
+	// never consulted.
+	orc := newOracle(acked, func(a, b rdf.Term) int { return strings.Compare(a.String(), b.String()) })
+
 	engines := []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin}
 	engineNames := []string{"wco", "binary"}
 	strategies := []sparqluo.Strategy{sparqluo.Base, sparqluo.TT, sparqluo.CP, sparqluo.Full}
@@ -158,6 +176,8 @@ func TestWALRecoveryAckedWritesSurvive(t *testing.T) {
 		if q.Dataset != "LUBM" {
 			continue
 		}
+		parsed := sparql.MustParse(q.Text)
+		oracleAnswer := orc.answer(parsed)
 		for ei, engine := range engines {
 			for _, strat := range strategies {
 				opts := []sparqluo.Option{sparqluo.WithEngine(engine), sparqluo.WithStrategy(strat)}
@@ -166,6 +186,14 @@ func TestWALRecoveryAckedWritesSurvive(t *testing.T) {
 				if !bytes.Equal(want, got) {
 					t.Errorf("%s %s/%v: recovered results differ from never-crashed run\nwant: %.200s\ngot:  %.200s",
 						q.ID, engineNames[ei], strat, want, got)
+				}
+				sols, err := decodeResults(got)
+				if err == nil {
+					err = agree(sols, oracleAnswer, parsed, -1, 0)
+				}
+				if err != nil {
+					t.Errorf("%s %s/%v: recovered results disagree with the oracle over the acked triples: %v",
+						q.ID, engineNames[ei], strat, err)
 				}
 			}
 		}

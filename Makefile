@@ -55,8 +55,8 @@ race:
 
 # Every Go benchmark of the module, compiled and run once: the paper's
 # §7 tables and figures (bench_test.go, ablation_bench_test.go) and the
-# micro-benchmarks no BENCHMARK.json metric covers (shard scaling, the
-# interval/never WAL policies, top-k, store accessors, the join family).
+# micro-benchmarks no BENCHMARK.json metric covers (the interval/never
+# WAL policies, top-k, store accessors, the join family).
 # For real numbers run one family with a real -benchtime, e.g.
 #   go test -run '^$$' -bench 'Join|Distinct' -benchmem -benchtime 2s ./internal/algebra
 bench:

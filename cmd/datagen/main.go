@@ -15,7 +15,8 @@
 // With -shards k (k > 1), the snapshot is instead written as k
 // subject-range shard images plus a CRC-checked manifest at the
 // -snapshot path; sparql-server and sparql-uo open the manifest
-// directly and serve the shards as one store:
+// directly, check every image against it, and fold the shards back into
+// the one store they were split from:
 //
 //	datagen -dataset lubm -scale 13 -snapshot lubm13.shards -shards 4
 //

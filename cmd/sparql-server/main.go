@@ -12,12 +12,11 @@
 // by `datagen -snapshot` / DB.WriteSnapshot, or a shard manifest
 // written by `datagen -shards k` / DB.WriteShards — told apart by
 // leading magic bytes. N-Triples are parsed and indexed at boot
-// (O(n log n)); a snapshot or shard set is memory-mapped and served
-// immediately, the intended cold-start path for production replicas. A
-// sharded set routes bound-subject lookups to one shard and recombines
-// every other index range in global order, so responses are
-// byte-identical to a single-store server. Startup logs report which
-// path ran and how long it took.
+// (O(n log n)); a snapshot is memory-mapped and served immediately, the
+// intended cold-start path for production replicas. A shard set's
+// images are mapped and folded back into the one store they were split
+// from, so responses are byte-identical to a single-store server.
+// Startup logs report which path ran and how long it took.
 //
 // -timeout caps each query's wall-clock time (504 on expiry), -max-inflight
 // bounds concurrently evaluating queries (503 when saturated), and
@@ -44,9 +43,6 @@
 // pending operations accumulate. -compact-snapshot persists each
 // compacted base atomically to the given path (a crash mid-compaction
 // leaves the previous image intact); POST /compact forces a compaction.
-// A sharded data file cannot be served live (write routing across
-// shards is not implemented); the server refuses to start rather than
-// silently dropping -live.
 //
 // -wal-dir adds a write-ahead log under -live: every accepted update is
 // journaled before it is acknowledged, and on startup the server
@@ -77,7 +73,7 @@ import (
 
 func main() {
 	var (
-		dataPath    = flag.String("data", "", "data file: N-Triples or snapshot image (required)")
+		dataPath    = flag.String("data", "", "data file: N-Triples, snapshot image or shard manifest (required)")
 		addr        = flag.String("addr", ":8085", "listen address")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-query timeout (0 = none)")
 		maxInFlight = flag.Int("max-inflight", 64, "max concurrently evaluating queries (0 = unlimited)")
@@ -201,8 +197,8 @@ func main() {
 	os.Exit(exitCode)
 }
 
-// openData loads the dataset from either a snapshot image or an
-// N-Triples document, auto-detected by magic, and logs the cold-start
+// openData loads the dataset from a snapshot image, a shard manifest or
+// an N-Triples document, auto-detected by magic, and logs the cold-start
 // timing so snapshot wins are visible in ops output.
 func openData(path string) (*sparqluo.DB, string, error) {
 	start := time.Now()
@@ -211,11 +207,14 @@ func openData(path string) (*sparqluo.DB, string, error) {
 		return nil, "", err
 	}
 	verb := "parsed+froze"
-	if source == "snapshot" || source == "shards" {
+	switch source {
+	case "snapshot":
 		verb = "mapped"
+	case "shards":
+		verb = "mapped+folded"
 	}
-	log.Printf("source=%s %s %s in %v (%d triples, %d shards)",
-		source, verb, path, time.Since(start), db.NumTriples(), db.NumShards())
+	log.Printf("source=%s %s %s in %v (%d triples)",
+		source, verb, path, time.Since(start), db.NumTriples())
 	log.Printf("store %s", db.MemStats())
 	return db, source, nil
 }

@@ -11,8 +11,9 @@
 // The query may also be given inline with -q 'SELECT ...'. -data
 // accepts an N-Triples document, a binary snapshot image (written by
 // `datagen -snapshot` or DB.WriteSnapshot) or a shard manifest
-// (`datagen -snapshot … -shards n`), auto-detected by the file magic;
-// images and manifests skip parsing and index building.
+// (`datagen -snapshot … -shards n`), auto-detected by the file magic.
+// An image skips parsing and index building; a shard set skips parsing
+// and is folded back into the one store it was split from.
 //
 // The query is prepared once (parse + BE-tree build) and then executed.
 // -bind substitutes a ground term for a query variable at execution
@@ -71,16 +72,22 @@ func main() {
 		text = string(b)
 	}
 
+	strat, err := sparqluo.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
+	}
+	eng, err := sparqluo.ParseEngine(*engine)
+	if err != nil {
+		fatal(err)
+	}
+
 	db, _, err := sparqluo.OpenFile(*dataPath)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("loaded %d triples\n", db.NumTriples())
 
-	opts := []sparqluo.Option{
-		sparqluo.WithStrategy(parseStrategy(*strategy)),
-		sparqluo.WithEngine(parseEngine(*engine)),
-	}
+	opts := []sparqluo.Option{sparqluo.WithStrategy(strat), sparqluo.WithEngine(eng)}
 	opts = append(opts, binds...)
 	if *top >= 0 {
 		opts = append(opts, sparqluo.WithLimit(*top))
@@ -150,34 +157,6 @@ func parseBind(v string) (sparqluo.Option, error) {
 		term = sparqluo.NewLiteral(val)
 	}
 	return sparqluo.Bind(name, term), nil
-}
-
-func parseStrategy(s string) sparqluo.Strategy {
-	switch s {
-	case "base":
-		return sparqluo.Base
-	case "tt":
-		return sparqluo.TT
-	case "cp":
-		return sparqluo.CP
-	case "full":
-		return sparqluo.Full
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", s))
-		return sparqluo.Full
-	}
-}
-
-func parseEngine(s string) sparqluo.Engine {
-	switch s {
-	case "wco":
-		return sparqluo.WCO
-	case "binary":
-		return sparqluo.BinaryJoin
-	default:
-		fatal(fmt.Errorf("unknown engine %q", s))
-		return sparqluo.WCO
-	}
 }
 
 func fatal(err error) {

@@ -100,8 +100,7 @@ const parallelTestQuery = `
 // that is already expired fails before evaluation starts, and a deadline
 // expiring mid-join aborts the engines promptly instead of letting a
 // cross-product run to completion. The sharded subtests run the same
-// checks over a 4-shard copy of the store, whose scans are the same
-// scanPattern poll reading a different Reader.
+// checks over the database a 4-shard set of the store opens as.
 func TestQueryContextCancellation(t *testing.T) {
 	single := lubmTestDB(t, 1)
 	manifest := filepath.Join(t.TempDir(), "lubm.shards")

@@ -2,6 +2,7 @@ package sparqluo
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -210,12 +211,11 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "triples: %d\n", db.NumTriples())
-		fmt.Fprintf(w, "shards: %d\n", db.NumShards())
-		if st := db.reader(); st != nil {
+		if !db.loading() {
+			st := db.reader()
 			s := st.Stats()
 			fmt.Fprintf(w, "entities: %d\npredicates: %d\nliterals: %d\n",
 				s.NumEntities, s.NumPreds, s.NumLiterals)
-			// For a sharded database MemStats aggregates across shards.
 			m := st.MemStats()
 			fmt.Fprintf(w, "dict-bytes: %d\nmemory: %s\n", m.DictBytes, m)
 		}
@@ -260,7 +260,7 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 			http.Error(w, "loading: store not frozen yet", http.StatusServiceUnavailable)
 			return
 		}
-		fmt.Fprintf(w, "ok\nshards: %d\n", db.NumShards())
+		fmt.Fprint(w, "ok\n")
 		if ls, ok := db.LiveStats(); ok {
 			fmt.Fprintf(w, "live: true\ncompaction-in-progress: %v\nmemtable-triples: %d\ntombstones: %d\n",
 				ls.Compacting, ls.MemtableAdds, ls.Tombstones)
@@ -303,25 +303,12 @@ func timeoutFromRequest(r *http.Request, max time.Duration) (time.Duration, erro
 // responses memoized under it.
 func optionsFromRequest(r *http.Request) (respKey, error) {
 	k := respKey{limit: -1}
-	switch s := r.FormValue("strategy"); s {
-	case "", "full":
-		k.strategy = Full
-	case "base":
-		k.strategy = Base
-	case "tt":
-		k.strategy = TT
-	case "cp":
-		k.strategy = CP
-	default:
-		return k, fmt.Errorf("unknown strategy %q", s)
+	var err error
+	if k.strategy, err = ParseStrategy(cmp.Or(r.FormValue("strategy"), "full")); err != nil {
+		return k, err
 	}
-	switch e := r.FormValue("engine"); e {
-	case "", "wco":
-		k.engine = WCO
-	case "binary":
-		k.engine = BinaryJoin
-	default:
-		return k, fmt.Errorf("unknown engine %q", e)
+	if k.engine, err = ParseEngine(cmp.Or(r.FormValue("engine"), "wco")); err != nil {
+		return k, err
 	}
 	if raw := r.FormValue("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)

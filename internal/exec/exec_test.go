@@ -111,8 +111,8 @@ func TestQuickMatchPatternMatchesBruteForce(t *testing.T) {
 }
 
 // TestQuickExactCountMatchesBruteForce: the index-derived count equals
-// the brute-force match count on the plain store and on 1-, 2- and
-// 4-shard stores, and under a seeded row the table's range size equals
+// the brute-force match count on the plain store and on its 1-, 2- and
+// 4-shard sets folded back into one store, and under a seeded row the table's range size equals
 // the number of rows the scan enumerates.
 func TestQuickExactCountMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {

@@ -336,8 +336,9 @@ func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
 //
 // Matches are emitted in the physical order of the permutation range the
 // pattern reads; MatchOrder reports that order as a variable sequence.
-// Every store — plain, sharded, a live overlay's view — is read through
-// the store.Reader accessors, which return global ranges in global order.
+// Both store kinds — a built store and a live overlay's view — are read
+// through the store.Reader accessors, which return ranges in permutation
+// order.
 func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates, emit func(algebra.Row) bool) {
 	if pat.Impossible() {
 		return

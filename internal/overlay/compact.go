@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,29 +24,30 @@ type CompactionStats struct {
 }
 
 // Compact freezes the memtable into the base by materialising a View:
-// it claims the pending ops, takes the view of exactly that generation
-// — the published one when its epoch is current, otherwise built once,
-// outside the write mutex — and hands the view's two deltas, already
-// resolved against the base and already sorted per permutation, to
-// store.MergeFold: one linear merge per base permutation, so fold cost
-// is O(base + delta) and the ops are resolved and sorted once for
-// readers and fold alike. It optionally persists the new base with the
-// atomic snapshot writer, and swaps it in. Writes accepted while the
-// compaction runs land in a new memtable generation and are never
-// stalled; readers are paused only for the pointer swap (RCU-style —
-// in-flight queries finish on the view they pinned).
+// it claims the pending ops as a prefix of the memtable, takes the view
+// of exactly that prefix — the published one when its epoch is current,
+// otherwise built once, outside the write mutex — and hands the view's
+// two deltas, already resolved against the base and already sorted per
+// permutation, to store.MergeFold: one linear merge per base
+// permutation, so fold cost is O(base + delta) and the ops are resolved
+// and sorted once for readers and fold alike. It optionally persists
+// the new base with the atomic snapshot writer, then swaps it in and
+// drops the prefix from the memtable. Writes accepted while the
+// compaction runs append behind the prefix and are never stalled;
+// readers are paused only for the pointer swap (RCU-style — in-flight
+// queries finish on the view they pinned).
 //
-// If the fold or the persist fails, the compaction is rolled back: the
-// claimed ops return to the memtable, the old base keeps serving, and
-// the old on-disk image is untouched (the writer renames last).
-// Compactions are serialized; a concurrent Compact blocks.
+// If the fold or the persist fails, the claimed ops stay in the
+// memtable for a later compaction, the old base keeps serving, and the
+// old on-disk image is untouched (the writer renames last). Compactions
+// are serialized; a concurrent Compact blocks.
 func (ls *LiveStore) Compact() (CompactionStats, error) {
 	ls.compactMu.Lock()
 	defer ls.compactMu.Unlock()
 	start := time.Now()
 
 	ls.mu.Lock()
-	if len(ls.active) == 0 && len(ls.imm) == 0 {
+	if len(ls.active) == 0 {
 		ls.mu.Unlock()
 		return CompactionStats{}, nil
 	}
@@ -53,7 +55,7 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	// ops: appends are journaled under this mutex, so every batch in
 	// the claim sits in a segment below the mark and every later batch
 	// at or above it. A failed cut aborts the compaction before
-	// anything is claimed — nothing to roll back.
+	// anything is claimed.
 	var mark uint64
 	if ls.journal != nil {
 		var err error
@@ -62,36 +64,32 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 			return CompactionStats{}, fmt.Errorf("overlay: wal cut: %w", err)
 		}
 	}
-	// Claim the pending ops. imm is always empty here (compactions are
-	// serialized and both exits below clear it), so this is a move.
-	ls.imm = append(ls.imm, ls.active...)
-	ls.active = nil
-	base, ops, epoch := ls.base, ls.imm, ls.seq.Load()
+	// Claim the pending ops as a prefix of the memtable. Writers only
+	// append and compactions are serialized, so the prefix stays as it
+	// is until the swap below drops it; the capped slice keeps it
+	// read-only here.
+	n := len(ls.active)
+	base, ops, epoch := ls.base, ls.active[:n:n], ls.seq.Load()
 	v := ls.cur.Load()
 	ls.mu.Unlock()
 
 	ls.compacting.Store(true)
 	defer ls.compacting.Store(false)
 
-	// The claim moved ops between generations without changing the
-	// visible triple set, so a view published at this epoch is the view
-	// of the claim (same base, same ops).
+	// The claim is the whole memtable at this epoch, so a view
+	// published at this epoch is the view of the claim (same base,
+	// same ops).
 	if v == nil || v.epoch != epoch {
 		v = newView(base, ops, epoch)
 	}
 	stats := CompactionStats{Adds: v.add.Len(), Dels: v.del.Len()}
 
-	// rollback returns the claimed ops to the memtable in front of
-	// anything accepted since, so nothing is lost and a later
-	// compaction retries them. The epoch bump is not required for
+	// abort leaves the claimed ops in the memtable for a later
+	// compaction to retry. Its epoch bump is not required for
 	// correctness (the visible triple set is unchanged) but keeps the
 	// epoch a strict ledger of state transitions.
-	rollback := func() {
+	abort := func() {
 		ls.mu.Lock()
-		restored := make([]op, 0, len(ops)+len(ls.active))
-		restored = append(append(restored, ops...), ls.active...)
-		ls.active = restored
-		ls.imm = nil
 		ls.seq.Add(1)
 		ls.mu.Unlock()
 	}
@@ -100,7 +98,7 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	if !v.clean() {
 		var err error
 		if nb, err = store.MergeFold(base, v.add.SortedDelta, v.del.SortedDelta); err != nil {
-			rollback()
+			abort()
 			stats.Took = time.Since(start)
 			return stats, fmt.Errorf("overlay: compaction fold: %w", err)
 		}
@@ -109,7 +107,7 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 
 	if ls.opts.SnapshotPath != "" && nb != base {
 		if err := ls.writeSnapshot(ls.opts.SnapshotPath, nb); err != nil {
-			rollback()
+			abort()
 			stats.Took = time.Since(start)
 			return stats, fmt.Errorf("overlay: compaction persist: %w", err)
 		}
@@ -120,7 +118,7 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	// this critical section — a pointer store and some bookkeeping.
 	ls.mu.Lock()
 	ls.base = nb
-	ls.imm = nil
+	ls.active = slices.Clone(ls.active[n:])
 	ls.compactions++
 	ls.lastCompact = time.Now()
 	ls.lastCompactTook = time.Since(start)

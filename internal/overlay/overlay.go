@@ -78,10 +78,12 @@ type LiveStore struct {
 	// startup via SetJournal.
 	journal *wal.Log
 
-	mu     sync.Mutex   // guards base/imm/active and the compaction bookkeeping
-	base   *store.Store // frozen; replaced (never mutated) by compaction
-	imm    []op         // ops claimed by an in-progress compaction
-	active []op         // ops accepted since
+	mu   sync.Mutex   // guards base/active and the compaction bookkeeping
+	base *store.Store // frozen; replaced (never mutated) by compaction
+	// active is the memtable: every op not yet folded into base, in
+	// arrival order. Writers only append; a compaction claims a prefix
+	// and drops it when it swaps in the folded base.
+	active []op
 
 	// seq is the epoch: bumped (under mu) by every write batch and
 	// every compaction swap. Readers compare it lock-free against the
@@ -247,12 +249,7 @@ func (ls *LiveStore) viewLocked() *View {
 	if v := ls.cur.Load(); v != nil && v.epoch == epoch {
 		return v
 	}
-	var ops []op
-	if n := len(ls.imm) + len(ls.active); n > 0 {
-		ops = make([]op, 0, n)
-		ops = append(append(ops, ls.imm...), ls.active...)
-	}
-	v := newView(ls.base, ops, epoch)
+	v := newView(ls.base, ls.active, epoch)
 	ls.cur.Store(v)
 	return v
 }
@@ -263,7 +260,7 @@ func (ls *LiveStore) viewLocked() *View {
 func (ls *LiveStore) pendingOps() int {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return len(ls.imm) + len(ls.active)
+	return len(ls.active)
 }
 
 // LiveStats is a point-in-time picture of the overlay, reported by
@@ -302,7 +299,7 @@ func (ls *LiveStore) LiveStats() LiveStats {
 	st := LiveStats{
 		Epoch:                v.epoch,
 		BaseTriples:          v.base.NumTriples(),
-		MemtableOps:          len(ls.imm) + len(ls.active),
+		MemtableOps:          len(ls.active),
 		MemtableAdds:         v.add.Len(),
 		Tombstones:           v.del.Len(),
 		Compactions:          ls.compactions,

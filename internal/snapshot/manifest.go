@@ -29,9 +29,8 @@ import (
 //	[24, 32)  dictionary terms u64
 //	[32, 36)  statistics blob length u32
 //	[36, ...) statistics blob (same encoding as an image's stats section;
-//	          the GLOBAL statistics of the unpartitioned store, so cost
-//	          models on the sharded store see exactly what a single store
-//	          would report)
+//	          the statistics of the unpartitioned store; OpenShards
+//	          rebuilds them when it folds the shards into one store)
 //	[...]     k shard entries:
 //	            {lo u32, hi u32, triples u64, nameLen u16, name}
 //	          shard i holds the triples with subject in [lo, hi); ranges
@@ -268,14 +267,18 @@ func WriteShards(path string, st *store.Store, k int) ([]string, error) {
 }
 
 // OpenShards reads the manifest at path, opens every shard image in
-// parallel, and assembles a sharded store over them. Each image is
+// parallel, and folds the shards into one store. Each image is
 // validated by the regular snapshot loader (CRCs, row pointers, ID
 // ranges), then cross-checked against its manifest entry: dictionary
 // size, triple count, and subject-range confinement (every triple's
-// subject inside [Lo, Hi) — an O(1) row-pointer check). The returned
-// mappings must stay alive as long as the store is in use and be closed
-// afterwards, in any order.
-func OpenShards(path string) (*store.ShardedStore, []*Mapping, *Manifest, error) {
+// subject inside [Lo, Hi) — an O(1) row-pointer check). The shards' SPO
+// runs, concatenated in shard order, are the unsplit store's SPO
+// permutation, so the folded store is the one the set was split from:
+// same permutations, same statistics. The mappings of shards 1..k-1 are
+// closed before returning; shard 0's backs the dictionary's term
+// strings, so the returned mapping must stay alive as long as the store
+// is in use and be closed afterwards.
+func OpenShards(path string) (*store.Store, *Mapping, *Manifest, error) {
 	m, err := ReadManifest(path)
 	if err != nil {
 		return nil, nil, nil, err
@@ -299,33 +302,38 @@ func OpenShards(path string) (*store.ShardedStore, []*Mapping, *Manifest, error)
 		}(i, e)
 	}
 	wg.Wait()
-	closeAll := func() {
+	closeAll := func(maps []*Mapping) {
 		for _, mp := range maps {
 			mp.Close()
 		}
 	}
+	fail := func(err error) (*store.Store, *Mapping, *Manifest, error) {
+		closeAll(maps)
+		return nil, nil, nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
-			closeAll()
-			return nil, nil, nil, err
+			return fail(err)
 		}
 	}
-	bounds := make([]store.ID, k+1)
+	tris := make([]store.EncTriple, 0, m.NumTriples)
 	for i, e := range m.Shards {
-		bounds[i], bounds[i+1] = e.Lo, e.Hi
-		if got := shards[i].Dict().Len(); got != m.NumTerms {
-			closeAll()
-			return nil, nil, nil, corruptf("shard %d image has %d dictionary terms, manifest says %d", i, got, m.NumTerms)
+		sh := shards[i]
+		if got := sh.Dict().Len(); got != m.NumTerms {
+			return fail(corruptf("shard %d image has %d dictionary terms, manifest says %d", i, got, m.NumTerms))
 		}
-		if got := shards[i].NumTriples(); got != e.Triples {
-			closeAll()
-			return nil, nil, nil, corruptf("shard %d image holds %d triples, manifest says %d", i, got, e.Triples)
+		if got := sh.NumTriples(); got != e.Triples {
+			return fail(corruptf("shard %d image holds %d triples, manifest says %d", i, got, e.Triples))
 		}
+		if got := sh.SubjectSpan(e.Lo, e.Hi); got != e.Triples {
+			return fail(corruptf("shard %d holds %d of %d triples inside its range [%d,%d)", i, got, e.Triples, e.Lo, e.Hi))
+		}
+		tris = append(tris, sh.Triples()...)
 	}
-	ss, err := store.NewShardedStore(shards, bounds, m.Stats)
+	st, err := store.FromTriples(shards[0].Dict(), tris)
 	if err != nil {
-		closeAll()
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fail(fmt.Errorf("snapshot: folding shards: %w", err))
 	}
-	return ss, maps, m, nil
+	closeAll(maps[1:])
+	return st, maps[0], m, nil
 }

@@ -29,30 +29,30 @@ func writeTestShards(t *testing.T, k int) (string, *store.Store) {
 }
 
 // TestShardRoundTrip: write a shard set, reopen it, and demand the
-// sharded store answer every accessor exactly like the source store —
-// including the global statistics, which feed the cost models.
+// folded store answer every accessor exactly like the source store —
+// including the statistics, which feed the cost models.
 func TestShardRoundTrip(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		path, st := writeTestShards(t, k)
-		sh, maps, m, err := OpenShards(path)
+		sh, mp, m, err := OpenShards(path)
 		if err != nil {
 			t.Fatalf("OpenShards(k=%d): %v", k, err)
 		}
-		if sh.NumShards() != k || len(m.Shards) != k {
-			t.Fatalf("k=%d: opened %d shards, manifest lists %d", k, sh.NumShards(), len(m.Shards))
+		if len(m.Shards) != k {
+			t.Fatalf("k=%d: manifest lists %d shards", k, len(m.Shards))
 		}
 		if sh.NumTriples() != st.NumTriples() {
 			t.Fatalf("k=%d: NumTriples = %d, want %d", k, sh.NumTriples(), st.NumTriples())
 		}
-		if !reflect.DeepEqual(sh.Stats(), st.Stats()) {
-			t.Errorf("k=%d: global statistics differ after shard round trip", k)
+		if !reflect.DeepEqual(sh.Stats(), st.Stats()) || !reflect.DeepEqual(m.Stats, st.Stats()) {
+			t.Errorf("k=%d: statistics differ after shard round trip", k)
 		}
 		if !reflect.DeepEqual(sh.Triples(), st.Triples()) {
 			t.Errorf("k=%d: Triples() differs after shard round trip", k)
 		}
 		for _, tr := range st.Triples() {
 			if !sh.Contains(tr.S, tr.P, tr.O) {
-				t.Fatalf("k=%d: sharded store missing triple %+v", k, tr)
+				t.Fatalf("k=%d: opened store missing triple %+v", k, tr)
 			}
 			if !reflect.DeepEqual(sh.ObjectsSP(tr.S, tr.P), st.ObjectsSP(tr.S, tr.P)) {
 				t.Fatalf("k=%d: ObjectsSP(%d,%d) differs", k, tr.S, tr.P)
@@ -61,10 +61,8 @@ func TestShardRoundTrip(t *testing.T) {
 				t.Fatalf("k=%d: SubjectsPO(%d,%d) differs", k, tr.P, tr.O)
 			}
 		}
-		for _, mp := range maps {
-			if err := mp.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
+		if err := mp.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 	}
 }

@@ -14,15 +14,13 @@ import (
 )
 
 // ErrFrozen is returned by write APIs (Add, AddAll, Load) on a frozen
-// or sharded database without live updates enabled. It replaces the
-// historical panic: a serving process must be able to reject a stray
-// write without dying.
+// database without live updates enabled. It replaces the historical
+// panic: a serving process must be able to reject a stray write
+// without dying.
 var ErrFrozen = errors.New("sparqluo: database is frozen (read-only)")
 
 // ErrNotLive is returned by live-only APIs (Insert, Delete, Flush,
-// StartCompaction) on a database without live updates enabled, and
-// wrapped by EnableLiveUpdates when the database cannot be made live
-// (sharded databases have no single store to layer the overlay over).
+// StartCompaction) on a database without live updates enabled.
 var ErrNotLive = errors.New("sparqluo: database is not live (call EnableLiveUpdates or OpenLive)")
 
 // LiveStats is a point-in-time picture of the live-update overlay:
@@ -117,18 +115,15 @@ func OpenLive(opts LiveOptions) (*DB, error) {
 }
 
 // EnableLiveUpdates layers the mutable delta overlay over the
-// database's current store, turning a loaded (or snapshot-opened)
-// read-only database into a live one: subsequent Insert/Delete calls
+// database's current store, turning a loaded, snapshot-opened or
+// shard-opened read-only database into a live one: subsequent Insert/Delete calls
 // land in a memtable that queries see merged with the frozen base,
 // snapshot-isolated per query. The database is frozen first if it is
 // not already. With opts.WALDir set, surviving journal batches are
 // replayed on top of the base before the call returns.
 //
 // Call it during startup, before the database is shared with other
-// goroutines: the store swap itself is not synchronized. Sharded
-// databases are not supported (shard-aware write routing is an open
-// roadmap slice); the returned error wraps ErrNotLive so callers can
-// fail fast with errors.Is.
+// goroutines: the store swap itself is not synchronized.
 func (db *DB) EnableLiveUpdates(opts LiveOptions) error {
 	if db.Live() {
 		return fmt.Errorf("sparqluo: live updates already enabled")
@@ -136,11 +131,7 @@ func (db *DB) EnableLiveUpdates(opts LiveOptions) error {
 	if err := db.Freeze(); err != nil {
 		return fmt.Errorf("sparqluo: freezing base for live updates: %w", err)
 	}
-	m := db.Store()
-	if m == nil {
-		return fmt.Errorf("sparqluo: live updates on a sharded database are not supported: %w", ErrNotLive)
-	}
-	ls := overlay.New(m, overlay.Options{SnapshotPath: opts.SnapshotPath})
+	ls := overlay.New(db.st, overlay.Options{SnapshotPath: opts.SnapshotPath})
 	if err := db.attachWAL(ls, opts); err != nil {
 		return err
 	}

@@ -369,8 +369,7 @@ func TestLiveWriteSnapshotQuiesces(t *testing.T) {
 
 // TestLiveAPIGuards pins the error contract of the live surface: write
 // APIs without live updates report ErrFrozen or ErrNotLive (never a
-// panic), enabling twice fails, and sharded databases refuse the
-// overlay.
+// panic), and enabling twice fails.
 func TestLiveAPIGuards(t *testing.T) {
 	frozen := sparqluo.Open()
 	frozen.Freeze()

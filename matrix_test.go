@@ -180,8 +180,8 @@ func checkFixture(t *testing.T, cells []cell, data []rdf.Triple, cases []matrixC
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { db.Close() })
-			if db.NumTriples() != frozen.NumTriples() || db.NumShards() != max(k, 1) {
-				t.Fatalf("%s: %d triples in %d shards", name, db.NumTriples(), db.NumShards())
+			if db.NumTriples() != frozen.NumTriples() {
+				t.Fatalf("%s: %d triples, want %d", name, db.NumTriples(), frozen.NumTriples())
 			}
 			kinds = append(kinds, &kind{name: name, db: db, ref: ref})
 		}

@@ -11,7 +11,7 @@ import (
 // image at path (written atomically via a temp file + rename). The
 // image can be reopened with OpenSnapshot in time independent of the
 // dataset's parse-and-sort cost — the intended cold-start path for
-// servers and shard spawns. The database must be frozen first.
+// servers. The database must be frozen first.
 //
 // Snapshots are a cache, not an archival format: a build only reads the
 // format version it writes, so regenerate images from the source data
@@ -27,11 +27,7 @@ func (db *DB) WriteSnapshot(path string) error {
 	if db.loading() {
 		return fmt.Errorf("sparqluo: DB must be frozen before writing a snapshot (call Freeze)")
 	}
-	m := db.Store()
-	if m == nil {
-		return fmt.Errorf("sparqluo: WriteSnapshot on a sharded database (shards are already snapshot images)")
-	}
-	return snapshot.WriteFile(path, m)
+	return snapshot.WriteFile(path, db.st)
 }
 
 // WriteShards splits the frozen database into k subject-range shards
@@ -41,16 +37,13 @@ func (db *DB) WriteSnapshot(path string) error {
 // shard set reopens with OpenShards. Every file is written atomically
 // (temp file + fsync + rename); the manifest is written last, so a
 // partial write never yields an openable but incomplete set. It returns
-// the paths of all files written (images first, manifest last).
+// the paths of all files written (images first, manifest last). A live
+// database is refused: write a snapshot of it instead.
 func (db *DB) WriteShards(path string, k int) ([]string, error) {
-	if db.loading() {
-		return nil, fmt.Errorf("sparqluo: DB must be frozen before writing shards (call Freeze)")
+	if db.st == nil {
+		return nil, fmt.Errorf("sparqluo: WriteShards needs a frozen, non-live database (call Freeze)")
 	}
-	m := db.Store()
-	if m == nil {
-		return nil, fmt.Errorf("sparqluo: WriteShards on an already sharded database")
-	}
-	return snapshot.WriteShards(path, m, k)
+	return snapshot.WriteShards(path, db.st, k)
 }
 
 // OpenSnapshot opens a snapshot image previously produced by
@@ -65,22 +58,22 @@ func OpenSnapshot(path string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{st: st, mappings: []*snapshot.Mapping{m}}, nil
+	return &DB{st: st, mapping: m}, nil
 }
 
-// OpenShards opens a sharded snapshot set from its manifest at path,
-// memory-mapping every shard image in parallel. The returned database
-// is frozen and serves queries through the sharded store's accessors,
-// which route bound-subject lookups to the owning shard and recombine
-// every other range in global order, so results — and the rows each
-// query pulls — are identical to a single-store database over the same
-// data. Call Close to release all mappings.
+// OpenShards opens a shard set written by WriteShards from its manifest
+// at path: it memory-maps and checks every shard image in parallel,
+// then folds the shards into one store — the store the set was split
+// from, with the same indexes and statistics, so results and the rows
+// each query pulls are those of a single-store database over the same
+// data. The returned database is an ordinary frozen one: it can be
+// snapshotted, resharded or made live. Call Close when done with it.
 func OpenShards(path string) (*DB, error) {
-	sh, ms, _, err := snapshot.OpenShards(path)
+	st, m, _, err := snapshot.OpenShards(path)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{st: sh, mappings: ms}, nil
+	return &DB{st: st, mapping: m}, nil
 }
 
 // IsShardManifest reports whether the file at path is a shard manifest
@@ -96,8 +89,8 @@ func IsSnapshot(path string) (bool, error) {
 	return snapshot.Sniff(path)
 }
 
-// OpenFile opens path as a shard manifest (all images memory-mapped,
-// see OpenShards), a snapshot image (memory-mapped, see OpenSnapshot)
+// OpenFile opens path as a shard manifest (its images folded into one
+// store, see OpenShards), a snapshot image (memory-mapped, see OpenSnapshot)
 // or an N-Triples document (parsed, indexed and frozen), auto-detected
 // by leading magic bytes. The returned database is frozen and ready for
 // concurrent queries; source is "shards", "snapshot" or "ntriples", for
@@ -141,13 +134,13 @@ func OpenFile(path string) (db *DB, source string, err error) {
 	return db, "ntriples", nil
 }
 
-// Close releases any file mappings backing the database and, if a
-// write-ahead log is attached, fsyncs and closes it. It is a no-op
+// Close releases the file mapping backing the database, if any, and,
+// if a write-ahead log is attached, fsyncs and closes it. It is a no-op
 // (and nil error) for databases built in memory with Open. After Close,
 // the database — and any Results obtained from it — must not be used.
 func (db *DB) Close() error {
-	ms := db.mappings
-	db.mappings = nil
+	m := db.mapping
+	db.mapping = nil
 	var first error
 	if w := db.wal; w != nil {
 		db.wal = nil
@@ -155,10 +148,8 @@ func (db *DB) Close() error {
 			first = err
 		}
 	}
-	for _, m := range ms {
-		if err := m.Close(); err != nil && first == nil {
-			first = err
-		}
+	if err := m.Close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }

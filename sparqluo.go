@@ -18,7 +18,8 @@
 //
 // The Strategy option selects between the paper's four approaches (Base,
 // TT, CP, Full — Full is the default); the Engine option selects the
-// underlying BGP engine.
+// underlying BGP engine. ParseStrategy and ParseEngine read both from
+// their flag and request spellings ("base|tt|cp|full", "wco|binary").
 //
 // # Solution modifiers and pagination
 //
@@ -119,15 +120,18 @@
 // batches, every query is pinned to one epoch of the data (snapshot
 // isolation), and a background compactor (StartCompaction) folds the
 // memtable into a fresh frozen base under an RCU-style pointer swap,
-// optionally persisting it with the atomic snapshot writer. A quiesced
-// live database (after Flush) answers queries byte-identically to a
-// freshly frozen store over the same triples. Over HTTP, POST /update
-// accepts N-Triples insert/delete batches behind the same admission
-// valve as /sparql.
+// optionally persisting it with the atomic snapshot writer. Any frozen
+// database can go live: one built in memory, one mapped from an image
+// (OpenSnapshot), or one opened from a shard set (OpenShards), whose
+// images fold into one store. A quiesced live database (after Flush)
+// answers queries byte-identically to a freshly frozen store over the
+// same triples. Over HTTP, POST /update accepts N-Triples insert/delete
+// batches behind the same admission valve as /sparql.
 package sparqluo
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 
@@ -183,11 +187,39 @@ func (e Engine) impl() exec.Engine {
 	return exec.WCOEngine{}
 }
 
+// ParseStrategy parses a strategy name as flags and requests spell it:
+// "base", "tt", "cp" or "full".
+func ParseStrategy(s string) (Strategy, error) {
+	switch s {
+	case "base":
+		return Base, nil
+	case "tt":
+		return TT, nil
+	case "cp":
+		return CP, nil
+	case "full":
+		return Full, nil
+	}
+	return Full, fmt.Errorf("unknown strategy %q", s)
+}
+
+// ParseEngine parses an engine name as flags and requests spell it:
+// "wco" or "binary".
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "wco":
+		return WCO, nil
+	case "binary":
+		return BinaryJoin, nil
+	}
+	return WCO, fmt.Errorf("unknown engine %q", s)
+}
+
 // DB is an in-memory RDF database. Load data with Load/Add, call Freeze
 // once, then issue queries concurrently. Alternatively, open a
-// previously written snapshot image with OpenSnapshot — or a sharded
-// snapshot set with OpenShards — for a cold start that skips parsing
-// and index building entirely.
+// previously written snapshot image with OpenSnapshot for a cold start
+// that skips parsing and index building entirely, or a shard set with
+// OpenShards, which folds its images into one store.
 type DB struct {
 	// dict and pending collect the triples of a loading database (Open,
 	// then Add/AddAll/Load) until Freeze builds st from them; both are
@@ -195,15 +227,17 @@ type DB struct {
 	dict    *store.Dict
 	pending []store.EncTriple
 
-	// st is the immutable store of a frozen, snapshot-opened or sharded
-	// database; nil while loading and once live updates are enabled.
-	st store.Reader
+	// st is the immutable store of a frozen, snapshot-opened or
+	// shard-opened database; nil while loading and once live updates
+	// are enabled.
+	st *store.Store
 	// live is the live-update overlay; nil unless the database is live.
 	live *overlay.LiveStore
 
-	// mappings back snapshot-opened databases (see OpenSnapshot,
-	// OpenShards, Close); empty for in-memory ones.
-	mappings []*snapshot.Mapping
+	// mapping backs a snapshot- or shard-opened database's dictionary
+	// strings (and, for an image, its indexes; see OpenSnapshot,
+	// OpenShards, Close); nil for in-memory ones.
+	mapping *snapshot.Mapping
 
 	// wal is the write-ahead log attached by OpenLive/EnableLiveUpdates
 	// when LiveOptions.WALDir is set; nil otherwise. Closed by Close.
@@ -220,9 +254,9 @@ func Open() *DB { return &DB{dict: store.NewDict()} }
 func (db *DB) loading() bool { return db.st == nil && db.live == nil }
 
 // reader returns the store a query reads: the live overlay's current
-// view, or the database's immutable store (nil while loading). The
-// store kind is decided here, once per call; nothing below it sees the
-// decision.
+// view, or the database's immutable store. Callers rule out a loading
+// database first. The store kind is decided here, once per call;
+// nothing below it sees the decision.
 func (db *DB) reader() store.Reader {
 	if db.live != nil {
 		return db.live.View()
@@ -232,8 +266,8 @@ func (db *DB) reader() store.Reader {
 
 // Load reads an N-Triples document (with optional Turtle-style @prefix
 // directives) and adds every triple. On a live database the triples are
-// inserted as one atomic batch; on a frozen or sharded database Load
-// returns ErrFrozen.
+// inserted as one atomic batch; on a frozen database Load returns
+// ErrFrozen.
 func (db *DB) Load(r io.Reader) error {
 	if db.Live() {
 		_, err := db.InsertNTriples(r)
@@ -258,9 +292,8 @@ func (db *DB) Load(r io.Reader) error {
 // Add inserts one triple. Duplicates are ignored (RDF set semantics).
 // On a live database (EnableLiveUpdates/OpenLive) the write is routed
 // to the overlay memtable and is immediately visible to new queries.
-// Otherwise Add returns ErrFrozen after Freeze or on a sharded
-// database — never a panic, so a serving process can reject stray
-// writes gracefully.
+// Otherwise Add returns ErrFrozen after Freeze — never a panic, so a
+// serving process can reject stray writes gracefully.
 func (db *DB) Add(t Triple) error {
 	return db.AddAll([]Triple{t})
 }
@@ -307,19 +340,8 @@ func (db *DB) NumTriples() int {
 	return db.reader().NumTriples()
 }
 
-// NumShards returns the number of shards serving this database: 1 for a
-// single in-memory or snapshot-backed store, k for a database opened
-// from a shard manifest.
-func (db *DB) NumShards() int {
-	if sh, ok := db.st.(*store.ShardedStore); ok {
-		return sh.NumShards()
-	}
-	return 1
-}
-
 // MemStats reports the memory footprint of the database's columnar
-// indexes — aggregated across shards for a sharded database. While
-// loading, it reports the triples added so far, without building
+// indexes. While loading, it reports the triples added so far, without building
 // anything.
 func (db *DB) MemStats() store.MemStats {
 	if db.loading() {
@@ -328,15 +350,11 @@ func (db *DB) MemStats() store.MemStats {
 	return db.reader().MemStats()
 }
 
-// Store exposes the underlying single store for advanced integrations
-// (the experiment harness uses it); most callers never need it. It
-// returns nil while loading, for a sharded database, whose shards do
-// not form one *store.Store, and for a live database, whose triple set
-// is a base plus a memtable.
-func (db *DB) Store() *store.Store {
-	st, _ := db.st.(*store.Store)
-	return st
-}
+// Store exposes the underlying store for advanced integrations (the
+// experiment harness uses it); most callers never need it. It returns
+// nil while loading and for a live database, whose triple set is a base
+// plus a memtable.
+func (db *DB) Store() *store.Store { return db.st }
 
 // Option configures a Query, Prepare or Exec call.
 type Option func(*queryConfig)

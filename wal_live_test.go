@@ -472,33 +472,6 @@ func TestWALCorruptionRefusesToOpen(t *testing.T) {
 	}
 }
 
-// TestEnableLiveUpdatesShardedWrapsErrNotLive: a shard manifest cannot
-// be served live, and the refusal must be detectable with errors.Is so
-// the server can fail fast at startup.
-func TestEnableLiveUpdatesShardedWrapsErrNotLive(t *testing.T) {
-	src := sparqluo.Open()
-	if err := src.AddAll(lubm.Generate(lubm.DefaultConfig(1))[:500]); err != nil {
-		t.Fatal(err)
-	}
-	src.Freeze()
-	manifest := filepath.Join(t.TempDir(), "shards.manifest")
-	if _, err := src.WriteShards(manifest, 2); err != nil {
-		t.Fatal(err)
-	}
-	db, err := sparqluo.OpenShards(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	err = db.EnableLiveUpdates(sparqluo.LiveOptions{})
-	if err == nil {
-		t.Fatal("EnableLiveUpdates succeeded on a sharded database")
-	}
-	if !errors.Is(err, sparqluo.ErrNotLive) {
-		t.Fatalf("sharded refusal %v does not wrap ErrNotLive", err)
-	}
-}
-
 // TestHTTPStatsReportWAL checks the operational surface: /stats and
 // /healthz expose the journal's segment count, size, sync age and the
 // time since the last successful compaction.

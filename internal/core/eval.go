@@ -30,7 +30,9 @@ type EvalStats struct {
 	BGPResults []int
 	// bgpSizes maps BGP nodes to their last materialized size.
 	bgpSizes map[*BGPNode]int
-	// PrunedBGPs counts BGP evaluations that ran with a candidate set.
+	// PrunedBGPs counts BGP evaluations that ran with a candidate set or
+	// were pruned by an empty context (recorded as 0 in BGPResults, the
+	// engine never called).
 	PrunedBGPs int
 	// RowsPulled counts the operand/index rows drawn by the engines and
 	// the final capped operators — the work metric that shrinks when
@@ -192,7 +194,10 @@ func applySlice(b *algebra.Bag, offset, limit int) *algebra.Bag {
 
 // groupTop evaluates a group graph pattern node. incoming carries the
 // parent's current partial results for candidate derivation (§6); it does
-// not participate in the join (the caller joins afterwards).
+// not participate in the join (the caller joins afterwards). Under
+// pruning, an empty context — incoming, or the group's own partial
+// result once a required child has emptied it — prunes every BGP it
+// reaches instead (see evalBGP).
 //
 // Following the paper's operator precedence ({} ≺ UNION ≺ AND ≺ OPTIONAL,
 // §3) — which its own BE-tree construction presumes when it coalesces
@@ -244,13 +249,12 @@ func (ev *evaluator) groupTop(g *GroupNode, incoming *algebra.Bag, max int) *alg
 			o := ev.groupTop(child, pickContext(r, incoming), subCap)
 			r = ev.joinWithTop(r, o, childCap(i))
 		case *BGPNode:
-			cand := ev.deriveCandidates(child, r, incoming)
 			engineCap := -1
 			if cap := childCap(i); cap >= 0 && r == nil {
 				// The BGP's bag IS the result: the engine stops early.
 				engineCap = cap
 			}
-			o := ev.evalBGP(child, cand, engineCap)
+			o := ev.evalBGP(child, pickContext(r, incoming), engineCap)
 			r = ev.joinWithTop(r, o, childCap(i))
 		case *UnionNode:
 			u := algebra.UnionAll(ev.width, ev.fanOut(child.Branches, pickContext(r, incoming))...)
@@ -357,32 +361,43 @@ func (ev *evaluator) joinWithTop(r, o *algebra.Bag, max int) *algebra.Bag {
 }
 
 // evalBGP evaluates one BGP node through the engine, recording
-// instrumentation. max >= 0 lets the engine stop at max result rows —
-// only sound when the BGP's bag is the group's final result.
-func (ev *evaluator) evalBGP(b *BGPNode, cand exec.Candidates, max int) *algebra.Bag {
-	if cand != nil {
+// instrumentation. src is the candidate-derivation context (see
+// pickContext); max >= 0 lets the engine stop at max result rows — only
+// sound when the BGP's bag is the group's final result.
+//
+// Under pruning, an empty context prunes the BGP outright: the engine is
+// not called and the BGP yields the empty bag over its variables. That
+// context is always either inner-joined with the result of the subtree
+// holding the BGP or the left side of a left join over it, so the
+// subtree's rows cannot reach the answer. Every nested group, UNION
+// branch and OPTIONAL below receives the same empty context, so the rule
+// cascades through the whole subtree.
+func (ev *evaluator) evalBGP(b *BGPNode, src *algebra.Bag, max int) *algebra.Bag {
+	var res *algebra.Bag
+	if ev.prune.Enabled && src != nil && src.Len() == 0 {
 		ev.stats.PrunedBGPs++
+		res = exec.NewBagOver(ev.width, b.Enc.Vars())
+	} else {
+		cand := ev.deriveCandidates(b, src)
+		if cand != nil {
+			ev.stats.PrunedBGPs++
+		}
+		res = ev.engine.EvalBGPTop(ev.ctx, ev.st, b.Enc, ev.width, cand, max, &ev.stats.RowsPulled)
 	}
-	res := ev.engine.EvalBGPTop(ev.ctx, ev.st, b.Enc, ev.width, cand, max, &ev.stats.RowsPulled)
 	ev.stats.BGPResults = append(ev.stats.BGPResults, res.Len())
 	ev.stats.bgpSizes[b] = res.Len()
 	return res
 }
 
 // deriveCandidates implements the candidate-setting rule of §6: the
-// current results' bindings of the variables shared with the child become
+// context's bindings of the variables shared with the BGP become
 // candidate sets, but only when the candidate set is smaller than the
 // threshold (fixed for CP, the estimated BGP result size for full).
-func (ev *evaluator) deriveCandidates(child Node, r, incoming *algebra.Bag) exec.Candidates {
-	if !ev.prune.Enabled {
-		return nil
-	}
-	bgp, ok := child.(*BGPNode)
-	if !ok {
-		return nil // candidates flow to nested nodes via `incoming`
-	}
-	src := pickContext(r, incoming)
-	if src == nil || src.Len() == 0 {
+// Nested groups receive the context through `incoming` and derive their
+// BGPs' candidates from it. An empty context never gets here under
+// pruning: evalBGP prunes the BGP instead.
+func (ev *evaluator) deriveCandidates(bgp *BGPNode, src *algebra.Bag) exec.Candidates {
+	if !ev.prune.Enabled || src == nil {
 		return nil
 	}
 	threshold := ev.thresholdFor(bgp)

@@ -42,7 +42,7 @@ func (e BinaryJoinEngine) EvalBGP(ctx context.Context, st store.Reader, bgp BGP,
 // the result is a byte-identical prefix of EvalBGP's bag.
 func (BinaryJoinEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width int, cand Candidates, max int, pulled *int) *algebra.Bag {
 	if max == 0 || slices.ContainsFunc(bgp, Pattern.Impossible) {
-		return newBagOver(width, bgp.Vars())
+		return NewBagOver(width, bgp.Vars())
 	}
 	if len(bgp) == 0 {
 		return algebra.Unit(width)
@@ -130,8 +130,9 @@ func mergeJoinOrder(st store.Reader, a, b Pattern) ([]int, bool) {
 	return ord, true
 }
 
-// newBagOver returns an empty bag whose rows certainly bind vars.
-func newBagOver(width int, vars []int) *algebra.Bag {
+// NewBagOver returns an empty bag whose rows certainly bind vars: the
+// result of a BGP over vars that matches nothing.
+func NewBagOver(width int, vars []int) *algebra.Bag {
 	out := algebra.NewBag(width)
 	for _, v := range vars {
 		out.Cert.Set(v)

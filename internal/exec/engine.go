@@ -84,8 +84,16 @@ func (c *ctxPoll) done() bool {
 // level is built. Every level stops once max rows exist (max < 0: no
 // cap), or once poll sees cancellation. pulled, when non-nil,
 // accumulates the matches drawn at every level.
+//
+// A one-pattern call (every binary-engine scan, every one-pattern WCO
+// BGP) allocates its arena once, at the row count scanRows reads off
+// the index, whenever it can; every other call grows the arena by
+// doubling.
 func extend(st store.Reader, pats []Pattern, width int, cand Candidates, poll *ctxPoll, max int, pulled *int) *algebra.Bag {
-	out := newBagOver(width, BGP(pats).Vars())
+	out := NewBagOver(width, BGP(pats).Vars())
+	if len(pats) == 1 {
+		out.Grow(scanRows(st, pats[0], cand, max))
+	}
 	done := func() bool { return poll.stopped || max >= 0 && out.Len() >= max }
 	var walk func(k int, row algebra.Row)
 	walk = func(k int, row algebra.Row) {
@@ -104,6 +112,29 @@ func extend(st store.Reader, pats []Pattern, width int, cand Candidates, poll *c
 	}
 	walk(0, make(algebra.Row, width))
 	return out
+}
+
+// scanRows is the number of rows a scan of pat from the empty row emits,
+// capped at max (max < 0: no cap), when the index says so up front: the
+// size of the range the pattern's shape selects, the count
+// greedyOrderWithCands ranks the pattern by. A repeated variable filters
+// the range, and a candidate set on a pattern variable filters it or
+// replaces it with a probe, so for those scanRows reports 0 rather than
+// enumerate to find out.
+func scanRows(st store.Reader, pat Pattern, cand Candidates, max int) int {
+	if repeatedVar(pat) {
+		return 0
+	}
+	for _, pos := range [3]Pos{pat.S, pat.P, pat.O} {
+		if candFor(pos, cand) != nil {
+			return 0
+		}
+	}
+	n := shapeOf(pat, nil).count(st)
+	if max >= 0 && max < n {
+		n = max
+	}
+	return n
 }
 
 // estimateCard is both engines' EstimateCard: the sampling estimator's

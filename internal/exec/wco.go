@@ -39,7 +39,7 @@ func (e WCOEngine) EvalBGP(ctx context.Context, st store.Reader, bgp BGP, width 
 // level, the engine's work metric.
 func (WCOEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp BGP, width int, cand Candidates, max int, pulled *int) *algebra.Bag {
 	if max == 0 || slices.ContainsFunc(bgp, Pattern.Impossible) {
-		return newBagOver(width, bgp.Vars())
+		return NewBagOver(width, bgp.Vars())
 	}
 	pats := make([]Pattern, len(bgp))
 	for i, idx := range greedyOrderWithCands(st, bgp, cand) {

@@ -130,7 +130,9 @@ func (d *Dict) Len() int {
 // Terms returns the terms in ID order (Terms()[i] has ID i+1). The
 // slice is a snapshot-consistent view of the dictionary's backing array
 // (append-only, so a captured view never mutates); callers must not
-// modify it. The snapshot writer is the intended consumer.
+// modify it. The snapshot writer and result cursors use it: a cursor
+// takes it once and decodes every cell as Terms()[id-1], without the
+// per-call read lock Decode takes.
 func (d *Dict) Terms() []rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

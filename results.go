@@ -28,7 +28,7 @@ type Solution map[string]Term
 // ErrResultsConsumed. Metadata accessors stay valid after the cursor is
 // consumed or closed. A Results is not safe for concurrent use.
 type Results struct {
-	dict     *store.Dict
+	terms    []Term // the dictionary's terms, terms[id-1] has ID id
 	res      *core.Result
 	names    []string // projected variable names, render order
 	cols     []int    // cols[i] = row slot of names[i]
@@ -37,7 +37,10 @@ type Results struct {
 }
 
 // newResults wraps one execution's outcome in a fresh cursor that
-// decodes IDs with dict.
+// decodes IDs with dict. It takes the dictionary's append-only term
+// snapshot once, so decoding a cell is an index, not a lock round trip:
+// every ID in the result was encoded before the execution pinned its
+// store, so the snapshot holds them all.
 func newResults(dict *store.Dict, q *sparql.Query, res *core.Result) *Results {
 	names := res.Vars.Names()
 	if len(q.Select) > 0 {
@@ -47,7 +50,7 @@ func newResults(dict *store.Dict, q *sparql.Query, res *core.Result) *Results {
 	for i, n := range names {
 		cols[i], _ = res.Vars.Lookup(n) // Build interns every projected var
 	}
-	return &Results{dict: dict, res: res, names: names, cols: cols}
+	return &Results{terms: dict.Terms(), res: res, names: names, cols: cols}
 }
 
 // Len returns the number of solutions.
@@ -81,7 +84,7 @@ func (w Row) Term(i int) (Term, bool) {
 	if id == store.None {
 		return Term{}, false
 	}
-	return w.r.dict.Decode(id), true
+	return w.r.terms[id-1], true
 }
 
 // acquire claims the single iteration; callers that lose record the

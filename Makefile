@@ -23,7 +23,7 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# ROADMAP item 5's measure: non-test code lines (no blank lines, no
+# The ROADMAP's code-line measure: non-test code lines (no blank lines, no
 # whole-line // comments) per package and in total. benchmark/ is a
 # module of its own, so ./... leaves it out.
 loc:
@@ -179,16 +179,17 @@ wal-smoke:
 		diff $$tmp/graceful.json $$tmp/reference.json | head -20; exit 1; fi; \
 	echo "wal-smoke: -wal-sync interval server stopped by SIGTERM lost no acked batch"
 
-# Short fuzz smoke for every fuzz target; CI runs this with FUZZTIME=10s.
+# Short fuzz smoke for every fuzz target of the module, one at a time (go
+# test -fuzz takes one target per run); CI runs this with FUZZTIME=10s.
+# The targets are enumerated with go test -list, so adding or deleting a
+# fuzzer needs no edit here.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sparql/
-	$(GO) test -run '^$$' -fuzz FuzzCanonicalText -fuzztime $(FUZZTIME) ./internal/sparql/
-	$(GO) test -run '^$$' -fuzz FuzzPlanCacheKey -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzOracle -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz FuzzNTriples -fuzztime $(FUZZTIME) ./internal/rdf/
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) ./internal/snapshot/
-	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/snapshot/
-	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for name in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz: $$name ($$pkg)"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 clean:
 	$(GO) clean -testcache

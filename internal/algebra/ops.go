@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"maps"
 	"slices"
 
 	"sparqluo/internal/store"
@@ -536,11 +537,13 @@ func allPositions(width int) []int {
 }
 
 // BindingsOfCapped returns the distinct non-None values of variable v
-// across the bag, as a set, for candidate pruning (§6) — or nil once the
-// set exceeds cap distinct values, bounding the cost of probing large
-// intermediate results for candidate sets that would be discarded anyway.
-// cap < 0 means unlimited.
-func BindingsOfCapped(b *Bag, v int, cap int) map[store.ID]struct{} {
+// across the bag as an ascending list, the form exec.Candidates reads,
+// for candidate pruning (§6) — or nil once there are more than cap
+// distinct values, bounding the cost of probing large intermediate
+// results for candidate sets that would be discarded anyway. A map
+// collects the distinct values so that the scan can stop at the cap;
+// the survivors are sorted once, at the end. cap < 0 means unlimited.
+func BindingsOfCapped(b *Bag, v int, cap int) []store.ID {
 	set := make(map[store.ID]struct{})
 	for i := 0; i < b.rows; i++ {
 		if id := b.data[i*b.Width+v]; id != store.None {
@@ -550,5 +553,7 @@ func BindingsOfCapped(b *Bag, v int, cap int) map[store.ID]struct{} {
 			}
 		}
 	}
-	return set
+	out := slices.AppendSeq(make([]store.ID, 0, len(set)), maps.Keys(set))
+	slices.Sort(out)
+	return out
 }

@@ -200,12 +200,15 @@ func TestUnitIsJoinIdentity(t *testing.T) {
 }
 
 func TestBindingsOfCapped(t *testing.T) {
-	b := mkBag(1, []int{1}, []int{2}, []int{3})
+	b := mkBag(1, []int{9}, []int{2}, []int{0}, []int{9}, []int{5}, []int{2})
 	if got := BindingsOfCapped(b, 0, 2); got != nil {
 		t.Errorf("capped at 2 with 3 distinct: want nil, got %v", got)
 	}
-	if got := BindingsOfCapped(b, 0, 3); len(got) != 3 {
-		t.Errorf("capped at 3 with 3 distinct: want 3, got %v", got)
+	want := []store.ID{2, 5, 9}
+	for _, c := range []int{3, 4, -1} {
+		if got := BindingsOfCapped(b, 0, c); !slices.Equal(got, want) {
+			t.Errorf("capped at %d with 3 distinct: want the ascending distinct %v, got %v", c, want, got)
+		}
 	}
 }
 

@@ -391,7 +391,8 @@ func (ev *evaluator) evalBGP(b *BGPNode, src *algebra.Bag, max int) *algebra.Bag
 
 // deriveCandidates implements the candidate-setting rule of §6: the
 // context's bindings of the variables shared with the BGP become
-// candidate sets, but only when the candidate set is smaller than the
+// candidate sets (the sorted ID lists BindingsOfCapped returns, passed on
+// as they are), but only when the candidate set is smaller than the
 // threshold (fixed for CP, the estimated BGP result size for full).
 // Nested groups receive the context through `incoming` and derive their
 // BGPs' candidates from it. An empty context never gets here under

@@ -11,9 +11,9 @@ import (
 	"sparqluo/internal/store"
 )
 
-// scanStore holds two predicates of 200 and 20,000 triples, plus a
-// predicate whose triples repeat their subject as object for every
-// third subject.
+// scanStore holds two predicates of 200 and 20,000 triples, a predicate
+// whose triples repeat their subject as object for every third subject,
+// and a predicate under which one subject has 100 objects.
 func scanStore(tb testing.TB) *store.Store {
 	tb.Helper()
 	var ts []rdf.Triple
@@ -31,6 +31,10 @@ func scanStore(tb testing.TB) *store.Store {
 		}
 		return fmt.Sprintf("http://x/o%d", i)
 	})
+	fan := rdf.NewIRI("http://x/fan")
+	for i := 0; i < 100; i++ {
+		ts = append(ts, rdf.Triple{S: rdf.NewIRI("http://x/s0"), P: fan, O: rdf.NewIRI(fmt.Sprintf("http://x/o%d", i))})
+	}
 	st, err := store.FromRDF(ts)
 	if err != nil {
 		tb.Fatal(err)
@@ -80,14 +84,16 @@ func TestScanSizingKeepsRows(t *testing.T) {
 	st := scanStore(t)
 	self := predPattern(t, st, "self", 0, 0)
 	large := predPattern(t, st, "large", 0, 1)
-	cands := Candidates{0: {}}
+	var subjects []store.ID
 	var wantCand []algebra.Row
 	for _, r := range bruteMatches(st, large, 2) {
 		if r[0]%5 == 0 {
-			cands[0][r[0]] = struct{}{}
+			subjects = append(subjects, r[0])
 			wantCand = append(wantCand, r)
 		}
 	}
+	slices.Sort(subjects)
+	cands := Candidates{0: slices.Compact(subjects)}
 	sorted := func(rows []algebra.Row) []algebra.Row {
 		return slices.SortedFunc(slices.Values(rows), slices.Compare[algebra.Row])
 	}
@@ -104,6 +110,57 @@ func TestScanSizingKeepsRows(t *testing.T) {
 		}
 		if got, all := eval(large, nil, 10), eval(large, nil, -1); len(all) != 20000 || !rowsEqual(got, all[:10]) {
 			t.Errorf("%s max 10: %v, want the first 10 of %d rows", e.Name(), got, len(all))
+		}
+	}
+}
+
+// TestCandidateScanAllocatesAsPlainScan checks that a scan restricted by
+// a candidate list allocates as often as the same scan without one: the
+// list is read as it is, never copied or sorted per call. It covers the
+// one-open-position intersection (subject and predicate bound, objects
+// open) and the predicate-only shape probed by subject and by object.
+func TestCandidateScanAllocatesAsPlainScan(t *testing.T) {
+	st := scanStore(t)
+	fan, small := predPattern(t, st, "fan", 0, 1), predPattern(t, st, "small", 0, 1)
+	// The first ten matches' subjects or objects: lists far shorter
+	// than the ranges, so the probes and the list-driven side of the
+	// intersection run.
+	first := func(pat Pattern, row algebra.Row, col int) []store.ID {
+		var ids []store.ID
+		for _, r := range collectMatches(st, pat, row, nil)[:10] {
+			ids = append(ids, r[col])
+		}
+		return slices.Sorted(slices.Values(ids))
+	}
+	s0, ok := st.Dict().Lookup(rdf.NewIRI("http://x/s0"))
+	if !ok {
+		t.Fatal("subject s0 not in the store")
+	}
+	unit, seeded := make(algebra.Row, 2), algebra.Row{s0, store.None}
+	cases := []struct {
+		name string
+		pat  Pattern
+		row  algebra.Row
+		cand Candidates
+		kind access
+	}{
+		{"subject and predicate bound", fan, seeded, Candidates{1: first(fan, seeded, 1)}, accAdj},
+		{"predicate bound, probed by subject", small, unit, Candidates{0: first(small, unit, 0)}, accPProbeS},
+		{"predicate bound, probed by object", small, unit, Candidates{1: first(small, unit, 1)}, accPProbeO},
+	}
+	for _, c := range cases {
+		if got := planScan(st, &c.pat, shapeOf(c.pat, c.row), c.cand).kind; got != c.kind {
+			t.Fatalf("%s: access kind %d, want %d", c.name, got, c.kind)
+		}
+		if rows := collectMatches(st, c.pat, c.row, c.cand); len(rows) != 10 {
+			t.Fatalf("%s: %d rows, want 10", c.name, len(rows))
+		}
+		emit := func(algebra.Row) bool { return true }
+		allocs := func(cand Candidates) float64 {
+			return testing.AllocsPerRun(50, func() { MatchPattern(st, c.pat, c.row, cand, emit) })
+		}
+		if plain, restricted := allocs(nil), allocs(c.cand); restricted != plain {
+			t.Errorf("%s: %.0f allocations with candidates, %.0f without", c.name, restricted, plain)
 		}
 	}
 }

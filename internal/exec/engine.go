@@ -225,7 +225,7 @@ func greedyOrderWithCands(st store.Reader, bgp BGP, cand Candidates) []int {
 	for i, p := range bgp {
 		c := ExactCount(st, p)
 		for _, v := range p.Vars() {
-			if set := cand.Set(v); set != nil && len(set) < c {
+			if set := cand[v]; set != nil && len(set) < c {
 				c = len(set)
 			}
 		}

@@ -182,19 +182,16 @@ func TestQuickCandidatesAreExactFilter(t *testing.T) {
 		if len(vars) == 0 {
 			return true
 		}
-		// Build a random candidate set for one variable.
+		// Build a random candidate list for one variable.
 		v := vars[rng.Intn(len(vars))]
-		set := map[store.ID]struct{}{}
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			set[store.ID(1+rng.Intn(st.Dict().Len()))] = struct{}{}
-		}
+		set := randomIDs(rng, st)
 		cand := Candidates{v: set}
 		for _, engine := range []Engine{WCOEngine{}, BinaryJoinEngine{}} {
 			pruned := engine.EvalBGP(context.Background(), st, bgp, width, cand)
 			plain := engine.EvalBGP(context.Background(), st, bgp, width, nil)
 			want := algebra.NewBag(width)
 			for _, r := range plain.All() {
-				if _, ok := set[r[v]]; ok {
+				if slices.Contains(set, r[v]) {
 					want.Append(r)
 				}
 			}
@@ -323,12 +320,15 @@ func TestCandidatesAllows(t *testing.T) {
 	if !nilCand.Allows(0, 5) {
 		t.Error("nil candidates must allow everything")
 	}
-	c := Candidates{1: {store.ID(7): {}}}
+	c := Candidates{1: {3, 7, 12}, 2: {}}
 	if !c.Allows(0, 99) {
 		t.Error("unconstrained variable must allow everything")
 	}
-	if !c.Allows(1, 7) || c.Allows(1, 8) {
+	if !c.Allows(1, 3) || !c.Allows(1, 7) || !c.Allows(1, 12) || c.Allows(1, 8) || c.Allows(1, 1) || c.Allows(1, 13) {
 		t.Error("constrained variable must filter")
+	}
+	if c.Allows(2, 7) {
+		t.Error("an empty list must allow nothing")
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"sparqluo/internal/store"
 )
 
-// randomCandidates builds a candidate set for up to two variables of the
-// BGP, mirroring the pruning layer's shape.
+// randomCandidates builds a candidate list for up to two variables of
+// the BGP, mirroring the pruning layer's shape.
 func randomCandidates(rng *rand.Rand, st *store.Store, bgp BGP) Candidates {
 	vars := bgp.Vars()
 	if len(vars) == 0 || rng.Intn(2) == 0 {
@@ -20,14 +20,24 @@ func randomCandidates(rng *rand.Rand, st *store.Store, bgp BGP) Candidates {
 	}
 	cand := Candidates{}
 	for k := 0; k < 1+rng.Intn(2); k++ {
-		v := vars[rng.Intn(len(vars))]
-		set := map[store.ID]struct{}{}
-		for i := 0; i < 1+rng.Intn(6); i++ {
-			set[store.ID(1+rng.Intn(st.Dict().Len()))] = struct{}{}
-		}
-		cand[v] = set
+		cand[vars[rng.Intn(len(vars))]] = randomIDs(rng, st)
 	}
 	return cand
+}
+
+// randomIDs draws an ascending list of distinct dictionary IDs whose
+// length runs from 1 to the dictionary size, short lengths likelier: a
+// list is as often shorter as longer than the range a scan reads, so
+// either side of a one-open-position intersection drives its loop and
+// the predicate-only shape's probe-or-range choice goes both ways.
+func randomIDs(rng *rand.Rand, st *store.Store) []store.ID {
+	n := st.Dict().Len()
+	ids := make([]store.ID, 0, n)
+	for _, i := range rng.Perm(n)[:1+rng.Intn(1+rng.Intn(n))] {
+		ids = append(ids, store.ID(1+i))
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // readersOver returns st followed by the stores its 1-, 2- and 4-shard

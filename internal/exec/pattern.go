@@ -7,7 +7,6 @@ package exec
 
 import (
 	"slices"
-	"sort"
 
 	"sparqluo/internal/algebra"
 	"sparqluo/internal/store"
@@ -83,10 +82,13 @@ func (b BGP) width() int {
 	return w
 }
 
-// Candidates maps a variable index to the set of term IDs it may take.
-// A nil map (or missing entry) imposes no restriction. Candidate sets are
-// the query-time pruning mechanism of §6.
-type Candidates map[int]map[store.ID]struct{}
+// Candidates maps a variable index to the term IDs it may take, each an
+// ascending list of distinct IDs: algebra.BindingsOfCapped sorts it once
+// per BGP, and Allows, the predicate-only probes and the one-open-position
+// intersection in MatchPattern read it as it is. A nil map or a missing
+// entry imposes no restriction; a present entry allows exactly its list.
+// Candidate sets are the query-time pruning mechanism of §6.
+type Candidates map[int][]store.ID
 
 // Allows reports whether variable v may bind to id under c.
 func (c Candidates) Allows(v int, id store.ID) bool {
@@ -97,16 +99,8 @@ func (c Candidates) Allows(v int, id store.ID) bool {
 	if !ok {
 		return true
 	}
-	_, in := set[id]
+	_, in := slices.BinarySearch(set, id)
 	return in
-}
-
-// Set returns the candidate set for v, or nil if unrestricted.
-func (c Candidates) Set(v int) map[store.ID]struct{} {
-	if c == nil {
-		return nil
-	}
-	return c[v]
 }
 
 // resolve returns the concrete ID a position takes under row, or
@@ -173,8 +167,9 @@ func (p *Pattern) at(sl slot) Pos {
 }
 
 // access is the kind of index access a pattern scan performs: one per
-// bound-position shape, plus the candidate probes that can replace a
-// shape's range scan.
+// bound-position shape (the three shapes with one open position share
+// one), plus the two candidate probes that can replace the
+// predicate-only shape's range scan.
 type access uint8
 
 const (
@@ -183,19 +178,18 @@ const (
 	accP                     // POS run of one predicate
 	accPProbeS               // per subject candidate, its objects under the predicate
 	accPProbeO               // per object candidate, its subjects under the predicate
-	accPO                    // subjects of one (predicate, object)
-	accPOProbe               // subject candidates point-checked
 	accS                     // SPO run of one subject
-	accSO                    // predicates of one (subject, object)
-	accSP                    // objects of one (subject, predicate)
-	accSPProbe               // object candidates point-checked
+	accAdj                   // one open position: the ID view adj returns
 	accPoint                 // everything bound: one membership test
 )
 
-// probe is a candidate-driven alternative to a shape's range scan: when
-// the pattern variable at position by has a candidate set smaller than
-// the range, the set is enumerated (ascending) against the index
-// instead. This is how §6 candidate pruning restricts scans on the fly.
+// probe is a candidate-driven alternative to the predicate-only shape's
+// range scan: when the pattern variable at position by has a candidate
+// list shorter than the range, the list is enumerated (ascending)
+// against the index instead. The subject probe emits in another order
+// than the range, so the choice is a real one. A shape with one open
+// position needs no probe: MatchPattern intersects its ID view with the
+// open variable's list, walking whichever is shorter.
 type probe struct {
 	kind  access
 	by    slot
@@ -232,19 +226,17 @@ var accessPaths = [8]accessPath{
 			{accPProbeS, slotS, []slot{slotS, slotO}},
 			{accPProbeO, slotO, []slot{slotO, slotS}},
 		}},
-	0b011: {kind: accPO, order: []slot{slotS},
-		count:  func(st store.Reader, _, p, o store.ID) int { return st.CountPO(p, o) },
-		adj:    func(st store.Reader, _, p, o store.ID) []store.ID { return st.SubjectsPO(p, o) },
-		probes: []probe{{accPOProbe, slotS, []slot{slotS}}}},
+	0b011: {kind: accAdj, order: []slot{slotS},
+		count: func(st store.Reader, _, p, o store.ID) int { return st.CountPO(p, o) },
+		adj:   func(st store.Reader, _, p, o store.ID) []store.ID { return st.SubjectsPO(p, o) }},
 	0b100: {kind: accS, order: []slot{slotP, slotO},
 		count: func(st store.Reader, s, _, _ store.ID) int { return st.CountS(s) }},
-	0b101: {kind: accSO, order: []slot{slotP},
+	0b101: {kind: accAdj, order: []slot{slotP},
 		count: func(st store.Reader, s, _, o store.ID) int { return st.CountSO(s, o) },
 		adj:   func(st store.Reader, s, _, o store.ID) []store.ID { return st.PredsSO(s, o) }},
-	0b110: {kind: accSP, order: []slot{slotO},
-		count:  func(st store.Reader, s, p, _ store.ID) int { return st.CountSP(s, p) },
-		adj:    func(st store.Reader, s, p, _ store.ID) []store.ID { return st.ObjectsSP(s, p) },
-		probes: []probe{{accSPProbe, slotO, []slot{slotO}}}},
+	0b110: {kind: accAdj, order: []slot{slotO},
+		count: func(st store.Reader, s, p, _ store.ID) int { return st.CountSP(s, p) },
+		adj:   func(st store.Reader, s, p, _ store.ID) []store.ID { return st.ObjectsSP(s, p) }},
 	0b111: {kind: accPoint,
 		count: func(st store.Reader, s, p, o store.ID) int {
 			if st.Contains(s, p, o) {
@@ -287,28 +279,23 @@ func (sh shape) count(st store.Reader) int { return sh.path().count(st, sh.s, sh
 // scan is the scan policy's decision for one pattern under one shape.
 type scan struct {
 	kind  access
-	order []slot                // emission order over the unbound positions
-	adj   []store.ID            // the range itself, on single-open-position shapes
-	cands map[store.ID]struct{} // the candidate set a probe kind enumerates
+	order []slot     // emission order over the unbound positions
+	adj   []store.ID // the range itself, on single-open-position shapes
+	cands []store.ID // the candidate list a probe kind enumerates
 }
 
 // planScan is the scan policy: the shape's access path, unless the
-// variable at a probe position has a candidate set smaller than the
-// range, in which case the first such probe replaces the scan. The
-// range size comes from the adjacency view when the shape has one
-// (MatchPattern needs the view anyway) and from the count accessor
-// otherwise, and is only consulted when a candidate set competes.
+// variable at a probe position (only the predicate-only shape has any)
+// has a candidate list shorter than the range, in which case the first
+// such probe replaces the scan. The range size is read only when a
+// candidate list competes.
 func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
 	ap := sh.path()
 	sc := scan{kind: ap.kind, order: ap.order}
-	n := -1
 	if ap.adj != nil {
 		sc.adj = ap.adj(st, sh.s, sh.p, sh.o)
-		n = len(sc.adj)
 	}
-	if cand == nil {
-		return sc
-	}
+	n := -1
 	for _, pr := range ap.probes {
 		set := candFor(pat.at(pr.by), cand)
 		if set == nil {
@@ -336,7 +323,10 @@ func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
 //
 // Matches are emitted in the physical order of the permutation range the
 // pattern reads; MatchOrder reports that order as a variable sequence.
-// Both store kinds — a built store and a live overlay's view — are read
+// Candidates restrict a scan in one of three ways: a shape with one
+// open position intersects its range with the open variable's list, the
+// predicate-only shape may enumerate a list instead of its range (a
+// probe), and every other match is checked by bindEmit. Both store kinds — a built store and a live overlay's view — are read
 // through the store.Reader accessors, which return ranges in permutation
 // order.
 func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates, emit func(algebra.Row) bool) {
@@ -353,42 +343,36 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 		if st.Contains(s, p, o) {
 			bindEmit(pat, row, scratch, s, p, o, cand, emit)
 		}
-	case accSP:
-		for _, x := range sc.adj {
-			if !bindEmit(pat, row, scratch, s, p, x, cand, emit) {
-				return
-			}
+	case accAdj:
+		// The open position is a variable, the only one bindEmit could
+		// check against cand: intersect its list, if any, with the range
+		// here, walking the shorter and binary-searching each ID in what
+		// is left of the longer, so both emit in ascending ID order.
+		open := sc.order[0]
+		var ids []store.ID
+		restricted := false
+		if cand != nil {
+			ids, restricted = cand[pat.at(open).Var]
 		}
-	case accSPProbe:
-		for _, x := range sortedSet(sc.cands) {
-			if st.Contains(s, p, x) {
-				if !bindEmit(pat, row, scratch, s, p, x, cand, emit) {
-					return
+		walk, seek := sc.adj, ids
+		if restricted && len(ids) < len(sc.adj) {
+			walk, seek = ids, sc.adj
+		}
+		t := [3]store.ID{s, p, o}
+		for _, x := range walk {
+			if restricted {
+				i, found := slices.BinarySearch(seek, x)
+				if seek = seek[i:]; !found {
+					continue
 				}
 			}
-		}
-	case accPO:
-		for _, x := range sc.adj {
-			if !bindEmit(pat, row, scratch, x, p, o, cand, emit) {
-				return
-			}
-		}
-	case accPOProbe:
-		for _, x := range sortedSet(sc.cands) {
-			if st.Contains(x, p, o) {
-				if !bindEmit(pat, row, scratch, x, p, o, cand, emit) {
-					return
-				}
-			}
-		}
-	case accSO:
-		for _, pp := range sc.adj {
-			if !bindEmit(pat, row, scratch, s, pp, o, cand, emit) {
+			t[open] = x
+			if !bindEmit(pat, row, scratch, t[0], t[1], t[2], nil, emit) {
 				return
 			}
 		}
 	case accPProbeS:
-		for _, ss := range sortedSet(sc.cands) {
+		for _, ss := range sc.cands {
 			for _, x := range st.ObjectsSP(ss, p) {
 				if !bindEmit(pat, row, scratch, ss, p, x, cand, emit) {
 					return
@@ -396,7 +380,7 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 			}
 		}
 	case accPProbeO:
-		for _, oo := range sortedSet(sc.cands) {
+		for _, oo := range sc.cands {
 			for _, ss := range st.SubjectsPO(p, oo) {
 				if !bindEmit(pat, row, scratch, ss, p, oo, cand, emit) {
 					return
@@ -430,11 +414,11 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 	}
 }
 
-func candFor(pos Pos, cand Candidates) map[store.ID]struct{} {
-	if !pos.IsVar {
+func candFor(pos Pos, cand Candidates) []store.ID {
+	if !pos.IsVar || cand == nil {
 		return nil
 	}
-	return cand.Set(pos.Var)
+	return cand[pos.Var]
 }
 
 // repeatedVar reports whether the same variable occurs at two positions.
@@ -449,16 +433,6 @@ func repeatedVar(p Pattern) bool {
 		return true
 	}
 	return false
-}
-
-// sortedSet returns set members in ascending ID order.
-func sortedSet(s map[store.ID]struct{}) []store.ID {
-	out := make([]store.ID, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ExactCount returns the exact number of matches of a single pattern with

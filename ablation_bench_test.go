@@ -59,7 +59,7 @@ func benchAblated(b *testing.B, st *store.Store, tree *core.Tree, disableMerge, 
 	var rows int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bag, _, _ := core.EvaluateContext(context.Background(), work, st, engine, core.Pruning{}, 1)
+		bag, _, _ := core.EvaluateContext(context.Background(), work, st, engine, core.Pruning{})
 		rows = bag.Len()
 	}
 	b.StopTimer()
@@ -94,7 +94,7 @@ func BenchmarkAblationCPThreshold(b *testing.B) {
 						core.EvaluateContext(context.Background(), tree, st, exec.WCOEngine{}, core.Pruning{
 							Enabled:        true,
 							FixedThreshold: threshold,
-						}, 1)
+						})
 					}
 				})
 			}
@@ -116,13 +116,13 @@ func TestAblatedTransformersPreserveSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _, _ := core.EvaluateContext(context.Background(), tree, st, engine, core.Pruning{}, 1)
+		base, _, _ := core.EvaluateContext(context.Background(), tree, st, engine, core.Pruning{})
 		for _, v := range []struct{ dm, di bool }{{true, true}, {false, true}, {true, false}, {false, false}} {
 			work := tree.Clone()
 			tr := core.NewTransformer(context.Background(), st, engine)
 			tr.DisableMerge, tr.DisableInject = v.dm, v.di
 			tr.Transform(work)
-			got, _, _ := core.EvaluateContext(context.Background(), work, st, engine, core.Pruning{}, 1)
+			got, _, _ := core.EvaluateContext(context.Background(), work, st, engine, core.Pruning{})
 			if got.Len() != base.Len() {
 				t.Errorf("%s ablation %+v: %d rows, want %d", q.ID, v, got.Len(), base.Len())
 			}

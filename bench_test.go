@@ -61,7 +61,7 @@ func queryBench(b *testing.B, st *store.Store, q bench.Query, engine exec.Engine
 	var res *core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res, err = core.ExecPlan(context.Background(), plan, engine, strat, core.ExecOptions{Parallelism: 1}); err != nil {
+		if res, err = core.ExecPlan(context.Background(), plan, engine, strat, core.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func benchQueryStats(b *testing.B, dataset string) {
 			b.ReportMetric(float64(plan.Tree.Depth()), "depth")
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				if res, err = core.ExecPlan(context.Background(), plan, exec.WCOEngine{}, core.Full, core.ExecOptions{Parallelism: 1}); err != nil {
+				if res, err = core.ExecPlan(context.Background(), plan, exec.WCOEngine{}, core.Full, core.ExecOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

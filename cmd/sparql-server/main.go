@@ -18,9 +18,10 @@
 // from, so responses are byte-identical to a single-store server.
 // Startup logs report which path ran and how long it took.
 //
-// -timeout caps each query's wall-clock time (504 on expiry), -max-inflight
-// bounds concurrently evaluating queries (503 when saturated), and
-// -parallelism sizes each query's evaluation worker pool (0 = GOMAXPROCS).
+// -timeout caps each query's wall-clock time (504 on expiry), and
+// -max-inflight bounds concurrently evaluating queries (503 when
+// saturated); each query is evaluated on its request's goroutine, so
+// -max-inflight also bounds the cores queries occupy.
 // -plan-cache sizes the per-server LRU of prepared query plans: repeated
 // queries skip parsing and plan construction (X-Plan-Cache: hit|miss),
 // and each cached plan memoizes up to 1 MiB of its encoded responses, so
@@ -77,7 +78,6 @@ func main() {
 		addr        = flag.String("addr", ":8085", "listen address")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-query timeout (0 = none)")
 		maxInFlight = flag.Int("max-inflight", 64, "max concurrently evaluating queries (0 = unlimited)")
-		parallelism = flag.Int("parallelism", 0, "per-query evaluation worker pool size (0 = GOMAXPROCS)")
 		planCache   = flag.Int("plan-cache", 128, "LRU size of the prepared-plan cache (0 = disabled)")
 
 		live             = flag.Bool("live", false, "enable live updates (POST /update) over the loaded data")
@@ -149,11 +149,10 @@ func main() {
 	handler := sparqluo.NewHandler(db,
 		sparqluo.WithQueryTimeout(*timeout),
 		sparqluo.WithMaxInFlight(*maxInFlight),
-		sparqluo.WithHandlerParallelism(*parallelism),
 		sparqluo.WithPlanCache(*planCache),
 	)
-	log.Printf("listening on %s (source=%s timeout=%v max-inflight=%d parallelism=%d plan-cache=%d)",
-		*addr, source, *timeout, *maxInFlight, *parallelism, *planCache)
+	log.Printf("listening on %s (source=%s timeout=%v max-inflight=%d plan-cache=%d)",
+		*addr, source, *timeout, *maxInFlight, *planCache)
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: handler,

@@ -86,7 +86,8 @@ func lubmTestDB(t testing.TB, universities int) *sparqluo.DB {
 }
 
 // parallelTestQuery mixes UNION branches, nested groups and stacked
-// OPTIONALs so that both fan-out sites of the evaluator are exercised.
+// OPTIONALs so that both sibling-evaluation sites of the evaluator (UNION
+// branches, OPTIONAL subtrees) are exercised.
 const parallelTestQuery = `
 	PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
 	SELECT * WHERE {
@@ -147,59 +148,6 @@ func TestQueryContextCancellation(t *testing.T) {
 					t.Errorf("cancellation took %v, want prompt return", elapsed)
 				}
 			})
-		}
-	}
-}
-
-// nestedUnionQuery builds a query whose BE-tree fans out at every level:
-// depth levels of two-branch UNIONs with an OPTIONAL riding on each
-// group, yielding 2^depth leaves competing for pool tokens.
-func nestedUnionQuery(depth int) string {
-	var build func(d int) string
-	build = func(d int) string {
-		if d == 0 {
-			return `{ ?x ub:worksFor ?d }`
-		}
-		inner := build(d - 1)
-		return fmt.Sprintf(`{ %s UNION %s OPTIONAL { ?x ub:emailAddress ?e } }`, inner, inner)
-	}
-	return `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
-		SELECT * WHERE ` + build(depth)
-}
-
-// TestWorkerPoolSaturation floods a deliberately tiny worker pool with a
-// BE-tree whose fan-out greatly exceeds it, from many goroutines at
-// once. The pool's non-blocking token acquisition must keep every query
-// making progress: a deadlock here trips the watchdog. Run with -race.
-func TestWorkerPoolSaturation(t *testing.T) {
-	db := lubmTestDB(t, 1)
-	query := nestedUnionQuery(4) // 16 leaf groups + optional at every level
-
-	ref, err := db.Query(query, sparqluo.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Len()
-
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func() {
-			res, err := db.Query(query, sparqluo.WithParallelism(2))
-			if err == nil && res.Len() != want {
-				err = errMismatch{got: res.Len(), want: want}
-			}
-			done <- err
-		}()
-	}
-	watchdog := time.After(120 * time.Second)
-	for i := 0; i < 8; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-watchdog:
-			t.Fatal("worker pool deadlocked: queries did not complete")
 		}
 	}
 }

@@ -22,7 +22,6 @@ type HandlerOption func(*handlerConfig)
 type handlerConfig struct {
 	timeout     time.Duration
 	maxInFlight int
-	parallelism int
 	planCache   int
 }
 
@@ -42,14 +41,6 @@ func WithQueryTimeout(d time.Duration) HandlerOption {
 // unboundedly.
 func WithMaxInFlight(n int) HandlerOption {
 	return func(c *handlerConfig) { c.maxInFlight = n }
-}
-
-// WithHandlerParallelism sets the per-query evaluation worker-pool size
-// used for every request served by the handler (default: GOMAXPROCS;
-// see WithParallelism). Deployments that cap in-flight queries high can
-// set this low so concurrent requests don't oversubscribe the CPUs.
-func WithHandlerParallelism(n int) HandlerOption {
-	return func(c *handlerConfig) { c.parallelism = n }
 }
 
 // WithPlanCache gives the handler an LRU cache of n prepared plans
@@ -111,8 +102,9 @@ func WithPlanCache(n int) HandlerOption {
 // a per-request pagination window on top of the query text (see
 // WithLimit/WithOffset); because the window is applied at execution
 // time, paginated requests share one plan-cache entry. Operational
-// limits are configured with WithQueryTimeout, WithMaxInFlight and
-// WithHandlerParallelism. WithPlanCache adds an LRU of prepared plans
+// limits are configured with WithQueryTimeout and WithMaxInFlight; each
+// request is evaluated on its own goroutine, so WithMaxInFlight bounds
+// the cores queries occupy. WithPlanCache adds an LRU of prepared plans
 // so repeated queries skip parse+build (X-Plan-Cache: hit|miss), each
 // plan memoizing its encoded responses up to 1 MiB so a repeated
 // request is answered without executing (X-Result-Cache:
@@ -134,7 +126,7 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 		cache = newPlanCache(cfg.planCache)
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/sparql", &queryEndpoint{db: db, timeout: cfg.timeout, parallelism: cfg.parallelism, inflight: inflight, cache: cache})
+	mux.Handle("/sparql", &queryEndpoint{db: db, timeout: cfg.timeout, inflight: inflight, cache: cache})
 	// POST /update applies one N-Triples document as one atomic batch of
 	// inserts (default) or deletes (?op=delete) against a live database.
 	// It shares the /sparql admission valve: an update counts against
@@ -356,11 +348,10 @@ func (v valve) leave() {
 
 // queryEndpoint serves /sparql.
 type queryEndpoint struct {
-	db          *DB
-	timeout     time.Duration
-	parallelism int
-	inflight    valve
-	cache       *planCache // nil: every request parses, executes and streams
+	db       *DB
+	timeout  time.Duration
+	inflight valve
+	cache    *planCache // nil: every request parses, executes and streams
 }
 
 func (h *queryEndpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -457,7 +448,7 @@ func (h *queryEndpoint) execute(ctx context.Context, w http.ResponseWriter, prep
 		return false
 	}
 	defer h.inflight.leave()
-	res, err := prep.ExecContext(ctx, k.apply, WithParallelism(h.parallelism))
+	res, err := prep.ExecContext(ctx, k.apply)
 	if err != nil {
 		writeExecError(w, err)
 		return false

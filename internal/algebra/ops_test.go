@@ -199,15 +199,27 @@ func TestUnitIsJoinIdentity(t *testing.T) {
 	}
 }
 
+// TestBindingsOfCapped: a cap below the 3 distinct values yields nil; a
+// cap at or above it, or none, yields the ascending distinct list, with
+// the unbound cell skipped, whether or not the cap reaches the bag's 6
+// rows.
 func TestBindingsOfCapped(t *testing.T) {
 	b := mkBag(1, []int{9}, []int{2}, []int{0}, []int{9}, []int{5}, []int{2})
-	if got := BindingsOfCapped(b, 0, 2); got != nil {
-		t.Errorf("capped at 2 with 3 distinct: want nil, got %v", got)
+	for _, c := range []int{0, 1, 2} {
+		if got := BindingsOfCapped(b, 0, c); got != nil {
+			t.Errorf("capped at %d with 3 distinct: want nil, got %v", c, got)
+		}
 	}
 	want := []store.ID{2, 5, 9}
-	for _, c := range []int{3, 4, -1} {
+	for _, c := range []int{3, 5, 6, 7, -1} {
 		if got := BindingsOfCapped(b, 0, c); !slices.Equal(got, want) {
 			t.Errorf("capped at %d with 3 distinct: want the ascending distinct %v, got %v", c, want, got)
+		}
+	}
+	unbound := mkBag(1, []int{0}, []int{0})
+	for _, c := range []int{0, 1, 2, -1} {
+		if got := BindingsOfCapped(unbound, 0, c); got == nil || len(got) != 0 {
+			t.Errorf("capped at %d with no bound value: want an empty list, got %v (nil %v)", c, got, got == nil)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestQuickMergeHashNestedJoinAgree(t *testing.T) {
 // TestQuickJoinDeterministicOrder pins the documented output contract:
 // the dispatched join is a deterministic function of its operands (same
 // rows in the same physical order on every run), which the byte-identical
-// parallel/sequential guarantee upstream relies on.
+// results upstream rely on.
 func TestQuickJoinDeterministicOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

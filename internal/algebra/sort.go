@@ -73,7 +73,7 @@ func sortedKeyOrder(keys []SortKey, prevOrder []int) []int {
 
 // SortByKeys returns a copy of b stably sorted by the given keys — the
 // ORDER BY operator. Ties keep b's row order, so the result is a
-// deterministic function of the input at every parallelism level.
+// deterministic function of the input.
 func SortByKeys(b *Bag, keys []SortKey) *Bag {
 	idx := make([]int, b.rows)
 	for i := range idx {

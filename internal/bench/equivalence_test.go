@@ -13,14 +13,13 @@ import (
 )
 
 // execOnce is the one-shot query path: a fresh plan built from the
-// parsed query and executed once on a worker pool of the given size
-// (0 = GOMAXPROCS).
-func execOnce(parsed *sparql.Query, st store.Reader, engine exec.Engine, strat core.Strategy, parallelism int) (*core.Result, error) {
+// parsed query and executed once.
+func execOnce(parsed *sparql.Query, st store.Reader, engine exec.Engine, strat core.Strategy) (*core.Result, error) {
 	plan, err := core.BuildPlan(parsed, st)
 	if err != nil {
 		return nil, err
 	}
-	return core.ExecPlan(context.Background(), plan, engine, strat, core.ExecOptions{Parallelism: parallelism})
+	return core.ExecPlan(context.Background(), plan, engine, strat, core.ExecOptions{})
 }
 
 // smallStores returns reduced-scale datasets so the full cross-product of
@@ -51,7 +50,7 @@ func TestStrategyEquivalence(t *testing.T) {
 			var refName string
 			for _, engine := range []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}} {
 				for _, strat := range core.Strategies {
-					res, err := execOnce(parsed, st, engine, strat, 1)
+					res, err := execOnce(parsed, st, engine, strat)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", engine.Name(), strat, err)
 					}
@@ -85,7 +84,7 @@ func TestLBREquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				full, err := execOnce(parsed, st, exec.WCOEngine{}, core.Full, 1)
+				full, err := execOnce(parsed, st, exec.WCOEngine{}, core.Full)
 				if err != nil {
 					t.Fatalf("full: %v", err)
 				}
@@ -160,7 +159,7 @@ func TestQueriesProduceResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", dataset, q.ID, err)
 			}
-			res, err := execOnce(parsed, st, exec.WCOEngine{}, core.Full, 1)
+			res, err := execOnce(parsed, st, exec.WCOEngine{}, core.Full)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", dataset, q.ID, err)
 			}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"sparqluo/internal/algebra"
 	"sparqluo/internal/exec"
@@ -44,23 +42,8 @@ func newEvalStats() *EvalStats {
 	return &EvalStats{bgpSizes: make(map[*BGPNode]int)}
 }
 
-// merge folds a branch's instrumentation into s. Branch stats are merged
-// in sibling order by the evaluator, so BGPResults ends up in the exact
-// order a sequential depth-first evaluation would have produced.
-func (s *EvalStats) merge(o *EvalStats) {
-	s.BGPResults = append(s.BGPResults, o.BGPResults...)
-	s.PrunedBGPs += o.PrunedBGPs
-	s.RowsPulled += o.RowsPulled
-	for n, sz := range o.bgpSizes {
-		s.bgpSizes[n] = sz
-	}
-}
-
 // evaluator runs Algorithm 1 (optionally augmented with candidate
-// pruning) over a BE-tree. Sibling UNION branches and OPTIONAL subtrees
-// are fanned out over a bounded worker pool when one is configured; each
-// concurrent branch writes into its own EvalStats, merged deterministically
-// by the spawning goroutine.
+// pruning) over a BE-tree, depth first on the calling goroutine.
 type evaluator struct {
 	ctx    context.Context
 	st     store.Reader
@@ -68,38 +51,20 @@ type evaluator struct {
 	width  int
 	prune  Pruning
 	stats  *EvalStats
-	// sem holds the worker-pool tokens shared by the whole evaluation
-	// (capacity parallelism-1: the spawning goroutine is itself a
-	// worker). nil means fully sequential. Acquisition never blocks — a
-	// branch that cannot get a token runs inline on the current
-	// goroutine — so nested fan-out cannot deadlock the pool.
-	sem chan struct{}
-}
-
-// branch returns a child evaluator sharing the pool and context but
-// collecting into fresh stats, for one concurrently-evaluated subtree.
-func (ev *evaluator) branch() *evaluator {
-	sub := *ev
-	sub.stats = newEvalStats()
-	return &sub
 }
 
 // EvaluateContext runs the BGP-based evaluation scheme (Algorithm 1) on
 // the tree and returns the bag of solution mappings plus
 // instrumentation, with the solution modifiers applied (ORDER BY, SELECT
-// projection, DISTINCT, OFFSET/LIMIT). Sibling UNION branches and
-// OPTIONAL subtrees are evaluated concurrently on a bounded worker pool of
-// the given size (<= 0 selects GOMAXPROCS; 1 is sequential). Per-branch
-// bags and stats are merged in sibling order, so the returned bag's row
-// order and the instrumentation are identical to a sequential run.
+// projection, DISTINCT, OFFSET/LIMIT). The tree is walked depth first on
+// the calling goroutine: UNION branches and OPTIONAL subtrees are
+// evaluated in sibling order, so row order and instrumentation are a
+// deterministic function of the plan and the store.
 //
 // The context is observed between node evaluations and inside the
 // engines' join loops: when it is cancelled or its deadline passes,
 // evaluation stops promptly and ctx.Err() is returned.
-func EvaluateContext(ctx context.Context, t *Tree, st store.Reader, engine exec.Engine, prune Pruning, parallelism int) (*algebra.Bag, *EvalStats, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
+func EvaluateContext(ctx context.Context, t *Tree, st store.Reader, engine exec.Engine, prune Pruning) (*algebra.Bag, *EvalStats, error) {
 	ev := &evaluator{
 		ctx:    ctx,
 		st:     st,
@@ -107,9 +72,6 @@ func EvaluateContext(ctx context.Context, t *Tree, st store.Reader, engine exec.
 		width:  t.Vars.Len(),
 		prune:  prune,
 		stats:  newEvalStats(),
-	}
-	if parallelism > 1 {
-		ev.sem = make(chan struct{}, parallelism-1)
 	}
 	res := ev.groupTop(t.Root, nil, rootCap(t))
 	if err := ctx.Err(); err != nil {
@@ -214,7 +176,7 @@ func applySlice(b *algebra.Bag, offset, limit int) *algebra.Bag {
 // still evaluates fully (intermediate bags feed joins and candidate
 // derivation), and every capped operator emits a deterministic prefix of
 // its uncapped output, so the truncated group result is byte-identical
-// to the full result's first max rows at any parallelism.
+// to the full result's first max rows.
 func (ev *evaluator) groupTop(g *GroupNode, incoming *algebra.Bag, max int) *algebra.Bag {
 	if ev.ctx.Err() != nil {
 		return algebra.NewBag(ev.width) // discarded: caller reports ctx.Err()
@@ -257,7 +219,12 @@ func (ev *evaluator) groupTop(g *GroupNode, incoming *algebra.Bag, max int) *alg
 			o := ev.evalBGP(child, pickContext(r, incoming), engineCap)
 			r = ev.joinWithTop(r, o, childCap(i))
 		case *UnionNode:
-			u := algebra.UnionAll(ev.width, ev.fanOut(child.Branches, pickContext(r, incoming))...)
+			src := pickContext(r, incoming)
+			branches := make([]*algebra.Bag, len(child.Branches))
+			for j, br := range child.Branches {
+				branches[j] = ev.groupTop(br, src, -1)
+			}
+			u := algebra.UnionAll(ev.width, branches...)
 			if cap := childCap(i); cap >= 0 && r == nil && cap < u.Len() {
 				u = u.View(0, cap)
 			}
@@ -269,67 +236,23 @@ func (ev *evaluator) groupTop(g *GroupNode, incoming *algebra.Bag, max int) *alg
 	if r == nil {
 		r = algebra.Unit(ev.width)
 	}
-	if len(optionals) > 0 {
-		// All OPTIONAL right subtrees see the same candidate-derivation
-		// context: candidate sets depend only on the distinct bindings of
-		// the left side's certainly-bound variables, which LeftJoin
-		// preserves, so deriving from the pre-OPTIONAL bag is
-		// indistinguishable from the sequential fold's progressively
-		// left-joined bag — and makes the subtrees independent.
-		rights := make([]*GroupNode, len(optionals))
-		for i, opt := range optionals {
-			rights[i] = opt.Right
+	// All OPTIONAL right subtrees see the same candidate-derivation
+	// context: candidate sets depend only on the distinct bindings of the
+	// left side's certainly-bound variables, which LeftJoin preserves, so
+	// deriving from the pre-OPTIONAL bag is indistinguishable from the
+	// progressively left-joined bag.
+	left := r
+	for oi, opt := range optionals {
+		o := ev.groupTop(opt.Right, left, -1)
+		cap := -1
+		if max >= 0 && oi == len(optionals)-1 {
+			cap = max // only the final left join produces the result
 		}
-		for oi, o := range ev.fanOut(rights, pickContext(r, incoming)) {
-			cap := -1
-			if max >= 0 && oi == len(rights)-1 {
-				cap = max // only the final left join produces the result
-			}
-			r = algebra.LeftJoinWith(r, o, algebra.JoinOpts{
-				Stop: ev.cancelled, Max: cap, Pulled: &ev.stats.RowsPulled,
-			})
-		}
+		r = algebra.LeftJoinWith(r, o, algebra.JoinOpts{
+			Stop: ev.cancelled, Max: cap, Pulled: &ev.stats.RowsPulled,
+		})
 	}
 	return r
-}
-
-// fanOut evaluates independent sibling groups against a shared context
-// bag, returning their bags in sibling order. With a worker pool, each
-// group tries to take a token and runs on its own goroutine (with its own
-// stats) when one is free, inline otherwise; the non-blocking acquire
-// keeps arbitrarily nested fan-out deadlock-free. Stats are merged in
-// sibling order after all branches finish, reproducing the sequential
-// instrumentation exactly.
-func (ev *evaluator) fanOut(groups []*GroupNode, ctxBag *algebra.Bag) []*algebra.Bag {
-	out := make([]*algebra.Bag, len(groups))
-	if ev.sem == nil || len(groups) < 2 {
-		for i, g := range groups {
-			out[i] = ev.groupTop(g, ctxBag, -1)
-		}
-		return out
-	}
-	subs := make([]*EvalStats, len(groups))
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		sub := ev.branch()
-		subs[i] = sub.stats
-		select {
-		case ev.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, g *GroupNode) {
-				defer wg.Done()
-				defer func() { <-ev.sem }()
-				out[i] = sub.groupTop(g, ctxBag, -1)
-			}(i, g)
-		default:
-			out[i] = sub.groupTop(g, ctxBag, -1)
-		}
-	}
-	wg.Wait()
-	for _, s := range subs {
-		ev.stats.merge(s)
-	}
-	return out
 }
 
 // pickContext chooses the bag from which nested evaluations derive

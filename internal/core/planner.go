@@ -62,12 +62,6 @@ type Result struct {
 
 // ExecOptions configures how a plan is executed.
 type ExecOptions struct {
-	// Parallelism bounds the evaluation worker pool: sibling UNION
-	// branches and OPTIONAL subtrees run concurrently on up to this many
-	// goroutines. <= 0 selects GOMAXPROCS; 1 evaluates sequentially.
-	// Results and instrumentation are identical at every setting.
-	Parallelism int
-
 	// Limit, when LimitSet is true and Limit >= 0, caps the number of
 	// solutions this execution returns, composing with (never widening)
 	// any LIMIT in the query text. Applied per execution, so one cached
@@ -82,15 +76,15 @@ type ExecOptions struct {
 	Offset int
 }
 
-// ExecPlan executes a plan with the given strategy and BGP engine,
-// observing ctx for cancellation/deadlines and evaluating with the
-// worker pool configured in opts. The plan is not modified (transforming
-// strategies clone its tree), so concurrent ExecPlan calls on one Plan
-// are safe. On cancellation the ctx error is returned and the Result is
-// nil. Everything the execution does — transformation, pruning
-// thresholds, evaluation — reads the plan's one immutable store; a
-// caller serving live data retargets the plan at a pinned view first
-// (Plan.On).
+// ExecPlan executes a plan with the given strategy and BGP engine on
+// the calling goroutine, observing ctx for cancellation/deadlines and
+// applying the result window in opts. The plan is not modified
+// (transforming strategies clone its tree), so concurrent ExecPlan
+// calls on one Plan are safe. On cancellation the ctx error is returned
+// and the Result is nil. Everything the execution does —
+// transformation, pruning thresholds, evaluation — reads the plan's one
+// immutable store; a caller serving live data retargets the plan at a
+// pinned view first (Plan.On).
 func ExecPlan(ctx context.Context, p *Plan, engine exec.Engine, strat Strategy, opts ExecOptions) (*Result, error) {
 	t := applyWindow(p.Tree, opts)
 	res := &Result{Vars: t.Vars}
@@ -108,7 +102,7 @@ func ExecPlan(ctx context.Context, p *Plan, engine exec.Engine, strat Strategy, 
 		prune = Pruning{Enabled: true, Adaptive: true}
 	}
 	start = time.Now()
-	bag, stats, err := EvaluateContext(ctx, work, p.st, engine, prune, opts.Parallelism)
+	bag, stats, err := EvaluateContext(ctx, work, p.st, engine, prune)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"sparqluo/internal/algebra"
@@ -20,18 +19,15 @@ import (
 // and whether the call carried candidate sets.
 type countingEngine struct {
 	exec.Engine
-	mu        sync.Mutex
 	calls     map[*exec.Pattern]int
 	withCands int
 }
 
 func (e *countingEngine) EvalBGPTop(ctx context.Context, st store.Reader, bgp exec.BGP, width int, cand exec.Candidates, max int, pulled *int) *algebra.Bag {
-	e.mu.Lock()
 	e.calls[&bgp[0]]++
 	if cand != nil {
 		e.withCands++
 	}
-	e.mu.Unlock()
 	return e.Engine.EvalBGPTop(ctx, st, bgp, width, cand, max, pulled)
 }
 
@@ -113,50 +109,48 @@ SELECT * WHERE {
 		return out
 	}
 	for _, engine := range []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}} {
-		for _, par := range []int{1, 4} {
-			execute := func(strat Strategy) (*Result, *countingEngine) {
-				ce := &countingEngine{Engine: engine, calls: map[*exec.Pattern]int{}}
-				res, err := ExecPlan(context.Background(), plan, ce, strat, ExecOptions{Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, ce
+		execute := func(strat Strategy) (*Result, *countingEngine) {
+			ce := &countingEngine{Engine: engine, calls: map[*exec.Pattern]int{}}
+			res, err := ExecPlan(context.Background(), plan, ce, strat, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			base, ce := execute(Base)
-			nodes := bgpNodes(base.Tree.Root)
-			if base.Bag.Len() != 1 || len(nodes) != 7 {
-				t.Fatalf("%s/par%d: base returned %d rows over %d BGPs, want 1 row over 7", engine.Name(), par, base.Bag.Len(), len(nodes))
+			return res, ce
+		}
+		base, ce := execute(Base)
+		nodes := bgpNodes(base.Tree.Root)
+		if base.Bag.Len() != 1 || len(nodes) != 7 {
+			t.Fatalf("%s: base returned %d rows over %d BGPs, want 1 row over 7", engine.Name(), base.Bag.Len(), len(nodes))
+		}
+		for _, b := range nodes {
+			if ce.calls[&b.Enc[0]] != 1 {
+				t.Errorf("%s base: BGP %v reached the engine %d times, want 1", engine.Name(), b.Src, ce.calls[&b.Enc[0]])
 			}
-			for _, b := range nodes {
-				if ce.calls[&b.Enc[0]] != 1 {
-					t.Errorf("%s/par%d base: BGP %v reached the engine %d times, want 1", engine.Name(), par, b.Src, ce.calls[&b.Enc[0]])
+		}
+		for _, strat := range []Strategy{CP, Full} {
+			res, ce := execute(strat)
+			name := fmt.Sprintf("%s/%v", engine.Name(), strat)
+			if !slices.EqualFunc(bagRows(res.Bag), bagRows(base.Bag), slices.Equal) {
+				t.Errorf("%s: rows %v, want base's %v", name, bagRows(res.Bag), bagRows(base.Bag))
+			}
+			skipped := nested(res.Tree)
+			if len(skipped) != 5 {
+				t.Fatalf("%s: %d BGPs below the empty context, want 5:\n%v", name, len(skipped), res.Tree)
+			}
+			for _, b := range skipped {
+				if n := ce.calls[&b.Enc[0]]; n != 0 {
+					t.Errorf("%s: BGP %v under an empty context reached the engine %d times", name, b.Src, n)
+				}
+				if sz, ok := res.Stats.bgpSizes[b]; !ok || sz != 0 {
+					t.Errorf("%s: BGP %v recorded size %d (recorded %v), want 0", name, b.Src, sz, ok)
 				}
 			}
-			for _, strat := range []Strategy{CP, Full} {
-				res, ce := execute(strat)
-				name := fmt.Sprintf("%s/par%d/%v", engine.Name(), par, strat)
-				if !slices.EqualFunc(bagRows(res.Bag), bagRows(base.Bag), slices.Equal) {
-					t.Errorf("%s: rows %v, want base's %v", name, bagRows(res.Bag), bagRows(base.Bag))
-				}
-				skipped := nested(res.Tree)
-				if len(skipped) != 5 {
-					t.Fatalf("%s: %d BGPs below the empty context, want 5:\n%v", name, len(skipped), res.Tree)
-				}
-				for _, b := range skipped {
-					if n := ce.calls[&b.Enc[0]]; n != 0 {
-						t.Errorf("%s: BGP %v under an empty context reached the engine %d times", name, b.Src, n)
-					}
-					if sz, ok := res.Stats.bgpSizes[b]; !ok || sz != 0 {
-						t.Errorf("%s: BGP %v recorded size %d (recorded %v), want 0", name, b.Src, sz, ok)
-					}
-				}
-				if got := len(res.Stats.BGPResults); got != len(bgpNodes(res.Tree.Root)) {
-					t.Errorf("%s: BGPResults has %d entries for %d BGPs", name, got, len(bgpNodes(res.Tree.Root)))
-				}
-				if want := len(skipped) + ce.withCands; res.Stats.PrunedBGPs != want {
-					t.Errorf("%s: PrunedBGPs = %d, want %d pruned by the empty context + %d with candidates",
-						name, res.Stats.PrunedBGPs, len(skipped), ce.withCands)
-				}
+			if got := len(res.Stats.BGPResults); got != len(bgpNodes(res.Tree.Root)) {
+				t.Errorf("%s: BGPResults has %d entries for %d BGPs", name, got, len(bgpNodes(res.Tree.Root)))
+			}
+			if want := len(skipped) + ce.withCands; res.Stats.PrunedBGPs != want {
+				t.Errorf("%s: PrunedBGPs = %d, want %d pruned by the empty context + %d with candidates",
+					name, res.Stats.PrunedBGPs, len(skipped), ce.withCands)
 			}
 		}
 	}

@@ -49,13 +49,13 @@ func run(q *sparql.Query, st store.Reader, engine exec.Engine, strat Strategy) (
 	if err != nil {
 		return nil, err
 	}
-	return ExecPlan(context.Background(), plan, engine, strat, ExecOptions{Parallelism: 1})
+	return ExecPlan(context.Background(), plan, engine, strat, ExecOptions{})
 }
 
 // evaluate runs Algorithm 1 on a tree sequentially and without
 // cancellation.
 func evaluate(t *Tree, st store.Reader, engine exec.Engine, prune Pruning) (*algebra.Bag, *EvalStats) {
-	bag, stats, _ := EvaluateContext(context.Background(), t, st, engine, prune, 1)
+	bag, stats, _ := EvaluateContext(context.Background(), t, st, engine, prune)
 	return bag, stats
 }
 

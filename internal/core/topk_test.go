@@ -49,8 +49,8 @@ func TestLimitPushdownRowsPulled(t *testing.T) {
 	const limit = 20
 	for _, engine := range []exec.Engine{exec.WCOEngine{}, exec.BinaryJoinEngine{}} {
 		t.Run(engine.Name(), func(t *testing.T) {
-			full := runTopK(t, engine, ExecOptions{Parallelism: 1})
-			capped := runTopK(t, engine, ExecOptions{Parallelism: 1, Limit: limit, LimitSet: true})
+			full := runTopK(t, engine, ExecOptions{})
+			capped := runTopK(t, engine, ExecOptions{Limit: limit, LimitSet: true})
 			if capped.Bag.Len() != limit {
 				t.Fatalf("capped run returned %d rows, want %d", capped.Bag.Len(), limit)
 			}
@@ -78,17 +78,17 @@ func TestLimitPushdownRowsPulled(t *testing.T) {
 // BenchmarkTopKQueryFull and BenchmarkTopKQueryLimit20 bracket the
 // query-level win: same plan, same engine, with and without the window.
 func BenchmarkTopKQueryFull(b *testing.B) {
-	runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{Parallelism: 1}) // warm the dataset cache
+	runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{}) // warm the dataset cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{Parallelism: 1})
+		runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{})
 	}
 }
 
 func BenchmarkTopKQueryLimit20(b *testing.B) {
-	runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{Parallelism: 1})
+	runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{Parallelism: 1, Limit: 20, LimitSet: true})
+		runTopK(b, exec.BinaryJoinEngine{}, ExecOptions{Limit: 20, LimitSet: true})
 	}
 }

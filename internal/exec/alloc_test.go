@@ -149,7 +149,9 @@ func TestCandidateScanAllocatesAsPlainScan(t *testing.T) {
 		{"predicate bound, probed by object", small, unit, Candidates{1: first(small, unit, 1)}, accPProbeO},
 	}
 	for _, c := range cases {
-		if got := planScan(st, &c.pat, shapeOf(c.pat, c.row), c.cand).kind; got != c.kind {
+		sh := shapeOf(c.pat, c.row)
+		pc := candsOf(c.pat, sh, c.cand)
+		if got := planScan(st, sh, &pc).kind; got != c.kind {
 			t.Fatalf("%s: access kind %d, want %d", c.name, got, c.kind)
 		}
 		if rows := collectMatches(st, c.pat, c.row, c.cand); len(rows) != 10 {

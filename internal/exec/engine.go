@@ -122,15 +122,11 @@ func extend(st store.Reader, pats []Pattern, width int, cand Candidates, poll *c
 // replaces it with a probe, so for those scanRows reports 0 rather than
 // enumerate to find out.
 func scanRows(st store.Reader, pat Pattern, cand Candidates, max int) int {
-	if repeatedVar(pat) {
+	sh := shapeOf(pat, nil)
+	if repeatedVar(pat) || candsOf(pat, sh, cand).restricted != [3]bool{} {
 		return 0
 	}
-	for _, pos := range [3]Pos{pat.S, pat.P, pat.O} {
-		if candFor(pos, cand) != nil {
-			return 0
-		}
-	}
-	n := shapeOf(pat, nil).count(st)
+	n := sh.count(st)
 	if max >= 0 && max < n {
 		n = max
 	}

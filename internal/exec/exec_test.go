@@ -182,22 +182,25 @@ func TestQuickCandidatesAreExactFilter(t *testing.T) {
 		if len(vars) == 0 {
 			return true
 		}
-		// Build a random candidate list for one variable.
+		// Build a random candidate list for one variable and, now and
+		// then, a present but empty one for another, which allows nothing.
 		v := vars[rng.Intn(len(vars))]
-		set := randomIDs(rng, st)
-		cand := Candidates{v: set}
+		cand := Candidates{v: randomIDs(rng, st)}
+		if w := vars[rng.Intn(len(vars))]; w != v && rng.Intn(3) == 0 {
+			cand[w] = []store.ID{}
+		}
 		for _, engine := range []Engine{WCOEngine{}, BinaryJoinEngine{}} {
 			pruned := engine.EvalBGP(context.Background(), st, bgp, width, cand)
 			plain := engine.EvalBGP(context.Background(), st, bgp, width, nil)
 			want := algebra.NewBag(width)
 			for _, r := range plain.All() {
-				if slices.Contains(set, r[v]) {
+				if allowedByLists(cand, r) {
 					want.Append(r)
 				}
 			}
 			if !algebra.MultisetEqual(pruned, want) {
-				t.Logf("%s: pruned %d, filtered %d (var %d, set %v)",
-					engine.Name(), pruned.Len(), want.Len(), v, set)
+				t.Logf("%s: pruned %d, filtered %d (candidates %v)",
+					engine.Name(), pruned.Len(), want.Len(), cand)
 				return false
 			}
 		}
@@ -206,6 +209,17 @@ func TestQuickCandidatesAreExactFilter(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+// allowedByLists reports whether every variable with a candidate list
+// binds one of its IDs in r.
+func allowedByLists(cand Candidates, r algebra.Row) bool {
+	for v, set := range cand {
+		if !slices.Contains(set, r[v]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEmptyBGPYieldsUnit(t *testing.T) {
@@ -315,20 +329,35 @@ func TestEstimateSamplingStopsAtSampleSize(t *testing.T) {
 	}
 }
 
+// TestCandidatesAllows checks the membership test MatchPattern applies:
+// a position is restricted only when it is an unbound variable with an
+// entry, and then allows exactly its list.
 func TestCandidatesAllows(t *testing.T) {
-	var nilCand Candidates
-	if !nilCand.Allows(0, 5) {
+	allows := func(c Candidates, pat Pattern, row algebra.Row, sl slot, id store.ID) bool {
+		pc := candsOf(pat, shapeOf(pat, row), c)
+		return !pc.restricted[sl] || inList(pc.list[sl], id)
+	}
+	pat := Pattern{S: Var(0), P: Var(1), O: Var(2)}
+	free := make(algebra.Row, 3)
+	if !allows(nil, pat, free, slotS, 5) {
 		t.Error("nil candidates must allow everything")
 	}
 	c := Candidates{1: {3, 7, 12}, 2: {}}
-	if !c.Allows(0, 99) {
+	if !allows(c, pat, free, slotS, 99) {
 		t.Error("unconstrained variable must allow everything")
 	}
-	if !c.Allows(1, 3) || !c.Allows(1, 7) || !c.Allows(1, 12) || c.Allows(1, 8) || c.Allows(1, 1) || c.Allows(1, 13) {
+	in := func(id store.ID) bool { return allows(c, pat, free, slotP, id) }
+	if !in(3) || !in(7) || !in(12) || in(8) || in(1) || in(13) {
 		t.Error("constrained variable must filter")
 	}
-	if c.Allows(2, 7) {
+	if allows(c, pat, free, slotO, 7) {
 		t.Error("an empty list must allow nothing")
+	}
+	if !allows(c, pat, algebra.Row{0, 8, 0}, slotP, 8) {
+		t.Error("a position the row binds is not restricted")
+	}
+	if !allows(c, Pattern{S: Var(0), P: Const(8), O: Var(2)}, free, slotP, 8) {
+		t.Error("a ground position is not restricted")
 	}
 }
 

@@ -115,8 +115,10 @@ func TestQuickMatchOrderSound(t *testing.T) {
 				bound := func(v int) bool { return row[v] != store.None }
 				var wantRows []algebra.Row
 				var wantOrder []int
+				sh := shapeOf(pat, row)
+				pc := candsOf(pat, sh, cand)
 				for i, rd := range readers {
-					seen[planScan(rd, &pat, shapeOf(pat, row), cand).kind] = true
+					seen[planScan(rd, sh, &pc).kind] = true
 					rows := collectMatches(rd, pat, row, cand)
 					order := MatchOrder(rd, pat, bound, cand)
 					if !toBag(width, rows).SortedBy(order) {

@@ -84,23 +84,42 @@ func (b BGP) width() int {
 
 // Candidates maps a variable index to the term IDs it may take, each an
 // ascending list of distinct IDs: algebra.BindingsOfCapped sorts it once
-// per BGP, and Allows, the predicate-only probes and the one-open-position
-// intersection in MatchPattern read it as it is. A nil map or a missing
-// entry imposes no restriction; a present entry allows exactly its list.
-// Candidate sets are the query-time pruning mechanism of §6.
+// per BGP, and MatchPattern's membership checks, the predicate-only
+// probes and the one-open-position intersection read it as it is. A nil
+// map or a missing entry imposes no restriction; a present entry allows
+// exactly its list. Candidate sets are the query-time pruning mechanism
+// of §6.
 type Candidates map[int][]store.ID
 
-// Allows reports whether variable v may bind to id under c.
-func (c Candidates) Allows(v int, id store.ID) bool {
-	if c == nil {
-		return true
-	}
-	set, ok := c[v]
-	if !ok {
-		return true
-	}
+// inList reports whether id is in the ascending list set.
+func inList(set []store.ID, id store.ID) bool {
 	_, in := slices.BinarySearch(set, id)
 	return in
+}
+
+// posCands is a pattern's candidate lists by position (indexed by slot),
+// looked up once per MatchPattern call and read by the scan policy and
+// bindEmit alike. restricted is false at a position the shape binds and
+// at a variable without an entry; a restricted position with an empty
+// list allows nothing.
+type posCands struct {
+	list       [3][]store.ID
+	restricted [3]bool
+}
+
+// candsOf looks up cand's list for each variable position sh leaves
+// unbound, the only ones a scan can restrict.
+func candsOf(pat Pattern, sh shape, cand Candidates) posCands {
+	var pc posCands
+	if cand == nil {
+		return pc
+	}
+	for i, pos := range [3]Pos{pat.S, pat.P, pat.O} {
+		if pos.IsVar && sh.mask&(0b100>>i) == 0 {
+			pc.list[i], pc.restricted[i] = cand[pos.Var]
+		}
+	}
+	return pc
 }
 
 // resolve returns the concrete ID a position takes under row, or
@@ -118,13 +137,14 @@ func resolve(pos Pos, row algebra.Row) store.ID {
 
 // bindEmit extends row into scratch with the given (s,p,o) match of pat,
 // verifying repeated-variable consistency and candidate membership, and
-// calls emit with scratch on success. scratch is reused across calls.
-// It returns false once emit asks enumeration to stop; rejected matches
-// (mismatch, candidate miss) keep enumerating.
-func bindEmit(pat Pattern, row, scratch algebra.Row, s, p, o store.ID, cand Candidates, emit func(algebra.Row) bool) bool {
+// calls emit with scratch on success. scratch is reused across calls;
+// pc holds pat's candidate lists (nil: none). It returns false once emit
+// asks enumeration to stop; rejected matches (mismatch, candidate miss)
+// keep enumerating.
+func bindEmit(pat Pattern, row, scratch algebra.Row, s, p, o store.ID, pc *posCands, emit func(algebra.Row) bool) bool {
 	nr := scratch
 	copy(nr, row)
-	for _, pv := range [3]struct {
+	for i, pv := range [3]struct {
 		pos Pos
 		id  store.ID
 	}{{pat.S, s}, {pat.P, p}, {pat.O, o}} {
@@ -138,7 +158,7 @@ func bindEmit(pat Pattern, row, scratch algebra.Row, s, p, o store.ID, cand Cand
 			}
 			continue
 		}
-		if !cand.Allows(pv.pos.Var, pv.id) {
+		if pc != nil && pc.restricted[i] && !inList(pc.list[i], pv.id) {
 			return true
 		}
 		nr[pv.pos.Var] = pv.id
@@ -289,7 +309,7 @@ type scan struct {
 // has a candidate list shorter than the range, in which case the first
 // such probe replaces the scan. The range size is read only when a
 // candidate list competes.
-func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
+func planScan(st store.Reader, sh shape, pc *posCands) scan {
 	ap := sh.path()
 	sc := scan{kind: ap.kind, order: ap.order}
 	if ap.adj != nil {
@@ -297,10 +317,10 @@ func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
 	}
 	n := -1
 	for _, pr := range ap.probes {
-		set := candFor(pat.at(pr.by), cand)
-		if set == nil {
+		if !pc.restricted[pr.by] {
 			continue
 		}
+		set := pc.list[pr.by]
 		if n < 0 {
 			n = sh.count(st)
 		}
@@ -326,9 +346,10 @@ func planScan(st store.Reader, pat *Pattern, sh shape, cand Candidates) scan {
 // Candidates restrict a scan in one of three ways: a shape with one
 // open position intersects its range with the open variable's list, the
 // predicate-only shape may enumerate a list instead of its range (a
-// probe), and every other match is checked by bindEmit. Both store kinds — a built store and a live overlay's view — are read
-// through the store.Reader accessors, which return ranges in permutation
-// order.
+// probe), and every other match is checked by bindEmit against the
+// lists looked up once per call. Both store kinds — a built store and a
+// live overlay's view — are read through the store.Reader accessors,
+// which return ranges in permutation order.
 func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates, emit func(algebra.Row) bool) {
 	if pat.Impossible() {
 		return
@@ -336,12 +357,13 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 	scratch := make(algebra.Row, len(row))
 	sh := shapeOf(pat, row)
 	s, p, o := sh.s, sh.p, sh.o
-	sc := planScan(st, &pat, sh, cand)
+	pc := candsOf(pat, sh, cand)
+	sc := planScan(st, sh, &pc)
 
 	switch sc.kind {
 	case accPoint:
 		if st.Contains(s, p, o) {
-			bindEmit(pat, row, scratch, s, p, o, cand, emit)
+			bindEmit(pat, row, scratch, s, p, o, &pc, emit)
 		}
 	case accAdj:
 		// The open position is a variable, the only one bindEmit could
@@ -349,11 +371,7 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 		// here, walking the shorter and binary-searching each ID in what
 		// is left of the longer, so both emit in ascending ID order.
 		open := sc.order[0]
-		var ids []store.ID
-		restricted := false
-		if cand != nil {
-			ids, restricted = cand[pat.at(open).Var]
-		}
+		ids, restricted := pc.list[open], pc.restricted[open]
 		walk, seek := sc.adj, ids
 		if restricted && len(ids) < len(sc.adj) {
 			walk, seek = ids, sc.adj
@@ -374,7 +392,7 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 	case accPProbeS:
 		for _, ss := range sc.cands {
 			for _, x := range st.ObjectsSP(ss, p) {
-				if !bindEmit(pat, row, scratch, ss, p, x, cand, emit) {
+				if !bindEmit(pat, row, scratch, ss, p, x, &pc, emit) {
 					return
 				}
 			}
@@ -382,43 +400,36 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 	case accPProbeO:
 		for _, oo := range sc.cands {
 			for _, ss := range st.SubjectsPO(p, oo) {
-				if !bindEmit(pat, row, scratch, ss, p, oo, cand, emit) {
+				if !bindEmit(pat, row, scratch, ss, p, oo, &pc, emit) {
 					return
 				}
 			}
 		}
 	case accP:
 		for _, t := range st.PredicateTriples(p) {
-			if !bindEmit(pat, row, scratch, t.S, p, t.O, cand, emit) {
+			if !bindEmit(pat, row, scratch, t.S, p, t.O, &pc, emit) {
 				return
 			}
 		}
 	case accS:
 		for _, t := range st.SubjectTriples(s) {
-			if !bindEmit(pat, row, scratch, s, t.P, t.O, cand, emit) {
+			if !bindEmit(pat, row, scratch, s, t.P, t.O, &pc, emit) {
 				return
 			}
 		}
 	case accO:
 		for _, t := range st.ObjectTriples(o) {
-			if !bindEmit(pat, row, scratch, t.S, t.P, o, cand, emit) {
+			if !bindEmit(pat, row, scratch, t.S, t.P, o, &pc, emit) {
 				return
 			}
 		}
 	case accAll:
 		for _, t := range st.Triples() {
-			if !bindEmit(pat, row, scratch, t.S, t.P, t.O, cand, emit) {
+			if !bindEmit(pat, row, scratch, t.S, t.P, t.O, &pc, emit) {
 				return
 			}
 		}
 	}
-}
-
-func candFor(pos Pos, cand Candidates) []store.ID {
-	if !pos.IsVar || cand == nil {
-		return nil
-	}
-	return cand[pos.Var]
 }
 
 // repeatedVar reports whether the same variable occurs at two positions.
@@ -478,14 +489,15 @@ func MatchOrder(st store.Reader, pat Pattern, bound func(int) bool, cand Candida
 		}
 	}
 	order := sh.path().order
+	pc := candsOf(pat, sh, cand)
 	for _, pr := range sh.path().probes {
-		if slices.Equal(pr.order, order) || candFor(pat.at(pr.by), cand) == nil {
+		if slices.Equal(pr.order, order) || !pc.restricted[pr.by] {
 			continue // the probe, taken or not, emits in the scan's order
 		}
 		if rowDependent {
 			return nil
 		}
-		order = planScan(st, &pat, sh, cand).order
+		order = planScan(st, sh, &pc).order
 		break
 	}
 	// Map positions to variables. A repeated variable keeps its first

@@ -39,7 +39,7 @@ func TestPropertyLBRMatchesBEtree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: core: %v", trial, err)
 		}
-		ref, err := core.ExecPlan(context.Background(), plan, exec.WCOEngine{}, core.Base, core.ExecOptions{Parallelism: 1})
+		ref, err := core.ExecPlan(context.Background(), plan, exec.WCOEngine{}, core.Base, core.ExecOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: core: %v", trial, err)
 		}

@@ -37,10 +37,9 @@ type EncTriple struct {
 // and range accessors return zero-copy sub-slices. POS additionally
 // carries level-2 runs (distinct objects per predicate), so (? p o)
 // searches only a predicate's distinct-object keys. Sorted order
-// doubles as the deterministic iteration order
-// that reproducible sampling, plan selection and the parallel/sequential
-// byte-identical-results guarantee rely on; no side ordering structures
-// are needed.
+// doubles as the deterministic iteration order that reproducible
+// sampling, plan selection and byte-identical results rely on; no side
+// ordering structures are needed.
 //
 // A Store is immutable by construction and safe for concurrent readers.
 type Store struct {

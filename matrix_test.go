@@ -41,7 +41,7 @@ func gridFor() matrixGrid {
 	}
 	for _, engine := range []sparqluo.Engine{sparqluo.WCO, sparqluo.BinaryJoin} {
 		for _, strat := range strategies {
-			g.cells = append(g.cells, cell{engine, strat, 1}, cell{engine, strat, 4})
+			g.cells = append(g.cells, cell{engine, strat})
 		}
 	}
 	return g
@@ -51,7 +51,6 @@ func gridFor() matrixGrid {
 type cell struct {
 	Engine   sparqluo.Engine
 	Strategy sparqluo.Strategy
-	Par      int
 }
 
 // matrixCase is one query of a fixture, with an execution window
@@ -65,13 +64,13 @@ type matrixCase struct {
 
 func (c matrixCase) options(cl cell) []sparqluo.Option {
 	return []sparqluo.Option{sparqluo.WithEngine(cl.Engine), sparqluo.WithStrategy(cl.Strategy),
-		sparqluo.WithParallelism(cl.Par), sparqluo.WithLimit(c.limit), sparqluo.WithOffset(c.offset)}
+		sparqluo.WithLimit(c.limit), sparqluo.WithOffset(c.offset)}
 }
 
 // TestMatrix: every store kind answers every query in every cell —
-// engine × strategy × parallelism {1, 4} — with the oracle's solutions,
-// and with the JSON bytes, RowsPulled and join space of the frozen store
-// it is written from or replays. Kinds: frozen; image, shards-1, shards-4;
+// engine × strategy — with the oracle's solutions, and with the JSON
+// bytes, RowsPulled and join space of the frozen store it is written
+// from or replays. Kinds: frozen; image, shards-1, shards-4;
 // live, quiesced after an insert/delete/Flush stream; dirty-live, with
 // writes left in the memtable. Cases marked serve also run on frozen and
 // dirty-live as one Prepared shared by 4 goroutines and over HTTP (fill,
@@ -215,7 +214,7 @@ func checkFixture(t *testing.T, cells []cell, data []rdf.Triple, cases []matrixC
 }
 
 // check runs case ci as a one-shot Query in every cell and holds each
-// answer to the sequential one of its cell, and to ref's or the oracle's.
+// answer to ref's or the oracle's.
 func (k *kind) check(t *testing.T, cells []cell, c matrixCase, ci int) map[cell]answer {
 	q := sparql.MustParse(c.text)
 	var want solutions
@@ -232,12 +231,9 @@ func (k *kind) check(t *testing.T, cells []cell, c matrixCase, ci int) map[cell]
 		doc := k.buf.Bytes()
 		a := answer{maphash.Bytes(docSeed, doc), uint64(len(doc)), uint64(res.RowsPulled()), res.JoinSpace()}
 		answers[cl] = a
-		seq := cell{cl.Engine, cl.Strategy, 1}
 		switch {
-		case a != answers[seq]:
-			err = fmt.Errorf("answer %+v, sequentially %+v", a, answers[seq])
-		case k.ref != nil && a != k.ref.byCase[ci][seq]:
-			err = fmt.Errorf("answer %+v, %s's %+v", a, k.ref.name, k.ref.byCase[ci][seq])
+		case k.ref != nil && a != k.ref.byCase[ci][cl]:
+			err = fmt.Errorf("answer %+v, %s's %+v", a, k.ref.name, k.ref.byCase[ci][cl])
 		case k.ref == nil && !agreed[a.doc]:
 			agreed[a.doc] = true
 			got, derr := decodeResults(doc)
@@ -280,7 +276,7 @@ func (k *kind) checkServing(t *testing.T, cells []cell, c matrixCase, answers ma
 	}
 	wg.Wait()
 	for _, cl := range cells {
-		h := sparqluo.NewHandler(k.db, sparqluo.WithPlanCache(1), sparqluo.WithHandlerParallelism(cl.Par))
+		h := sparqluo.NewHandler(k.db, sparqluo.WithPlanCache(1))
 		params := url.Values{"query": {c.text}, "engine": {[2]string{"wco", "binary"}[cl.Engine]},
 			"strategy": {strings.ToLower(cl.Strategy.String())}, "offset": {fmt.Sprint(c.offset)}}
 		if c.limit >= 0 {

@@ -53,9 +53,9 @@ func engName(e sparqluo.Engine) string {
 }
 
 // TestWindowIsExactPrefix is the core LIMIT/OFFSET contract: for every
-// engine × strategy × parallelism, the windowed result equals the
-// corresponding slice of the same configuration's unlimited result —
-// early termination may only cut work, never change rows.
+// engine × strategy, the windowed result equals the corresponding slice
+// of the same configuration's unlimited result — early termination may
+// only cut work, never change rows.
 func TestWindowIsExactPrefix(t *testing.T) {
 	db := openWindowDB(t)
 	for _, q := range windowQueries {
@@ -74,26 +74,23 @@ func TestWindowIsExactPrefix(t *testing.T) {
 					{0, 0}, {1, 0}, {7, 0}, {7, 5}, {3, len(full) - 2},
 					{5, len(full)}, {5, len(full) + 10}, {len(full) + 10, 0},
 				}
-				for _, par := range []int{1, 4} {
-					for _, w := range windows {
-						lim, off := w[0], w[1]
-						opts := append([]sparqluo.Option{
-							sparqluo.WithParallelism(par),
-							sparqluo.WithLimit(lim),
-							sparqluo.WithOffset(off),
-						}, cfg...)
-						page, err := db.Query(q.text, opts...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						lo := min(off, len(full))
-						hi := min(off+lim, len(full))
-						want := full[lo:hi]
-						got := page.Solutions()
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/%s/%v par=%d limit=%d offset=%d: got %d rows %v, want %d rows %v",
-								q.name, engName(eng), strat, par, lim, off, len(got), got, len(want), want)
-						}
+				for _, w := range windows {
+					lim, off := w[0], w[1]
+					opts := append([]sparqluo.Option{
+						sparqluo.WithLimit(lim),
+						sparqluo.WithOffset(off),
+					}, cfg...)
+					page, err := db.Query(q.text, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lo := min(off, len(full))
+					hi := min(off+lim, len(full))
+					want := full[lo:hi]
+					got := page.Solutions()
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%s/%v limit=%d offset=%d: got %d rows %v, want %d rows %v",
+							q.name, engName(eng), strat, lim, off, len(got), got, len(want), want)
 					}
 				}
 			}
@@ -151,9 +148,9 @@ func TestTextualWindowMatchesExecWindow(t *testing.T) {
 }
 
 // TestOrderByDeterministic: with a key that is unique per row the order
-// is fully determined, so every engine, strategy and parallelism level
-// must return the identical row sequence; DESC is its exact reverse,
-// and ORDER BY ... LIMIT k is its exact k-prefix.
+// is fully determined, so every engine and strategy must return the
+// identical row sequence; DESC is its exact reverse, and ORDER BY ...
+// LIMIT k is its exact k-prefix.
 func TestOrderByDeterministic(t *testing.T) {
 	db := openWindowDB(t)
 	asc := `PREFIX ex: <http://ex.org/>
@@ -161,47 +158,45 @@ func TestOrderByDeterministic(t *testing.T) {
 	var ref []sparqluo.Solution
 	for _, eng := range allEngines {
 		for _, strat := range allStrategies {
-			for _, par := range []int{1, 4} {
-				cfg := []sparqluo.Option{
-					sparqluo.WithEngine(eng), sparqluo.WithStrategy(strat), sparqluo.WithParallelism(par)}
-				res, err := db.Query(asc, cfg...)
-				if err != nil {
-					t.Fatal(err)
+			cfg := []sparqluo.Option{
+				sparqluo.WithEngine(eng), sparqluo.WithStrategy(strat)}
+			res, err := db.Query(asc, cfg...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Solutions()
+			if ref == nil {
+				ref = got
+				if len(ref) != 60 {
+					t.Fatalf("rows = %d, want 60", len(ref))
 				}
-				got := res.Solutions()
-				if ref == nil {
-					ref = got
-					if len(ref) != 60 {
-						t.Fatalf("rows = %d, want 60", len(ref))
-					}
-					for i := 1; i < len(ref); i++ {
-						if ref[i-1]["x"].Value > ref[i]["x"].Value {
-							t.Fatalf("not sorted at %d: %v > %v", i, ref[i-1]["x"], ref[i]["x"])
-						}
-					}
-					continue
-				}
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s/%v par=%d: ORDER BY result differs from reference", engName(eng), strat, par)
-				}
-				desc, err := db.Query(strings.Replace(asc, "ORDER BY ?x", "ORDER BY DESC ?x", 1), cfg...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dsol := desc.Solutions()
-				for i := range dsol {
-					if !reflect.DeepEqual(dsol[i], ref[len(ref)-1-i]) {
-						t.Errorf("%s/%v par=%d: DESC row %d is not ASC row %d", engName(eng), strat, par, i, len(ref)-1-i)
-						break
+				for i := 1; i < len(ref); i++ {
+					if ref[i-1]["x"].Value > ref[i]["x"].Value {
+						t.Fatalf("not sorted at %d: %v > %v", i, ref[i-1]["x"], ref[i]["x"])
 					}
 				}
-				topk, err := db.Query(asc+" LIMIT 11 OFFSET 3", cfg...)
-				if err != nil {
-					t.Fatal(err)
+				continue
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s/%v: ORDER BY result differs from reference", engName(eng), strat)
+			}
+			desc, err := db.Query(strings.Replace(asc, "ORDER BY ?x", "ORDER BY DESC ?x", 1), cfg...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dsol := desc.Solutions()
+			for i := range dsol {
+				if !reflect.DeepEqual(dsol[i], ref[len(ref)-1-i]) {
+					t.Errorf("%s/%v: DESC row %d is not ASC row %d", engName(eng), strat, i, len(ref)-1-i)
+					break
 				}
-				if got := topk.Solutions(); !reflect.DeepEqual(got, ref[3:14]) {
-					t.Errorf("%s/%v par=%d: ORDER BY LIMIT window %v, want %v", engName(eng), strat, par, got, ref[3:14])
-				}
+			}
+			topk, err := db.Query(asc+" LIMIT 11 OFFSET 3", cfg...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := topk.Solutions(); !reflect.DeepEqual(got, ref[3:14]) {
+				t.Errorf("%s/%v: ORDER BY LIMIT window %v, want %v", engName(eng), strat, got, ref[3:14])
 			}
 		}
 	}

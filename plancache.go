@@ -21,8 +21,8 @@ const maxVariants = 64
 
 // respKey is every request option that can change response bytes; a
 // memoized body is stored under its plan entry by this key.
-// Parallelism and timeout are not part of it: results are identical at
-// every worker-pool size, and a timed-out execution publishes nothing.
+// The timeout is not part of it: a timed-out execution publishes
+// nothing.
 type respKey struct {
 	strategy Strategy
 	engine   Engine

@@ -90,10 +90,9 @@ func (p *Prepared) ExecContext(ctx context.Context, opts ...Option) (*Results, e
 	}
 	res, err := core.ExecPlan(ctx, plan, cfg.engine.impl(), cfg.strategy,
 		core.ExecOptions{
-			Parallelism: cfg.parallelism,
-			Limit:       cfg.limit,
-			LimitSet:    cfg.limit >= 0,
-			Offset:      cfg.offset,
+			Limit:    cfg.limit,
+			LimitSet: cfg.limit >= 0,
+			Offset:   cfg.offset,
 		})
 	if err != nil {
 		if ctx.Err() != nil {

@@ -34,8 +34,8 @@ func goldenDB() *sparqluo.DB {
 	return db
 }
 
-// goldenQuery mixes UNION and OPTIONAL so the parallel fan-out paths
-// contribute rows whose order the merge must keep stable.
+// goldenQuery mixes UNION and OPTIONAL so both contribute rows whose
+// order the serialization must keep stable.
 const goldenQuery = `
 	PREFIX g: <http://g/>
 	SELECT ?s ?name ?o ?role ?age WHERE {
@@ -46,37 +46,33 @@ const goldenQuery = `
 	}`
 
 // TestWriteJSONGolden locks the W3C JSON serialization byte-for-byte
-// against testdata/results_golden.json, under maximum parallelism: any
-// nondeterminism the worker pool introduced in solution ordering (or
-// any serializer drift) fails the comparison. Refresh the file with
-// go test -run TestWriteJSONGolden -update-golden.
+// against testdata/results_golden.json: any nondeterminism in solution
+// ordering (or any serializer drift) fails the comparison. Refresh the
+// file with go test -run TestWriteJSONGolden -update-golden.
 func TestWriteJSONGolden(t *testing.T) {
 	db := goldenDB()
 	golden := filepath.Join("testdata", "results_golden.json")
-	for _, par := range []int{1, 8} {
-		res, err := db.Query(goldenQuery, sparqluo.WithParallelism(par))
-		if err != nil {
+	res, err := db.Query(goldenQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := res.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		if err := res.WriteJSON(&sb); err != nil {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if par == 1 && *updateGolden {
-			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sb.String() != string(want) {
-			t.Errorf("parallelism=%d: JSON output diverged from golden file\ngot:  %s\nwant: %s",
-				par, sb.String(), want)
-		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("JSON output diverged from golden file\ngot:  %s\nwant: %s", sb.String(), want)
 	}
 }

@@ -90,12 +90,9 @@
 // state lives on the call stack. A single *Prepared may likewise be
 // executed from any number of goroutines: the built plan is never
 // mutated (transforming strategies clone it per execution). Each query
-// additionally evaluates sibling UNION branches and OPTIONAL subtrees
-// of its BE-tree in parallel on a bounded worker pool sized by
-// WithParallelism (default GOMAXPROCS; 1 disables intra-query
-// parallelism). Per-branch solution bags and instrumentation are merged
-// in sibling order, so results, solution ordering, and metrics are
-// byte-identical at every parallelism level.
+// runs on its calling goroutine: the BE-tree is walked depth first, so
+// results, solution ordering and metrics are a deterministic function of
+// the query and the data. Concurrency comes from issuing many queries.
 //
 // QueryContext threads a context.Context through the evaluator and both
 // BGP engines: cancelling the context or passing one with a deadline
@@ -360,12 +357,11 @@ func (db *DB) Store() *store.Store { return db.st }
 type Option func(*queryConfig)
 
 type queryConfig struct {
-	strategy    Strategy
-	engine      Engine
-	parallelism int
-	bindings    map[string]Term
-	limit       int // exec-time row cap; -1 = none
-	offset      int // exec-time rows to skip; 0 = none
+	strategy Strategy
+	engine   Engine
+	bindings map[string]Term
+	limit    int // exec-time row cap; -1 = none
+	offset   int // exec-time rows to skip; 0 = none
 }
 
 func defaultQueryConfig() queryConfig {
@@ -380,14 +376,6 @@ func WithStrategy(s Strategy) Option {
 // WithEngine selects the BGP engine (default WCO).
 func WithEngine(e Engine) Option {
 	return func(c *queryConfig) { c.engine = e }
-}
-
-// WithParallelism bounds the per-query evaluation worker pool: up to n
-// goroutines evaluate independent UNION branches and OPTIONAL subtrees
-// concurrently. n <= 0 selects GOMAXPROCS (the default); 1 evaluates
-// sequentially. Results are identical at every setting.
-func WithParallelism(n int) Option {
-	return func(c *queryConfig) { c.parallelism = n }
 }
 
 // WithLimit caps the number of solutions this execution returns, on top

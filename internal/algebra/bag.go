@@ -102,13 +102,6 @@ func (b *Bag) AppendAll(o *Bag) {
 	b.rows += o.rows
 }
 
-// TakeRows adopts o's arena as b's row storage (no copy). o must not be
-// appended to afterwards; b's Cert/Maybe/Order are left untouched.
-func (b *Bag) TakeRows(o *Bag) {
-	b.data = o.data
-	b.rows = o.rows
-}
-
 // View returns a zero-copy sub-bag of rows [lo, hi), sharing the arena.
 // Metadata (Cert/Maybe/Order) is cloned; a contiguous slice of sorted
 // rows keeps the sort. The view's capacity is clamped so appending to

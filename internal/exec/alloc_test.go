@@ -142,17 +142,17 @@ func TestCandidateScanAllocatesAsPlainScan(t *testing.T) {
 		pat  Pattern
 		row  algebra.Row
 		cand Candidates
-		kind access
+		arm  string
 	}{
-		{"subject and predicate bound", fan, seeded, Candidates{1: first(fan, seeded, 1)}, accAdj},
-		{"predicate bound, probed by subject", small, unit, Candidates{0: first(small, unit, 0)}, accPProbeS},
-		{"predicate bound, probed by object", small, unit, Candidates{1: first(small, unit, 1)}, accPProbeO},
+		{"subject and predicate bound", fan, seeded, Candidates{1: first(fan, seeded, 1)}, "view"},
+		{"predicate bound, probed by subject", small, unit, Candidates{0: first(small, unit, 0)}, "probe by S"},
+		{"predicate bound, probed by object", small, unit, Candidates{1: first(small, unit, 1)}, "probe by O"},
 	}
 	for _, c := range cases {
 		sh := shapeOf(c.pat, c.row)
 		pc := candsOf(c.pat, sh, c.cand)
-		if got := planScan(st, sh, &pc).kind; got != c.kind {
-			t.Fatalf("%s: access kind %d, want %d", c.name, got, c.kind)
+		if got := armOf(st, sh, &pc); got != c.arm {
+			t.Fatalf("%s: arm %q, want %q", c.name, got, c.arm)
 		}
 		if rows := collectMatches(st, c.pat, c.row, c.cand); len(rows) != 10 {
 			t.Fatalf("%s: %d rows, want 10", c.name, len(rows))

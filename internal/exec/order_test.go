@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,10 +100,11 @@ func randomSeed(rng *rand.Rand, st *store.Store, pat Pattern, width int) algebra
 // rows, with and without candidate sets, over the plain store and over
 // its 1-, 2- and 4-shard sets folded back into one store (which must
 // also emit the plain store's rows and claim its order), reaching every
-// access kind of the table. This
+// arm of MatchPattern and every shape of the access-path table. This
 // is the contract scanPattern's Order field rests on.
 func TestQuickMatchOrderSound(t *testing.T) {
-	var seen [accPoint + 1]bool
+	seen := map[string]bool{}
+	var served [len(accessPaths)]bool
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomStore(rng, 50+rng.Intn(80))
@@ -118,7 +120,9 @@ func TestQuickMatchOrderSound(t *testing.T) {
 				sh := shapeOf(pat, row)
 				pc := candsOf(pat, sh, cand)
 				for i, rd := range readers {
-					seen[planScan(rd, sh, &pc).kind] = true
+					arm := armOf(rd, sh, &pc)
+					seen[arm] = true
+					served[sh.mask] = served[sh.mask] || !strings.HasPrefix(arm, "probe")
 					rows := collectMatches(rd, pat, row, cand)
 					order := MatchOrder(rd, pat, bound, cand)
 					if !toBag(width, rows).SortedBy(order) {
@@ -140,11 +144,31 @@ func TestQuickMatchOrderSound(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
-	for kind, ok := range seen {
-		if !ok {
-			t.Errorf("access kind %d never exercised", kind)
+	for _, arm := range []string{"point", "view", "run", "probe by S", "probe by O"} {
+		if !seen[arm] {
+			t.Errorf("arm %q never exercised", arm)
 		}
 	}
+	for mask, ok := range served {
+		if !ok {
+			t.Errorf("shape %03b never served by its own range", mask)
+		}
+	}
+}
+
+// armOf names the arm MatchPattern takes for shape sh under the
+// candidate lists pc.
+func armOf(st store.Reader, sh shape, pc *posCands) string {
+	if by, ok := probeBy(st, sh, pc); ok {
+		return "probe by " + string("SPO"[by])
+	}
+	switch ap := sh.path(); {
+	case ap.view != nil:
+		return "view"
+	case ap.run != nil:
+		return "run"
+	}
+	return "point"
 }
 
 // TestQuickEngineOrderClaimsSound: whatever physical order an engine's

@@ -186,49 +186,22 @@ func (p *Pattern) at(sl slot) Pos {
 	return p.O
 }
 
-// access is the kind of index access a pattern scan performs: one per
-// bound-position shape (the three shapes with one open position share
-// one), plus the two candidate probes that can replace the
-// predicate-only shape's range scan.
-type access uint8
-
-const (
-	accAll     access = iota // nothing bound: the canonical SPO array
-	accO                     // OSP run of one object
-	accP                     // POS run of one predicate
-	accPProbeS               // per subject candidate, its objects under the predicate
-	accPProbeO               // per object candidate, its subjects under the predicate
-	accS                     // SPO run of one subject
-	accAdj                   // one open position: the ID view adj returns
-	accPoint                 // everything bound: one membership test
-)
-
-// probe is a candidate-driven alternative to the predicate-only shape's
-// range scan: when the pattern variable at position by has a candidate
-// list shorter than the range, the list is enumerated (ascending)
-// against the index instead. The subject probe emits in another order
-// than the range, so the choice is a real one. A shape with one open
-// position needs no probe: MatchPattern intersects its ID view with the
-// open variable's list, walking whichever is shorter.
-type probe struct {
-	kind  access
-	by    slot
-	order []slot
-}
-
 // accessPath is one row of the access-path table: how a bound-position
 // shape is served. order is the emission order over the unbound
 // positions — the order of the permutation range the access reads —
 // and count is the size of that range, read off the index in O(1) or a
-// binary search. adj, on the three shapes with a single open position,
-// fetches the range itself as a zero-copy ID view (whose length is the
-// count for free).
+// binary search. A shape with one open position reads its range as a
+// zero-copy ID view (view, whose length is the count for free); one
+// with two or three reads it as a triple run (run); the shape with
+// none is a membership test. probes lists, in preference order, the
+// positions whose candidate list may be enumerated in place of the
+// range (see probeBy).
 type accessPath struct {
-	kind   access
 	order  []slot
 	count  func(st store.Reader, s, p, o store.ID) int
-	adj    func(st store.Reader, s, p, o store.ID) []store.ID
-	probes []probe // in preference order
+	view   func(st store.Reader, s, p, o store.ID) []store.ID
+	run    func(st store.Reader, s, p, o store.ID) []store.EncTriple
+	probes []slot
 }
 
 // accessPaths is the single place the scan policy is written down,
@@ -236,28 +209,29 @@ type accessPath struct {
 // MatchPattern enumerates what it says, MatchOrder reports its orders,
 // ExactCount and the probe decision read its counts.
 var accessPaths = [8]accessPath{
-	0b000: {kind: accAll, order: []slot{slotS, slotP, slotO},
-		count: func(st store.Reader, _, _, _ store.ID) int { return st.NumTriples() }},
-	0b001: {kind: accO, order: []slot{slotS, slotP},
-		count: func(st store.Reader, _, _, o store.ID) int { return st.CountO(o) }},
-	0b010: {kind: accP, order: []slot{slotO, slotS},
-		count: func(st store.Reader, _, p, _ store.ID) int { return st.CountP(p) },
-		probes: []probe{
-			{accPProbeS, slotS, []slot{slotS, slotO}},
-			{accPProbeO, slotO, []slot{slotO, slotS}},
-		}},
-	0b011: {kind: accAdj, order: []slot{slotS},
+	0b000: {order: []slot{slotS, slotP, slotO},
+		count: func(st store.Reader, _, _, _ store.ID) int { return st.NumTriples() },
+		run:   func(st store.Reader, _, _, _ store.ID) []store.EncTriple { return st.Triples() }},
+	0b001: {order: []slot{slotS, slotP},
+		count: func(st store.Reader, _, _, o store.ID) int { return st.CountO(o) },
+		run:   func(st store.Reader, _, _, o store.ID) []store.EncTriple { return st.ObjectTriples(o) }},
+	0b010: {order: []slot{slotO, slotS},
+		count:  func(st store.Reader, _, p, _ store.ID) int { return st.CountP(p) },
+		run:    func(st store.Reader, _, p, _ store.ID) []store.EncTriple { return st.PredicateTriples(p) },
+		probes: []slot{slotS, slotO}},
+	0b011: {order: []slot{slotS},
 		count: func(st store.Reader, _, p, o store.ID) int { return st.CountPO(p, o) },
-		adj:   func(st store.Reader, _, p, o store.ID) []store.ID { return st.SubjectsPO(p, o) }},
-	0b100: {kind: accS, order: []slot{slotP, slotO},
-		count: func(st store.Reader, s, _, _ store.ID) int { return st.CountS(s) }},
-	0b101: {kind: accAdj, order: []slot{slotP},
+		view:  func(st store.Reader, _, p, o store.ID) []store.ID { return st.SubjectsPO(p, o) }},
+	0b100: {order: []slot{slotP, slotO},
+		count: func(st store.Reader, s, _, _ store.ID) int { return st.CountS(s) },
+		run:   func(st store.Reader, s, _, _ store.ID) []store.EncTriple { return st.SubjectTriples(s) }},
+	0b101: {order: []slot{slotP},
 		count: func(st store.Reader, s, _, o store.ID) int { return st.CountSO(s, o) },
-		adj:   func(st store.Reader, s, _, o store.ID) []store.ID { return st.PredsSO(s, o) }},
-	0b110: {kind: accAdj, order: []slot{slotO},
+		view:  func(st store.Reader, s, _, o store.ID) []store.ID { return st.PredsSO(s, o) }},
+	0b110: {order: []slot{slotO},
 		count: func(st store.Reader, s, p, _ store.ID) int { return st.CountSP(s, p) },
-		adj:   func(st store.Reader, s, p, _ store.ID) []store.ID { return st.ObjectsSP(s, p) }},
-	0b111: {kind: accPoint,
+		view:  func(st store.Reader, s, p, _ store.ID) []store.ID { return st.ObjectsSP(s, p) }},
+	0b111: {
 		count: func(st store.Reader, s, p, o store.ID) int {
 			if st.Contains(s, p, o) {
 				return 1
@@ -267,26 +241,30 @@ var accessPaths = [8]accessPath{
 }
 
 // shape is a pattern's binding state: the ID at every bound position
-// and the accessPaths index saying which positions those are.
+// (indexed by slot) and the accessPaths index saying which positions
+// those are.
 type shape struct {
-	s, p, o store.ID
-	mask    uint8
+	id   [3]store.ID
+	mask uint8
 }
 
 // shapeOf resolves pat against row. A nil row binds only the ground
 // positions. Callers have excluded Impossible patterns, so a position
 // is bound exactly when its ID is not store.None.
 func shapeOf(pat Pattern, row algebra.Row) shape {
-	sh := shape{s: resolve(pat.S, row), p: resolve(pat.P, row), o: resolve(pat.O, row)}
-	if sh.s != store.None {
-		sh.mask |= 0b100
+	var sh shape
+	for sl, pos := range [3]Pos{pat.S, pat.P, pat.O} {
+		if id := resolve(pos, row); id != store.None {
+			sh = sh.bind(slot(sl), id)
+		}
 	}
-	if sh.p != store.None {
-		sh.mask |= 0b010
-	}
-	if sh.o != store.None {
-		sh.mask |= 0b001
-	}
+	return sh
+}
+
+// bind returns the shape with position sl bound to id.
+func (sh shape) bind(sl slot, id store.ID) shape {
+	sh.id[sl] = id
+	sh.mask |= 0b100 >> sl
 	return sh
 }
 
@@ -294,41 +272,39 @@ func shapeOf(pat Pattern, row algebra.Row) shape {
 func (sh shape) path() *accessPath { return &accessPaths[sh.mask] }
 
 // count returns the size of the index range the shape selects.
-func (sh shape) count(st store.Reader) int { return sh.path().count(st, sh.s, sh.p, sh.o) }
-
-// scan is the scan policy's decision for one pattern under one shape.
-type scan struct {
-	kind  access
-	order []slot     // emission order over the unbound positions
-	adj   []store.ID // the range itself, on single-open-position shapes
-	cands []store.ID // the candidate list a probe kind enumerates
+func (sh shape) count(st store.Reader) int {
+	return sh.path().count(st, sh.id[slotS], sh.id[slotP], sh.id[slotO])
 }
 
-// planScan is the scan policy: the shape's access path, unless the
-// variable at a probe position (only the predicate-only shape has any)
-// has a candidate list shorter than the range, in which case the first
-// such probe replaces the scan. The range size is read only when a
-// candidate list competes.
-func planScan(st store.Reader, sh shape, pc *posCands) scan {
-	ap := sh.path()
-	sc := scan{kind: ap.kind, order: ap.order}
-	if ap.adj != nil {
-		sc.adj = ap.adj(st, sh.s, sh.p, sh.o)
-	}
+// probeBy is the scan policy's one choice: a probe enumerates the
+// candidate list of the variable at one of the shape's probe positions
+// (only the predicate-only shape has any) and reads, per candidate, the
+// view of the shape that binds it, in place of the shape's range. The
+// first position whose list is shorter than the range is probed; the
+// range size is read only when a list competes. A shape with one open
+// position needs no probe: its view is intersected with the open
+// variable's list, walking whichever is shorter.
+func probeBy(st store.Reader, sh shape, pc *posCands) (slot, bool) {
 	n := -1
-	for _, pr := range ap.probes {
-		if !pc.restricted[pr.by] {
+	for _, by := range sh.path().probes {
+		if !pc.restricted[by] {
 			continue
 		}
-		set := pc.list[pr.by]
 		if n < 0 {
 			n = sh.count(st)
 		}
-		if len(set) < n {
-			return scan{kind: pr.kind, order: pr.order, cands: set}
+		if len(pc.list[by]) < n {
+			return by, true
 		}
 	}
-	return sc
+	return 0, false
+}
+
+// probeOrder writes into buf the order a probe by position by emits in
+// on the shape with the given mask: by's candidates ascending, then the
+// view order of the shape that binds by.
+func probeOrder(buf *[3]slot, mask uint8, by slot) []slot {
+	return append(append(buf[:0], by), accessPaths[mask|0b100>>by].order...)
 }
 
 // MatchPattern enumerates all extensions of row that match pat in st,
@@ -344,7 +320,7 @@ func planScan(st store.Reader, sh shape, pc *posCands) scan {
 // Matches are emitted in the physical order of the permutation range the
 // pattern reads; MatchOrder reports that order as a variable sequence.
 // Candidates restrict a scan in one of three ways: a shape with one
-// open position intersects its range with the open variable's list, the
+// open position intersects its view with the open variable's list, the
 // predicate-only shape may enumerate a list instead of its range (a
 // probe), and every other match is checked by bindEmit against the
 // lists looked up once per call. Both store kinds — a built store and a
@@ -356,80 +332,63 @@ func MatchPattern(st store.Reader, pat Pattern, row algebra.Row, cand Candidates
 	}
 	scratch := make(algebra.Row, len(row))
 	sh := shapeOf(pat, row)
-	s, p, o := sh.s, sh.p, sh.o
 	pc := candsOf(pat, sh, cand)
-	sc := planScan(st, sh, &pc)
-
-	switch sc.kind {
-	case accPoint:
-		if st.Contains(s, p, o) {
-			bindEmit(pat, row, scratch, s, p, o, &pc, emit)
-		}
-	case accAdj:
-		// The open position is a variable, the only one bindEmit could
-		// check against cand: intersect its list, if any, with the range
-		// here, walking the shorter and binary-searching each ID in what
-		// is left of the longer, so both emit in ascending ID order.
-		open := sc.order[0]
-		ids, restricted := pc.list[open], pc.restricted[open]
-		walk, seek := sc.adj, ids
-		if restricted && len(ids) < len(sc.adj) {
-			walk, seek = ids, sc.adj
-		}
-		t := [3]store.ID{s, p, o}
-		for _, x := range walk {
-			if restricted {
-				i, found := slices.BinarySearch(seek, x)
-				if seek = seek[i:]; !found {
-					continue
-				}
-			}
-			t[open] = x
-			if !bindEmit(pat, row, scratch, t[0], t[1], t[2], nil, emit) {
+	if by, ok := probeBy(st, sh, &pc); ok {
+		for _, x := range pc.list[by] {
+			if !emitView(st, pat, row, scratch, sh.bind(by, x), &pc, emit) {
 				return
 			}
 		}
-	case accPProbeS:
-		for _, ss := range sc.cands {
-			for _, x := range st.ObjectsSP(ss, p) {
-				if !bindEmit(pat, row, scratch, ss, p, x, &pc, emit) {
-					return
-				}
-			}
-		}
-	case accPProbeO:
-		for _, oo := range sc.cands {
-			for _, ss := range st.SubjectsPO(p, oo) {
-				if !bindEmit(pat, row, scratch, ss, p, oo, &pc, emit) {
-					return
-				}
-			}
-		}
-	case accP:
-		for _, t := range st.PredicateTriples(p) {
-			if !bindEmit(pat, row, scratch, t.S, p, t.O, &pc, emit) {
-				return
-			}
-		}
-	case accS:
-		for _, t := range st.SubjectTriples(s) {
-			if !bindEmit(pat, row, scratch, s, t.P, t.O, &pc, emit) {
-				return
-			}
-		}
-	case accO:
-		for _, t := range st.ObjectTriples(o) {
-			if !bindEmit(pat, row, scratch, t.S, t.P, o, &pc, emit) {
-				return
-			}
-		}
-	case accAll:
-		for _, t := range st.Triples() {
+		return
+	}
+	ap := sh.path()
+	s, p, o := sh.id[slotS], sh.id[slotP], sh.id[slotO]
+	switch {
+	case ap.view != nil:
+		emitView(st, pat, row, scratch, sh, &pc, emit)
+	case ap.run != nil:
+		for _, t := range ap.run(st, s, p, o) {
 			if !bindEmit(pat, row, scratch, t.S, t.P, t.O, &pc, emit) {
 				return
 			}
 		}
+	default:
+		if st.Contains(s, p, o) {
+			bindEmit(pat, row, scratch, s, p, o, &pc, emit)
+		}
 	}
+}
+
+// emitView enumerates the view of sh, a shape with one open position,
+// binding each ID at that position. The open position is a variable,
+// the only one bindEmit could check against its candidate list in pc:
+// the list, if any, is intersected with the view here instead, walking
+// the shorter and binary-searching each ID in what is left of the
+// longer, so both emit in ascending ID order. It returns false once
+// emit asks enumeration to stop.
+func emitView(st store.Reader, pat Pattern, row, scratch algebra.Row, sh shape, pc *posCands, emit func(algebra.Row) bool) bool {
+	ap := sh.path()
+	t := sh.id
+	view := ap.view(st, t[slotS], t[slotP], t[slotO])
+	open := ap.order[0]
+	ids, restricted := pc.list[open], pc.restricted[open]
+	walk, seek := view, ids
+	if restricted && len(ids) < len(view) {
+		walk, seek = ids, view
+	}
+	for _, x := range walk {
+		if restricted {
+			i, found := slices.BinarySearch(seek, x)
+			if seek = seek[i:]; !found {
+				continue
+			}
+		}
+		t[open] = x
+		if !bindEmit(pat, row, scratch, t[slotS], t[slotP], t[slotO], nil, emit) {
+			return false
+		}
+	}
+	return true
 }
 
 // repeatedVar reports whether the same variable occurs at two positions.
@@ -490,14 +449,17 @@ func MatchOrder(st store.Reader, pat Pattern, bound func(int) bool, cand Candida
 	}
 	order := sh.path().order
 	pc := candsOf(pat, sh, cand)
-	for _, pr := range sh.path().probes {
-		if slices.Equal(pr.order, order) || !pc.restricted[pr.by] {
+	var buf [3]slot
+	for _, by := range sh.path().probes {
+		if !pc.restricted[by] || slices.Equal(probeOrder(&buf, sh.mask, by), order) {
 			continue // the probe, taken or not, emits in the scan's order
 		}
 		if rowDependent {
 			return nil
 		}
-		order = planScan(st, sh, &pc).order
+		if by, ok := probeBy(st, sh, &pc); ok {
+			order = probeOrder(&buf, sh.mask, by)
+		}
 		break
 	}
 	// Map positions to variables. A repeated variable keeps its first

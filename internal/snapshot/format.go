@@ -11,7 +11,7 @@
 // the mapped bytes — cold start becomes an open+mmap plus an O(terms)
 // dictionary walk, with no per-triple work at all.
 //
-// # File layout (version 1)
+// # File layout (version 2)
 //
 //	[0, 64)            fixed header (little-endian):
 //	                     magic [8]byte, version u32, byte-order mark
@@ -24,7 +24,7 @@
 //	                     u64, CRC32-C u32, reserved u32}
 //	[...]              section payloads, each 8-byte aligned
 //
-// Version 1 has exactly the 14 sections enumerated below, each present
+// Version 2 has exactly the 11 sections enumerated below, each present
 // exactly once, and the payloads (with their zero alignment padding)
 // tile the rest of the file exactly — every byte of an image is covered
 // by the header CRC, the table CRC, a section CRC, or the
@@ -77,25 +77,22 @@ var Magic = [8]byte{0x89, 'S', 'P', 'Q', 'U', 'O', 0x1a, '\n'}
 
 // Version is the current format version; see the package comment for
 // the compatibility policy.
-const Version = 1
+const Version = 2
 
-// Section kinds of format version 1. Every kind appears exactly once.
+// Section kinds of format version 2. Every kind appears exactly once.
 const (
-	secDictBlob   = iota + 1 // dictionary term records (see write.go)
-	secSPOTri                // []EncTriple sorted (S,P,O)
-	secSPOOff                // []int32 row pointers over S
-	secSPOCol                // []ID object column
-	secPOSTri                // []EncTriple sorted (P,O,S)
-	secPOSOff                // []int32 row pointers over P
-	secPOSCol                // []ID subject column
-	secOSPTri                // []EncTriple sorted (O,S,P)
-	secOSPOff                // []int32 row pointers over O
-	secOSPCol                // []ID predicate column
-	secPosObjKeys            // []ID distinct objects per predicate (level-2 runs)
-	secPosObjOff             // []int32 level-2 run starts
-	secPosObjIdx             // []int32 per-predicate pointers into the level-2 keys
-	secStats                 // frozen-store statistics (see write.go)
-	numSections   = secStats
+	secDictBlob = iota + 1 // dictionary term records (see write.go)
+	secSPOTri              // []EncTriple sorted (S,P,O)
+	secSPOOff              // []int32 row pointers over S
+	secSPOCol              // []ID object column
+	secPOSTri              // []EncTriple sorted (P,O,S)
+	secPOSOff              // []int32 row pointers over P
+	secPOSCol              // []ID subject column
+	secOSPTri              // []EncTriple sorted (O,S,P)
+	secOSPOff              // []int32 row pointers over O
+	secOSPCol              // []ID predicate column
+	secStats               // frozen-store statistics (see write.go)
+	numSections = secStats
 )
 
 // Term record tags in the dictionary blob.

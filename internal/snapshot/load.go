@@ -241,21 +241,10 @@ func Load(data []byte) (*store.Store, error) {
 		{secSPOOff, offBytes, "SPO row pointers"},
 		{secPOSOff, offBytes, "POS row pointers"},
 		{secOSPOff, offBytes, "OSP row pointers"},
-		{secPosObjIdx, offBytes, "POS level-2 index"},
 	} {
 		if uint64(len(secs[c.kind])) != c.want {
 			return nil, corruptf("%s section is %d bytes, want %d", c.name, len(secs[c.kind]), c.want)
 		}
-	}
-	if len(secs[secPosObjKeys])%4 != 0 {
-		return nil, corruptf("POS level-2 keys section not a multiple of 4 bytes")
-	}
-	numObjKeys := len(secs[secPosObjKeys]) / 4
-	if numObjKeys > numTriples {
-		return nil, corruptf("%d POS level-2 keys for %d triples", numObjKeys, numTriples)
-	}
-	if uint64(len(secs[secPosObjOff])) != uint64(numObjKeys+1)*4 {
-		return nil, corruptf("POS level-2 run starts section is %d bytes, want %d", len(secs[secPosObjOff]), (numObjKeys+1)*4)
 	}
 
 	l := store.Layout{
@@ -274,9 +263,6 @@ func Load(data []byte) (*store.Store, error) {
 			Off: view[int32](secs[secOSPOff], 4),
 			Col: view[store.ID](secs[secOSPCol], 4),
 		},
-		PosObjKeys: view[store.ID](secs[secPosObjKeys], 4),
-		PosObjOff:  view[int32](secs[secPosObjOff], 4),
-		PosObjIdx:  view[int32](secs[secPosObjIdx], 4),
 	}
 
 	// Row-pointer arrays are dereferenced unchecked on the query path
@@ -290,17 +276,15 @@ func Load(data []byte) (*store.Store, error) {
 		{"SPO row pointers", l.SPO.Off, numTriples},
 		{"POS row pointers", l.POS.Off, numTriples},
 		{"OSP row pointers", l.OSP.Off, numTriples},
-		{"POS level-2 run starts", l.PosObjOff, numTriples},
-		{"POS level-2 index", l.PosObjIdx, numObjKeys},
 	} {
 		if err := checkRowPointers(c.name, c.off, c.total); err != nil {
 			return nil, err
 		}
 	}
 
-	// Triple, column and level-2 key IDs feed Dict.Decode unchecked on
-	// the result path, where the reserved ID 0 or an ID beyond the
-	// dictionary panics; make those a load-time error instead. This is a
+	// Triple and column IDs feed Dict.Decode unchecked on the result
+	// path, where the reserved ID 0 or an ID beyond the dictionary
+	// panics; make those a load-time error instead. This is a
 	// compare-only min/max sweep, far cheaper than the parse work the
 	// format avoids — the sortedness of the permutations is still
 	// trusted to the checksums (a forged image can produce wrong
@@ -313,7 +297,7 @@ func Load(data []byte) (*store.Store, error) {
 				hi = max(hi, tr.S, tr.P, tr.O)
 			}
 		}
-		for _, col := range [][]store.ID{l.SPO.Col, l.POS.Col, l.OSP.Col, l.PosObjKeys} {
+		for _, col := range [][]store.ID{l.SPO.Col, l.POS.Col, l.OSP.Col} {
 			for _, id := range col {
 				lo, hi = min(lo, id), max(hi, id)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"sparqluo/internal/rdf"
@@ -80,9 +82,6 @@ func requireEqualStores(t *testing.T, want, got *store.Store) {
 		{"OSP.Tri", wl.OSP.Tri, gl.OSP.Tri},
 		{"OSP.Off", wl.OSP.Off, gl.OSP.Off},
 		{"OSP.Col", wl.OSP.Col, gl.OSP.Col},
-		{"PosObjKeys", wl.PosObjKeys, gl.PosObjKeys},
-		{"PosObjOff", wl.PosObjOff, gl.PosObjOff},
-		{"PosObjIdx", wl.PosObjIdx, gl.PosObjIdx},
 	} {
 		if !reflect.DeepEqual(c.want, c.have) {
 			t.Errorf("layout %s differs after round trip", c.name)
@@ -261,11 +260,16 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		}
 	})
 
+	// Version 1 carried the POS level-2 sections; images are a cache,
+	// so an old one is refused, never migrated.
 	t.Run("version", func(t *testing.T) {
-		mut := append([]byte(nil), img...)
-		mut[offVersion] = 99
-		if _, err := Load(mut); err == nil || errors.Is(err, ErrCorrupt) {
-			t.Fatalf("unknown version: got %v, want a distinct version error", err)
+		for _, v := range []byte{1, 99} {
+			mut := append([]byte(nil), img...)
+			mut[offVersion] = v
+			_, err := Load(mut)
+			if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported format version %d", v)) {
+				t.Fatalf("version %d: got %v, want the unsupported-version error", v, err)
+			}
 		}
 	})
 
@@ -302,7 +306,7 @@ func section(img []byte, kind int) []byte {
 // ID 0) must fail at load time — those IDs would otherwise panic
 // Dict.Decode during result writing.
 func TestLoadRejectsForgedIDs(t *testing.T) {
-	for _, sec := range []int{secSPOTri, secPOSCol, secPosObjKeys} {
+	for _, sec := range []int{secSPOTri, secPOSCol, secOSPCol} {
 		for _, forged := range []uint32{0, 1 << 30} {
 			img := image(t, testStore(t))
 			binary.LittleEndian.PutUint32(section(img, sec)[8:], forged)

@@ -43,9 +43,6 @@ func Write(w io.Writer, st *store.Store) error {
 	sections[secOSPTri] = bytesOf(l.OSP.Tri)
 	sections[secOSPOff] = bytesOf(l.OSP.Off)
 	sections[secOSPCol] = bytesOf(l.OSP.Col)
-	sections[secPosObjKeys] = bytesOf(l.PosObjKeys)
-	sections[secPosObjOff] = bytesOf(l.PosObjOff)
-	sections[secPosObjIdx] = bytesOf(l.PosObjIdx)
 	sections[secStats] = encodeStats(st.Stats())
 
 	// Lay the sections out after the header and table, each 8-aligned.

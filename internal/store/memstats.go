@@ -12,7 +12,7 @@ type MemStats struct {
 	LogTriples int   // triples outside the permutations: pending ones not yet built, or a live view's delta
 	LogBytes   int64 // bytes held by those triples
 	SPOBytes   int64 // SPO permutation: triples + level-1 runs + object column
-	POSBytes   int64 // POS permutation: triples + level-1/level-2 runs + subject column
+	POSBytes   int64 // POS permutation: triples + level-1 runs + subject column
 	OSPBytes   int64 // OSP permutation: triples + level-1 runs + predicate column
 	DictTerms  int   // distinct terms in the dictionary
 	DictBytes  int64 // term string data held by the dictionary
@@ -23,10 +23,9 @@ type MemStats struct {
 // and dictionary.
 func (st *Store) MemStats() MemStats {
 	m := MemStats{
-		Triples:  len(st.spo.tri),
-		SPOBytes: st.spo.bytes(),
-		POSBytes: st.pos.bytes() + int64(len(st.posObjKeys))*4 +
-			int64(len(st.posObjOff))*4 + int64(len(st.posObjIdx))*4,
+		Triples:   len(st.spo.tri),
+		SPOBytes:  st.spo.bytes(),
+		POSBytes:  st.pos.bytes(),
 		OSPBytes:  st.osp.bytes(),
 		DictTerms: st.dict.Len(),
 		DictBytes: st.dict.StringBytes(),

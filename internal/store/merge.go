@@ -61,15 +61,15 @@ func MergeRun(base, minus, plus []EncTriple, cmp func(a, b EncTriple) int) (out 
 // MergeFold builds a store holding (base − del) ∪ add without
 // sorting anything: each of the base's three permutations is merged
 // with the delta's run in the same order by MergeRun, one linear pass
-// per permutation. Row pointers, trailing columns and the POS level-2
-// runs are rebuilt by a linear index pass over each merged run, and the
-// statistics are recomputed off the merged arrays — O(n+m) per
-// permutation for an n-triple base and m-triple delta.
+// per permutation. Row pointers and trailing columns are rebuilt by a
+// linear index pass over each merged run, and the statistics are
+// recomputed off the merged arrays — O(n+m) per permutation for an
+// n-triple base and m-triple delta.
 //
 // add and del must be resolved against base (add ∩ base = ∅,
 // del ⊆ base, add ∩ del = ∅); the output is then byte-identical to a
 // FromTriples rebuild of the flattened triple set — same permutation
-// arrays, row pointers, level-2 runs and statistics. Because the merge
+// arrays, row pointers, columns and statistics. Because the merge
 // assumes the invariants it also checks them, at no extra cost: every
 // tombstone consumed, no insert tying with a base triple, and every
 // merged run exactly len(base) − len(del) + len(add) long; a delta that

@@ -87,8 +87,8 @@ func rebuildReference(t *testing.T, c foldCase) *Store {
 }
 
 // requireIdentical asserts every array of the two stores' layouts —
-// all three permutations with row pointers and trailing columns, the
-// POS level-2 runs — and the statistics are byte-identical.
+// all three permutations with row pointers and trailing columns — and
+// the statistics are byte-identical.
 func requireIdentical(t *testing.T, got, want *Store) bool {
 	t.Helper()
 	g, w := got.Layout(), want.Layout()
@@ -110,12 +110,6 @@ func requireIdentical(t *testing.T, got, want *Store) bool {
 	if !permEq("spo", g.SPO, w.SPO) || !permEq("pos", g.POS, w.POS) || !permEq("osp", g.OSP, w.OSP) {
 		return false
 	}
-	if !slices.Equal(g.PosObjKeys, w.PosObjKeys) ||
-		!slices.Equal(g.PosObjOff, w.PosObjOff) ||
-		!slices.Equal(g.PosObjIdx, w.PosObjIdx) {
-		t.Log("POS level-2 runs diverge")
-		return false
-	}
 	if !reflect.DeepEqual(got.Stats(), want.Stats()) {
 		t.Logf("stats diverge: %+v vs %+v", got.Stats(), want.Stats())
 		return false
@@ -125,7 +119,7 @@ func requireIdentical(t *testing.T, got, want *Store) bool {
 
 // TestMergeFoldMatchesRebuild: on randomized resolved deltas, sorted
 // per permutation, MergeFold's output is byte-identical (all three
-// permutations, row pointers, level-2 runs, statistics) to a full
+// permutations, row pointers, columns, statistics) to a full
 // FromTriples rebuild of the flattened (base − dels) ∪ adds slice. (How
 // duplicate adds, adds already in base, tombstones of absent triples
 // and add-beats-tombstone reduce to such a delta is decided — and

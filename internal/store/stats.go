@@ -29,6 +29,7 @@ func computeStats(st *Store) *Stats {
 		PredSubjects: make(map[ID]int),
 		PredObjects:  make(map[ID]int),
 	}
+	pos := st.pos.tri
 	for p := ID(1); int(p) <= maxID; p++ {
 		lo, hi := st.pos.run(p)
 		if lo == hi {
@@ -36,8 +37,16 @@ func computeStats(st *Store) *Stats {
 		}
 		s.NumPreds++
 		s.PredCount[p] = hi - lo
-		// The POS level-2 runs list one key per distinct (p,o) pair.
-		s.PredObjects[p] = int(st.posObjIdx[p+1] - st.posObjIdx[p])
+		// A predicate's POS run is sorted by object: every object
+		// transition is one distinct object. Counted per run, so a
+		// predicate costs one map write, not one per object.
+		objs := 1
+		for i := lo + 1; i < hi; i++ {
+			if pos[i].O != pos[i-1].O {
+				objs++
+			}
+		}
+		s.PredObjects[p] = objs
 	}
 	// SPO is sorted by (S,P,O): every (S,P) transition is one distinct
 	// subject of that predicate.

@@ -34,9 +34,7 @@ type EncTriple struct {
 // row-pointer array over the dense dictionary ID space (level-1 lookup
 // is one indexed load) and a flat copy of its trailing component, so
 // every access path is at most a binary search over contiguous memory
-// and range accessors return zero-copy sub-slices. POS additionally
-// carries level-2 runs (distinct objects per predicate), so (? p o)
-// searches only a predicate's distinct-object keys. Sorted order
+// and range accessors return zero-copy sub-slices. Sorted order
 // doubles as the deterministic iteration order that reproducible
 // sampling, plan selection and byte-identical results rely on; no side
 // ordering structures are needed.
@@ -48,16 +46,6 @@ type Store struct {
 	spo perm // sorted (S,P,O); canonical, deduplicated
 	pos perm // sorted (P,O,S)
 	osp perm // sorted (O,S,P)
-
-	// Level-2 CSR runs of the POS permutation: posObjKeys lists the
-	// distinct objects of every predicate (grouped by predicate, each
-	// group ascending), posObjOff marks where object k's subjects start
-	// in pos, and posObjIdx are per-predicate row pointers into
-	// posObjKeys. (?,p,o) lookups then binary-search only the distinct
-	// objects of p — a short, dense []ID — instead of the full run.
-	posObjKeys []ID
-	posObjOff  []int32 // len = len(posObjKeys)+1
-	posObjIdx  []int32 // len = maxID+2
 
 	stats *Stats
 }
@@ -146,52 +134,34 @@ func cmpID(a, b ID) int {
 	return 0
 }
 
-// eqRangeP returns the sub-range of tri[lo:hi] whose P equals p; the
-// input range must be sorted by P. Hand-rolled binary searches keep
-// closure overhead off the point-lookup hot path.
-func eqRangeP(tri []EncTriple, lo, hi int, p ID) (int, int) {
-	a, b := lo, hi
-	for a < b {
-		m := int(uint(a+b) >> 1)
-		if tri[m].P < p {
-			a = m + 1
+// lowerBound returns the first index in tri[lo:hi] whose component c
+// (0 S, 1 P, 2 O) is at least id; the range must be sorted by that
+// component, as a permutation's run of one leading ID is by its middle
+// one. Calls at id and id+1 bound the equal range of id (dense IDs
+// never reach the wrap). The search is hand-rolled and inlined, so c is
+// a constant at every call site and no closure overhead reaches the
+// point-lookup hot path.
+func lowerBound(tri []EncTriple, lo, hi, c int, id ID) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if component(tri[m], c) < id {
+			lo = m + 1
 		} else {
-			b = m
+			hi = m
 		}
 	}
-	first, end := a, hi
-	for a < end {
-		m := int(uint(a+end) >> 1)
-		if tri[m].P <= p {
-			a = m + 1
-		} else {
-			end = m
-		}
-	}
-	return first, a
+	return lo
 }
 
-// eqRangeS is eqRangeP for the S component.
-func eqRangeS(tri []EncTriple, lo, hi int, s ID) (int, int) {
-	a, b := lo, hi
-	for a < b {
-		m := int(uint(a+b) >> 1)
-		if tri[m].S < s {
-			a = m + 1
-		} else {
-			b = m
-		}
+// component returns t's component c (0 S, 1 P, 2 O).
+func component(t EncTriple, c int) ID {
+	switch c {
+	case 0:
+		return t.S
+	case 1:
+		return t.P
 	}
-	first, end := a, hi
-	for a < end {
-		m := int(uint(a+end) >> 1)
-		if tri[m].S <= s {
-			a = m + 1
-		} else {
-			end = m
-		}
-	}
-	return first, a
+	return t.O
 }
 
 // PermLayout is the flat representation of one sorted permutation: the
@@ -209,23 +179,15 @@ type PermLayout struct {
 // into the store's arrays; callers must treat them as read-only.
 type Layout struct {
 	SPO, POS, OSP PermLayout
-
-	// Level-2 CSR runs of the POS permutation (see Store).
-	PosObjKeys []ID
-	PosObjOff  []int32
-	PosObjIdx  []int32
 }
 
 // Layout exposes the store's columnar arrays. The snapshot writer is
 // the intended consumer.
 func (st *Store) Layout() Layout {
 	return Layout{
-		SPO:        PermLayout{Tri: st.spo.tri, Off: st.spo.off, Col: st.spo.col},
-		POS:        PermLayout{Tri: st.pos.tri, Off: st.pos.off, Col: st.pos.col},
-		OSP:        PermLayout{Tri: st.osp.tri, Off: st.osp.off, Col: st.osp.col},
-		PosObjKeys: st.posObjKeys,
-		PosObjOff:  st.posObjOff,
-		PosObjIdx:  st.posObjIdx,
+		SPO: PermLayout{Tri: st.spo.tri, Off: st.spo.off, Col: st.spo.col},
+		POS: PermLayout{Tri: st.pos.tri, Off: st.pos.off, Col: st.pos.col},
+		OSP: PermLayout{Tri: st.osp.tri, Off: st.osp.off, Col: st.osp.col},
 	}
 }
 
@@ -239,14 +201,11 @@ func (st *Store) Layout() Layout {
 // validates structural invariants and checksums before calling it.
 func FromLayout(dict *Dict, l Layout, stats *Stats) *Store {
 	return &Store{
-		dict:       dict,
-		spo:        perm{tri: l.SPO.Tri, off: l.SPO.Off, col: l.SPO.Col},
-		pos:        perm{tri: l.POS.Tri, off: l.POS.Off, col: l.POS.Col},
-		osp:        perm{tri: l.OSP.Tri, off: l.OSP.Off, col: l.OSP.Col},
-		posObjKeys: l.PosObjKeys,
-		posObjOff:  l.PosObjOff,
-		posObjIdx:  l.PosObjIdx,
-		stats:      stats,
+		dict:  dict,
+		spo:   perm{tri: l.SPO.Tri, off: l.SPO.Off, col: l.SPO.Col},
+		pos:   perm{tri: l.POS.Tri, off: l.POS.Off, col: l.POS.Col},
+		osp:   perm{tri: l.OSP.Tri, off: l.OSP.Off, col: l.OSP.Col},
+		stats: stats,
 	}
 }
 
@@ -315,11 +274,10 @@ func (st *Store) NumTriples() int {
 // given in its three permutation orders: spo itself, and producers of
 // the POS- and OSP-sorted runs (a sort in FromTriples, a finished merge
 // in MergeFold). It derives each permutation's row pointers and
-// trailing column, the POS level-2 runs, and then the statistics. The
-// three per-permutation builds, producers included, run concurrently on
-// a worker group sized off GOMAXPROCS — they write disjoint fields from
-// disjoint inputs, so the result is byte-identical to the sequential
-// build.
+// trailing column, and then the statistics. The three per-permutation
+// builds, producers included, run concurrently on a worker group sized
+// off GOMAXPROCS — they write disjoint fields from disjoint inputs, so
+// the result is byte-identical to the sequential build.
 func newStore(dict *Dict, spo []EncTriple, pos, osp func() []EncTriple) *Store {
 	st := &Store{dict: dict}
 	maxID := dict.Len()
@@ -330,11 +288,9 @@ func newStore(dict *Dict, spo []EncTriple, pos, osp func() []EncTriple) *Store {
 				func(t EncTriple) ID { return t.O })
 		},
 		func() {
-			run := pos()
-			st.pos = makePerm(run, maxID,
+			st.pos = makePerm(pos(), maxID,
 				func(t EncTriple) ID { return t.P },
 				func(t EncTriple) ID { return t.S })
-			st.posObjKeys, st.posObjOff, st.posObjIdx = buildPOSRuns(run, maxID)
 		},
 		func() {
 			st.osp = makePerm(osp(), maxID,
@@ -344,24 +300,6 @@ func newStore(dict *Dict, spo []EncTriple, pos, osp func() []EncTriple) *Store {
 	)
 	st.stats = computeStats(st)
 	return st
-}
-
-// buildPOSRuns derives the level-2 runs over a sorted POS permutation:
-// one entry per distinct (predicate, object) pair, in POS order.
-func buildPOSRuns(pos []EncTriple, maxID int) (keys []ID, off, idx []int32) {
-	idx = make([]int32, maxID+2)
-	for i, t := range pos {
-		if i == 0 || t.P != pos[i-1].P || t.O != pos[i-1].O {
-			keys = append(keys, t.O)
-			off = append(off, int32(i))
-			idx[t.P+1]++
-		}
-	}
-	off = append(off, int32(len(pos)))
-	for i := 1; i < len(idx); i++ {
-		idx[i] += idx[i-1]
-	}
-	return keys, off, idx
 }
 
 // Stats returns the statistics computed when the store was built.
@@ -392,39 +330,25 @@ func (st *Store) Contains(s, p, o ID) bool {
 // store's object column; do not modify it.
 func (st *Store) ObjectsSP(s, p ID) []ID {
 	lo, hi := st.spo.run(s)
-	a, b := eqRangeP(st.spo.tri, lo, hi, p)
-	return st.spo.col[a:b]
+	a := lowerBound(st.spo.tri, lo, hi, 1, p)
+	return st.spo.col[a:lowerBound(st.spo.tri, a, hi, 1, p+1)]
 }
 
 // SubjectsPO returns the subjects of all triples with the given predicate
-// and object, in ascending ID order (zero-copy view).
+// and object, in ascending ID order (zero-copy view of the POS subject
+// column).
 func (st *Store) SubjectsPO(p, o ID) []ID {
-	if int(p) >= len(st.posObjIdx)-1 {
-		return nil
-	}
-	lo, hi := int(st.posObjIdx[p]), int(st.posObjIdx[p+1])
-	end := hi
-	keys := st.posObjKeys
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if keys[m] < o {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == end || keys[lo] != o {
-		return nil
-	}
-	return st.pos.col[st.posObjOff[lo]:st.posObjOff[lo+1]]
+	lo, hi := st.pos.run(p)
+	a := lowerBound(st.pos.tri, lo, hi, 2, o)
+	return st.pos.col[a:lowerBound(st.pos.tri, a, hi, 2, o+1)]
 }
 
 // PredsSO returns the predicates linking subject s to object o, in
 // ascending ID order (zero-copy view of the OSP predicate column).
 func (st *Store) PredsSO(s, o ID) []ID {
 	lo, hi := st.osp.run(o)
-	a, b := eqRangeS(st.osp.tri, lo, hi, s)
-	return st.osp.col[a:b]
+	a := lowerBound(st.osp.tri, lo, hi, 0, s)
+	return st.osp.col[a:lowerBound(st.osp.tri, a, hi, 0, s+1)]
 }
 
 // SubjectTriples returns all triples with subject s, sorted by (P,O)
@@ -459,12 +383,16 @@ func (st *Store) SubjectsOfPredicate(p ID) []ID {
 }
 
 // ObjectsOfPredicate returns the distinct objects of a predicate in
-// ascending ID order — a zero-copy view of the POS level-2 run keys.
+// ascending ID order: one compacting pass over the predicate's POS run,
+// which holds its objects ascending. The slice is computed per call.
 func (st *Store) ObjectsOfPredicate(p ID) []ID {
-	if int(p) >= len(st.posObjIdx)-1 {
-		return nil
+	var objs []ID
+	for _, t := range st.PredicateTriples(p) {
+		if n := len(objs); n == 0 || objs[n-1] != t.O {
+			objs = append(objs, t.O)
+		}
 	}
-	return st.posObjKeys[st.posObjIdx[p]:st.posObjIdx[p+1]]
+	return objs
 }
 
 // Triples returns the full triple set in canonical (S,P,O) sorted order

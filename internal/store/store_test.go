@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -136,6 +137,84 @@ func TestStats(t *testing.T) {
 	}
 	if got := s.AvgOutDegree(ID(9999)); got != 1 {
 		t.Errorf("AvgOutDegree(unknown) = %v, want 1", got)
+	}
+}
+
+// naiveStats counts every Stats field over a set of distinct triples
+// with maps, independently of the permutation arrays computeStats reads.
+func naiveStats(d *Dict, set map[EncTriple]bool) *Stats {
+	s := &Stats{
+		NumTriples:   len(set),
+		PredCount:    map[ID]int{},
+		PredSubjects: map[ID]int{},
+		PredObjects:  map[ID]int{},
+	}
+	subjects, objects := map[[2]ID]bool{}, map[[2]ID]bool{}
+	entities, literals := map[ID]bool{}, map[ID]bool{}
+	for t := range set {
+		s.PredCount[t.P]++
+		if !subjects[[2]ID{t.P, t.S}] {
+			subjects[[2]ID{t.P, t.S}] = true
+			s.PredSubjects[t.P]++
+		}
+		if !objects[[2]ID{t.P, t.O}] {
+			objects[[2]ID{t.P, t.O}] = true
+			s.PredObjects[t.P]++
+		}
+		entities[t.S] = true
+		if d.Decode(t.O).IsLiteral() {
+			literals[t.O] = true
+		} else {
+			entities[t.O] = true
+		}
+	}
+	s.NumPreds, s.NumEntities, s.NumLiterals = len(s.PredCount), len(entities), len(literals)
+	return s
+}
+
+// TestQuickStatsMatchNaiveCount: every Stats field of a random store
+// equals a naive count over its distinct triples, for stores built by
+// FromTriples (duplicates in the input) and by MergeFold.
+func TestQuickStatsMatchNaiveCount(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ts := randTriples(rng, 1+rng.Intn(200))
+		built, err := FromRDF(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[EncTriple]bool{}
+		for _, tr := range ts {
+			set[built.Dict().EncodeTriple(tr)] = true
+		}
+		if want := naiveStats(built.Dict(), set); !reflect.DeepEqual(built.Stats(), want) {
+			t.Logf("FromTriples seed %d: stats %+v, want %+v", seed, built.Stats(), want)
+			return false
+		}
+
+		c := randFoldCase(rng)
+		folded, err := c.fold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		set = map[EncTriple]bool{}
+		for _, tr := range c.base.Triples() {
+			set[tr] = true
+		}
+		for _, tr := range c.dels {
+			delete(set, tr)
+		}
+		for _, tr := range c.adds {
+			set[tr] = true
+		}
+		if want := naiveStats(folded.Dict(), set); !reflect.DeepEqual(folded.Stats(), want) {
+			t.Logf("MergeFold seed %d: stats %+v, want %+v", seed, folded.Stats(), want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 

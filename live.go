@@ -3,11 +3,9 @@ package sparqluo
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"sparqluo/internal/overlay"
-	"sparqluo/internal/rdf"
 	"sparqluo/internal/snapshot"
 	"sparqluo/internal/store"
 	"sparqluo/internal/wal"
@@ -214,39 +212,6 @@ func (db *DB) Delete(ts ...Triple) error {
 		return ErrNotLive
 	}
 	return db.live.Delete(ts...)
-}
-
-// InsertNTriples decodes an N-Triples document (with optional
-// Turtle-style @prefix directives) and inserts every triple as one
-// atomic batch, returning the number of triples decoded.
-func (db *DB) InsertNTriples(r io.Reader) (int, error) {
-	if db.live == nil {
-		return 0, ErrNotLive
-	}
-	ts, err := rdf.ParseAll(r)
-	if err != nil {
-		return 0, err
-	}
-	if err := db.live.Insert(ts...); err != nil {
-		return 0, err
-	}
-	return len(ts), nil
-}
-
-// DeleteNTriples decodes an N-Triples document and deletes every triple
-// as one atomic batch, returning the number of triples decoded.
-func (db *DB) DeleteNTriples(r io.Reader) (int, error) {
-	if db.live == nil {
-		return 0, ErrNotLive
-	}
-	ts, err := rdf.ParseAll(r)
-	if err != nil {
-		return 0, err
-	}
-	if err := db.live.Delete(ts...); err != nil {
-		return 0, err
-	}
-	return len(ts), nil
 }
 
 // Flush synchronously compacts the memtable into the frozen base:

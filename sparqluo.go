@@ -267,8 +267,11 @@ func (db *DB) reader() store.Reader {
 // ErrFrozen.
 func (db *DB) Load(r io.Reader) error {
 	if db.Live() {
-		_, err := db.InsertNTriples(r)
-		return err
+		ts, err := rdf.ParseAll(r)
+		if err != nil {
+			return err
+		}
+		return db.live.Insert(ts...)
 	}
 	if !db.loading() {
 		return ErrFrozen

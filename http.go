@@ -95,8 +95,8 @@ func WithPlanCache(n int) HandlerOption {
 //
 // Query responses use the W3C SPARQL 1.1 Query Results JSON Format,
 // streamed row by row (the handler never materializes the full result).
-// The optional "strategy" parameter selects base|tt|cp|full (default
-// full), "engine" selects wco|binary (default wco), and "timeout"
+// The optional "strategy" parameter selects base|tt|cp|full in any case
+// (default full), "engine" selects wco|binary (default wco), and "timeout"
 // lowers the per-request deadline (a Go duration, capped by
 // WithQueryTimeout). "limit" and "offset" (non-negative integers) apply
 // a per-request pagination window on top of the query text (see

@@ -176,37 +176,6 @@ func compareRows(a, b Row) int {
 	return 0
 }
 
-// SortBy returns a copy of b stably sorted by the given column sequence.
-// The result's Order is seq extended with the surviving tail of b's own
-// order: within a tie on seq the stable sort preserves b's row order,
-// so positions of b.Order not in seq remain a valid sort suffix.
-func SortBy(b *Bag, seq []int) *Bag {
-	idx := make([]int, b.rows)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		return compareOn(b.Row(idx[x]), b.Row(idx[y]), seq) < 0
-	})
-	out := &Bag{
-		Width: b.Width,
-		Cert:  b.Cert.Clone(),
-		Maybe: b.Maybe.Clone(),
-		rows:  b.rows,
-		data:  make([]store.ID, 0, b.rows*b.Width),
-	}
-	for _, i := range idx {
-		out.data = append(out.data, b.Row(i)...)
-	}
-	out.Order = slices.Clone(seq)
-	for _, p := range b.Order {
-		if !slices.Contains(seq, p) {
-			out.Order = append(out.Order, p)
-		}
-	}
-	return out
-}
-
 // SortedBy reports whether the bag's rows actually ascend
 // lexicographically by seq — the invariant Order claims. Test helper.
 func (b *Bag) SortedBy(seq []int) bool {

@@ -105,7 +105,7 @@ func TestQuickKernelModesTimesPaths(t *testing.T) {
 						return true // merge and hash need a certain key
 					}
 					if pc.presort {
-						a, b = SortBy(a, keys), SortBy(b, keys)
+						a, b = SortByKeys(a, ascending(keys)), SortByKeys(b, ascending(keys))
 					}
 					hashed := 0
 					spy := func(r Row, k []int) uint64 { hashed++; return hashKey(r, k) }

@@ -207,16 +207,16 @@ func mergePlan(a, b *Bag, keys []int, resort bool) (sa, sb *Bag, seq []int, ok b
 			return a, b, seqA, true
 		}
 		if b.rows <= a.rows {
-			return a, SortBy(b, seqA), seqA, true
+			return a, SortByKeys(b, ascending(seqA)), seqA, true
 		}
-		return SortBy(a, seqB), b, seqB, true
+		return SortByKeys(a, ascending(seqB)), b, seqB, true
 	case okA:
 		if b.rows <= a.rows {
-			return a, SortBy(b, seqA), seqA, true
+			return a, SortByKeys(b, ascending(seqA)), seqA, true
 		}
 	case okB:
 		if a.rows <= b.rows {
-			return SortBy(a, seqB), b, seqB, true
+			return SortByKeys(a, ascending(seqB)), b, seqB, true
 		}
 	}
 	return nil, nil, nil, false

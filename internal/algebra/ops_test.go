@@ -138,7 +138,7 @@ func TestLeftJoinMultiplicity(t *testing.T) {
 
 // TestLeftJoinNotCommutableWithJoin pins the counterexample that makes
 // moving a BGP across an OPTIONAL boundary unsafe (see
-// Transformer.mergeAllowed): (A ⟕ B) ⋈ C ≠ (A ⋈ C) ⟕ B.
+// insertSafe in package core): (A ⟕ B) ⋈ C ≠ (A ⋈ C) ⟕ B.
 func TestLeftJoinNotCommutableWithJoin(t *testing.T) {
 	A := mkBag(1, []int{0})        // single empty mapping; width 1 (var v)
 	B := mkBag(1, []int{1})        // v=1

@@ -47,7 +47,7 @@ func randSkewBag(rng *rand.Rand, width int) *Bag {
 		for _, v := range rng.Perm(width)[:rng.Intn(width+1)] {
 			seq = append(seq, v)
 		}
-		b = SortBy(b, seq)
+		b = SortByKeys(b, ascending(seq))
 	}
 	return b
 }
@@ -62,7 +62,7 @@ func forcedHashJoin(a, b *Bag, hash keyHashFn) *Bag {
 // the dispatch pick the merge matcher.
 func forcedMergeJoin(a, b *Bag) *Bag {
 	keys := a.Cert.And(b.Cert).Indices(a.Width)
-	return joinKernel(SortBy(a, keys), SortBy(b, keys), modeInner, unlimited, pathAuto, hashKey)
+	return joinKernel(SortByKeys(a, ascending(keys)), SortByKeys(b, ascending(keys)), modeInner, unlimited, pathAuto, hashKey)
 }
 
 // TestQuickMergeHashNestedJoinAgree proves the three physical joins —
@@ -202,7 +202,7 @@ func TestQuickOperatorOrderClaimsSound(t *testing.T) {
 			check(t, "union", UnionAll(4, a, b)) &&
 			check(t, "distinct", Distinct(a)) &&
 			check(t, "project", Project(a, []int{0, 2})) &&
-			check(t, "sortby", SortBy(a, []int{1, 3}))
+			check(t, "sortby", SortByKeys(a, ascending([]int{1, 3})))
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -260,12 +260,13 @@ func TestHashCollisionProbeVerifiesKeys(t *testing.T) {
 	}
 }
 
-// TestSortByStableAndSorted pins SortBy's two contracts: the output is
-// sorted by the requested sequence, and ties keep the input order (the
-// determinism the merge dispatch needs when it re-sorts an operand).
+// TestSortByStableAndSorted pins the two contracts of an ascending
+// SortByKeys: the output is sorted by the requested sequence, and ties
+// keep the input order (the determinism the merge dispatch needs when it
+// re-sorts an operand).
 func TestSortByStableAndSorted(t *testing.T) {
 	b := mkBag(2, []int{2, 1}, []int{1, 2}, []int{2, 3}, []int{1, 1})
-	s := SortBy(b, []int{0})
+	s := SortByKeys(b, ascending([]int{0}))
 	want := [][]store.ID{{1, 2}, {1, 1}, {2, 1}, {2, 3}}
 	for i, w := range want {
 		r := s.Row(i)
@@ -274,7 +275,7 @@ func TestSortByStableAndSorted(t *testing.T) {
 		}
 	}
 	if !s.SortedBy([]int{0}) {
-		t.Fatal("SortBy output not sorted by requested sequence")
+		t.Fatal("SortByKeys output not sorted by requested sequence")
 	}
 }
 

@@ -51,8 +51,8 @@ func OrderCoversKeys(ord []int, keys []SortKey) bool {
 // the ascending key columns up to the first descending one — Order only
 // speaks ascending — extended, when every key ascends, with the
 // surviving tail of the input's own order (the stable sort preserves it
-// within key ties, exactly as in SortBy). The claim is equally valid for
-// any contiguous prefix of the sorted rows, so TopK shares it.
+// within key ties). The claim is equally valid for any contiguous prefix
+// of the sorted rows, so TopK shares it.
 func sortedKeyOrder(keys []SortKey, prevOrder []int) []int {
 	var out []int
 	for _, k := range keys {
@@ -71,8 +71,20 @@ func sortedKeyOrder(keys []SortKey, prevOrder []int) []int {
 	return out
 }
 
+// ascending returns the all-ascending sort keys on the column sequence
+// seq. A bag sorted by them has Order seq followed by the surviving tail
+// of its own order.
+func ascending(seq []int) []SortKey {
+	keys := make([]SortKey, len(seq))
+	for i, c := range seq {
+		keys[i] = SortKey{Col: c}
+	}
+	return keys
+}
+
 // SortByKeys returns a copy of b stably sorted by the given keys — the
-// ORDER BY operator. Ties keep b's row order, so the result is a
+// ORDER BY operator, and the merge join's re-sort of an operand (keys
+// from ascending). Ties keep b's row order, so the result is a
 // deterministic function of the input.
 func SortByKeys(b *Bag, keys []SortKey) *Bag {
 	idx := make([]int, b.rows)

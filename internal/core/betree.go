@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"sparqluo/internal/algebra"
@@ -287,28 +288,12 @@ func subjObjVarIdx(p exec.Pattern) []int {
 
 // CountBGP returns the number of BGP leaf nodes of the tree (the paper's
 // Count_BGP(Q) metric, §7.1).
-func (t *Tree) CountBGP() int { return countBGP(t.Root) }
-
-func countBGP(n Node) int {
-	switch n := n.(type) {
-	case *BGPNode:
-		return 1
-	case *GroupNode:
-		c := 0
-		for _, ch := range n.Children {
-			c += countBGP(ch)
-		}
-		return c
-	case *UnionNode:
-		c := 0
-		for _, br := range n.Branches {
-			c += countBGP(br)
-		}
-		return c
-	case *OptionalNode:
-		return countBGP(n.Right)
+func (t *Tree) CountBGP() int {
+	n := 0
+	for range bgps(t.Root) {
+		n++
 	}
-	return 0
+	return n
 }
 
 // Depth returns the maximum nesting depth of group graph patterns (the
@@ -316,29 +301,55 @@ func countBGP(n Node) int {
 func (t *Tree) Depth() int { return depthOf(t.Root) }
 
 func depthOf(n Node) int {
+	d := 0
+	if g, ok := n.(*GroupNode); ok {
+		for _, ch := range g.Children {
+			d = max(d, depthOf(ch))
+		}
+		return d + 1
+	}
+	for _, g := range targets(n) {
+		d = max(d, depthOf(g))
+	}
+	return d
+}
+
+// targets returns the groups an operator node holds: every branch of a
+// UNION, the right group of an OPTIONAL, nil for a group or a BGP. They
+// are the groups a merge or an inject inserts into (see insert).
+func targets(n Node) []*GroupNode {
+	switch n := n.(type) {
+	case *UnionNode:
+		return n.Branches
+	case *OptionalNode:
+		return []*GroupNode{n.Right}
+	}
+	return nil
+}
+
+// bgps yields every BGP leaf below n, depth first in sibling order.
+func bgps(n Node) iter.Seq[*BGPNode] {
+	return func(yield func(*BGPNode) bool) { walkBGPs(n, yield) }
+}
+
+func walkBGPs(n Node, yield func(*BGPNode) bool) bool {
 	switch n := n.(type) {
 	case *BGPNode:
-		return 0
+		return yield(n)
 	case *GroupNode:
-		max := 0
 		for _, ch := range n.Children {
-			if d := depthOf(ch); d > max {
-				max = d
+			if !walkBGPs(ch, yield) {
+				return false
 			}
 		}
-		return max + 1
-	case *UnionNode:
-		max := 0
-		for _, br := range n.Branches {
-			if d := depthOf(br); d > max {
-				max = d
-			}
-		}
-		return max
-	case *OptionalNode:
-		return depthOf(n.Right)
+		return true
 	}
-	return 0
+	for _, g := range targets(n) {
+		if !walkBGPs(g, yield) {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks the structural invariants of Definition 8: UNION nodes

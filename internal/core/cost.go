@@ -51,26 +51,29 @@ func (cm *costModel) ensure(b *BGPNode) {
 }
 
 // nodeCard estimates |res(n)| for any BE-tree node.
-func (cm *costModel) nodeCard(n Node) float64 {
+func (cm *costModel) nodeCard(n Node) float64 { return size(n, cm.estCard) }
+
+// size folds the size algebra of §5.1.1 over a subtree: leaf gives a BGP
+// node's size, a group multiplies its children's sizes, a UNION adds its
+// branches' and an OPTIONAL is its right group's. With the engine's
+// estimates as leaf it is the cost model's result-size estimate; with the
+// sizes an evaluation recorded it is the join space (JoinSpace).
+func size(n Node, leaf func(*BGPNode) float64) float64 {
 	switch n := n.(type) {
 	case *BGPNode:
-		return cm.estCard(n)
+		return leaf(n)
 	case *GroupNode:
 		prod := 1.0
 		for _, ch := range n.Children {
-			prod *= cm.nodeCard(ch)
+			prod *= size(ch, leaf)
 		}
 		return prod
-	case *UnionNode:
-		sum := 0.0
-		for _, br := range n.Branches {
-			sum += cm.nodeCard(br)
-		}
-		return sum
-	case *OptionalNode:
-		return cm.nodeCard(n.Right)
 	}
-	return 1
+	sum := 0.0
+	for _, g := range targets(n) {
+		sum += size(g, leaf)
+	}
+	return sum
 }
 
 // levelCost computes the local cost of one level of sibling nodes
@@ -115,44 +118,23 @@ func (cm *costModel) levelCost(children []Node) float64 {
 	return total
 }
 
-// mergeScopeCost is the local cost affected by a merge of the BGP node at
-// index i into the UNION node at index j (Equations 1–3): the level's
-// cost plus the cost of each UNION branch level.
-func (cm *costModel) mergeScopeCost(g *GroupNode, j int) float64 {
+// scopeCost is the local cost that inserting a BGP node into the
+// operator node at index j affects (Equations 1–3 for a merge, 5–7 for an
+// inject): the level's cost plus the level cost of every group the
+// operator node holds.
+func (cm *costModel) scopeCost(g *GroupNode, j int) float64 {
 	total := cm.levelCost(g.Children)
-	u := g.Children[j].(*UnionNode)
-	for _, br := range u.Branches {
-		total += cm.levelCost(br.Children)
+	for _, t := range targets(g.Children[j]) {
+		total += cm.levelCost(t.Children)
 	}
 	return total
 }
 
-// injectScopeCost is the local cost affected by an inject of the BGP node
-// at index i into the OPTIONAL node at index j (Equations 5–7): the
-// level's cost plus the OPTIONAL-right group's level cost.
-func (cm *costModel) injectScopeCost(g *GroupNode, j int) float64 {
-	total := cm.levelCost(g.Children)
-	o := g.Children[j].(*OptionalNode)
-	total += cm.levelCost(o.Right.Children)
-	return total
-}
-
-// fillEstimates walks the tree computing estimates for every BGP node, so
-// that adaptive candidate-pruning thresholds (§6) are available at
-// evaluation time.
+// fillEstimates computes estimates for every BGP node below n, so that
+// adaptive candidate-pruning thresholds (§6) are available at evaluation
+// time.
 func (cm *costModel) fillEstimates(n Node) {
-	switch n := n.(type) {
-	case *BGPNode:
-		cm.ensure(n)
-	case *GroupNode:
-		for _, ch := range n.Children {
-			cm.fillEstimates(ch)
-		}
-	case *UnionNode:
-		for _, br := range n.Branches {
-			cm.fillEstimates(br)
-		}
-	case *OptionalNode:
-		cm.fillEstimates(n.Right)
+	for b := range bgps(n) {
+		cm.ensure(b)
 	}
 }

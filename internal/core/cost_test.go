@@ -74,7 +74,7 @@ func TestDeltaMergeNegativeForSelectiveAnchor(t *testing.T) {
 		{ ?x <http://ex.org/p1> ?z } UNION { ?x <http://ex.org/p2> ?z }
 	}`)
 	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
-	d := tr.deltaMerge(tree.Root, 0, 1)
+	d := tr.delta(tree.Root, 0, 1)
 	if d >= 0 {
 		t.Errorf("Δcost(merge selective anchor) = %v, want negative", d)
 	}

@@ -91,23 +91,7 @@ func (p *Plan) Bind(vals map[int]BoundValue) *Plan {
 		return p
 	}
 	t := p.Tree.Clone()
-	bindNode(t.Root, t.Vars, vals)
-	return &Plan{Tree: t, st: p.st}
-}
-
-func bindNode(n Node, vars *algebra.VarSet, vals map[int]BoundValue) {
-	switch n := n.(type) {
-	case *GroupNode:
-		for _, ch := range n.Children {
-			bindNode(ch, vars, vals)
-		}
-	case *UnionNode:
-		for _, br := range n.Branches {
-			bindNode(br, vars, vals)
-		}
-	case *OptionalNode:
-		bindNode(n.Right, vars, vals)
-	case *BGPNode:
+	for n := range bgps(t.Root) {
 		changed := false
 		for i := range n.Enc {
 			n.Enc[i].S, changed = bindPos(n.Enc[i].S, vals, changed)
@@ -115,7 +99,7 @@ func bindNode(n Node, vars *algebra.VarSet, vals map[int]BoundValue) {
 			n.Enc[i].O, changed = bindPos(n.Enc[i].O, vals, changed)
 		}
 		if !changed {
-			return
+			continue
 		}
 		// Keep the display form in sync. Memoized estimates are kept
 		// deliberately: a bound plan is a "generic plan" in the prepared-
@@ -126,11 +110,12 @@ func bindNode(n Node, vars *algebra.VarSet, vals map[int]BoundValue) {
 		// correctness; binding makes patterns at most more selective, so
 		// the template estimate is a sound upper bound.
 		for i := range n.Src {
-			n.Src[i].S = bindTermOrVar(n.Src[i].S, vars, vals)
-			n.Src[i].P = bindTermOrVar(n.Src[i].P, vars, vals)
-			n.Src[i].O = bindTermOrVar(n.Src[i].O, vars, vals)
+			n.Src[i].S = bindTermOrVar(n.Src[i].S, t.Vars, vals)
+			n.Src[i].P = bindTermOrVar(n.Src[i].P, t.Vars, vals)
+			n.Src[i].O = bindTermOrVar(n.Src[i].O, t.Vars, vals)
 		}
 	}
+	return &Plan{Tree: t, st: p.st}
 }
 
 func bindPos(pos exec.Pos, vals map[int]BoundValue, changed bool) (exec.Pos, bool) {

@@ -93,6 +93,81 @@ func TestPropertyTransformPreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestPropertyEveryAllowedInsertPreservesSemantics evaluates every
+// insertion allowed permits, not only those the cost model picks: on
+// random inputs, for every group of the tree and every pair of a BGP
+// child i and a UNION child j or an OPTIONAL child j > i, insert on a
+// clone must keep the tree valid and its evaluated bag equal to the
+// untransformed one (Theorems 1 and 2, guarded by insertSafe).
+func TestPropertyEveryAllowedInsertPreservesSemantics(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const trials = 400
+	tr := &Transformer{} // the §6 skip is off: every allowed pair is tried
+	merges, injects := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		st := randomStore(rng, 50+rng.Intn(100))
+		text := qgen.RandomQuery(rng, qgen.DefaultConfig())
+		q, err := sparql.Parse(text)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		tree, err := Build(q, st)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		engine := exec.WCOEngine{}
+		before, _ := evaluate(tree, st, engine, Pruning{})
+		for gi, g := range groupsOf(tree.Root) {
+			for i, ch := range g.Children {
+				if _, ok := ch.(*BGPNode); !ok {
+					continue
+				}
+				for j, sib := range g.Children {
+					_, union := sib.(*UnionNode)
+					_, optional := sib.(*OptionalNode)
+					if !union && !(optional && j > i) || !tr.allowed(g, i, j) {
+						continue
+					}
+					if union {
+						merges++
+					} else {
+						injects++
+					}
+					work := tree.Clone()
+					insert(groupsOf(work.Root)[gi], i, j)
+					if err := work.Validate(); err != nil {
+						t.Fatalf("trial %d: insert(%d, %d) into group %d left an invalid tree: %v\n%s", trial, i, j, gi, err, work)
+					}
+					after, _ := evaluate(work, st, engine, Pruning{})
+					if !algebra.MultisetEqual(before, after) {
+						t.Fatalf("trial %d: insert(%d, %d) into group %d changed semantics (%d → %d rows)\nquery: %s\nbefore:\n%s\nafter:\n%s",
+							trial, i, j, gi, before.Len(), after.Len(), text, tree, work)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d merges, %d injects", merges, injects)
+	if merges == 0 || injects == 0 {
+		t.Fatalf("%d merges and %d injects allowed: the queries exercise too little", merges, injects)
+	}
+}
+
+// groupsOf lists every group of a subtree in pre-order, so a tree and
+// its clone list corresponding groups at the same index.
+func groupsOf(g *GroupNode) []*GroupNode {
+	out := []*GroupNode{g}
+	for _, ch := range g.Children {
+		if sub, ok := ch.(*GroupNode); ok {
+			out = append(out, groupsOf(sub)...)
+		}
+		for _, sub := range targets(ch) {
+			out = append(out, groupsOf(sub)...)
+		}
+	}
+	return out
+}
+
 // TestPropertyCandidatePruningSound checks candidate pruning alone (both
 // threshold styles) against unpruned evaluation on random inputs.
 func TestPropertyCandidatePruningSound(t *testing.T) {

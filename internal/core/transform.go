@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"sparqluo/internal/exec"
 	"sparqluo/internal/store"
@@ -11,8 +12,10 @@ import (
 // for every level of the tree, in post-order (Algorithm 4), it considers
 // merging each BGP node with its sibling UNION nodes and injecting it into
 // its right-sibling OPTIONAL nodes (Algorithm 2), performing exactly the
-// transformations whose estimated Δ-cost is negative (Algorithm 3,
-// Equations 4 and 8).
+// transformations whose estimated Δ-cost is negative (Algorithm 3). Merge
+// (Definition 9) and inject (Definition 10) are one insertion of the BGP
+// node into the groups the operator node holds (see insert and targets),
+// decided by one check (allowed) and one Δ-cost (delta, Equations 1–8).
 type Transformer struct {
 	// SkipWhenEquivalentToCP implements the special case of §6: when the
 	// BGP node is the only sibling to the left of the UNION or OPTIONAL
@@ -53,90 +56,65 @@ func (tr *Transformer) Transform(t *Tree) int {
 func (tr *Transformer) postOrder(g *GroupNode) int {
 	applied := 0
 	for _, child := range g.Children {
-		switch child := child.(type) {
-		case *GroupNode:
-			applied += tr.postOrder(child)
-		case *UnionNode:
-			for _, br := range child.Branches {
-				applied += tr.postOrder(br)
-			}
-		case *OptionalNode:
-			applied += tr.postOrder(child.Right)
+		if sub, ok := child.(*GroupNode); ok {
+			applied += tr.postOrder(sub)
+		}
+		for _, sub := range targets(child) {
+			applied += tr.postOrder(sub)
 		}
 	}
-	applied += tr.singleLevel(g)
-	return applied
+	return applied + tr.singleLevel(g)
 }
 
-// singleLevel is Algorithm 2: for each BGP child of g, choose the sibling
-// UNION with the most negative merge Δ-cost (a BGP can merge into at most
-// one UNION since merging removes it), then decide injects individually
-// for each OPTIONAL sibling to its right (injects are independent because
-// the injected BGP keeps its original occurrence).
+// singleLevel is Algorithm 2 over the BGP children of g. The two
+// insertion kinds differ only in how they are chosen: a merge removes
+// the BGP node from g, so it goes into at most one UNION, the sibling
+// with the most negative Δ-cost; an inject keeps the BGP node in place,
+// so each OPTIONAL sibling to its right is decided on its own.
 func (tr *Transformer) singleLevel(g *GroupNode) int {
 	applied := 0
-	i := 0
-	for i < len(g.Children) {
-		p1, ok := g.Children[i].(*BGPNode)
-		if !ok {
-			i++
+	for i := 0; i < len(g.Children); i++ {
+		if _, ok := g.Children[i].(*BGPNode); !ok {
 			continue
 		}
-		// Merge decision across all sibling UNION nodes.
 		bestDelta, bestJ := 0.0, -1
 		for j, sib := range g.Children {
-			if tr.DisableMerge {
-				break
-			}
-			u, ok := sib.(*UnionNode)
-			if !ok {
-				continue
-			}
-			if !tr.mergeAllowed(g, i, j, p1, u) {
-				continue
-			}
-			if d := tr.deltaMerge(g, i, j); d < bestDelta {
-				bestDelta, bestJ = d, j
+			if _, ok := sib.(*UnionNode); ok && !tr.DisableMerge && tr.allowed(g, i, j) {
+				if d := tr.delta(g, i, j); d < bestDelta {
+					bestDelta, bestJ = d, j
+				}
 			}
 		}
 		if bestJ >= 0 {
-			applyMerge(g, i, bestJ)
+			insert(g, i, bestJ)
 			applied++
-			// The BGP node was removed; do not advance i — the next
-			// child has shifted into position i.
+			i-- // the BGP node left g; the next child shifted into position i
 			continue
 		}
-		// Inject decisions: each OPTIONAL node to the right, independent.
 		for j := i + 1; j < len(g.Children) && !tr.DisableInject; j++ {
-			o, ok := g.Children[j].(*OptionalNode)
-			if !ok {
-				continue
-			}
-			if !tr.injectAllowed(g, i, j, p1, o) {
-				continue
-			}
-			if d := tr.deltaInject(g, i, j); d < 0 {
-				applyInject(g, i, j)
+			if _, ok := g.Children[j].(*OptionalNode); ok && tr.allowed(g, i, j) && tr.delta(g, i, j) < 0 {
+				insert(g, i, j)
 				applied++
 			}
 		}
-		i++
 	}
 	return applied
 }
 
-// mergeAllowed checks the constraints of Definition 9 plus two safety /
-// policy conditions: insertion into every branch must be
-// variable-coverage safe (see insertSafe), and the §6 special case may
-// skip the transformation when candidate pruning subsumes it.
-func (tr *Transformer) mergeAllowed(g *GroupNode, i, j int, p1 *BGPNode, u *UnionNode) bool {
+// allowed checks the constraints of Definitions 9 and 10 for inserting
+// the BGP node at index i of g into the operator node at index j: some
+// group the operator node holds has a BGP child coalescable with it, and
+// the insertion is variable-coverage safe in every one (insertSafe). The
+// §6 special case may skip the pair when candidate pruning subsumes it.
+func (tr *Transformer) allowed(g *GroupNode, i, j int) bool {
 	if tr.SkipWhenEquivalentToCP && i == 0 && j == 1 {
 		return false
 	}
-	// Condition 2 of Definition 9: some branch has a coalescable BGP child.
+	p1 := g.Children[i].(*BGPNode)
+	ts := targets(g.Children[j])
 	coalescable := false
-	for _, br := range u.Branches {
-		for _, ch := range br.Children {
+	for _, t := range ts {
+		for _, ch := range t.Children {
 			if b, ok := ch.(*BGPNode); ok && bgpCoalescable(p1.Enc, b.Enc) {
 				coalescable = true
 			}
@@ -145,29 +123,12 @@ func (tr *Transformer) mergeAllowed(g *GroupNode, i, j int, p1 *BGPNode, u *Unio
 	if !coalescable {
 		return false
 	}
-	// The merge inserts P1 into every branch; all must be safe.
-	for _, br := range u.Branches {
-		if !insertSafe(p1, br) {
+	for _, t := range ts {
+		if !insertSafe(p1, t) {
 			return false
 		}
 	}
 	return true
-}
-
-// injectAllowed checks the constraints of Definition 10 (the OPTIONAL is
-// to the right; its child group has a coalescable BGP child), the
-// insertion-safety condition, and the §6 special-case skip.
-func (tr *Transformer) injectAllowed(g *GroupNode, i, j int, p1 *BGPNode, o *OptionalNode) bool {
-	if tr.SkipWhenEquivalentToCP && i == 0 && j == 1 {
-		return false
-	}
-	coalescable := false
-	for _, ch := range o.Right.Children {
-		if b, ok := ch.(*BGPNode); ok && bgpCoalescable(p1.Enc, b.Enc) {
-			coalescable = true
-		}
-	}
-	return coalescable && insertSafe(p1, o.Right)
 }
 
 // insertSafe reports whether joining P1 inside group G as a required
@@ -249,83 +210,47 @@ func certVars(n Node) map[int]bool {
 // allVars returns every variable occurring anywhere in a subtree.
 func allVars(n Node) map[int]bool {
 	out := map[int]bool{}
-	var walk func(Node)
-	walk = func(n Node) {
-		switch n := n.(type) {
-		case *BGPNode:
-			for _, p := range n.Enc {
-				for _, pos := range [3]exec.Pos{p.S, p.P, p.O} {
-					if pos.IsVar {
-						out[pos.Var] = true
-					}
+	for b := range bgps(n) {
+		for _, p := range b.Enc {
+			for _, pos := range [3]exec.Pos{p.S, p.P, p.O} {
+				if pos.IsVar {
+					out[pos.Var] = true
 				}
 			}
-		case *GroupNode:
-			for _, ch := range n.Children {
-				walk(ch)
-			}
-		case *UnionNode:
-			for _, br := range n.Branches {
-				walk(br)
-			}
-		case *OptionalNode:
-			walk(n.Right)
 		}
 	}
-	walk(n)
 	return out
 }
 
-// deltaMerge estimates Δcost(t_m) = cost(t'_m) − cost(t_m) (Equation 4)
-// by computing the local cost before the merge, applying the merge to a
-// cloned level, and recomputing the local cost after.
-func (tr *Transformer) deltaMerge(g *GroupNode, i, j int) float64 {
-	before := tr.cm.mergeScopeCost(g, j)
+// delta is the Δ-cost of inserting the BGP node at index i of g into the
+// operator node at index j (Equation 4 for a merge, 8 for an inject):
+// the scope cost after insert on a cloned level minus the scope cost
+// before.
+func (tr *Transformer) delta(g *GroupNode, i, j int) float64 {
+	before := tr.cm.scopeCost(g, j)
 	clone := g.clone().(*GroupNode)
-	applyMerge(clone, i, j)
-	// After the merge the node at i is gone; the UNION shifted left.
-	jAfter := j
+	return tr.cm.scopeCost(clone, insert(clone, i, j)) - before
+}
+
+// insert performs merge (Definition 9) and inject (Definition 10), which
+// are one insertion: a clone of the BGP node P1 at index i of g becomes
+// the leftmost child of every group the operator node at index j holds
+// (targets) and is coalesced there to maximality. Into a UNION's
+// branches it is a merge, and P1 leaves g (Theorem 1); into an
+// OPTIONAL's right group it is an inject, and P1 stays (Theorem 2).
+// insert returns the operator node's index in g afterwards.
+func insert(g *GroupNode, i, j int) int {
+	p1 := g.Children[i].(*BGPNode)
+	for _, t := range targets(g.Children[j]) {
+		t.Children = append([]Node{p1.clone()}, t.Children...)
+		coalesceSiblings(t)
+	}
+	if _, ok := g.Children[j].(*UnionNode); !ok {
+		return j
+	}
+	g.Children = slices.Delete(g.Children, i, i+1)
 	if j > i {
-		jAfter = j - 1
+		return j - 1
 	}
-	after := tr.cm.mergeScopeCost(clone, jAfter)
-	return after - before
-}
-
-// deltaInject estimates Δcost(t_i) = cost(t'_i) − cost(t_i) (Equation 8)
-// the same way.
-func (tr *Transformer) deltaInject(g *GroupNode, i, j int) float64 {
-	before := tr.cm.injectScopeCost(g, j)
-	clone := g.clone().(*GroupNode)
-	applyInject(clone, i, j)
-	after := tr.cm.injectScopeCost(clone, j)
-	return after - before
-}
-
-// applyMerge performs the merge transformation (Definition 9): the BGP
-// node at index i is inserted as the leftmost child of every branch of the
-// UNION node at index j, coalesced to maximality, and removed from its
-// original position. Theorem 1 guarantees semantics preservation.
-func applyMerge(g *GroupNode, i, j int) {
-	p1 := g.Children[i].(*BGPNode)
-	u := g.Children[j].(*UnionNode)
-	for _, br := range u.Branches {
-		cp := p1.clone().(*BGPNode)
-		br.Children = append([]Node{cp}, br.Children...)
-		coalesceSiblings(br)
-	}
-	g.Children = append(g.Children[:i], g.Children[i+1:]...)
-}
-
-// applyInject performs the inject transformation (Definition 10): the BGP
-// node at index i is inserted as the leftmost child of the OPTIONAL-right
-// group of the OPTIONAL node at index j and coalesced to maximality; the
-// original BGP node stays in place. Theorem 2 guarantees semantics
-// preservation.
-func applyInject(g *GroupNode, i, j int) {
-	p1 := g.Children[i].(*BGPNode)
-	o := g.Children[j].(*OptionalNode)
-	cp := p1.clone().(*BGPNode)
-	o.Right.Children = append([]Node{cp}, o.Right.Children...)
-	coalesceSiblings(o.Right)
+	return j
 }

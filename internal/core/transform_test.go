@@ -47,7 +47,9 @@ func TestApplyMergeStructure(t *testing.T) {
 	if len(g.Children) != 2 {
 		t.Fatalf("root children = %d", len(g.Children))
 	}
-	applyMerge(g, 0, 1)
+	if j := insert(g, 0, 1); j != 0 {
+		t.Fatalf("after merge: UNION at index %d, want 0", j)
+	}
 	if len(g.Children) != 1 {
 		t.Fatalf("after merge: children = %d, want 1 (BGP removed)", len(g.Children))
 	}
@@ -73,7 +75,9 @@ func TestApplyInjectStructure(t *testing.T) {
 		OPTIONAL { ?x <http://ex.org/p1> ?z }
 	}`)
 	g := tree.Root
-	applyInject(g, 0, 1)
+	if j := insert(g, 0, 1); j != 1 {
+		t.Fatalf("after inject: OPTIONAL at index %d, want 1", j)
+	}
 	if len(g.Children) != 2 {
 		t.Fatalf("inject must keep the original BGP: children = %d", len(g.Children))
 	}
@@ -104,9 +108,7 @@ func TestInsertSafeBlocksUncoveredOptionalVars(t *testing.T) {
 		{ ?x <http://ex.org/p2> ?z OPTIONAL { ?y <http://ex.org/p3> ?w } }
 	}`)
 	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
-	p1 := tree.Root.Children[0].(*BGPNode)
-	u := tree.Root.Children[1].(*UnionNode)
-	if tr.mergeAllowed(tree.Root, 0, 1, p1, u) {
+	if tr.allowed(tree.Root, 0, 1) {
 		t.Fatal("merge into a branch with an uncovered OPTIONAL variable must be blocked")
 	}
 	// The same shape without the variable overlap is allowed.
@@ -116,9 +118,7 @@ func TestInsertSafeBlocksUncoveredOptionalVars(t *testing.T) {
 		UNION
 		{ ?x <http://ex.org/p2> ?z OPTIONAL { ?z <http://ex.org/p3> ?w } }
 	}`)
-	p1b := tree2.Root.Children[0].(*BGPNode)
-	ub := tree2.Root.Children[1].(*UnionNode)
-	if !tr.mergeAllowed(tree2.Root, 0, 1, p1b, ub) {
+	if !tr.allowed(tree2.Root, 0, 1) {
 		t.Fatal("covered OPTIONAL variables should not block the merge")
 	}
 }
@@ -131,9 +131,7 @@ func TestInjectBlockedByUncoveredOptionalVar(t *testing.T) {
 		OPTIONAL { ?x <http://ex.org/p1> ?z OPTIONAL { ?y <http://ex.org/p2> ?w } }
 	}`)
 	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
-	p1 := tree.Root.Children[0].(*BGPNode)
-	o := tree.Root.Children[1].(*OptionalNode)
-	if tr.injectAllowed(tree.Root, 0, 1, p1, o) {
+	if tr.allowed(tree.Root, 0, 1) {
 		t.Fatal("inject with an uncovered OPTIONAL variable must be blocked")
 	}
 }
@@ -173,9 +171,7 @@ func TestMergeRequiresCoalescableBranch(t *testing.T) {
 		{ ?a <http://ex.org/p1> ?b } UNION { ?a <http://ex.org/p2> ?b }
 	}`)
 	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
-	p1 := tree.Root.Children[0].(*BGPNode)
-	u := tree.Root.Children[1].(*UnionNode)
-	if tr.mergeAllowed(tree.Root, 0, 1, p1, u) {
+	if tr.allowed(tree.Root, 0, 1) {
 		t.Fatal("merge without a coalescable branch violates Definition 9")
 	}
 }
@@ -187,9 +183,7 @@ func TestInjectRequiresCoalescableChild(t *testing.T) {
 		OPTIONAL { ?a <http://ex.org/p1> ?b }
 	}`)
 	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
-	p1 := tree.Root.Children[0].(*BGPNode)
-	o := tree.Root.Children[1].(*OptionalNode)
-	if tr.injectAllowed(tree.Root, 0, 1, p1, o) {
+	if tr.allowed(tree.Root, 0, 1) {
 		t.Fatal("inject without a coalescable BGP child violates Definition 10")
 	}
 }
@@ -257,26 +251,11 @@ func TestTransformerFillsEstimates(t *testing.T) {
 	}`)
 	tr := NewTransformer(context.Background(), st, exec.WCOEngine{})
 	tr.Transform(tree)
-	var check func(Node)
-	check = func(n Node) {
-		switch n := n.(type) {
-		case *BGPNode:
-			if !n.estValid {
-				t.Errorf("BGP node missing estimates after Transform")
-			}
-		case *GroupNode:
-			for _, c := range n.Children {
-				check(c)
-			}
-		case *UnionNode:
-			for _, br := range n.Branches {
-				check(br)
-			}
-		case *OptionalNode:
-			check(n.Right)
+	for b := range bgps(tree.Root) {
+		if !b.estValid {
+			t.Errorf("BGP node missing estimates after Transform")
 		}
 	}
-	check(tree.Root)
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -287,7 +266,7 @@ func TestCloneIsDeep(t *testing.T) {
 		OPTIONAL { ?x <http://ex.org/p3> ?w }
 	}`)
 	clone := tree.Clone()
-	applyMerge(clone.Root, 0, 1)
+	insert(clone.Root, 0, 1)
 	// The original must be untouched.
 	if len(tree.Root.Children) != 3 {
 		t.Fatal("mutating the clone changed the original")

@@ -278,7 +278,7 @@ func (k *kind) checkServing(t *testing.T, cells []cell, c matrixCase, answers ma
 	for _, cl := range cells {
 		h := sparqluo.NewHandler(k.db, sparqluo.WithPlanCache(1))
 		params := url.Values{"query": {c.text}, "engine": {[2]string{"wco", "binary"}[cl.Engine]},
-			"strategy": {strings.ToLower(cl.Strategy.String())}, "offset": {fmt.Sprint(c.offset)}}
+			"strategy": {cl.Strategy.String()}, "offset": {fmt.Sprint(c.offset)}}
 		if c.limit >= 0 {
 			params.Set("limit", fmt.Sprint(c.limit))
 		}

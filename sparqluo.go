@@ -19,7 +19,8 @@
 // The Strategy option selects between the paper's four approaches (Base,
 // TT, CP, Full — Full is the default); the Engine option selects the
 // underlying BGP engine. ParseStrategy and ParseEngine read both from
-// their flag and request spellings ("base|tt|cp|full", "wco|binary").
+// their flag and request spellings ("base|tt|cp|full" in any case,
+// "wco|binary").
 //
 // # Solution modifiers and pagination
 //
@@ -185,9 +186,10 @@ func (e Engine) impl() exec.Engine {
 }
 
 // ParseStrategy parses a strategy name as flags and requests spell it:
-// "base", "tt", "cp" or "full".
+// "base", "tt", "cp" or "full", in any case, so Strategy.String's "TT"
+// and "CP" parse back too.
 func ParseStrategy(s string) (Strategy, error) {
-	switch s {
+	switch strings.ToLower(s) {
 	case "base":
 		return Base, nil
 	case "tt":

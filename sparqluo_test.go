@@ -27,6 +27,16 @@ func openTestDB(t testing.TB) *sparqluo.DB {
 	return db
 }
 
+// TestParseStrategyRoundTrips holds ParseStrategy to the names
+// Strategy.String prints ("TT", "CP"), which the §7 benchmarks report.
+func TestParseStrategyRoundTrips(t *testing.T) {
+	for _, s := range []sparqluo.Strategy{sparqluo.Base, sparqluo.TT, sparqluo.CP, sparqluo.Full} {
+		if got, err := sparqluo.ParseStrategy(s.String()); err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+}
+
 func TestQueryBasic(t *testing.T) {
 	db := openTestDB(t)
 	res, err := db.Query(`

@@ -55,8 +55,8 @@ race:
 
 # Every Go benchmark of the module, compiled and run once: the paper's
 # §7 tables and figures (bench_test.go, ablation_bench_test.go) and the
-# micro-benchmarks no BENCHMARK.json metric covers (the interval/never
-# WAL policies, top-k, store accessors, the join family).
+# micro-benchmarks no BENCHMARK.json metric covers (top-k, store
+# accessors, the join family).
 # For real numbers run one family with a real -benchtime, e.g.
 #   go test -run '^$$' -bench 'Join|Distinct' -benchmem -benchtime 2s ./internal/algebra
 bench:
@@ -111,16 +111,15 @@ live-smoke:
 	echo "live-smoke: insert, compact, persist and delete all visible through the server"
 
 # End-to-end WAL crash-recovery smoke: serve a generated base with -live
-# and a WAL, ingest triples over HTTP (every one acked durable under
-# sync=always), kill -9 the server, restart it on the same directories,
+# and a WAL, ingest triples over HTTP (every one fsynced before it is
+# acked), kill -9 the server, restart it on the same directories,
 # and require every acked triple to be queryable with byte-identical
 # JSON to a never-crashed server that applied the same writes. This is
 # the durability contract, exercised through the real binary and a real
-# SIGKILL. A last stage checks the orderly path: a server journaling
-# under -wal-sync interval with the background flusher effectively off
-# (1h) is stopped with SIGTERM — it must drain, fsync and close the WAL
-# on its way out (exit 0, "stopped" in its log) — and a restart on the
-# same directory must replay every acknowledged batch.
+# SIGKILL. A last stage checks the orderly path: a journaling server is
+# stopped with SIGTERM — it must drain, fsync and close the WAL on its
+# way out (exit 0, "stopped" in its log) — and a restart on the same
+# directory must replay the 4 acknowledged batches.
 wal-smoke:
 	@set -e; tmp=$$(mktemp -d); addr=127.0.0.1:18476; \
 	q='SELECT * WHERE { ?s <http://smoke/p> ?o }'; \
@@ -137,12 +136,12 @@ wal-smoke:
 			curl -sf -X POST --data-binary @- "http://$$addr/update?op=delete" | grep -q '"applied":1' || \
 			{ echo "wal-smoke: delete not acked"; return 1; } }; \
 	query() { curl -sf -G --data-urlencode "query=$$q" http://$$addr/sparql; }; \
-	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal -wal-sync always \
+	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal \
 		-compact-snapshot $$tmp/live.img >$$tmp/server.log 2>&1 & pid=$$!; \
 	trap 'kill -9 $$pid 2>/dev/null || true; rm -rf '"$$tmp" EXIT; \
 	wait_ready; ingest; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
-	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal -wal-sync always \
+	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal \
 		-compact-snapshot $$tmp/live.img >$$tmp/server.log 2>&1 & pid=$$!; \
 	wait_ready; \
 	grep -Eq 'wal enabled .*replayed [1-9][0-9]* batches' $$tmp/server.log || \
@@ -161,15 +160,13 @@ wal-smoke:
 		echo "wal-smoke: acked delete resurrected"; exit 1; fi; \
 	echo "wal-smoke: all acked writes survived kill -9, byte-identical to a never-crashed server"; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
-	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal2 -wal-sync interval -wal-flush-interval 1h \
-		>$$tmp/server.log 2>&1 & pid=$$!; \
+	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal2 >$$tmp/server.log 2>&1 & pid=$$!; \
 	wait_ready; ingest; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "wal-smoke: SIGTERM'd server exited with status $$?"; cat $$tmp/server.log; exit 1; }; \
 	grep -q 'stopped$$' $$tmp/server.log || \
 		{ echo "wal-smoke: SIGTERM'd server did not shut down cleanly"; cat $$tmp/server.log; exit 1; }; \
-	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal2 -wal-sync interval -wal-flush-interval 1h \
-		>$$tmp/server.log 2>&1 & pid=$$!; \
+	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal2 >$$tmp/server.log 2>&1 & pid=$$!; \
 	wait_ready; \
 	grep -Eq 'wal enabled .*replayed 4 batches' $$tmp/server.log || \
 		{ echo "wal-smoke: restart after SIGTERM did not replay the 4 acked batches"; cat $$tmp/server.log; exit 1; }; \
@@ -177,7 +174,7 @@ wal-smoke:
 	if ! cmp -s $$tmp/graceful.json $$tmp/reference.json; then \
 		echo "wal-smoke: results after a SIGTERM stop differ from a never-stopped server:"; \
 		diff $$tmp/graceful.json $$tmp/reference.json | head -20; exit 1; fi; \
-	echo "wal-smoke: -wal-sync interval server stopped by SIGTERM lost no acked batch"
+	echo "wal-smoke: server stopped by SIGTERM lost no acked batch"
 
 # Short fuzz smoke for every fuzz target of the module, one at a time (go
 # test -fuzz takes one target per run); CI runs this with FUZZTIME=10s.

@@ -33,9 +33,8 @@
 //
 // SIGINT or SIGTERM shuts the server down cleanly: it stops accepting
 // connections, lets in-flight requests finish (up to 10s), stops the
-// background compactor and closes the database, which fsyncs the WAL
-// tail — so under -wal-sync interval|never an orderly stop loses no
-// acknowledged write.
+// background compactor and closes the database, which fsyncs and
+// closes the WAL, then logs "stopped" and exits 0.
 //
 // -live enables live updates: POST /update accepts N-Triples
 // insert/delete batches while queries keep serving (each query pinned
@@ -46,16 +45,14 @@
 // leaves the previous image intact); POST /compact forces a compaction.
 //
 // -wal-dir adds a write-ahead log under -live: every accepted update is
-// journaled before it is acknowledged, and on startup the server
-// replays whatever the log holds — so a crash (even kill -9) loses no
-// acknowledged write. -wal-sync picks the durability level: always
-// (default; group-committed fsync before each ack, survives power
-// loss), interval (background fsync every -wal-flush-interval), or
-// never (page cache only — still survives a process crash, not an
-// outage). With -compact-snapshot also set, restarts boot from the
-// newest compacted image and replay only the tail of the log;
-// compactions retire the journal segments their snapshot makes
-// redundant, so the log stays short.
+// journaled and fsynced (group-committed across concurrent writers)
+// before it is acknowledged, and on startup the server replays whatever
+// the log holds — so neither a crash (even kill -9) nor a power loss
+// loses an acknowledged write. With -compact-snapshot also set,
+// restarts boot from the newest compacted image and replay only the
+// tail of the log; compactions retire the journal segments their
+// snapshot makes redundant, so the log stays short. Without it the log
+// holds every update since it was created.
 package main
 
 import (
@@ -85,8 +82,6 @@ func main() {
 		compactThreshold = flag.Int("compact-threshold", 10000, "pending ops that trigger an immediate background compaction")
 		compactSnapshot  = flag.String("compact-snapshot", "", "persist each compacted base to this snapshot path (atomic)")
 		walDir           = flag.String("wal-dir", "", "write-ahead log directory: journal every update before acking, replay it at startup (requires -live)")
-		walSync          = flag.String("wal-sync", "always", "WAL durability policy: always (group-committed fsync per batch), interval, or never")
-		walFlushEvery    = flag.Duration("wal-flush-interval", 100*time.Millisecond, "background fsync period under -wal-sync=interval")
 	)
 	flag.Parse()
 	if *dataPath == "" {
@@ -96,10 +91,6 @@ func main() {
 	log.SetPrefix("sparql-server: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 
-	syncPolicy, err := sparqluo.ParseWALSyncPolicy(*walSync)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *walDir != "" && !*live {
 		log.Fatal("-wal-dir requires -live (a read-only server takes no writes to journal)")
 	}
@@ -122,10 +113,8 @@ func main() {
 	stopCompaction := func() {}
 	if *live {
 		if err := db.EnableLiveUpdates(sparqluo.LiveOptions{
-			SnapshotPath:     *compactSnapshot,
-			WALDir:           *walDir,
-			WALSync:          syncPolicy,
-			WALFlushInterval: *walFlushEvery,
+			SnapshotPath: *compactSnapshot,
+			WALDir:       *walDir,
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -141,8 +130,8 @@ func main() {
 			*compactInterval, *compactThreshold, *compactSnapshot)
 		if *walDir != "" {
 			rec, _ := db.Recovery()
-			log.Printf("wal enabled (dir=%s sync=%s): replayed %d batches (%d inserts, %d deletes), truncated %d torn-tail bytes",
-				*walDir, syncPolicy, rec.Batches, rec.Inserted, rec.Deleted, rec.TruncatedBytes)
+			log.Printf("wal enabled (dir=%s): replayed %d batches (%d inserts, %d deletes), truncated %d torn-tail bytes",
+				*walDir, rec.Batches, rec.Inserted, rec.Deleted, rec.TruncatedBytes)
 		}
 	}
 

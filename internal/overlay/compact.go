@@ -55,9 +55,11 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	// ops: appends are journaled under this mutex, so every batch in
 	// the claim sits in a segment below the mark and every later batch
 	// at or above it. A failed cut aborts the compaction before
-	// anything is claimed.
+	// anything is claimed. Without a SnapshotPath no image is ever
+	// persisted, so no Retire would remove the segment a cut seals:
+	// such a compaction leaves the journal alone.
 	var mark uint64
-	if ls.journal != nil {
+	if ls.journal != nil && ls.opts.SnapshotPath != "" {
 		var err error
 		if mark, err = ls.journal.Cut(); err != nil {
 			ls.mu.Unlock()

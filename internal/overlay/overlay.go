@@ -121,8 +121,8 @@ func New(base *store.Store, opts Options) *LiveStore {
 
 // SetJournal attaches the write-ahead log: from now on every
 // Insert/Delete batch is appended to it before it lands in the memtable
-// and synced (made durable per the log's policy) before the write call
-// returns — a batch is never acknowledged undurable — and the compactor
+// and fsynced before the write call returns — a batch is never
+// acknowledged undurable — and, with a SnapshotPath, the compactor
 // brackets its fold with Cut/Retire so the log only ever holds the
 // batches the newest persisted base image does not. Call it during
 // startup — after replaying any surviving records through
@@ -134,10 +134,10 @@ func (ls *LiveStore) SetJournal(j *wal.Log) { ls.journal = j }
 // sees either none or all of them. Duplicates of existing triples are
 // absorbed (RDF set semantics); an insert also cancels any pending
 // tombstone for the same triple. With a journal attached, a nil return
-// means the batch is durable per the journal's sync policy; on error
-// the batch was not applied (journal append failed) or was applied but
-// not confirmed durable (sync failed — a retry is safe either way, set
-// semantics make replays idempotent). Either failure poisons the log
+// means an fsync covers the batch; on error the batch was not applied
+// (journal append failed) or was applied but not confirmed durable
+// (sync failed — a retry is safe either way, set semantics make
+// replays idempotent). Either failure poisons the log
 // (wal.ErrFailed): later writes are refused until it is reopened, while
 // reads keep being served.
 func (ls *LiveStore) Insert(ts ...rdf.Triple) error {

@@ -67,7 +67,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		l, err := Open(dir, Options{Sync: SyncNever})
+		l, err := Open(dir, Options{})
 		if err != nil {
 			return // a typed refusal is a correct outcome
 		}

@@ -31,18 +31,14 @@
 //
 // # Durability contract
 //
-// Append writes the frame with a single write syscall (no user-space
-// buffer), so an appended record survives a process crash (kill -9)
-// even before any fsync; Sync is what makes it survive power loss,
-// per the configured SyncPolicy:
-//
-//   - SyncAlways: Sync fsyncs before returning, with group commit —
-//     concurrent writers coalesce into one fsync (one leader syncs the
-//     file tail, followers observe their batch is already covered and
-//     return without touching the disk).
-//   - SyncInterval: a background flusher fsyncs every Interval; Sync
-//     returns immediately. Bounded loss window under power failure.
-//   - SyncNever: the OS decides when pages reach the platter.
+// An acknowledged batch is an fsynced batch. Append writes the frame
+// with a single write syscall (no user-space buffer), so an appended
+// record survives a process crash (kill -9) even before any fsync;
+// Sync is what makes it survive power loss. It returns only once an
+// fsync covering the batch has completed, with group commit:
+// concurrent writers coalesce into one fsync (one leader syncs the
+// file tail, followers observe their batch is already covered and
+// return without touching the disk).
 //
 // A failed segment write or fsync poisons the log: the first such error
 // is kept, and Append, Sync and Cut return it wrapped in ErrFailed from
@@ -66,11 +62,12 @@
 // # Checkpointing
 //
 // Cut rotates to a fresh segment and returns its index as a checkpoint
-// mark; Retire(mark) deletes every segment below the mark. The overlay
-// compactor cuts when it claims the memtable and retires only after the
-// folded base image is durably persisted, so the log and the snapshot
-// writer together form the recovery pair: segments at or above the mark
-// hold exactly the batches the newest snapshot does not.
+// mark; Retire(mark) deletes every segment below the mark. An overlay
+// compactor that persists images cuts when it claims the memtable and
+// retires only after the folded base image is durably persisted, so
+// the log and the snapshot writer together form the recovery pair:
+// segments at or above the mark hold exactly the batches the newest
+// snapshot does not.
 package wal
 
 import (
@@ -117,55 +114,19 @@ type Record struct {
 	Triples []rdf.Triple
 }
 
-// SyncPolicy selects when appended records are fsynced.
+// SyncPolicy names the log's durability policy. There is one,
+// SyncAlways; the type remains so configurations that name it keep
+// compiling.
 type SyncPolicy int
 
-const (
-	// SyncAlways fsyncs before Sync returns (group-committed):
-	// an acknowledged batch survives power loss.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer: a power failure can
-	// lose at most the last Interval of acknowledged batches (a process
-	// crash alone loses nothing — appends hit the page cache directly).
-	SyncInterval
-	// SyncNever never fsyncs; the OS flushes when it pleases.
-	SyncNever
-)
-
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
-	default:
-		return fmt.Sprintf("SyncPolicy(%d)", int(p))
-	}
-}
-
-// ParseSyncPolicy parses "always", "interval" or "never".
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always", "":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
-	}
-}
+// SyncAlways is the one policy: Sync fsyncs (group-committed) before it
+// returns, so an acknowledged batch survives power loss.
+const SyncAlways SyncPolicy = 0
 
 // Options configures a Log.
 type Options struct {
-	// Sync is the durability policy (default SyncAlways).
+	// Sync is the durability policy; SyncAlways is the only one.
 	Sync SyncPolicy
-	// Interval is the background fsync period under SyncInterval
-	// (default 100ms; ignored otherwise).
-	Interval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes (default 64 MiB). Checkpoints rotate regardless.
 	SegmentBytes int64
@@ -178,7 +139,6 @@ const (
 	version       = 1
 
 	defaultSegmentBytes = 64 << 20
-	defaultInterval     = 100 * time.Millisecond
 
 	// maxBodyBytes bounds a single record frame; a length field beyond
 	// it is treated as framing damage, not an allocation request.
@@ -252,9 +212,6 @@ type Log struct {
 
 	replayed       int
 	truncatedBytes int64
-
-	flushStop chan struct{} // SyncInterval flusher
-	flushDone chan struct{}
 }
 
 // Open opens (creating if needed) the write-ahead log in dir. Every
@@ -265,9 +222,6 @@ type Log struct {
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = defaultInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -318,12 +272,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.f = f
 	}
 	l.lastSync = time.Now()
-
-	if opts.Sync == SyncInterval {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flushLoop()
-	}
 	return l, nil
 }
 
@@ -374,10 +322,7 @@ func (l *Log) openSegmentLocked(index uint64) error {
 	}
 	// The segment must exist under its name before any record in it is
 	// acknowledged; fsyncing the directory makes the creation durable.
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return err
-	}
+	syncDir(l.dir)
 	l.f = f
 	l.segments = append(l.segments, segment{index: index, bytes: headerSize})
 	return nil
@@ -450,7 +395,7 @@ func encodeRecord(kind Kind, batch uint64, ts []rdf.Triple) []byte {
 // with a single write syscall, returning the batch ID. The record
 // survives a process crash as soon as Append returns; call Sync with
 // the returned ID before acknowledging the batch to make it survive
-// power loss under SyncAlways.
+// power loss.
 func (l *Log) Append(kind Kind, ts []rdf.Triple) (uint64, error) {
 	if kind != Insert && kind != Delete {
 		return 0, fmt.Errorf("wal: append: bad kind %d", kind)
@@ -485,20 +430,10 @@ func (l *Log) Append(kind Kind, ts []rdf.Triple) (uint64, error) {
 	return batch, nil
 }
 
-// Sync makes the batch durable per the configured policy. Under
-// SyncAlways it returns only once an fsync covering the batch has
-// completed, coalescing concurrent callers into one fsync (group
-// commit); under SyncInterval and SyncNever it returns immediately.
+// Sync makes the batch durable: it returns only once a completed fsync
+// covers the batch, issuing one itself if nobody else's does first, so
+// concurrent callers coalesce into one fsync (group commit).
 func (l *Log) Sync(batch uint64) error {
-	if l.opts.Sync != SyncAlways {
-		return nil
-	}
-	return l.fsyncBatch(batch)
-}
-
-// fsyncBatch blocks until a completed fsync covers the given batch,
-// issuing one itself if nobody else's does first.
-func (l *Log) fsyncBatch(batch uint64) error {
 	l.mu.Lock()
 	for {
 		if l.failed != nil {
@@ -541,27 +476,6 @@ func (l *Log) fsyncBatch(batch uint64) error {
 	l.syncCond.Broadcast()
 	l.mu.Unlock()
 	return err
-}
-
-// flushLoop is the SyncInterval background flusher.
-func (l *Log) flushLoop() {
-	defer close(l.flushDone)
-	tick := time.NewTicker(l.opts.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-l.flushStop:
-			return
-		case <-tick.C:
-		}
-		l.mu.Lock()
-		dirty := !l.closed && l.syncedBatch < l.lastBatch
-		batch := l.lastBatch
-		l.mu.Unlock()
-		if dirty {
-			l.fsyncBatch(batch) // a failure poisons the log; the next Append reports it
-		}
-	}
 }
 
 // Cut seals the active segment and rotates to a fresh one, returning
@@ -640,8 +554,8 @@ func (l *Log) Stats() Stats {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Close fsyncs and closes the active segment and stops the background
-// flusher. The log must not be used afterwards.
+// Close fsyncs and closes the active segment. The log must not be used
+// afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -656,10 +570,6 @@ func (l *Log) Close() error {
 	l.f = nil
 	l.syncCond.Broadcast()
 	l.mu.Unlock()
-	if l.flushStop != nil {
-		close(l.flushStop)
-		<-l.flushDone
-	}
 	var first error
 	if err := f.Sync(); err != nil {
 		first = err
@@ -678,12 +588,11 @@ func (l *Log) Close() error {
 // cannot fsync a directory (Windows, some network mounts) degrade to
 // the metadata durability the OS provides, never to an error — the
 // data itself is always synced through the file handle.
-func syncDir(dir string) error {
+func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return
 	}
 	defer d.Close()
 	d.Sync()
-	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"sparqluo/internal/rdf"
 )
@@ -105,7 +104,7 @@ func TestRoundTrip(t *testing.T) {
 // span several files, and checks replay order and stats.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{SegmentBytes: 512, Sync: SyncNever})
+	l := mustOpen(t, dir, Options{SegmentBytes: 512})
 	const n = 40
 	for i := 0; i < n; i++ {
 		appendSync(t, l, Insert, batch(i, 1))
@@ -323,13 +322,12 @@ func TestCorruptionInFinalSegmentBeforeTail(t *testing.T) {
 	}
 }
 
-// TestGroupCommit hammers Append+Sync from many goroutines under
-// SyncAlways and checks (a) every batch ID is unique and every record
+// TestGroupCommit hammers Append+Sync from many goroutines and checks (a) every batch ID is unique and every record
 // survives, (b) the fsync count stays at or below the append count —
-// the group-commit invariant that makes sync=always affordable.
+// the group-commit invariant that makes an fsync per ack affordable.
 func TestGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Sync: SyncAlways})
+	l := mustOpen(t, dir, Options{})
 	const writers, perWriter = 8, 25
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
@@ -375,34 +373,6 @@ func TestGroupCommit(t *testing.T) {
 			t.Fatalf("duplicate batch %d", r.Batch)
 		}
 		seen[r.Batch] = true
-	}
-}
-
-// TestSyncIntervalFlushes checks that the background flusher advances
-// the synced frontier without the writer ever calling for an fsync.
-func TestSyncIntervalFlushes(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{Sync: SyncInterval, Interval: 5 * time.Millisecond})
-	defer l.Close()
-	seq, err := l.Append(Insert, batch(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(seq); err != nil { // immediate under interval policy
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		l.mu.Lock()
-		synced := l.syncedBatch >= seq
-		l.mu.Unlock()
-		if synced {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never synced the batch")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -3,7 +3,6 @@ package sparqluo
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"sparqluo/internal/overlay"
 	"sparqluo/internal/snapshot"
@@ -34,26 +33,14 @@ type WALStats = wal.Stats
 // CompactionStats describes one completed compaction.
 type CompactionStats = overlay.CompactionStats
 
-// WALSyncPolicy selects when acknowledged write batches are fsynced;
-// see the wal package for the exact durability contract of each level.
+// WALSyncPolicy names the journal's durability policy. There is one,
+// WALSyncAlways; see the wal package for the durability contract.
 type WALSyncPolicy = wal.SyncPolicy
 
-const (
-	// WALSyncAlways fsyncs (group-committed) before a write returns:
-	// an acknowledged batch survives power loss. The default.
-	WALSyncAlways = wal.SyncAlways
-	// WALSyncInterval fsyncs on a background timer: bounded loss window
-	// under power failure, none under a bare process crash.
-	WALSyncInterval = wal.SyncInterval
-	// WALSyncNever leaves flushing to the OS.
-	WALSyncNever = wal.SyncNever
-)
-
-// ParseWALSyncPolicy parses "always", "interval" or "never" (flag and
-// config syntax; "" means always).
-func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) {
-	return wal.ParseSyncPolicy(s)
-}
+// WALSyncAlways is the one policy: a write returns only after a
+// (group-committed) fsync covers its batch, so an acknowledged batch
+// survives power loss.
+const WALSyncAlways = wal.SyncAlways
 
 // LiveOptions configures live updates on a database.
 type LiveOptions struct {
@@ -73,11 +60,9 @@ type LiveOptions struct {
 	// SnapshotPath — the snapshot bounds replay time, the log closes
 	// the durability window between compactions.
 	WALDir string
-	// WALSync is the journal's durability policy (default WALSyncAlways).
+	// WALSync is the journal's durability policy; WALSyncAlways is the
+	// only one.
 	WALSync WALSyncPolicy
-	// WALFlushInterval is the background fsync period under
-	// WALSyncInterval (default 100ms; ignored otherwise).
-	WALFlushInterval time.Duration
 	// WALSegmentBytes rotates journal segments at this size
 	// (default 64 MiB).
 	WALSegmentBytes int64
@@ -149,7 +134,6 @@ func (db *DB) attachWAL(ls *overlay.LiveStore, opts LiveOptions) error {
 	}
 	wlog, err := wal.Open(opts.WALDir, wal.Options{
 		Sync:         opts.WALSync,
-		Interval:     opts.WALFlushInterval,
 		SegmentBytes: opts.WALSegmentBytes,
 	})
 	if err != nil {
@@ -193,8 +177,8 @@ func (db *DB) Live() bool { return db.live != nil }
 // Insert adds the given triples as one atomic batch: a query running
 // concurrently sees either none or all of them (snapshot isolation by
 // epoch). Inserting a triple that already exists is a no-op (RDF set
-// semantics). With a WAL attached, a nil return means the batch is
-// durable per the configured sync policy. Requires live updates.
+// semantics). With a WAL attached, a nil return means an fsync covers
+// the batch, so it survives a crash or power loss. Requires live updates.
 func (db *DB) Insert(ts ...Triple) error {
 	if db.live == nil {
 		return ErrNotLive
@@ -205,8 +189,8 @@ func (db *DB) Insert(ts ...Triple) error {
 // Delete removes the given triples as one atomic batch, by writing
 // tombstones that hide the targets immediately and annihilate them at
 // the next compaction. Deleting an absent triple is a no-op. With a WAL
-// attached, a nil return means the batch is durable per the configured
-// sync policy. Requires live updates.
+// attached, a nil return means an fsync covers the batch. Requires live
+// updates.
 func (db *DB) Delete(ts ...Triple) error {
 	if db.live == nil {
 		return ErrNotLive

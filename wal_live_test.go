@@ -3,7 +3,6 @@ package sparqluo_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -109,7 +108,7 @@ func walSegments(t *testing.T, dir string) []string {
 }
 
 // TestWALRecoveryAckedWritesSurvive is the core durability acceptance:
-// every batch acknowledged under sync=always must survive a simulated
+// every acknowledged batch must survive a simulated
 // kill -9 (the database is abandoned without Close — appends go to the
 // segment file with a single write syscall, so this is exactly what the
 // OS keeps). Recovery must reproduce results byte-identically to a
@@ -298,6 +297,45 @@ func TestWALCheckpointRetiresSegments(t *testing.T) {
 		t.Fatalf("tail replay recovered %d batches, want 3 (only post-compaction ones)", rec.Batches)
 	}
 	if got, want := re.NumTriples(), len(pre)+len(post); got != want {
+		t.Fatalf("recovered NumTriples = %d, want %d", got, want)
+	}
+}
+
+// TestWALUnpersistedCompactionKeepsJournal: without a SnapshotPath a
+// compaction persists nothing, so nothing could ever retire a segment it
+// cut. It must leave the journal alone — one segment after five
+// flushes — and every batch must still replay after a crash.
+func TestWALUnpersistedCompactionKeepsJournal(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := dedupeTriples(lubm.Generate(lubm.DefaultConfig(1)))
+	const batches = 5
+	for i := 0; i < batches; i++ {
+		if err := db.Insert(all[i*10 : (i+1)*10]...); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls, _ := db.LiveStats()
+	if ls.WAL.Segments != 1 {
+		t.Fatalf("%d segments after %d unpersisted compactions, want 1", ls.WAL.Segments, batches)
+	}
+	db = nil // kill -9
+
+	re, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec, _ := re.Recovery(); rec.Batches != batches {
+		t.Fatalf("replayed %d batches, want %d", rec.Batches, batches)
+	}
+	if got, want := re.NumTriples(), batches*10; got != want {
 		t.Fatalf("recovered NumTriples = %d, want %d", got, want)
 	}
 }
@@ -531,8 +569,15 @@ func TestHTTPStatsReportWAL(t *testing.T) {
 // directory that stops being one, so the rotation the tiny segment size
 // forces on the second batch cannot open its next segment.
 func TestHTTPUpdateFailedJournal(t *testing.T) {
-	walDir := filepath.Join(t.TempDir(), "wal")
-	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir, WALSegmentBytes: 1})
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	// The SnapshotPath makes /compact cut the journal, which is what a
+	// poisoned log refuses.
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{
+		SnapshotPath:    filepath.Join(dir, "live.img"),
+		WALDir:          walDir,
+		WALSegmentBytes: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,44 +630,3 @@ func TestHTTPUpdateFailedJournal(t *testing.T) {
 		t.Errorf("query on a failed journal = %d %s, want 200 with the acknowledged triple only", code, body)
 	}
 }
-
-// liveWALInsert measures the journaled write path as OpenLive wires it:
-// 64-triple insert batches into an empty live database, each framed,
-// appended and acknowledged under the given sync policy.
-func liveWALInsert(b *testing.B, policy sparqluo.WALSyncPolicy) {
-	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: b.TempDir(), WALSync: policy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	batch := make([]rdf.Triple, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			n := i*64 + j
-			batch[j] = rdf.Triple{
-				S: rdf.NewIRI(fmt.Sprintf("http://bench/s%d", n)),
-				P: rdf.NewIRI(fmt.Sprintf("http://bench/p%d", n%16)),
-				O: rdf.NewIRI(fmt.Sprintf("http://bench/o%d", n%1024)),
-			}
-		}
-		if err := db.Insert(batch...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N*64)/b.Elapsed().Seconds(), "triples/s")
-}
-
-// The repository benchmark journals under sync=always only
-// (wal.append_sync_us_p50); these are the other two policies.
-
-// BenchmarkLiveWALInsertSyncInterval acks after the append; a
-// background flusher fsyncs every 100ms.
-func BenchmarkLiveWALInsertSyncInterval(b *testing.B) {
-	liveWALInsert(b, sparqluo.WALSyncInterval)
-}
-
-// BenchmarkLiveWALInsertSyncNever isolates the journal's framing and
-// write-syscall overhead with no fsync anywhere.
-func BenchmarkLiveWALInsertSyncNever(b *testing.B) { liveWALInsert(b, sparqluo.WALSyncNever) }

@@ -209,7 +209,7 @@ func NewHandler(db *DB, opts ...HandlerOption) http.Handler {
 			fmt.Fprintf(w, "entities: %d\npredicates: %d\nliterals: %d\n",
 				s.NumEntities, s.NumPreds, s.NumLiterals)
 			m := st.MemStats()
-			fmt.Fprintf(w, "dict-bytes: %d\nmemory: %s\n", m.DictBytes, m)
+			fmt.Fprintf(w, "dict-bytes: %d\ndict-index-bytes: %d\nmemory: %s\n", m.DictBytes, m.DictIndexBytes, m)
 		}
 		if cache != nil {
 			cs := cache.snapshot()

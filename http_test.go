@@ -101,7 +101,7 @@ func TestHTTPStats(t *testing.T) {
 	if !strings.Contains(body, "triples: 5") {
 		t.Errorf("stats body:\n%s", body)
 	}
-	if !strings.Contains(body, "dict-bytes: ") || !strings.Contains(body, "dict=") {
+	if !strings.Contains(body, "dict-bytes: ") || !strings.Contains(body, "dict-index-bytes: ") || !strings.Contains(body, "dict=") {
 		t.Errorf("stats body missing dictionary footprint:\n%s", body)
 	}
 }

@@ -16,10 +16,11 @@ type CompactionStats struct {
 	Dels      int           // tombstones annihilated against the base
 	Took      time.Duration // end-to-end, including the optional persist
 	Persisted bool          // a snapshot image was written
-	// WALRetired is how many journal segments this compaction retired
-	// after its image was durably persisted (0 without a journal, and
-	// 0 when no image was written — unpersisted folds leave every
-	// segment in place, because recovery would still need them).
+	// WALRetired is how many journal segments this compaction retired:
+	// after its image was durably persisted, or after a fold that left
+	// the base unchanged. It is 0 without a journal or a SnapshotPath —
+	// unpersisted folds leave every segment in place, because recovery
+	// would still need them.
 	WALRetired int
 }
 
@@ -128,13 +129,17 @@ func (ls *LiveStore) Compact() (CompactionStats, error) {
 	ls.seq.Add(1)
 	ls.mu.Unlock()
 
-	// Retire journal segments only once their contents live in a durable
-	// image. Without a persisted snapshot the fold is memory-only and a
-	// crash would still need every segment to rebuild it. A retire
+	// Retire the journal below the mark once the claim no longer needs
+	// it. Every batch below the mark is in the claim, so that is when
+	// the claim lives in a durably persisted image, or when its fold
+	// left the base unchanged (every insert already in the base, or
+	// inserts and deletes that cancel): the claim then nets to nothing
+	// against a base that recovery already rebuilds. Without a
+	// SnapshotPath nothing was cut and nothing retires. A retire
 	// failure after the swap is reported but non-fatal: the compaction
 	// already applied, and leftover segments merely replay idempotently
 	// (duplicate inserts are absorbed, deletes of absent triples skip).
-	if ls.journal != nil && stats.Persisted {
+	if ls.journal != nil && ls.opts.SnapshotPath != "" {
 		n, err := ls.journal.Retire(mark)
 		stats.WALRetired = n
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
 )
 
 // ParseError describes a syntax error in an N-Triples document.
@@ -165,6 +166,8 @@ func (p *termParser) blank() (Term, error) {
 	return NewBlank(p.s[start:p.i]), nil
 }
 
+// literal parses a quoted literal body, decoding every N-Triples ECHAR
+// (\t \b \n \r \f \" \' \\) and UCHAR (\uXXXX, \UXXXXXXXX) escape.
 func (p *termParser) literal() (Term, error) {
 	p.i++ // opening quote
 	var b strings.Builder
@@ -174,21 +177,34 @@ func (p *termParser) literal() (Term, error) {
 			if p.i+1 >= len(p.s) {
 				return Term{}, fmt.Errorf("dangling escape")
 			}
-			switch p.s[p.i+1] {
+			esc := p.s[p.i+1]
+			p.i += 2
+			switch esc {
+			case 't':
+				b.WriteByte('\t')
+			case 'b':
+				b.WriteByte('\b')
 			case 'n':
 				b.WriteByte('\n')
 			case 'r':
 				b.WriteByte('\r')
-			case 't':
-				b.WriteByte('\t')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
+			case 'f':
+				b.WriteByte('\f')
+			case '"', '\'', '\\':
+				b.WriteByte(esc)
+			case 'u', 'U':
+				n := 4
+				if esc == 'U' {
+					n = 8
+				}
+				r, err := p.uchar(n)
+				if err != nil {
+					return Term{}, err
+				}
+				b.WriteRune(r)
 			default:
-				return Term{}, fmt.Errorf("unknown escape \\%c", p.s[p.i+1])
+				return Term{}, fmt.Errorf("unknown escape \\%c", esc)
 			}
-			p.i += 2
 			continue
 		}
 		if c == '"' {
@@ -199,6 +215,34 @@ func (p *termParser) literal() (Term, error) {
 		p.i++
 	}
 	return Term{}, fmt.Errorf("unterminated literal")
+}
+
+// uchar decodes the n hex digits of a \u or \U escape at p.i. A
+// surrogate or a code point above U+10FFFF is an error: neither is a
+// character.
+func (p *termParser) uchar(n int) (rune, error) {
+	if p.i+n > len(p.s) {
+		return 0, fmt.Errorf("truncated \\u escape")
+	}
+	var r uint32
+	for _, c := range []byte(p.s[p.i : p.i+n]) {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, fmt.Errorf("bad hex digit %q in \\u escape", c)
+		}
+		r = r<<4 | uint32(c)
+	}
+	if r > unicode.MaxRune || 0xD800 <= r && r <= 0xDFFF {
+		return 0, fmt.Errorf("escape %q is not a character", p.s[p.i-2:p.i+n])
+	}
+	p.i += n
+	return rune(r), nil
 }
 
 func (p *termParser) literalSuffix(lex string) (Term, error) {

@@ -68,6 +68,77 @@ func TestParseEscapes(t *testing.T) {
 	}
 }
 
+// TestParseLiteralEscapes: every ECHAR and UCHAR escape decodes, and a
+// \u escape naming a surrogate or a code point past U+10FFFF is an error.
+func TestParseLiteralEscapes(t *testing.T) {
+	cases := []struct {
+		body string // between the quotes
+		want string // decoded value; "" with bad set means a parse error
+		bad  bool
+	}{
+		{`\t\b\n\r\f`, "\t\b\n\r\f", false},
+		{`\"\'\\`, `"'\`, false},
+		{`a\u0000`, "a\x00", false},
+		{`\u00e9\u00E9`, "éé", false},
+		{`\U0001F600`, "\U0001F600", false},
+		{`\U0010FFFF`, "\U0010FFFF", false},
+		{`\uD7FF\uE000`, "\uD7FF\uE000", false},
+		{`\uD800`, "", true},
+		{`\uDFFF`, "", true},
+		{`\U0000D834`, "", true},
+		{`\U00110000`, "", true},
+		{`\UFFFFFFFF`, "", true},
+		{`\u12`, "", true},
+		{`\u12g4`, "", true},
+		{`\x41`, "", true},
+	}
+	for _, tc := range cases {
+		ts, err := ParseAll(strings.NewReader(`<http://e/s> <http://e/p> "` + tc.body + `" .`))
+		switch {
+		case tc.bad && err == nil:
+			t.Errorf("%s: parsed to %q, want an error", tc.body, ts[0].O.Value)
+		case !tc.bad && err != nil:
+			t.Errorf("%s: %v", tc.body, err)
+		case !tc.bad && ts[0].O.Value != tc.want:
+			t.Errorf("%s: decoded %q, want %q", tc.body, ts[0].O.Value, tc.want)
+		}
+	}
+}
+
+// TestEncodeParseControlAndNonBMP: a literal holding NUL, a backspace and
+// a rune outside the BMP survives the encoder and the parser, in every
+// literal form.
+func TestEncodeParseControlAndNonBMP(t *testing.T) {
+	const v = "a\x00b\bc\U0001F600"
+	in := []Triple{
+		{S: NewIRI("http://e/s"), P: NewIRI("http://e/p"), O: NewLiteral(v)},
+		{S: NewIRI("http://e/s"), P: NewIRI("http://e/p"), O: NewLangLiteral(v, "en")},
+		{S: NewIRI("http://e/s"), P: NewIRI("http://e/p"), O: NewTypedLiteral(v, "http://e/dt")},
+	}
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for _, tr := range in {
+		if err := enc.Encode(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ParseAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("parsed %d triples, want %d", len(out), len(in))
+	}
+	for i := range in {
+		if out[i] != in[i] {
+			t.Errorf("triple %d: parsed %v, want %v", i, out[i], in[i])
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, doc string

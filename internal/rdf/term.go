@@ -9,6 +9,7 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -108,9 +109,11 @@ func (t Term) String() string {
 	}
 }
 
-// Key returns a canonical string key for the term, unique across kinds,
-// suitable for dictionary encoding. It is cheaper to compare than three
-// fields and distinct from every other term's key.
+// Key returns a canonical string key for the term, unique across kinds
+// and distinct from every other term's key: a language tag or datatype
+// IRI is length-prefixed, so no byte in any field can make two terms'
+// keys meet. (The store's dictionary compares terms field by field and
+// builds no key.)
 func (t Term) Key() string {
 	switch t.Kind {
 	case IRI:
@@ -119,10 +122,10 @@ func (t Term) Key() string {
 		return "B" + t.Value
 	default:
 		if t.Lang != "" {
-			return "L" + t.Value + "\x00@" + t.Lang
+			return "@" + strconv.Itoa(len(t.Lang)) + ":" + t.Lang + t.Value
 		}
 		if t.Datatype != "" {
-			return "L" + t.Value + "\x00^" + t.Datatype
+			return "^" + strconv.Itoa(len(t.Datatype)) + ":" + t.Datatype + t.Value
 		}
 		return "L" + t.Value
 	}

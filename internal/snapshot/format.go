@@ -81,7 +81,7 @@ const Version = 2
 
 // Section kinds of format version 2. Every kind appears exactly once.
 const (
-	secDictBlob = iota + 1 // dictionary term records (see write.go)
+	secDictBlob = iota + 1 // dictionary term records (see store.NewLoadedDict)
 	secSPOTri              // []EncTriple sorted (S,P,O)
 	secSPOOff              // []int32 row pointers over S
 	secSPOCol              // []ID object column
@@ -93,15 +93,6 @@ const (
 	secOSPCol              // []ID predicate column
 	secStats               // frozen-store statistics (see write.go)
 	numSections = secStats
-)
-
-// Term record tags in the dictionary blob.
-const (
-	tagIRI      = 0
-	tagBlank    = 1
-	tagLiteral  = 2 // plain literal
-	tagLangLit  = 3 // language-tagged literal
-	tagTypedLit = 4 // datatyped literal
 )
 
 const (

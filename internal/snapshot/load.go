@@ -13,7 +13,6 @@ import (
 	"slices"
 	"unsafe"
 
-	"sparqluo/internal/rdf"
 	"sparqluo/internal/store"
 )
 
@@ -307,15 +306,15 @@ func Load(data []byte) (*store.Store, error) {
 		}
 	}
 
-	terms, err := decodeDict(secs[secDictBlob], numTerms)
+	dict, err := store.NewLoadedDict(secs[secDictBlob], numTerms)
 	if err != nil {
-		return nil, err
+		return nil, corruptf("%v", err)
 	}
 	stats, err := decodeStats(secs[secStats], numTriples, numTerms)
 	if err != nil {
 		return nil, err
 	}
-	return store.FromLayout(store.NewLoadedDict(terms), l, stats), nil
+	return store.FromLayout(dict, l, stats), nil
 }
 
 // view reinterprets a validated section payload as a typed slice. The
@@ -345,76 +344,6 @@ func checkRowPointers(name string, off []int32, total int) error {
 		return corruptf("%s end at %d, want %d", name, prev, total)
 	}
 	return nil
-}
-
-// decodeDict reconstructs the term slice from the dictionary blob. The
-// term strings are zero-copy views into blob; only the term headers are
-// materialized.
-func decodeDict(blob []byte, numTerms int) ([]rdf.Term, error) {
-	// Each record is at least two bytes (tag + length), which bounds the
-	// term slice allocation by the physical section size no matter what
-	// the header claims.
-	if numTerms > len(blob)/2 {
-		return nil, corruptf("%d dictionary terms cannot fit in %d blob bytes", numTerms, len(blob))
-	}
-	terms := make([]rdf.Term, 0, numTerms)
-	pos := 0
-	for pos < len(blob) {
-		if len(terms) == numTerms {
-			return nil, corruptf("dictionary blob has bytes after the last term")
-		}
-		tag := blob[pos]
-		pos++
-		value, err := readString(blob, &pos)
-		if err != nil {
-			return nil, err
-		}
-		var t rdf.Term
-		switch tag {
-		case tagIRI:
-			t = rdf.Term{Kind: rdf.IRI, Value: value}
-		case tagBlank:
-			t = rdf.Term{Kind: rdf.Blank, Value: value}
-		case tagLiteral:
-			t = rdf.Term{Kind: rdf.Literal, Value: value}
-		case tagLangLit, tagTypedLit:
-			extra, err := readString(blob, &pos)
-			if err != nil {
-				return nil, err
-			}
-			if tag == tagLangLit {
-				t = rdf.Term{Kind: rdf.Literal, Value: value, Lang: extra}
-			} else {
-				t = rdf.Term{Kind: rdf.Literal, Value: value, Datatype: extra}
-			}
-		default:
-			return nil, corruptf("unknown dictionary term tag %d", tag)
-		}
-		terms = append(terms, t)
-	}
-	if len(terms) != numTerms {
-		return nil, corruptf("dictionary blob holds %d terms, header says %d", len(terms), numTerms)
-	}
-	return terms, nil
-}
-
-// readString decodes one uvarint-prefixed string from blob at *pos as a
-// zero-copy view, advancing *pos past it.
-func readString(blob []byte, pos *int) (string, error) {
-	v, n := binary.Uvarint(blob[*pos:])
-	if n <= 0 {
-		return "", corruptf("bad string length varint in dictionary blob")
-	}
-	*pos += n
-	if v > uint64(len(blob)-*pos) {
-		return "", corruptf("string of %d bytes overruns dictionary blob", v)
-	}
-	if v == 0 {
-		return "", nil
-	}
-	s := unsafe.String(&blob[*pos], int(v))
-	*pos += int(v)
-	return s, nil
 }
 
 // decodeStats reconstructs the build-time statistics and cross-checks

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"unsafe"
 
-	"sparqluo/internal/rdf"
 	"sparqluo/internal/store"
 )
 
@@ -30,10 +29,10 @@ func bytesOf[T any](s []T) []byte {
 // and statistics.
 func Write(w io.Writer, st *store.Store) error {
 	l := st.Layout()
-	dict := st.Dict()
+	terms := st.Dict().Terms() // one snapshot: a live dictionary may grow meanwhile
 
 	sections := make([][]byte, numSections+1) // indexed by section kind
-	sections[secDictBlob] = encodeDict(dict.Terms())
+	sections[secDictBlob] = terms.Records()
 	sections[secSPOTri] = bytesOf(l.SPO.Tri)
 	sections[secSPOOff] = bytesOf(l.SPO.Off)
 	sections[secSPOCol] = bytesOf(l.SPO.Col)
@@ -65,7 +64,7 @@ func Write(w io.Writer, st *store.Store) error {
 	copy(header[offByteOrder:], bom[:])
 	binary.LittleEndian.PutUint64(header[offFileSize:], off)
 	binary.LittleEndian.PutUint64(header[offTriples:], uint64(st.NumTriples()))
-	binary.LittleEndian.PutUint64(header[offTerms:], uint64(dict.Len()))
+	binary.LittleEndian.PutUint64(header[offTerms:], uint64(terms.Len()))
 	binary.LittleEndian.PutUint32(header[offSecCount:], numSections)
 	binary.LittleEndian.PutUint32(header[offTableCRC:], crc32.Checksum(table, castagnoli))
 	binary.LittleEndian.PutUint32(header[offHeaderCRC:], crc32.Checksum(header[:offHeaderCRC], castagnoli))
@@ -154,49 +153,6 @@ func writeAtomic(path, tmpPattern string, write func(io.Writer) error) error {
 
 func align(off uint64) uint64 {
 	return (off + sectionAlign - 1) &^ (sectionAlign - 1)
-}
-
-// encodeDict serializes the term dictionary in ID order. Each record is
-//
-//	tag byte · uvarint len(value) · value
-//	           [· uvarint len(extra) · extra]   (lang / datatype tags)
-//
-// Records are self-delimiting, so the loader reconstructs terms with a
-// single sequential walk and no separate offset table.
-func encodeDict(terms []rdf.Term) []byte {
-	var n int
-	for _, t := range terms {
-		n += 1 + binary.MaxVarintLen32*2 + len(t.Value) + len(t.Lang) + len(t.Datatype)
-	}
-	blob := make([]byte, 0, n)
-	for _, t := range terms {
-		switch t.Kind {
-		case rdf.IRI:
-			blob = append(blob, tagIRI)
-		case rdf.Blank:
-			blob = append(blob, tagBlank)
-		default:
-			switch {
-			case t.Lang != "":
-				blob = append(blob, tagLangLit)
-			case t.Datatype != "":
-				blob = append(blob, tagTypedLit)
-			default:
-				blob = append(blob, tagLiteral)
-			}
-		}
-		blob = binary.AppendUvarint(blob, uint64(len(t.Value)))
-		blob = append(blob, t.Value...)
-		switch {
-		case t.Lang != "":
-			blob = binary.AppendUvarint(blob, uint64(len(t.Lang)))
-			blob = append(blob, t.Lang...)
-		case t.Datatype != "":
-			blob = binary.AppendUvarint(blob, uint64(len(t.Datatype)))
-			blob = append(blob, t.Datatype...)
-		}
-	}
-	return blob
 }
 
 // encodeStats serializes the build-time statistics:

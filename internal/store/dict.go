@@ -4,11 +4,26 @@
 // CSR-style offset runs, built once per store) over the encoded
 // triples, and the statistics / sampling-based cardinality estimation
 // described in §5.1.2 of the paper.
+//
+// The dictionary holds no pointer per term. Term bytes live in a few
+// append-only byte chunks (the arena), each term has one fixed-size
+// pointer-free record, and the key→ID index is an open-addressing []ID
+// table hashed over the term's fields, so a dictionary is a handful of
+// heap objects however many terms it holds, and the collector has
+// nothing in it to mark. It follows the string-arena-plus-integer-ID
+// dictionaries of RDF-3X (Neumann & Weikum, VLDB J. 2010) and HDT
+// (Fernández et al., J. Web Semantics 2013).
 package store
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
 	"sync"
+	"unsafe"
 
 	"sparqluo/internal/rdf"
 )
@@ -20,71 +35,263 @@ type ID uint32
 // None is the reserved unbound/absent ID.
 const None ID = 0
 
+// Record kinds. They are also the tag bytes of the records in the
+// arena, which are laid out as a snapshot image's dictionary section:
+//
+//	kind byte · uvarint len(value) · value
+//	          [· uvarint len(extra) · extra]   (kindLang, kindTyped)
+//
+// where extra is the language tag or the datatype IRI. A chunk is a run
+// of such records, so a mapped image's dictionary section is a chunk as
+// it stands, and an image's section is the chunks' records copied out.
+const (
+	kindIRI   = 0
+	kindBlank = 1
+	kindPlain = 2 // plain literal
+	kindLang  = 3 // language-tagged literal
+	kindTyped = 4 // datatyped literal
+)
+
+// Arena chunk sizes: a dictionary's first chunk is small, each next one
+// twice the last, up to maxChunk. A record larger than that gets a
+// chunk of its own size, so no record straddles two chunks.
+const (
+	minChunk = 4 << 10
+	maxChunk = 1 << 20
+)
+
+// termRec places one term in the arena. It holds no pointer.
+type termRec struct {
+	chunk uint32 // index of the arena chunk holding the record
+	off   uint32 // offset of the value within the chunk
+	vlen  uint32 // value length
+	xlen  uint32 // length of the language tag or datatype IRI
+	kind  uint8
+}
+
+// extraOff is the chunk offset of the record's language tag or datatype
+// IRI: it follows the value after its uvarint length.
+func (r termRec) extraOff() uint32 { return r.off + r.vlen + uvarintLen(r.xlen) }
+
+// end is the chunk offset just past the record.
+func (r termRec) end() uint32 {
+	if r.kind == kindLang || r.kind == kindTyped {
+		return r.extraOff() + r.xlen
+	}
+	return r.off + r.vlen
+}
+
+// uvarintLen is the length of n's (minimal) uvarint encoding.
+func uvarintLen(n uint32) uint32 { return uint32(bits.Len32(n|1)+6) / 7 }
+
+// fields splits a term into what identifies it: its record kind, its
+// value and its language tag or datatype IRI. A language tag wins over
+// a datatype, and IRIs and blank nodes have neither, which is how the
+// image format has always stored such terms.
+func fields(t rdf.Term) (kind uint8, extra string) {
+	switch {
+	case t.Kind == rdf.IRI:
+		return kindIRI, ""
+	case t.Kind == rdf.Blank:
+		return kindBlank, ""
+	case t.Lang != "":
+		return kindLang, t.Lang
+	case t.Datatype != "":
+		return kindTyped, t.Datatype
+	}
+	return kindPlain, ""
+}
+
 // Dict maps RDF terms to dense IDs and back. IDs start at 1; 0 is reserved.
 // The zero value is not usable; call NewDict or NewLoadedDict.
 //
 // A Dict is safe for concurrent use: Encode takes a write lock, the
-// read-side accessors take a read lock. The term slice is append-only —
-// an ID, once assigned, decodes to the same term forever — which is what
-// lets the live-update overlay share one dictionary between a mutating
-// memtable and immutable bases.
+// read-side accessors take a read lock. Arena, records and chunk list
+// are append-only, and bytes once written never change — an ID, once
+// assigned, decodes to the same bytes forever — which is what lets the
+// live-update overlay share one dictionary between a mutating memtable
+// and immutable bases, and lets Terms hand out lock-free snapshots.
 type Dict struct {
 	mu       sync.RWMutex
-	ids      map[string]ID
-	terms    []rdf.Term // terms[i-1] is the term with ID i
-	strBytes int64      // running total of term string bytes (see StringBytes)
+	seed     maphash.Seed
+	chunks   [][]byte  // the arena; a chunk's length is its capacity and never changes
+	used     int       // bytes of the last chunk holding records
+	recs     []termRec // recs[i-1] places the term with ID i
+	index    []ID      // open-addressing key→ID table, nil until first needed
+	strBytes int64     // running total of term string bytes (see StringBytes)
 }
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[string]ID)}
+	return &Dict{seed: maphash.MakeSeed()}
 }
 
-// NewLoadedDict returns a dictionary over a prebuilt term slice
-// (terms[i-1] has ID i), as reconstructed from a snapshot image. The
-// key→ID index is built lazily on the first Lookup or Encode, keeping
-// snapshot open time independent of dictionary size; until then the
-// dictionary only supports Decode, which is all the zero-copy load path
-// needs.
-func NewLoadedDict(terms []rdf.Term) *Dict {
-	d := &Dict{terms: terms}
-	for _, t := range terms {
-		d.strBytes += termBytes(t)
+// NewLoadedDict returns a dictionary over a snapshot image's dictionary
+// section, which must hold numTerms records (the first has ID 1). The
+// section becomes the first arena chunk as it stands: it is walked once
+// to fill the record column and never copied or written, so a mapped
+// section stays mapped. The key→ID index is built lazily on the first
+// Lookup or Encode, keeping snapshot open time independent of it; until
+// then the dictionary only decodes, which is all the zero-copy load path
+// needs. A section that does not hold exactly numTerms well-formed
+// records is an error, never a panic.
+func NewLoadedDict(blob []byte, numTerms int) (*Dict, error) {
+	// Each record is at least two bytes (kind + length), which bounds the
+	// record allocation by the physical section size no matter what the
+	// header claims.
+	if numTerms > len(blob)/2 {
+		return nil, fmt.Errorf("%d dictionary terms cannot fit in %d bytes", numTerms, len(blob))
 	}
-	return d
+	if uint64(len(blob)) > math.MaxUint32 {
+		return nil, fmt.Errorf("dictionary section of %d bytes exceeds the 4 GiB a chunk addresses", len(blob))
+	}
+	d := &Dict{seed: maphash.MakeSeed(), chunks: [][]byte{blob}, used: len(blob), recs: make([]termRec, 0, numTerms)}
+	for pos := 0; pos < len(blob); {
+		if len(d.recs) == numTerms {
+			return nil, errors.New("dictionary section has bytes after the last term")
+		}
+		r := termRec{kind: blob[pos]}
+		pos++
+		if r.kind > kindTyped {
+			return nil, fmt.Errorf("unknown dictionary term kind %d", r.kind)
+		}
+		var err error
+		if r.off, r.vlen, err = readSpan(blob, &pos); err != nil {
+			return nil, err
+		}
+		if r.kind == kindLang || r.kind == kindTyped {
+			if _, r.xlen, err = readSpan(blob, &pos); err != nil {
+				return nil, err
+			}
+		}
+		d.recs = append(d.recs, r)
+		d.strBytes += int64(r.vlen) + int64(r.xlen)
+	}
+	if len(d.recs) != numTerms {
+		return nil, fmt.Errorf("dictionary section holds %d terms, header says %d", len(d.recs), numTerms)
+	}
+	return d, nil
 }
 
-func termBytes(t rdf.Term) int64 {
-	return int64(len(t.Value)) + int64(len(t.Lang)) + int64(len(t.Datatype))
+// readSpan reads one uvarint-prefixed byte string of blob at *pos,
+// advancing *pos past it, and returns its offset and length. The length
+// must be minimally encoded: a record's extra is found by re-encoding
+// its length (termRec.extraOff).
+func readSpan(blob []byte, pos *int) (off, n uint32, err error) {
+	v, w := binary.Uvarint(blob[*pos:])
+	if w <= 0 || v > math.MaxUint32 || uint32(w) != uvarintLen(uint32(v)) {
+		return 0, 0, errors.New("bad string length varint in dictionary section")
+	}
+	*pos += w
+	if v > uint64(len(blob)-*pos) {
+		return 0, 0, fmt.Errorf("string of %d bytes overruns dictionary section", v)
+	}
+	off = uint32(*pos)
+	*pos += int(v)
+	return off, uint32(v), nil
 }
 
-// ensureIndexLocked materializes the key→ID map for loaded
-// dictionaries. Callers must hold d.mu for writing.
+// hash hashes a term's identifying fields with the dictionary's seed.
+func (d *Dict) hash(kind uint8, value, extra string) uint64 {
+	h := maphash.String(d.seed, value) + uint64(kind)
+	if extra != "" {
+		h ^= maphash.String(d.seed, extra) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
+// probe finds the term in the index: the ID and slot of its entry, or
+// None and the empty slot where it would go. Callers hold d.mu and have
+// built the index.
+func (d *Dict) probe(h uint64, kind uint8, value, extra string) (int, ID) {
+	terms := Terms{chunks: d.chunks, recs: d.recs}
+	mask := uint64(len(d.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		id := d.index[i]
+		if id == None {
+			return int(i), None
+		}
+		r := d.recs[id-1]
+		if r.kind != kind || int(r.vlen) != len(value) || int(r.xlen) != len(extra) {
+			continue
+		}
+		if v, x := terms.strings(r); v == value && x == extra {
+			return int(i), id
+		}
+	}
+}
+
+// ensureIndexLocked builds the key→ID table at a load factor of at most
+// one half, or rebuilds it twice as large when the next term would pass
+// that. Callers must hold d.mu for writing.
 func (d *Dict) ensureIndexLocked() {
-	if d.ids != nil {
+	if d.index != nil && 2*(len(d.recs)+1) <= len(d.index) {
 		return
 	}
-	ids := make(map[string]ID, len(d.terms))
-	for i, t := range d.terms {
-		ids[t.Key()] = ID(i + 1)
+	size := 16
+	for size < 2*(len(d.recs)+1) {
+		size *= 2
 	}
-	d.ids = ids
+	d.index = make([]ID, size)
+	terms := Terms{chunks: d.chunks, recs: d.recs}
+	mask := uint64(size - 1)
+	for i, r := range d.recs {
+		v, x := terms.strings(r)
+		slot := d.hash(r.kind, v, x) & mask
+		for d.index[slot] != None {
+			slot = (slot + 1) & mask
+		}
+		d.index[slot] = ID(i + 1)
+	}
 }
 
 // Encode returns the ID for t, assigning a fresh one if t is new.
 func (d *Dict) Encode(t rdf.Term) ID {
+	kind, extra := fields(t)
+	h := d.hash(kind, t.Value, extra)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ensureIndexLocked()
-	key := t.Key()
-	if id, ok := d.ids[key]; ok {
+	slot, id := d.probe(h, kind, t.Value, extra)
+	if id != None {
 		return id
 	}
-	d.terms = append(d.terms, t)
-	d.strBytes += termBytes(t)
-	id := ID(len(d.terms))
-	d.ids[key] = id
+	d.appendLocked(kind, t.Value, extra)
+	id = ID(len(d.recs))
+	d.index[slot] = id
 	return id
+}
+
+// appendLocked writes a new term's record to the arena and the record
+// column. Callers must hold d.mu for writing.
+func (d *Dict) appendLocked(kind uint8, value, extra string) {
+	need := 1 + int(uvarintLen(uint32(len(value)))) + len(value)
+	if kind == kindLang || kind == kindTyped {
+		need += int(uvarintLen(uint32(len(extra)))) + len(extra)
+	}
+	if uint64(need) > math.MaxUint32 {
+		panic(fmt.Sprintf("store: term of %d bytes exceeds the 4 GiB a record addresses", need))
+	}
+	if len(d.chunks) == 0 || d.used+need > len(d.chunks[len(d.chunks)-1]) {
+		size := minChunk
+		if len(d.chunks) > 0 {
+			size = min(max(2*len(d.chunks[len(d.chunks)-1]), minChunk), maxChunk)
+		}
+		d.chunks = append(d.chunks, make([]byte, max(size, need)))
+		d.used = 0
+	}
+	c := d.chunks[len(d.chunks)-1]
+	b := append(c[d.used:d.used], kind)
+	b = binary.AppendUvarint(b, uint64(len(value)))
+	r := termRec{chunk: uint32(len(d.chunks) - 1), off: uint32(d.used + len(b)), vlen: uint32(len(value)), xlen: uint32(len(extra)), kind: kind}
+	b = append(b, value...)
+	if kind == kindLang || kind == kindTyped {
+		b = binary.AppendUvarint(b, uint64(len(extra)))
+		b = append(b, extra...)
+	}
+	d.used += len(b)
+	d.recs = append(d.recs, r)
+	d.strBytes += int64(len(value)) + int64(len(extra))
 }
 
 // EncodeTriple encodes the three terms of t with Encode.
@@ -94,49 +301,51 @@ func (d *Dict) EncodeTriple(t rdf.Triple) EncTriple {
 
 // Lookup returns the ID for t without inserting, and whether it exists.
 func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
-	key := t.Key()
+	kind, extra := fields(t)
+	h := d.hash(kind, t.Value, extra)
+	var id ID
 	d.mu.RLock()
-	if d.ids != nil {
-		id, ok := d.ids[key]
-		d.mu.RUnlock()
-		return id, ok
+	built := d.index != nil
+	if built {
+		_, id = d.probe(h, kind, t.Value, extra)
 	}
 	d.mu.RUnlock()
-	d.mu.Lock()
-	d.ensureIndexLocked()
-	id, ok := d.ids[key]
-	d.mu.Unlock()
-	return id, ok
+	if !built {
+		d.mu.Lock()
+		d.ensureIndexLocked()
+		_, id = d.probe(h, kind, t.Value, extra)
+		d.mu.Unlock()
+	}
+	return id, id != None
 }
 
 // Decode returns the term for id. It panics on the reserved ID 0 or an
 // out-of-range id, which always indicates a programming error.
 func (d *Dict) Decode(id ID) rdf.Term {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id == None || int(id) > len(d.terms) {
-		panic(fmt.Sprintf("store: decode of invalid ID %d (dict size %d)", id, len(d.terms)))
+	terms := d.Terms()
+	if id == None || int(id) > terms.Len() {
+		panic(fmt.Sprintf("store: decode of invalid ID %d (dict size %d)", id, terms.Len()))
 	}
-	return d.terms[id-1]
+	return terms.Term(id)
 }
 
 // Len returns the number of distinct terms in the dictionary.
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.terms)
+	return len(d.recs)
 }
 
-// Terms returns the terms in ID order (Terms()[i] has ID i+1). The
-// slice is a snapshot-consistent view of the dictionary's backing array
-// (append-only, so a captured view never mutates); callers must not
-// modify it. The snapshot writer and result cursors use it: a cursor
-// takes it once and decodes every cell as Terms()[id-1], without the
-// per-call read lock Decode takes.
-func (d *Dict) Terms() []rdf.Term {
+// Terms returns a snapshot of the dictionary: the terms with IDs 1 to
+// Len() at the time of the call. It is a value over the append-only
+// arena and record column, so it never changes and reading it takes no
+// lock. The snapshot writer and result cursors use it: a cursor takes it
+// once and decodes every cell without the per-call read lock Decode
+// takes.
+func (d *Dict) Terms() Terms {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.terms
+	return Terms{chunks: d.chunks, recs: d.recs}
 }
 
 // StringBytes returns the total bytes of term string data (lexical
@@ -147,4 +356,87 @@ func (d *Dict) StringBytes() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.strBytes
+}
+
+// IndexBytes returns the bytes the dictionary's structures take: arena
+// capacity (a loaded dictionary's mapped section included), record
+// column capacity and the key→ID table.
+func (d *Dict) IndexBytes() int64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := int64(cap(d.recs))*int64(unsafe.Sizeof(termRec{})) + int64(len(d.index))*int64(unsafe.Sizeof(None))
+	for _, c := range d.chunks {
+		n += int64(len(c))
+	}
+	return n
+}
+
+// Terms is a snapshot of a dictionary's terms (see Dict.Terms). The
+// zero value holds no term.
+type Terms struct {
+	chunks [][]byte
+	recs   []termRec
+}
+
+// Len returns the number of terms in the snapshot.
+func (t Terms) Len() int { return len(t.recs) }
+
+// Term decodes id, which must be in [1, Len()]. The term's strings view
+// the arena, so decoding allocates nothing.
+func (t Terms) Term(id ID) rdf.Term {
+	r := t.recs[id-1]
+	c := t.chunks[r.chunk]
+	tm := rdf.Term{Kind: rdf.Literal, Value: view(c, r.off, r.vlen)}
+	switch r.kind {
+	case kindIRI:
+		tm.Kind = rdf.IRI
+	case kindBlank:
+		tm.Kind = rdf.Blank
+	case kindLang:
+		tm.Lang = view(c, r.extraOff(), r.xlen)
+	case kindTyped:
+		tm.Datatype = view(c, r.extraOff(), r.xlen)
+	}
+	return tm
+}
+
+// strings returns a record's value and its language tag or datatype IRI
+// as strings viewing the arena.
+func (t Terms) strings(r termRec) (value, extra string) {
+	c := t.chunks[r.chunk]
+	if r.xlen == 0 {
+		return view(c, r.off, r.vlen), ""
+	}
+	return view(c, r.off, r.vlen), view(c, r.extraOff(), r.xlen)
+}
+
+// view returns n bytes of c at off as a string sharing c's memory.
+func view(c []byte, off, n uint32) string {
+	if n == 0 {
+		return ""
+	}
+	return unsafe.String(&c[off], n)
+}
+
+// Records returns the snapshot as a snapshot image's dictionary
+// section: its terms' records in ID order. The records of one chunk are
+// contiguous from the chunk's start, so the section is one copy per
+// chunk — or no copy at all when one chunk holds every record, as in a
+// dictionary loaded from an image and never grown; then the result
+// aliases the arena. Callers must not modify it.
+func (t Terms) Records() []byte {
+	var out []byte
+	for i := 0; i < len(t.recs); {
+		j := i
+		for j+1 < len(t.recs) && t.recs[j+1].chunk == t.recs[i].chunk {
+			j++
+		}
+		run := t.chunks[t.recs[i].chunk][:t.recs[j].end()]
+		if i == 0 && j == len(t.recs)-1 {
+			return run
+		}
+		out = append(out, run...)
+		i = j + 1
+	}
+	return out
 }

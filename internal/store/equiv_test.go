@@ -225,6 +225,9 @@ func TestMemStats(t *testing.T) {
 	if m.TotalBytes != m.LogBytes+m.SPOBytes+m.POSBytes+m.OSPBytes+m.DictBytes {
 		t.Errorf("TotalBytes inconsistent: %+v", m)
 	}
+	if m.DictIndexBytes <= m.DictBytes {
+		t.Errorf("DictIndexBytes should cover the term bytes plus records and index: %+v", m)
+	}
 	if m.String() == "" {
 		t.Error("String() empty")
 	}

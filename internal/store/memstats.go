@@ -17,18 +17,24 @@ type MemStats struct {
 	DictTerms  int   // distinct terms in the dictionary
 	DictBytes  int64 // term string data held by the dictionary
 	TotalBytes int64 // log + all permutations + dictionary strings
+	// DictIndexBytes is what the dictionary really takes: arena
+	// capacity, record column and key→ID table (Dict.IndexBytes). It
+	// stays out of TotalBytes, which counts only term string data for
+	// the dictionary.
+	DictIndexBytes int64
 }
 
 // MemStats returns the memory footprint of the store's permutations
 // and dictionary.
 func (st *Store) MemStats() MemStats {
 	m := MemStats{
-		Triples:   len(st.spo.tri),
-		SPOBytes:  st.spo.bytes(),
-		POSBytes:  st.pos.bytes(),
-		OSPBytes:  st.osp.bytes(),
-		DictTerms: st.dict.Len(),
-		DictBytes: st.dict.StringBytes(),
+		Triples:        len(st.spo.tri),
+		SPOBytes:       st.spo.bytes(),
+		POSBytes:       st.pos.bytes(),
+		OSPBytes:       st.osp.bytes(),
+		DictTerms:      st.dict.Len(),
+		DictBytes:      st.dict.StringBytes(),
+		DictIndexBytes: st.dict.IndexBytes(),
 	}
 	m.TotalBytes = m.SPOBytes + m.POSBytes + m.OSPBytes + m.DictBytes
 	return m
@@ -42,11 +48,12 @@ func PendingMemStats(dict *Dict, tris []EncTriple) MemStats {
 	sorted := slices.Clone(tris)
 	slices.SortFunc(sorted, cmpSPO)
 	m := MemStats{
-		Triples:    len(slices.Compact(sorted)),
-		LogTriples: len(tris),
-		LogBytes:   int64(len(tris)) * 12,
-		DictTerms:  dict.Len(),
-		DictBytes:  dict.StringBytes(),
+		Triples:        len(slices.Compact(sorted)),
+		LogTriples:     len(tris),
+		LogBytes:       int64(len(tris)) * 12,
+		DictTerms:      dict.Len(),
+		DictBytes:      dict.StringBytes(),
+		DictIndexBytes: dict.IndexBytes(),
 	}
 	m.TotalBytes = m.LogBytes + m.DictBytes
 	return m
@@ -54,9 +61,9 @@ func PendingMemStats(dict *Dict, tris []EncTriple) MemStats {
 
 // String renders the footprint as a single human-readable line.
 func (m MemStats) String() string {
-	return fmt.Sprintf("triples=%d log=%s spo=%s pos=%s osp=%s dict=%s total=%s (dict terms=%d)",
+	return fmt.Sprintf("triples=%d log=%s spo=%s pos=%s osp=%s dict=%s total=%s (dict terms=%d index=%s)",
 		m.Triples, fmtBytes(m.LogBytes), fmtBytes(m.SPOBytes), fmtBytes(m.POSBytes),
-		fmtBytes(m.OSPBytes), fmtBytes(m.DictBytes), fmtBytes(m.TotalBytes), m.DictTerms)
+		fmtBytes(m.OSPBytes), fmtBytes(m.DictBytes), fmtBytes(m.TotalBytes), m.DictTerms, fmtBytes(m.DictIndexBytes))
 }
 
 func fmtBytes(n int64) string {

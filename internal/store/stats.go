@@ -22,7 +22,8 @@ type Stats struct {
 // walk over the dense ID space classifies each term as subject and/or
 // object (entity or literal) from the emptiness of its SPO/OSP runs.
 func computeStats(st *Store) *Stats {
-	maxID := st.dict.Len()
+	terms := st.dict.Terms()
+	maxID := terms.Len()
 	s := &Stats{
 		NumTriples:   len(st.spo.tri),
 		PredCount:    make(map[ID]int),
@@ -62,7 +63,7 @@ func computeStats(st *Store) *Stats {
 		sLo, sHi := st.spo.run(id)
 		oLo, oHi := st.osp.run(id)
 		isSubj, isObj := sLo != sHi, oLo != oHi
-		if isObj && st.dict.Decode(id).IsLiteral() {
+		if isObj && terms.Term(id).IsLiteral() {
 			s.NumLiterals++
 			if isSubj {
 				s.NumEntities++

@@ -28,7 +28,7 @@ type Solution map[string]Term
 // ErrResultsConsumed. Metadata accessors stay valid after the cursor is
 // consumed or closed. A Results is not safe for concurrent use.
 type Results struct {
-	terms    []Term // the dictionary's terms, terms[id-1] has ID id
+	terms    store.Terms // the dictionary's terms when the cursor was made
 	res      *core.Result
 	names    []string // projected variable names, render order
 	cols     []int    // cols[i] = row slot of names[i]
@@ -38,7 +38,7 @@ type Results struct {
 
 // newResults wraps one execution's outcome in a fresh cursor that
 // decodes IDs with dict. It takes the dictionary's append-only term
-// snapshot once, so decoding a cell is an index, not a lock round trip:
+// snapshot once, so decoding a cell reads the arena, not a lock round trip:
 // every ID in the result was encoded before the execution pinned its
 // store, so the snapshot holds them all.
 func newResults(dict *store.Dict, q *sparql.Query, res *core.Result) *Results {
@@ -84,7 +84,7 @@ func (w Row) Term(i int) (Term, bool) {
 	if id == store.None {
 		return Term{}, false
 	}
-	return w.r.terms[id-1], true
+	return w.r.terms.Term(id), true
 }
 
 // acquire claims the single iteration; callers that lose record the

@@ -45,7 +45,7 @@ func (r *Results) WriteJSON(w io.Writer) error {
 			first = false
 			writeJSONString(bw, r.names[ci])
 			bw.WriteByte(':')
-			writeJSONTerm(bw, r.terms[id-1])
+			writeJSONTerm(bw, r.terms.Term(id))
 		}
 		bw.WriteByte('}')
 	}

@@ -27,6 +27,36 @@ func openTestDB(t testing.TB) *sparqluo.DB {
 	return db
 }
 
+// TestNULLiteralsStayDistinct: a plain literal whose value holds a NUL
+// and then what reads as a language tag or datatype is its own term, not
+// an alias of the tagged literal, so neither triple is lost.
+func TestNULLiteralsStayDistinct(t *testing.T) {
+	for _, pair := range [][2]string{
+		{`"a` + "\x00" + `@en"`, `"a"@en`},
+		{`"a` + "\x00" + `^http://ex.org/dt"`, `"a"^^<http://ex.org/dt>`},
+	} {
+		db := sparqluo.Open()
+		doc := "<http://ex.org/s> <http://ex.org/p> " + pair[0] + " .\n<http://ex.org/s> <http://ex.org/p> " + pair[1] + " .\n"
+		if err := db.Load(strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query(`SELECT ?o WHERE { <http://ex.org/s> <http://ex.org/p> ?o }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[sparqluo.Term]bool{}
+		for _, sol := range res.Solutions() {
+			seen[sol["o"]] = true
+		}
+		if len(seen) != 2 {
+			t.Errorf("%s and %s: %d distinct answers %v, want 2", pair[0], pair[1], len(seen), seen)
+		}
+	}
+}
+
 // TestParseStrategyRoundTrips holds ParseStrategy to the names
 // Strategy.String prints ("TT", "CP"), which the §7 benchmarks report.
 func TestParseStrategyRoundTrips(t *testing.T) {

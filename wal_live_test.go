@@ -340,6 +340,80 @@ func TestWALUnpersistedCompactionKeepsJournal(t *testing.T) {
 	}
 }
 
+// TestWALNoOpCompactionRetiresJournal: a compaction whose fold leaves
+// the base unchanged — re-inserts of triples the base holds, or an
+// insert and a delete that cancel — still retires the journal below its
+// cut, so a stream of idempotent writes keeps the segment count bounded;
+// and a crash-reopen still matches a never-crashed run.
+func TestWALNoOpCompactionRetiresJournal(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	img := filepath.Join(dir, "live.img")
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{SnapshotPath: img, WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sparqluo.OpenLive(sparqluo.LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := dedupeTriples(lubm.Generate(lubm.DefaultConfig(1)))
+	base, fresh, tail := all[:500], all[500], all[501]
+	for _, d := range []*sparqluo.DB{db, ref} {
+		if err := d.Insert(base...); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := range 5 {
+		if err := db.Insert(base[round]); err != nil {
+			t.Fatal(err)
+		}
+		if round == 4 {
+			if err := db.Insert(fresh); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Delete(fresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if ls, _ := db.LiveStats(); ls.WAL.Segments != 1 {
+			t.Fatalf("round %d: %d journal segments after a compaction that changed nothing, want 1", round, ls.WAL.Segments)
+		}
+	}
+	for _, d := range []*sparqluo.DB{db, ref} {
+		if err := d.Insert(tail); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db = nil // kill -9
+
+	re, _, err := sparqluo.OpenFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.EnableLiveUpdates(sparqluo.LiveOptions{SnapshotPath: img, WALDir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, want := re.NumTriples(), ref.NumTriples(); got != want {
+		t.Fatalf("recovered NumTriples = %d, want %d", got, want)
+	}
+	for _, q := range bench.AllQueries() {
+		if q.Dataset != "LUBM" {
+			continue
+		}
+		if want, got := queryJSON(t, ref, q.Text, nil), queryJSON(t, re, q.Text, nil); !bytes.Equal(want, got) {
+			t.Errorf("%s: recovered results differ from never-crashed run\nwant: %.200s\ngot:  %.200s", q.ID, want, got)
+		}
+	}
+}
+
 // TestWALCrashBetweenFoldAndRetire pins the idempotence half of the
 // recovery contract: if the process dies after the folded base is
 // durably persisted but before the journal segments are retired,

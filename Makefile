@@ -116,13 +116,18 @@ live-smoke:
 # and require every acked triple to be queryable with byte-identical
 # JSON to a never-crashed server that applied the same writes. This is
 # the durability contract, exercised through the real binary and a real
-# SIGKILL. A last stage checks the orderly path: a journaling server is
-# stopped with SIGTERM — it must drain, fsync and close the WAL on its
-# way out (exit 0, "stopped" in its log) — and a restart on the same
-# directory must replay the 4 acknowledged batches.
+# SIGKILL. One acked insert is the literal "caf\u00e9 \"q\""@fr, and a
+# query spelling it with the same \u00e9 escape must find it after the
+# crash: query and data read escapes alike. A last stage checks the
+# orderly path: a journaling server is stopped with SIGTERM — it must
+# drain, fsync and close the WAL on its way out (exit 0, "stopped" in
+# its log) — and a restart on the same directory must replay the 5
+# acknowledged batches.
 wal-smoke:
 	@set -e; tmp=$$(mktemp -d); addr=127.0.0.1:18476; \
 	q='SELECT * WHERE { ?s <http://smoke/p> ?o }'; \
+	cafe='<http://smoke/s4> <http://smoke/q> "caf\u00e9 \"q\""@fr .'; \
+	qcafe='SELECT ?s WHERE { ?s <http://smoke/q> "caf\u00e9 \"q\""@fr }'; \
 	$(GO) run ./cmd/datagen -dataset lubm -scale 1 -out $$tmp/g.nt; \
 	$(GO) build -o $$tmp/server ./cmd/sparql-server; \
 	wait_ready() { for i in $$(seq 1 50); do \
@@ -132,6 +137,9 @@ wal-smoke:
 		printf '<http://smoke/s%s> <http://smoke/p> <http://smoke/o%s> .\n' $$i $$i | \
 			curl -sf -X POST --data-binary @- "http://$$addr/update?op=insert" | grep -q '"applied":1' || \
 			{ echo "wal-smoke: insert $$i not acked"; return 1; } done; \
+		printf '%s\n' "$$cafe" | \
+			curl -sf -X POST --data-binary @- "http://$$addr/update?op=insert" | grep -q '"applied":1' || \
+			{ echo "wal-smoke: escaped insert not acked"; return 1; }; \
 		printf '<http://smoke/s2> <http://smoke/p> <http://smoke/o2> .\n' | \
 			curl -sf -X POST --data-binary @- "http://$$addr/update?op=delete" | grep -q '"applied":1' || \
 			{ echo "wal-smoke: delete not acked"; return 1; } }; \
@@ -147,6 +155,9 @@ wal-smoke:
 	grep -Eq 'wal enabled .*replayed [1-9][0-9]* batches' $$tmp/server.log || \
 		{ echo "wal-smoke: server did not replay the journal"; cat $$tmp/server.log; exit 1; }; \
 	query > $$tmp/recovered.json; \
+	curl -sf -G --data-urlencode "query=$$qcafe" http://$$addr/sparql > $$tmp/cafe.json || \
+		{ echo "wal-smoke: query with an escaped literal failed"; exit 1; }; \
+	grep -q 'http://smoke/s4' $$tmp/cafe.json || { echo "wal-smoke: acked escaped literal lost"; exit 1; }; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
 	$$tmp/server -data $$tmp/g.nt -addr $$addr -live >$$tmp/server.log 2>&1 & pid=$$!; \
 	wait_ready; ingest; \
@@ -168,8 +179,8 @@ wal-smoke:
 		{ echo "wal-smoke: SIGTERM'd server did not shut down cleanly"; cat $$tmp/server.log; exit 1; }; \
 	$$tmp/server -data $$tmp/g.nt -addr $$addr -live -wal-dir $$tmp/wal2 >$$tmp/server.log 2>&1 & pid=$$!; \
 	wait_ready; \
-	grep -Eq 'wal enabled .*replayed 4 batches' $$tmp/server.log || \
-		{ echo "wal-smoke: restart after SIGTERM did not replay the 4 acked batches"; cat $$tmp/server.log; exit 1; }; \
+	grep -Eq 'wal enabled .*replayed 5 batches' $$tmp/server.log || \
+		{ echo "wal-smoke: restart after SIGTERM did not replay the 5 acked batches"; cat $$tmp/server.log; exit 1; }; \
 	query > $$tmp/graceful.json; \
 	if ! cmp -s $$tmp/graceful.json $$tmp/reference.json; then \
 		echo "wal-smoke: results after a SIGTERM stop differ from a never-stopped server:"; \

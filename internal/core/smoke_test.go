@@ -196,7 +196,7 @@ func TestRoundTripTerm(t *testing.T) {
 	d := store.NewDict()
 	for _, tm := range terms {
 		id := d.Encode(tm)
-		if got := d.Decode(id); !got.Equal(tm) {
+		if got := d.Terms().Term(id); !got.Equal(tm) {
 			t.Errorf("round trip %v → %v", tm, got)
 		}
 	}

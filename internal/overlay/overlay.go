@@ -133,16 +133,18 @@ func (ls *LiveStore) SetJournal(j *wal.Log) { ls.journal = j }
 // Insert adds the given triples as one atomic batch: a concurrent query
 // sees either none or all of them. Duplicates of existing triples are
 // absorbed (RDF set semantics); an insert also cancels any pending
-// tombstone for the same triple. With a journal attached, a nil return
-// means an fsync covers the batch; on error the batch was not applied
+// tombstone for the same triple. A batch holding a triple that
+// rdf.Triple.Valid refuses is refused whole, before anything is
+// journaled or applied. With a journal attached, a nil return means an
+// fsync covers the batch; on error the batch was not applied
 // (journal append failed) or was applied but not confirmed durable
 // (sync failed — a retry is safe either way, set semantics make
 // replays idempotent). Either failure poisons the log
 // (wal.ErrFailed): later writes are refused until it is reopened, while
 // reads keep being served.
 func (ls *LiveStore) Insert(ts ...rdf.Triple) error {
-	if len(ts) == 0 {
-		return nil
+	if err := rdf.CheckAll(ts); err != nil || len(ts) == 0 {
+		return err
 	}
 	ops := make([]op, len(ts))
 	for i, t := range ts {
@@ -157,10 +159,12 @@ func (ls *LiveStore) Insert(ts ...rdf.Triple) error {
 // is skipped without growing the dictionary. The full requested batch
 // is journaled (not just the surviving tombstones): recovery replays it
 // against a base that may differ from today's memtable, where a
-// tombstone skipped now could be the one that matters.
+// tombstone skipped now could be the one that matters. So a batch
+// holding a triple rdf.Triple.Valid refuses is refused whole, as Insert
+// refuses it: its journal record could not be replayed.
 func (ls *LiveStore) Delete(ts ...rdf.Triple) error {
-	if len(ts) == 0 {
-		return nil
+	if err := rdf.CheckAll(ts); err != nil || len(ts) == 0 {
+		return err
 	}
 	ops := make([]op, 0, len(ts))
 	for _, t := range ts {

@@ -26,8 +26,6 @@ func baseStore(ts []rdf.Triple) *store.Store {
 	return st
 }
 
-func key(t rdf.Triple) string { return t.S.Key() + "\x00" + t.P.Key() + "\x00" + t.O.Key() }
-
 // checkEquiv asserts that every Reader accessor of the live store's
 // current view answers exactly like a store rebuilt from scratch over
 // the model triple set (sharing the same dictionary, so IDs line up).
@@ -125,7 +123,7 @@ func TestRandomOpsMatchRebuiltStore(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		tr := randTriple()
 		baseTs = append(baseTs, tr)
-		model[key(tr)] = tr
+		model[tr.String()] = tr
 	}
 	ls := New(baseStore(baseTs), Options{})
 	checkEquiv(t, ls, model)
@@ -135,14 +133,14 @@ func TestRandomOpsMatchRebuiltStore(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(8); i++ {
 			tr := randTriple()
 			ins = append(ins, tr)
-			model[key(tr)] = tr
+			model[tr.String()] = tr
 		}
 		ls.Insert(ins...)
 		var dels []rdf.Triple
 		for i := 0; i < rng.Intn(6); i++ {
 			tr := randTriple()
 			dels = append(dels, tr)
-			delete(model, key(tr))
+			delete(model, tr.String())
 		}
 		ls.Delete(dels...)
 		if round%7 == 3 {

@@ -28,6 +28,8 @@ func FuzzNTriples(f *testing.F) {
 		"<http://a> <http://b> .\n",
 		"<http://a <http://b> <http://c> .\n",
 		"\"literal in subject\" <http://b> <http://c> .\n",
+		"<http://s> <http://p> \"x\"@en.\n",
+		"<http://s> <http://p> _:b.\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

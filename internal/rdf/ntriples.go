@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -27,10 +28,14 @@ type Decoder struct {
 	prefixes map[string]string
 }
 
+// maxLine bounds the bytes of a line the Decoder reads, its newline
+// included.
+const maxLine = 16 << 20
+
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	return &Decoder{scan: sc, prefixes: map[string]string{}}
 }
 
@@ -131,24 +136,21 @@ func (p *termParser) term() (Term, error) {
 	}
 	switch p.s[p.i] {
 	case '<':
-		return p.iri()
+		iri, n, err := ReadIRI(p.s[p.i:])
+		p.i += n
+		return NewIRI(iri), err
 	case '_':
 		return p.blank()
 	case '"':
-		return p.literal()
+		body, n, err := ScanString(p.s[p.i:])
+		if err != nil {
+			return Term{}, err
+		}
+		p.i += n
+		return p.literalSuffix(Unescape(body))
 	default:
 		return p.prefixedName()
 	}
-}
-
-func (p *termParser) iri() (Term, error) {
-	end := strings.IndexByte(p.s[p.i:], '>')
-	if end < 0 {
-		return Term{}, fmt.Errorf("unterminated IRI")
-	}
-	iri := p.s[p.i+1 : p.i+end]
-	p.i += end + 1
-	return NewIRI(iri), nil
 }
 
 func (p *termParser) blank() (Term, error) {
@@ -156,106 +158,36 @@ func (p *termParser) blank() (Term, error) {
 		return Term{}, fmt.Errorf("malformed blank node")
 	}
 	p.i += 2
-	start := p.i
-	for p.i < len(p.s) && !isTermBreak(p.s[p.i]) {
-		p.i++
-	}
-	if p.i == start {
+	label := p.token()
+	if label == "" {
 		return Term{}, fmt.Errorf("empty blank node label")
 	}
-	return NewBlank(p.s[start:p.i]), nil
+	return NewBlank(label), nil
 }
 
-// literal parses a quoted literal body, decoding every N-Triples ECHAR
-// (\t \b \n \r \f \" \' \\) and UCHAR (\uXXXX, \UXXXXXXXX) escape.
-func (p *termParser) literal() (Term, error) {
-	p.i++ // opening quote
-	var b strings.Builder
-	for p.i < len(p.s) {
-		c := p.s[p.i]
-		if c == '\\' {
-			if p.i+1 >= len(p.s) {
-				return Term{}, fmt.Errorf("dangling escape")
-			}
-			esc := p.s[p.i+1]
-			p.i += 2
-			switch esc {
-			case 't':
-				b.WriteByte('\t')
-			case 'b':
-				b.WriteByte('\b')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 'f':
-				b.WriteByte('\f')
-			case '"', '\'', '\\':
-				b.WriteByte(esc)
-			case 'u', 'U':
-				n := 4
-				if esc == 'U' {
-					n = 8
-				}
-				r, err := p.uchar(n)
-				if err != nil {
-					return Term{}, err
-				}
-				b.WriteRune(r)
-			default:
-				return Term{}, fmt.Errorf("unknown escape \\%c", esc)
-			}
-			continue
-		}
-		if c == '"' {
-			p.i++
-			return p.literalSuffix(b.String())
-		}
-		b.WriteByte(c)
+// token scans a blank label, language tag or prefixed name: up to the
+// next blank, except that a final '.' followed by nothing but blanks or
+// a '#' comment is the line's terminator.
+func (p *termParser) token() string {
+	start := p.i
+	for p.i < len(p.s) && p.s[p.i] != ' ' && p.s[p.i] != '\t' {
 		p.i++
 	}
-	return Term{}, fmt.Errorf("unterminated literal")
-}
-
-// uchar decodes the n hex digits of a \u or \U escape at p.i. A
-// surrogate or a code point above U+10FFFF is an error: neither is a
-// character.
-func (p *termParser) uchar(n int) (rune, error) {
-	if p.i+n > len(p.s) {
-		return 0, fmt.Errorf("truncated \\u escape")
+	rest := strings.TrimLeft(p.s[p.i:], " \t")
+	if p.i > start && p.s[p.i-1] == '.' && (rest == "" || rest[0] == '#') {
+		p.i--
 	}
-	var r uint32
-	for _, c := range []byte(p.s[p.i : p.i+n]) {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, fmt.Errorf("bad hex digit %q in \\u escape", c)
-		}
-		r = r<<4 | uint32(c)
-	}
-	if r > unicode.MaxRune || 0xD800 <= r && r <= 0xDFFF {
-		return 0, fmt.Errorf("escape %q is not a character", p.s[p.i-2:p.i+n])
-	}
-	p.i += n
-	return rune(r), nil
+	return p.s[start:p.i]
 }
 
 func (p *termParser) literalSuffix(lex string) (Term, error) {
 	if p.i < len(p.s) && p.s[p.i] == '@' {
 		p.i++
-		start := p.i
-		for p.i < len(p.s) && !isTermBreak(p.s[p.i]) {
-			p.i++
-		}
-		if p.i == start {
+		lang := p.token()
+		if lang == "" {
 			return Term{}, fmt.Errorf("empty language tag")
 		}
-		return NewLangLiteral(lex, p.s[start:p.i]), nil
+		return NewLangLiteral(lex, lang), nil
 	}
 	if strings.HasPrefix(p.s[p.i:], "^^") {
 		p.i += 2
@@ -273,11 +205,7 @@ func (p *termParser) literalSuffix(lex string) (Term, error) {
 
 // prefixedName parses pfx:local using the declared @prefix table.
 func (p *termParser) prefixedName() (Term, error) {
-	start := p.i
-	for p.i < len(p.s) && !isTermBreak(p.s[p.i]) {
-		p.i++
-	}
-	tok := p.s[start:p.i]
+	tok := p.token()
 	colon := strings.Index(tok, ":")
 	if colon < 0 {
 		return Term{}, fmt.Errorf("unrecognized token %q", tok)
@@ -289,8 +217,140 @@ func (p *termParser) prefixedName() (Term, error) {
 	return NewIRI(base + tok[colon+1:]), nil
 }
 
-func isTermBreak(c byte) bool {
-	return c == ' ' || c == '\t'
+// ReadIRI reads the IRI at the start of s, from its '<' to the first
+// '>', and returns what lies between them and the bytes read. Escapes
+// in an IRI are kept as written.
+func ReadIRI(s string) (iri string, n int, err error) {
+	end := strings.IndexByte(s, '>')
+	if end < 0 {
+		return "", 0, fmt.Errorf("unterminated IRI")
+	}
+	return s[1:end], end + 1, nil
+}
+
+// ScanString reads the string at the start of s, from its opening '"'
+// to the closing one, and returns its body as written and the bytes
+// read. Every escape in the body is checked, none is decoded: Unescape
+// decodes a body ScanString accepted.
+func ScanString(s string) (body string, n int, err error) {
+	for i := 1; i < len(s); i++ {
+		switch s[i] {
+		case '"':
+			return s[1:i], i + 1, nil
+		case '\\':
+			_, m, err := DecodeEscape(s[i:])
+			if err != nil {
+				return "", 0, err
+			}
+			i += m - 1
+		}
+	}
+	return "", 0, fmt.Errorf("unterminated literal")
+}
+
+// Unescape returns the value of a string body ScanString accepted. It
+// allocates only when the body holds an escape.
+func Unescape(body string) string {
+	i := strings.IndexByte(body, '\\')
+	if i < 0 {
+		return body
+	}
+	var b strings.Builder
+	b.Grow(len(body)) // an escape is longer than what it decodes to
+	for ; i >= 0; i = strings.IndexByte(body, '\\') {
+		r, n, _ := DecodeEscape(body[i:])
+		b.WriteString(body[:i])
+		b.WriteRune(r)
+		body = body[i+n:]
+	}
+	b.WriteString(body)
+	return b.String()
+}
+
+// DecodeEscape decodes the escape at the start of s and returns the
+// rune it stands for and its length: an ECHAR (\t \b \n \r \f \" \' \\)
+// or a UCHAR (\uXXXX, \UXXXXXXXX) naming a character, so neither a
+// surrogate nor a code point above U+10FFFF.
+func DecodeEscape(s string) (r rune, n int, err error) {
+	if len(s) < 2 {
+		return 0, 0, fmt.Errorf("dangling escape")
+	}
+	c := s[1]
+	if i := strings.IndexByte(`tbnrf"'\`, c); i >= 0 {
+		return rune("\t\b\n\r\f\"'\\"[i]), 2, nil
+	}
+	u := strings.IndexByte("uU", c)
+	if u < 0 {
+		return 0, 0, fmt.Errorf("unknown escape %q", s[:2])
+	}
+	if n = 6 + 4*u; len(s) < n { // \uXXXX or \UXXXXXXXX
+		return 0, 0, fmt.Errorf("truncated \\%c escape", c)
+	}
+	v, err := strconv.ParseUint(s[2:n], 16, 32)
+	if err != nil || v > unicode.MaxRune || 0xD800 <= v && v <= 0xDFFF {
+		return 0, 0, fmt.Errorf("escape %q is not a character", s[:n])
+	}
+	return rune(v), n, nil
+}
+
+// Escape returns the letter of the ECHAR the writer spells the byte c
+// with inside a string, or 0 when c is written as it is. Only '"', '\\',
+// LF, CR and TAB are escaped, so a string's spelling keeps every other
+// byte — invalid UTF-8 included — as it is.
+func Escape(c byte) byte { return echar[c] }
+
+var echar = [256]byte{'"': '"', '\\': '\\', '\n': 'n', '\r': 'r', '\t': 't'}
+
+// AppendString appends s to dst as the body of an N-Triples string.
+func AppendString(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if e := Escape(s[i]); e != 0 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', e)
+			start = i + 1
+		}
+	}
+	return append(dst, s[start:]...)
+}
+
+// AppendTerm appends the N-Triples spelling of t to dst.
+func AppendTerm(dst []byte, t Term) []byte {
+	switch t.Kind {
+	case IRI:
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
+	case Blank:
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
+	case Literal:
+		dst = append(dst, '"')
+		dst = AppendString(dst, t.Value)
+		dst = append(dst, '"')
+		if t.Lang != "" {
+			dst = append(dst, '@')
+			return append(dst, t.Lang...)
+		}
+		if t.Datatype != "" {
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			return append(dst, '>')
+		}
+		return dst
+	}
+	return fmt.Appendf(dst, "?!badterm(%d,%q)", t.Kind, t.Value)
+}
+
+// AppendTriple appends t to dst as an N-Triples line, without its
+// newline.
+func AppendTriple(dst []byte, t Triple) []byte {
+	dst = AppendTerm(dst, t.S)
+	dst = append(dst, ' ')
+	dst = AppendTerm(dst, t.P)
+	dst = append(dst, ' ')
+	dst = AppendTerm(dst, t.O)
+	return append(dst, " ."...)
 }
 
 // ParseAll reads every triple from r, returning them as a slice.
@@ -312,6 +372,7 @@ func ParseAll(r io.Reader) ([]Triple, error) {
 // Encoder writes triples as N-Triples lines.
 type Encoder struct {
 	w   *bufio.Writer
+	buf []byte // the line being written, reused
 	err error
 }
 
@@ -325,10 +386,8 @@ func (e *Encoder) Encode(t Triple) error {
 	if e.err != nil {
 		return e.err
 	}
-	_, e.err = e.w.WriteString(t.String())
-	if e.err == nil {
-		e.err = e.w.WriteByte('\n')
-	}
+	e.buf = append(AppendTriple(e.buf[:0], t), '\n')
+	_, e.err = e.w.Write(e.buf)
 	return e.err
 }
 

@@ -190,6 +190,80 @@ func TestTripleValid(t *testing.T) {
 	if bad2.Valid() {
 		t.Error("literal predicate should be invalid")
 	}
+	s, p := NewIRI("http://e/s"), NewIRI("http://e/p")
+	long := strings.Repeat("x", maxLine)
+	for _, tc := range []struct {
+		tr   Triple
+		want bool
+	}{
+		{Triple{S: NewIRI("http://ex/a>b"), P: p, O: NewLiteral("x")}, false},
+		{Triple{S: s, P: NewIRI("http://e/p\nq"), O: NewLiteral("x")}, false},
+		{Triple{S: s, P: p, O: NewIRI("a\nb")}, false},
+		{Triple{S: NewBlank("a b"), P: p, O: NewLiteral("x")}, false},
+		{Triple{S: s, P: p, O: NewBlank("a\tb")}, false},
+		{Triple{S: s, P: p, O: NewBlank("")}, false},
+		{Triple{S: s, P: p, O: NewLangLiteral("x", "en us")}, false},
+		{Triple{S: s, P: p, O: NewTypedLiteral("x", "http://e/dt>")}, false},
+		{Triple{S: s, P: p, O: Term{Kind: Literal, Value: "x", Lang: "en", Datatype: "http://e/dt"}}, false},
+		{Triple{S: Term{Kind: IRI, Value: "http://e/s", Lang: "en"}, P: p, O: NewLiteral("x")}, false},
+		{Triple{S: s, P: p, O: Term{Kind: 3, Value: "x"}}, false},
+		{Triple{S: s, P: p, O: NewLiteral(long)}, false}, // a line the decoder cannot buffer
+		{Triple{S: s, P: p, O: NewLiteral(long[:maxLine/2])}, true},
+		{Triple{S: s, P: p, O: NewLiteral("a\xff\"b\n\\")}, true},
+		{Triple{S: NewBlank("b."), P: p, O: NewBlank("b.")}, true},
+		{Triple{S: s, P: p, O: NewLangLiteral("x", "en.")}, true},
+		{Triple{S: NewIRI(""), P: NewIRI("a<b"), O: NewIRI("#x y")}, true},
+	} {
+		if got := tc.tr.Valid(); got != tc.want {
+			t.Errorf("Valid(%q) = %v, want %v", tc.tr.String(), got, tc.want)
+		}
+		if len(tc.tr.O.Value) > 1000 {
+			continue
+		}
+		back, err := ParseAll(strings.NewReader(tc.tr.String()))
+		if readsBack := err == nil && len(back) == 1 && back[0] == tc.tr; readsBack != tc.want {
+			t.Errorf("%q reads back: %v, want %v", tc.tr.String(), readsBack, tc.want)
+		}
+	}
+}
+
+// TestParseTerminator: a final '.' of a blank label, language tag or
+// prefixed name ends the line when only blanks or a comment follow it;
+// otherwise it stays part of the token, as it always did.
+func TestParseTerminator(t *testing.T) {
+	const pre = "@prefix ex: <http://e/> .\n<http://s> <http://p> "
+	for _, tc := range []struct {
+		obj  string // the object and what follows it on its line
+		want Term   // zero when the line is an error
+	}{
+		{`"x"@en.`, NewLangLiteral("x", "en")},
+		{`_:b.`, NewBlank("b")},
+		{`ex:o.`, NewIRI("http://e/o")},
+		{`"1"^^ex:int.`, NewTypedLiteral("1", "http://e/int")},
+		{"_:b.\t# comment", NewBlank("b")},
+		{`_:b. # comment`, NewBlank("b")},
+		{`"x"@en. .`, NewLangLiteral("x", "en.")},
+		{`_:b. .`, NewBlank("b.")},
+		{`_:b.. .`, NewBlank("b..")},
+		{`ex:o. . # c`, NewIRI("http://e/o.")},
+		{`_:b .`, NewBlank("b")},
+		{`_:b.#c`, Term{}},
+		{`_:.`, Term{}},
+		{`"x"@.`, Term{}},
+		{`_:b. x`, Term{}},
+	} {
+		ts, err := ParseAll(strings.NewReader(pre + tc.obj))
+		switch {
+		case tc.want == Term{}:
+			if err == nil {
+				t.Errorf("%s: parsed %v, want an error", tc.obj, ts)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.obj, err)
+		case ts[0].O != tc.want:
+			t.Errorf("%s: object %#v, want %#v", tc.obj, ts[0].O, tc.want)
+		}
+	}
 }
 
 func TestTermKeyUniqueAcrossKinds(t *testing.T) {
@@ -199,10 +273,10 @@ func TestTermKeyUniqueAcrossKinds(t *testing.T) {
 	}
 	seen := map[string]Term{}
 	for _, tm := range terms {
-		if prev, ok := seen[tm.Key()]; ok {
-			t.Errorf("key collision between %v and %v", prev, tm)
+		if prev, ok := seen[tm.String()]; ok {
+			t.Errorf("spelling collision between %#v and %#v", prev, tm)
 		}
-		seen[tm.Key()] = tm
+		seen[tm.String()] = tm
 	}
 }
 
@@ -217,6 +291,9 @@ func TestTermString(t *testing.T) {
 		{NewTypedLiteral("1", "http://dt"), `"1"^^<http://dt>`},
 		{NewBlank("b"), "_:b"},
 		{NewLiteral("a\"b"), `"a\"b"`},
+		// Bytes are written as they are, invalid UTF-8 too, escaped or not.
+		{NewLiteral("a\xff\"b\\\n\r\t\b"), "\"a\xff\\\"b\\\\\\n\\r\\t\b\""},
+		{NewLiteral("caf\u00e9\x80"), "\"caf\u00e9\x80\""},
 	}
 	for _, tc := range cases {
 		if got := tc.term.String(); got != tc.want {

@@ -2,6 +2,14 @@
 // terms (IRIs, literals, blank nodes), triples, and parsing/serialization
 // of N-Triples with a small Turtle-style prefix extension.
 //
+// The term syntax N-Triples 1.1 and SPARQL 1.1 share — the IRIREF,
+// STRING_LITERAL_QUOTE, ECHAR and UCHAR terminals — lives in ntriples.go
+// and nowhere else: the N-Triples decoder and the SPARQL lexer read IRIs
+// and strings with ReadIRI, ScanString and Unescape, and every spelling
+// of a term (Term.String, the Encoder, the write-ahead log, the literals
+// of the plan-cache key) is AppendTerm's. Language tags, blank labels
+// and prefixed names differ between the grammars and stay with each.
+//
 // An RDF dataset D is a collection of triples
 // ⟨subject, predicate, object⟩ ∈ (I ∪ B) × I × (I ∪ B ∪ L) (Definition 1
 // of the paper).
@@ -9,7 +17,6 @@ package rdf
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -85,79 +92,12 @@ func (t Term) IsBlank() bool { return t.Kind == Blank }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
-	switch t.Kind {
-	case IRI:
-		return "<" + t.Value + ">"
-	case Blank:
-		return "_:" + t.Value
-	case Literal:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
-	default:
-		return fmt.Sprintf("?!badterm(%d,%q)", t.Kind, t.Value)
-	}
-}
-
-// Key returns a canonical string key for the term, unique across kinds
-// and distinct from every other term's key: a language tag or datatype
-// IRI is length-prefixed, so no byte in any field can make two terms'
-// keys meet. (The store's dictionary compares terms field by field and
-// builds no key.)
-func (t Term) Key() string {
-	switch t.Kind {
-	case IRI:
-		return "I" + t.Value
-	case Blank:
-		return "B" + t.Value
-	default:
-		if t.Lang != "" {
-			return "@" + strconv.Itoa(len(t.Lang)) + ":" + t.Lang + t.Value
-		}
-		if t.Datatype != "" {
-			return "^" + strconv.Itoa(len(t.Datatype)) + ":" + t.Datatype + t.Value
-		}
-		return "L" + t.Value
-	}
+	return string(AppendTerm(make([]byte, 0, 64), t))
 }
 
 // Equal reports whether two terms are identical.
 func (t Term) Equal(u Term) bool {
 	return t.Kind == u.Kind && t.Value == u.Value && t.Lang == u.Lang && t.Datatype == u.Datatype
-}
-
-func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }
 
 // Triple is a single RDF statement ⟨subject, predicate, object⟩.
@@ -167,14 +107,56 @@ type Triple struct {
 
 // String renders the triple as an N-Triples line (without trailing newline).
 func (t Triple) String() string {
-	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
+	return string(AppendTriple(make([]byte, 0, 128), t))
 }
 
-// Valid reports whether the triple satisfies Definition 1: the subject is
-// an IRI or blank node, the predicate an IRI, and the object any term.
+// Valid reports whether the triple can be stored: its subject is an IRI
+// or blank node and its predicate an IRI (Definition 1), and its
+// N-Triples spelling reads back as itself, so a file, a query and the
+// write-ahead log all see the triple that was written.
 func (t Triple) Valid() bool {
-	if t.S.Kind == Literal {
+	if t.S.Kind != IRI && t.S.Kind != Blank || t.P.Kind != IRI ||
+		!t.S.readsBack() || !t.P.readsBack() || !t.O.readsBack() {
 		return false
 	}
-	return t.P.Kind == IRI
+	// A line the Decoder cannot buffer does not read back. Escaping at
+	// most doubles a string, so only a triple this long needs spelling.
+	n := len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + len(t.O.Lang) + len(t.O.Datatype)
+	return 2*n+16 < maxLine || len(t.String()) < maxLine
+}
+
+// CheckAll returns an error naming the first triple of ts that is not
+// Valid, or nil. Writers check a batch with it before applying or
+// journaling any of it.
+func CheckAll(ts []Triple) error {
+	for _, t := range ts {
+		if !t.Valid() {
+			return fmt.Errorf("rdf: invalid triple %q", t.String())
+		}
+	}
+	return nil
+}
+
+// readsBack reports whether the term's spelling reads back as the term:
+// an IRI or datatype holds no '>' or line feed; a blank label or
+// language tag is not empty and holds no blank or line feed; and only a
+// literal has a language tag or datatype, never both.
+func (t Term) readsBack() bool {
+	switch t.Kind {
+	case IRI:
+		return t.Lang == "" && t.Datatype == "" && isIRI(t.Value)
+	case Blank:
+		return t.Lang == "" && t.Datatype == "" && isLabel(t.Value)
+	case Literal:
+		return t.Lang == "" && isIRI(t.Datatype) || t.Datatype == "" && isLabel(t.Lang)
+	}
+	return false
+}
+
+// isIRI and isLabel look for each byte with strings.IndexByte, which is
+// several times faster than strings.ContainsAny on a decoder's lines.
+func isIRI(s string) bool { return strings.IndexByte(s, '>') < 0 && strings.IndexByte(s, '\n') < 0 }
+
+func isLabel(s string) bool {
+	return s != "" && strings.IndexByte(s, ' ') < 0 && strings.IndexByte(s, '\t') < 0 && strings.IndexByte(s, '\n') < 0
 }

@@ -60,7 +60,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		d := loaded.Dict()
 		for id := store.ID(1); int(id) <= d.Len(); id++ {
-			term := d.Decode(id)
+			term := d.Terms().Term(id)
 			if got, ok := d.Lookup(term); !ok || got != id {
 				// Two distinct records may decode to terms with colliding
 				// keys only if the image was crafted; Lookup must still

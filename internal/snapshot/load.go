@@ -281,7 +281,7 @@ func Load(data []byte) (*store.Store, error) {
 		}
 	}
 
-	// Triple and column IDs feed Dict.Decode unchecked on the result
+	// Triple and column IDs feed Terms.Term unchecked on the result
 	// path, where the reserved ID 0 or an ID beyond the dictionary
 	// panics; make those a load-time error instead. This is a
 	// compare-only min/max sweep, far cheaper than the parse work the

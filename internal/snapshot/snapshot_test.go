@@ -91,7 +91,7 @@ func requireEqualStores(t *testing.T, want, got *store.Store) {
 		t.Fatalf("dict len = %d, want %d", got.Dict().Len(), want.Dict().Len())
 	}
 	for id := store.ID(1); int(id) <= want.Dict().Len(); id++ {
-		w, g := want.Dict().Decode(id), got.Dict().Decode(id)
+		w, g := want.Dict().Terms().Term(id), got.Dict().Terms().Term(id)
 		if !w.Equal(g) {
 			t.Fatalf("term %d = %v, want %v", id, g, w)
 		}
@@ -304,7 +304,7 @@ func section(img []byte, kind int) []byte {
 // TestLoadRejectsForgedIDs: an image whose checksums are all valid but
 // whose triples reference dictionary IDs out of range (or the reserved
 // ID 0) must fail at load time — those IDs would otherwise panic
-// Dict.Decode during result writing.
+// Terms.Term during result writing.
 func TestLoadRejectsForgedIDs(t *testing.T) {
 	for _, sec := range []int{secSPOTri, secPOSCol, secOSPCol} {
 		for _, forged := range []uint32{0, 1 << 30} {

@@ -67,6 +67,9 @@ func TestCanonicalText(t *testing.T) {
 		// Each of \n \t \r has one spelling inside a literal.
 		{"{ ?s ?p \"a\tb\nc\rd\" }", `{ ?s ?p "a\tb\nc\rd" }`},
 		{`{ ?s ?p "a\tb\\t\"" }`, `{ ?s ?p "a\tb\\t\"" }`},
+		// Every other escape is decoded and its character written as it is.
+		{`{ ?s ?p "caf\u00e9 \b\'\U0001F600" }`, "{ ?s ?p \"caf\u00e9 \b'\U0001F600\" }"},
+		{`{ ?s ?p "\u000A\u0022\u005C" }`, `{ ?s ?p "\n\"\\" }`},
 		// Rejected texts come back as written.
 		{`{ ?s ?p "a\xb" }`, `{ ?s ?p "a\xb" }`},
 		{`{  ?s ?p "unterminated`, `{  ?s ?p "unterminated`},
@@ -100,6 +103,10 @@ func TestCanonicalTextPairs(t *testing.T) {
 		{`{ ?s ?p "a\rb" }`, "{ ?s ?p \"a\rb\" }"},
 		{`{ ?s ?p "x"@en }`, `{?s?p"x"@en}`},
 		{"{ ?x ex:p#a ?y }", "{?x ex:p#a ?y}"},
+		{`{ ?s ?p "\u0041" }`, `{ ?s ?p "A" }`},
+		{`{ ?s ?p "\'" }`, `{ ?s ?p "'" }`},
+		{`{ ?s ?p "caf\u00e9\b\f" }`, "{ ?s ?p \"caf\U000000E9\b\f\" }"},
+		{`{ ?s ?p "\"\\" }`, `{ ?s ?p "\u0022\u005c" }`},
 	}
 	for _, c := range same {
 		if a, b := CanonicalText(c[0]), CanonicalText(c[1]); a != b {
@@ -125,6 +132,7 @@ func TestCanonicalTextPairs(t *testing.T) {
 		{`{ ?s ?p "a\\tb" }`, `{ ?s ?p "a\tb" }`},   // backslash-t vs tab
 		{`{ ?s ?p "a\\nb" }`, "{ ?s ?p \"a\nb\" }"}, // backslash-n vs newline
 		{`{ ?s ?p "a\"b" }`, `{ ?s ?p "a" }`},       // an escaped quote is content
+		{`{ ?s ?p "\u0041" }`, `{ ?s ?p "\u0042" }`},
 		// Rejected literals keep to themselves.
 		{`{ ?s ?p "a\xb" }`, `{ ?s ?p "axb" }`},
 		{`{ ?s ?p "a\xb" }`, `{ ?s ?p "a\\xb" }`},

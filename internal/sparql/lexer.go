@@ -3,6 +3,9 @@ package sparql
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
+
+	"sparqluo/internal/rdf"
 )
 
 type tokenKind int
@@ -73,7 +76,7 @@ func lex(src string) ([]token, error) {
 			return nil, err
 		}
 		if t.kind == tokLiteral {
-			t.text = unescape(t.text)
+			t.text = rdf.Unescape(t.text)
 		}
 		toks = append(toks, t)
 		if t.kind == tokEOF {
@@ -84,8 +87,10 @@ func lex(src string) ([]token, error) {
 
 // CanonicalText returns the one spelling shared by exactly the texts
 // that lex to the token stream of src: every token written one way —
-// keywords upper-cased, variables with '?', string literals with each
-// of \n \t \r escaped — and separated by single spaces. The result
+// keywords upper-cased, variables with '?', a string literal's value
+// spelled as N-Triples spells it (rdf.AppendString: each escape decoded,
+// then only '"', '\\', LF, CR and TAB escaped) — and separated by
+// single spaces. The result
 // lexes to the same stream, so it is its own canonical text. A text the
 // lexer rejects is returned unchanged; no canonical text equals it,
 // because canonical texts lex. It is the plan-cache key, computed for
@@ -115,17 +120,24 @@ func CanonicalText(src string) string {
 			b.WriteByte('>')
 		case tokLiteral:
 			b.WriteByte('"')
-			for i := 0; i < len(t.text); i++ {
-				switch c := t.text[i]; c {
-				case '\n':
-					b.WriteString(`\n`)
-				case '\t':
-					b.WriteString(`\t`)
-				case '\r':
-					b.WriteString(`\r`)
-				default: // an escape pair is already the only spelling of its byte
-					b.WriteByte(c)
+			for body := t.text; body != ""; {
+				c, n := body[0], 1
+				if c == '\\' {
+					var r rune
+					r, n, _ = rdf.DecodeEscape(body) // next checked it
+					if r >= utf8.RuneSelf {
+						b.WriteRune(r)
+						body = body[n:]
+						continue
+					}
+					c = byte(r)
 				}
+				if e := rdf.Escape(c); e != 0 {
+					b.WriteByte('\\')
+					c = e
+				}
+				b.WriteByte(c)
+				body = body[n:]
 			}
 			b.WriteByte('"')
 			if t.lang != "" {
@@ -142,7 +154,7 @@ func CanonicalText(src string) string {
 }
 
 // next scans one token. A literal's text is its body as written, with
-// its escapes checked but not decoded (see unescape).
+// its escapes checked but not decoded (see rdf.ScanString).
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
 	start := l.i
@@ -171,12 +183,12 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tokVar, text: name, pos: start}, nil
 	case '<':
-		end := strings.IndexByte(l.src[start:], '>')
-		if end < 0 {
-			return token{}, &Error{start, "unterminated IRI"}
+		iri, n, err := rdf.ReadIRI(l.src[start:])
+		if err != nil {
+			return token{}, &Error{start, err.Error()}
 		}
-		l.i += end + 1
-		return token{kind: tokIRI, text: l.src[start+1 : start+end], pos: start}, nil
+		l.i += n
+		return token{kind: tokIRI, text: iri, pos: start}, nil
 	case '"':
 		return l.literal()
 	}
@@ -259,27 +271,12 @@ func isWordByte(c byte) bool {
 // literal scans "body" with its optional @lang or ^^datatype.
 func (l *lexer) literal() (token, error) {
 	start := l.i
-	l.i++ // opening quote
-	for {
-		if l.i >= len(l.src) {
-			return token{}, &Error{start, "unterminated literal"}
-		}
-		c := l.src[l.i]
-		if c == '"' {
-			break
-		}
-		if c == '\\' && l.i+1 < len(l.src) {
-			switch l.src[l.i+1] {
-			case 'n', 't', 'r', '"', '\\':
-				l.i++
-			default:
-				return token{}, &Error{l.i, "unknown escape in literal"}
-			}
-		}
-		l.i++
+	body, n, err := rdf.ScanString(l.src[start:])
+	if err != nil {
+		return token{}, &Error{start, err.Error()}
 	}
-	tok := token{kind: tokLiteral, text: l.src[start+1 : l.i], pos: start}
-	l.i++ // closing quote
+	tok := token{kind: tokLiteral, text: body, pos: start}
+	l.i += n
 	if l.i < len(l.src) && l.src[l.i] == '@' {
 		l.i++
 		tok.lang = l.takeWhile(isLangTagByte)
@@ -289,12 +286,12 @@ func (l *lexer) literal() (token, error) {
 	} else if strings.HasPrefix(l.src[l.i:], "^^") {
 		l.i += 2
 		if l.i < len(l.src) && l.src[l.i] == '<' {
-			end := strings.IndexByte(l.src[l.i:], '>')
-			if end < 0 {
-				return token{}, &Error{l.i, "unterminated datatype IRI"}
+			_, n, err := rdf.ReadIRI(l.src[l.i:])
+			if err != nil {
+				return token{}, &Error{l.i, "datatype: " + err.Error()}
 			}
-			tok.dt = l.src[l.i : l.i+end+1]
-			l.i += end + 1
+			tok.dt = l.src[l.i : l.i+n]
+			l.i += n
 		} else {
 			tok.dt = l.takeWhile(isWordByte)
 			if tok.dt == "" {
@@ -303,30 +300,4 @@ func (l *lexer) literal() (token, error) {
 		}
 	}
 	return tok, nil
-}
-
-// unescape decodes the escapes of a literal body next has checked:
-// \n \t \r, and \" \\ standing for their second byte.
-func unescape(body string) string {
-	if strings.IndexByte(body, '\\') < 0 {
-		return body
-	}
-	var b strings.Builder
-	b.Grow(len(body))
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c == '\\' {
-			i++
-			switch c = body[i]; c {
-			case 'n':
-				c = '\n'
-			case 't':
-				c = '\t'
-			case 'r':
-				c = '\r'
-			}
-		}
-		b.WriteByte(c)
-	}
-	return b.String()
 }

@@ -21,6 +21,13 @@ import (
 //	unionTail:= (UNION group)+
 //	triple   := term term term
 //	term     := var | <iri> | pname | literal | 'a'
+//	literal  := '"' (char | ECHAR | UCHAR)* '"' ('@' lang | '^^' (<iri> | pname))?
+//	ECHAR    := '\' [tbnrf"'\]
+//	UCHAR    := '\u' hex{4} | '\U' hex{8}
+//
+// A char is any byte but '"' and '\'. An IRI and a string are read as
+// an N-Triples file reads them (rdf.ReadIRI, rdf.ScanString): a UCHAR
+// must name a character, and escapes inside an IRI are kept as written.
 //
 // Each modifier may appear at most once, in any order; a repeated
 // ORDER BY, LIMIT or OFFSET is a positioned parse error.
@@ -315,7 +322,7 @@ func (p *parser) term(predicatePos bool) (TermOrVar, error) {
 		case t.dt != "":
 			dt := t.dt
 			if strings.HasPrefix(dt, "<") {
-				dt = strings.Trim(dt, "<>")
+				dt = dt[1 : len(dt)-1]
 			} else {
 				expanded, err := p.expand(dt)
 				if err != nil {

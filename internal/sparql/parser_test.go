@@ -129,6 +129,7 @@ func TestParseLiterals(t *testing.T) {
 		?x <http://e/p> "hi"@en .
 		?x <http://e/p> "1"^^<http://www.w3.org/2001/XMLSchema#integer> .
 		?x <http://e/p> "esc\"aped\n" .
+		?x <http://e/p> "1"^^<<http://e/dt> .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +146,10 @@ func TestParseLiterals(t *testing.T) {
 	}
 	if get(3).Value != "esc\"aped\n" {
 		t.Errorf("escaped: %q", get(3).Value)
+	}
+	// A datatype IRI reads as N-Triples reads it: up to the first '>'.
+	if get(4).Datatype != "<http://e/dt" {
+		t.Errorf("datatype read as %q, want %q", get(4).Datatype, "<http://e/dt")
 	}
 }
 

@@ -319,16 +319,6 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 	return id, id != None
 }
 
-// Decode returns the term for id. It panics on the reserved ID 0 or an
-// out-of-range id, which always indicates a programming error.
-func (d *Dict) Decode(id ID) rdf.Term {
-	terms := d.Terms()
-	if id == None || int(id) > terms.Len() {
-		panic(fmt.Sprintf("store: decode of invalid ID %d (dict size %d)", id, terms.Len()))
-	}
-	return terms.Term(id)
-}
-
 // Len returns the number of distinct terms in the dictionary.
 func (d *Dict) Len() int {
 	d.mu.RLock()
@@ -339,9 +329,8 @@ func (d *Dict) Len() int {
 // Terms returns a snapshot of the dictionary: the terms with IDs 1 to
 // Len() at the time of the call. It is a value over the append-only
 // arena and record column, so it never changes and reading it takes no
-// lock. The snapshot writer and result cursors use it: a cursor takes it
-// once and decodes every cell without the per-call read lock Decode
-// takes.
+// lock. Every decoding goes through it: a result cursor takes it once
+// and decodes every cell without a lock.
 func (d *Dict) Terms() Terms {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -27,8 +27,8 @@ func TestDictFieldwiseIdentity(t *testing.T) {
 			t.Errorf("%q and %q share ID %d", p[0], p[1], a)
 		}
 		for i, id := range []ID{a, b} {
-			if got := d.Decode(id); got != p[i] {
-				t.Errorf("Decode(%d) = %#v, want %#v", id, got, p[i])
+			if got := d.Terms().Term(id); got != p[i] {
+				t.Errorf("Term(%d) = %#v, want %#v", id, got, p[i])
 			}
 			if got, ok := d.Lookup(p[i]); !ok || got != id {
 				t.Errorf("Lookup(%#v) = (%d, %v), want (%d, true)", p[i], got, ok, id)
@@ -100,8 +100,8 @@ func TestDictConcurrentGrowth(t *testing.T) {
 			for i := range perWriter {
 				tm := term(seeded + w*perWriter + i)
 				id := d.Encode(tm)
-				if got := d.Decode(id); got != tm {
-					t.Errorf("Decode(%d) = %v, want %v", id, got, tm)
+				if got := d.Terms().Term(id); got != tm {
+					t.Errorf("Term(%d) = %v, want %v", id, got, tm)
 					return
 				}
 			}
@@ -155,7 +155,7 @@ func TestDictIndexBytes(t *testing.T) {
 // FuzzDictRoundTrip holds the dictionary to a map[rdf.Term]ID oracle
 // over terms of every kind, empty values and NUL bytes in any field:
 // Encode agrees with Lookup and the oracle, distinct terms get distinct
-// IDs, Decode gives the term back, a snapshot taken before growth still
+// IDs, Terms().Term gives the term back, a snapshot taken before growth still
 // decodes every ID it covers, and the snapshot's image records load
 // back into a dictionary that decodes the same terms.
 func FuzzDictRoundTrip(f *testing.F) {
@@ -220,8 +220,8 @@ func FuzzDictRoundTrip(f *testing.F) {
 			if got, ok := d.Lookup(tm); !ok || got != id {
 				t.Fatalf("Lookup(%#v) = (%d, %v), Encode gave %d", tm, got, ok, id)
 			}
-			if got := d.Decode(id); got != tm {
-				t.Fatalf("Decode(%d) = %#v, want %#v", id, got, tm)
+			if got := d.Terms().Term(id); got != tm {
+				t.Fatalf("Term(%d) = %#v, want %#v", id, got, tm)
 			}
 			if i == 2 {
 				early = d.Terms()
@@ -237,7 +237,7 @@ func FuzzDictRoundTrip(f *testing.F) {
 			t.Fatalf("records of %d terms do not load: %v", len(byID), err)
 		}
 		for i, tm := range byID {
-			if got := loaded.Decode(ID(i + 1)); got != tm {
+			if got := loaded.Terms().Term(ID(i + 1)); got != tm {
 				t.Fatalf("loaded dictionary decodes %d as %#v, want %#v", i+1, got, tm)
 			}
 			if got, ok := loaded.Lookup(tm); !ok || got != ID(i+1) {

@@ -180,14 +180,14 @@ func TestTriplesCanonicalOrder(t *testing.T) {
 	}
 	// Dictionary IDs depend on insertion order, so the two stores are
 	// compared as sets of decoded triples.
-	decode := func(st *Store, ts []EncTriple) map[string]bool {
-		out := map[string]bool{}
-		d := st.Dict()
+	decode := func(st *Store, ts []EncTriple) map[rdf.Triple]bool {
+		out := map[rdf.Triple]bool{}
+		d := st.Dict().Terms()
 		for i, tr := range ts {
 			if i > 0 && cmpSPO(ts[i-1], ts[i]) >= 0 {
 				t.Fatalf("Triples() not strictly (S,P,O)-sorted at %d", i)
 			}
-			out[d.Decode(tr.S).Key()+"|"+d.Decode(tr.P).Key()+"|"+d.Decode(tr.O).Key()] = true
+			out[rdf.Triple{S: d.Term(tr.S), P: d.Term(tr.P), O: d.Term(tr.O)}] = true
 		}
 		return out
 	}

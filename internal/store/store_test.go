@@ -66,16 +66,6 @@ func TestDuplicatesIgnored(t *testing.T) {
 	}
 }
 
-func TestDecodeInvalidPanics(t *testing.T) {
-	d := NewDict()
-	defer func() {
-		if recover() == nil {
-			t.Error("Decode(None) should panic")
-		}
-	}()
-	d.Decode(None)
-}
-
 func TestDictRoundTrip(t *testing.T) {
 	d := NewDict()
 	terms := []rdf.Term{
@@ -95,7 +85,7 @@ func TestDictRoundTrip(t *testing.T) {
 		if id2 := d.Encode(tm); id2 != id {
 			t.Errorf("re-encode changed ID: %d → %d", id, id2)
 		}
-		if got := d.Decode(id); !got.Equal(tm) {
+		if got := d.Terms().Term(id); !got.Equal(tm) {
 			t.Errorf("decode(%d) = %v, want %v", id, got, tm)
 		}
 	}
@@ -162,7 +152,7 @@ func naiveStats(d *Dict, set map[EncTriple]bool) *Stats {
 			s.PredObjects[t.P]++
 		}
 		entities[t.S] = true
-		if d.Decode(t.O).IsLiteral() {
+		if d.Terms().Term(t.O).IsLiteral() {
 			literals[t.O] = true
 		} else {
 			entities[t.O] = true

@@ -367,26 +367,21 @@ func (l *Log) rotateLocked() error {
 }
 
 // encodeRecord frames one batch: crc | len | kind | batch | payload-len
-// | N-Triples payload.
+// | N-Triples payload. The payload is written once, behind room for the
+// longest head; the head then fills the bytes right before it.
 func encodeRecord(kind Kind, batch uint64, ts []rdf.Triple) []byte {
-	var payloadLen int
+	var head [1 + 2*binary.MaxVarintLen64]byte
+	const room = frameHeader + len(head)
+	buf := make([]byte, room, room+128*len(ts)) // most lines are shorter; append grows past it
 	for _, t := range ts {
-		payloadLen += len(t.S.String()) + len(t.P.String()) + len(t.O.String()) + 5 // " " ×2 + " .\n"
+		buf = append(rdf.AppendTriple(buf, t), '\n')
 	}
-	body := make([]byte, 0, 1+2*binary.MaxVarintLen64+payloadLen)
-	body = append(body, byte(kind))
-	body = binary.AppendUvarint(body, batch)
-	payload := make([]byte, 0, payloadLen)
-	for _, t := range ts {
-		payload = append(payload, t.String()...)
-		payload = append(payload, '\n')
-	}
-	body = binary.AppendUvarint(body, uint64(len(payload)))
-	body = append(body, payload...)
-
-	frame := make([]byte, frameHeader+len(body))
-	binary.LittleEndian.PutUint32(frame[4:], uint32(len(body)))
-	copy(frame[frameHeader:], body)
+	h := append(head[:0], byte(kind))
+	h = binary.AppendUvarint(h, batch)
+	h = binary.AppendUvarint(h, uint64(len(buf)-room))
+	frame := buf[room-frameHeader-len(h):]
+	copy(frame[frameHeader:], h)
+	binary.LittleEndian.PutUint32(frame[4:], uint32(len(frame)-frameHeader))
 	binary.LittleEndian.PutUint32(frame[0:], crc32.Checksum(frame[4:], castagnoli))
 	return frame
 }

@@ -300,14 +300,20 @@ func (db *DB) Add(t Triple) error {
 	return db.AddAll([]Triple{t})
 }
 
-// AddAll inserts a batch of triples. On a live database the batch is
-// atomic: concurrent queries see all of it or none of it.
+// AddAll inserts a batch of triples. A batch holding a triple that
+// rdf.Triple.Valid refuses (a literal subject, or a term whose
+// N-Triples spelling would not read back) is refused whole. On a live
+// database the batch is atomic: concurrent queries see all of it or
+// none of it.
 func (db *DB) AddAll(ts []Triple) error {
 	if db.live != nil {
 		return db.live.Insert(ts...)
 	}
 	if !db.loading() {
 		return ErrFrozen
+	}
+	if err := rdf.CheckAll(ts); err != nil {
+		return err
 	}
 	for _, t := range ts {
 		db.pending = append(db.pending, db.dict.EncodeTriple(t))

@@ -57,6 +57,29 @@ func TestNULLiteralsStayDistinct(t *testing.T) {
 	}
 }
 
+// TestQueryEscapesMatchData: a query reads a string as an N-Triples
+// file does, so the escapes \u00e9, \b and \' in a query constant find
+// the triple loaded with the same escapes, and the characters written
+// out find it too.
+func TestQueryEscapesMatchData(t *testing.T) {
+	db := sparqluo.Open()
+	if err := db.Load(strings.NewReader(`<http://ex.org/s> <http://ex.org/p> "caf\u00e9 \b \'q\'"@fr .` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	for _, lit := range []string{`"caf\u00e9 \b \'q\'"@fr`, "\"caf\u00e9 \b 'q'\"@fr", `"caf\U000000E9 \u0008 \u0027q'"@fr`} {
+		res, err := db.Query(`SELECT ?s WHERE { ?s <http://ex.org/p> ` + lit + ` }`)
+		if err != nil {
+			t.Fatalf("%s: %v", lit, err)
+		}
+		if sols := res.Solutions(); len(sols) != 1 || sols[0]["s"] != sparqluo.NewIRI("http://ex.org/s") {
+			t.Errorf("%s: solutions %v, want ?s = <http://ex.org/s>", lit, sols)
+		}
+	}
+}
+
 // TestParseStrategyRoundTrips holds ParseStrategy to the names
 // Strategy.String prints ("TT", "CP"), which the §7 benchmarks report.
 func TestParseStrategyRoundTrips(t *testing.T) {

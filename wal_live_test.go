@@ -704,3 +704,80 @@ func TestHTTPUpdateFailedJournal(t *testing.T) {
 		t.Errorf("query on a failed journal = %d %s, want 200 with the acknowledged triple only", code, body)
 	}
 }
+
+// TestWriteRefusesUnspellableTriples: a triple whose N-Triples spelling
+// does not read back as itself is refused at every write entry before
+// anything is journaled, so an acknowledged journal always replays.
+func TestWriteRefusesUnspellableTriples(t *testing.T) {
+	s, p := rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p")
+	bad := []rdf.Triple{
+		{S: rdf.NewIRI("http://ex/a>b"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral("x")},
+		{S: rdf.NewIRI("http://ex/a\nb"), P: p, O: rdf.NewLiteral("x")},
+		{S: rdf.NewBlank("a b"), P: p, O: rdf.NewLiteral("x")},
+		{S: s, P: p, O: rdf.NewLangLiteral("x", "en us")},
+		{S: rdf.NewLiteral("x"), P: p, O: rdf.NewLiteral("x")},
+	}
+	good := rdf.Triple{S: s, P: p, O: rdf.NewLiteral("kept")}
+	walDir := filepath.Join(t.TempDir(), "wal")
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range bad {
+		for name, write := range map[string]func(...rdf.Triple) error{
+			"Insert": db.Insert,
+			"Delete": db.Delete,
+			"AddAll": func(ts ...rdf.Triple) error { return db.AddAll(ts) },
+		} {
+			if err := write(good, tr); err == nil {
+				t.Errorf("%s accepted %q", name, tr.String())
+			}
+		}
+		if err := sparqluo.Open().Add(tr); err == nil {
+			t.Errorf("Add while loading accepted %q", tr.String())
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if rec, _ := re.Recovery(); rec.Batches != 1 || re.NumTriples() != 1 {
+		t.Fatalf("replayed %d batches, %d triples; want the one good batch", rec.Batches, re.NumTriples())
+	}
+}
+
+// TestWALKeepsInvalidUTF8: a literal holding invalid UTF-8 next to a
+// byte the writer escapes comes back from the journal byte for byte.
+func TestWALKeepsInvalidUTF8(t *testing.T) {
+	tr := rdf.Triple{S: rdf.NewIRI("http://ex/s"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral("a\xff\"b")}
+	walDir := filepath.Join(t.TempDir(), "wal")
+	db, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := sparqluo.OpenLive(sparqluo.LiveOptions{WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	res, err := re.Query(`SELECT ?o WHERE { <http://ex/s> <http://ex/p> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sols := res.Solutions(); len(sols) != 1 || sols[0]["o"] != tr.O {
+		t.Fatalf("recovered %v, want %q", sols, tr.O.Value)
+	}
+}

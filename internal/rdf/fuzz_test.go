@@ -30,6 +30,8 @@ func FuzzNTriples(f *testing.F) {
 		"\"literal in subject\" <http://b> <http://c> .\n",
 		"<http://s> <http://p> \"x\"@en.\n",
 		"<http://s> <http://p> _:b.\n",
+		"<http://s> <http://p> <http://o> . garbage here\n",
+		"@prefix ex: <http://x> y> .\nex:s ex:p ex:o .\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

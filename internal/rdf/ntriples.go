@@ -65,22 +65,36 @@ func (d *Decoder) errf(format string, args ...any) error {
 	return &ParseError{Line: d.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// parsePrefix handles "@prefix pfx: <iri> ." lines.
+// parsePrefix handles "@prefix pfx: <iri> ." lines. The IRI is read
+// as any other (ReadIRI), and what follows it may only be the '.', blanks
+// and a '#' comment, so a malformed directive fails on its own line.
 func (d *Decoder) parsePrefix(line string) error {
 	rest := strings.TrimSpace(strings.TrimPrefix(line, "@prefix"))
-	rest = strings.TrimSuffix(strings.TrimSpace(rest), ".")
-	rest = strings.TrimSpace(rest)
-	colon := strings.Index(rest, ":")
+	colon := strings.IndexByte(rest, ':')
 	if colon < 0 {
 		return d.errf("malformed @prefix directive")
 	}
 	name := strings.TrimSpace(rest[:colon])
-	iri := strings.TrimSpace(rest[colon+1:])
-	if !strings.HasPrefix(iri, "<") || !strings.HasSuffix(iri, ">") {
-		return d.errf("malformed @prefix IRI %q", iri)
+	rest = strings.TrimLeft(rest[colon+1:], " \t")
+	if !strings.HasPrefix(rest, "<") {
+		return d.errf("malformed @prefix IRI %q", rest)
 	}
-	d.prefixes[name] = iri[1 : len(iri)-1]
+	iri, n, err := ReadIRI(rest)
+	if err != nil {
+		return d.errf("@prefix IRI: %v", err)
+	}
+	if tail := strings.TrimLeft(rest[n:], " \t"); !strings.HasPrefix(tail, ".") || !endOfLine(tail[1:]) {
+		return d.errf("expected '.' after @prefix IRI, got %q", tail)
+	}
+	d.prefixes[name] = iri
 	return nil
+}
+
+// endOfLine reports whether rest, what follows a statement's '.', holds
+// nothing but blanks and a '#' comment.
+func endOfLine(rest string) bool {
+	rest = strings.TrimLeft(rest, " \t")
+	return rest == "" || rest[0] == '#'
 }
 
 func (d *Decoder) parseTripleLine(line string) (Triple, error) {
@@ -100,6 +114,9 @@ func (d *Decoder) parseTripleLine(line string) (Triple, error) {
 	p.skipSpace()
 	if !p.eat('.') {
 		return Triple{}, d.errf("expected terminating '.'")
+	}
+	if !endOfLine(p.s[p.i:]) {
+		return Triple{}, d.errf("unexpected %q after terminating '.'", p.s[p.i:])
 	}
 	t := Triple{S: s, P: pr, O: o}
 	if !t.Valid() {
@@ -173,8 +190,7 @@ func (p *termParser) token() string {
 	for p.i < len(p.s) && p.s[p.i] != ' ' && p.s[p.i] != '\t' {
 		p.i++
 	}
-	rest := strings.TrimLeft(p.s[p.i:], " \t")
-	if p.i > start && p.s[p.i-1] == '.' && (rest == "" || rest[0] == '#') {
+	if p.i > start && p.s[p.i-1] == '.' && endOfLine(p.s[p.i:]) {
 		p.i--
 	}
 	return p.s[start:p.i]

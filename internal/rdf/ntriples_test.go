@@ -150,6 +150,11 @@ func TestParseErrors(t *testing.T) {
 		{"undeclared prefix", `ex:s ex:p ex:o .`},
 		{"bad escape", `<http://e/s> <http://e/p> "\q" .`},
 		{"garbage", `hello world foo .`},
+		{"text after the dot", `<http://e/s> <http://e/p> <http://e/o> . garbage here`},
+		{"term after the dot", `<http://e/s> <http://e/p> <http://e/o> .<http://e/x> .`},
+		{"'>' inside a prefix IRI", "@prefix ex: <http://x> y> .\nex:s ex:p ex:o ."},
+		{"text after a prefix IRI", "@prefix ex: <http://x/> . y\nex:s ex:p ex:o ."},
+		{"prefix without a dot", "@prefix ex: <http://x/>\nex:s ex:p ex:o ."},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,6 +256,10 @@ func TestParseTerminator(t *testing.T) {
 		{`_:.`, Term{}},
 		{`"x"@.`, Term{}},
 		{`_:b. x`, Term{}},
+		{`"x" . garbage`, Term{}},
+		{`"x" .y`, Term{}},
+		{`<http://o> . .`, Term{}},
+		{`<http://o> .# c`, NewIRI("http://o")},
 	} {
 		ts, err := ParseAll(strings.NewReader(pre + tc.obj))
 		switch {

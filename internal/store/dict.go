@@ -10,7 +10,12 @@
 // pointer-free record, and the key→ID index is an open-addressing []ID
 // table hashed over the term's fields, so a dictionary is a handful of
 // heap objects however many terms it holds, and the collector has
-// nothing in it to mark. It follows the string-arena-plus-integer-ID
+// nothing in it to mark. A record also carries one bit for the results
+// writer: whether the term's strings need no JSON escaping, so a W3C
+// JSON cell for such a term is its kind's constant head, the raw bytes
+// and a constant tail (see Terms.Cell and JSONSafeLen). The bit is not
+// in the image; it is recomputed when an image's dictionary is loaded.
+// The dictionary follows the string-arena-plus-integer-ID
 // dictionaries of RDF-3X (Neumann & Weikum, VLDB J. 2010) and HDT
 // (Fernández et al., J. Web Semantics 2013).
 package store
@@ -23,6 +28,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"unicode/utf8"
 	"unsafe"
 
 	"sparqluo/internal/rdf"
@@ -35,21 +41,21 @@ type ID uint32
 // None is the reserved unbound/absent ID.
 const None ID = 0
 
-// Record kinds. They are also the tag bytes of the records in the
-// arena, which are laid out as a snapshot image's dictionary section:
+// Record kinds, as Terms.Cell reports them. They are also the tag
+// bytes of the records in the arena, which are laid out as a snapshot image's dictionary section:
 //
 //	kind byte · uvarint len(value) · value
-//	          [· uvarint len(extra) · extra]   (kindLang, kindTyped)
+//	          [· uvarint len(extra) · extra]   (KindLang, KindTyped)
 //
 // where extra is the language tag or the datatype IRI. A chunk is a run
 // of such records, so a mapped image's dictionary section is a chunk as
 // it stands, and an image's section is the chunks' records copied out.
 const (
-	kindIRI   = 0
-	kindBlank = 1
-	kindPlain = 2 // plain literal
-	kindLang  = 3 // language-tagged literal
-	kindTyped = 4 // datatyped literal
+	KindIRI   = 0
+	KindBlank = 1
+	KindPlain = 2 // plain literal
+	KindLang  = 3 // language-tagged literal
+	KindTyped = 4 // datatyped literal
 )
 
 // Arena chunk sizes: a dictionary's first chunk is small, each next one
@@ -60,13 +66,15 @@ const (
 	maxChunk = 1 << 20
 )
 
-// termRec places one term in the arena. It holds no pointer.
+// termRec places one term in the arena. It holds no pointer, and it is
+// 20 bytes: plain sits in what would otherwise be padding.
 type termRec struct {
 	chunk uint32 // index of the arena chunk holding the record
 	off   uint32 // offset of the value within the chunk
 	vlen  uint32 // value length
 	xlen  uint32 // length of the language tag or datatype IRI
 	kind  uint8
+	plain bool // value and extra need no JSON escaping (jsonPlain)
 }
 
 // extraOff is the chunk offset of the record's language tag or datatype
@@ -75,7 +83,7 @@ func (r termRec) extraOff() uint32 { return r.off + r.vlen + uvarintLen(r.xlen) 
 
 // end is the chunk offset just past the record.
 func (r termRec) end() uint32 {
-	if r.kind == kindLang || r.kind == kindTyped {
+	if r.kind == KindLang || r.kind == KindTyped {
 		return r.extraOff() + r.xlen
 	}
 	return r.off + r.vlen
@@ -91,15 +99,15 @@ func uvarintLen(n uint32) uint32 { return uint32(bits.Len32(n|1)+6) / 7 }
 func fields(t rdf.Term) (kind uint8, extra string) {
 	switch {
 	case t.Kind == rdf.IRI:
-		return kindIRI, ""
+		return KindIRI, ""
 	case t.Kind == rdf.Blank:
-		return kindBlank, ""
+		return KindBlank, ""
 	case t.Lang != "":
-		return kindLang, t.Lang
+		return KindLang, t.Lang
 	case t.Datatype != "":
-		return kindTyped, t.Datatype
+		return KindTyped, t.Datatype
 	}
-	return kindPlain, ""
+	return KindPlain, ""
 }
 
 // Dict maps RDF terms to dense IDs and back. IDs start at 1; 0 is reserved.
@@ -152,18 +160,20 @@ func NewLoadedDict(blob []byte, numTerms int) (*Dict, error) {
 		}
 		r := termRec{kind: blob[pos]}
 		pos++
-		if r.kind > kindTyped {
+		if r.kind > KindTyped {
 			return nil, fmt.Errorf("unknown dictionary term kind %d", r.kind)
 		}
 		var err error
 		if r.off, r.vlen, err = readSpan(blob, &pos); err != nil {
 			return nil, err
 		}
-		if r.kind == kindLang || r.kind == kindTyped {
-			if _, r.xlen, err = readSpan(blob, &pos); err != nil {
+		var xoff uint32
+		if r.kind == KindLang || r.kind == KindTyped {
+			if xoff, r.xlen, err = readSpan(blob, &pos); err != nil {
 				return nil, err
 			}
 		}
+		r.plain = jsonPlain(view(blob, r.off, r.vlen), view(blob, xoff, r.xlen))
 		d.recs = append(d.recs, r)
 		d.strBytes += int64(r.vlen) + int64(r.xlen)
 	}
@@ -266,7 +276,7 @@ func (d *Dict) Encode(t rdf.Term) ID {
 // column. Callers must hold d.mu for writing.
 func (d *Dict) appendLocked(kind uint8, value, extra string) {
 	need := 1 + int(uvarintLen(uint32(len(value)))) + len(value)
-	if kind == kindLang || kind == kindTyped {
+	if kind == KindLang || kind == KindTyped {
 		need += int(uvarintLen(uint32(len(extra)))) + len(extra)
 	}
 	if uint64(need) > math.MaxUint32 {
@@ -283,9 +293,9 @@ func (d *Dict) appendLocked(kind uint8, value, extra string) {
 	c := d.chunks[len(d.chunks)-1]
 	b := append(c[d.used:d.used], kind)
 	b = binary.AppendUvarint(b, uint64(len(value)))
-	r := termRec{chunk: uint32(len(d.chunks) - 1), off: uint32(d.used + len(b)), vlen: uint32(len(value)), xlen: uint32(len(extra)), kind: kind}
+	r := termRec{chunk: uint32(len(d.chunks) - 1), off: uint32(d.used + len(b)), vlen: uint32(len(value)), xlen: uint32(len(extra)), kind: kind, plain: jsonPlain(value, extra)}
 	b = append(b, value...)
-	if kind == kindLang || kind == kindTyped {
+	if kind == KindLang || kind == KindTyped {
 		b = binary.AppendUvarint(b, uint64(len(extra)))
 		b = append(b, extra...)
 	}
@@ -377,16 +387,33 @@ func (t Terms) Term(id ID) rdf.Term {
 	c := t.chunks[r.chunk]
 	tm := rdf.Term{Kind: rdf.Literal, Value: view(c, r.off, r.vlen)}
 	switch r.kind {
-	case kindIRI:
+	case KindIRI:
 		tm.Kind = rdf.IRI
-	case kindBlank:
+	case KindBlank:
 		tm.Kind = rdf.Blank
-	case kindLang:
+	case KindLang:
 		tm.Lang = view(c, r.extraOff(), r.xlen)
-	case kindTyped:
+	case KindTyped:
 		tm.Datatype = view(c, r.extraOff(), r.xlen)
 	}
 	return tm
+}
+
+// Cell returns what the results writer needs of id, which must be in
+// [1, Len()], without building an rdf.Term: its record kind, its value,
+// its language tag or datatype IRI (empty for other kinds), both
+// viewing the arena, and whether both strings are JSON-safe throughout
+// (JSONSafeLen), so a JSON string holding them is the bytes as they
+// stand. It takes a pointer so that the writer's per-cell call copies no
+// slice headers.
+func (t *Terms) Cell(id ID) (kind uint8, value, extra string, plain bool) {
+	r := &t.recs[id-1]
+	c := t.chunks[r.chunk]
+	value = view(c, r.off, r.vlen)
+	if r.xlen != 0 {
+		extra = view(c, r.extraOff(), r.xlen)
+	}
+	return r.kind, value, extra, r.plain
 }
 
 // strings returns a record's value and its language tag or datatype IRI
@@ -405,6 +432,47 @@ func view(c []byte, off, n uint32) string {
 		return ""
 	}
 	return unsafe.String(&c[off], n)
+}
+
+// jsonSafe[c] reports whether a JSON string writer copies the ASCII
+// byte c as it stands. It is encoding/json's HTML-escaping set: every
+// byte but the control characters, '"', '\\', '<', '>' and '&'.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		safe[c] = true
+	}
+	safe['"'], safe['\\'], safe['<'], safe['>'], safe['&'] = false, false, false, false, false
+	return safe
+}()
+
+// JSONSafeLen returns the length of the longest prefix of s that a JSON
+// string writer escaping as encoding/json does copies as it stands:
+// jsonSafe bytes and valid multi-byte UTF-8, except U+2028 and U+2029.
+// The results writer escapes from there, and the dictionary's plain bit
+// is this scan reaching the end of a term's strings: the byte set is
+// defined here once.
+func JSONSafeLen(s string) int {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !jsonSafe[c] {
+				return i
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return i
+		}
+		i += size
+	}
+	return len(s)
+}
+
+// jsonPlain reports whether a term's value and extra need no JSON
+// escaping: the record's plain bit.
+func jsonPlain(value, extra string) bool {
+	return JSONSafeLen(value) == len(value) && JSONSafeLen(extra) == len(extra)
 }
 
 // Records returns the snapshot as a snapshot image's dictionary

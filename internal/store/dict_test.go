@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sparqluo/internal/rdf"
 )
@@ -152,12 +153,21 @@ func TestDictIndexBytes(t *testing.T) {
 	}
 }
 
+// TestTermRecSize: the plain bit sits in the record's padding, so a
+// term's record stays 20 bytes.
+func TestTermRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(termRec{}); n != 20 {
+		t.Errorf("termRec is %d bytes, want 20", n)
+	}
+}
+
 // FuzzDictRoundTrip holds the dictionary to a map[rdf.Term]ID oracle
 // over terms of every kind, empty values and NUL bytes in any field:
 // Encode agrees with Lookup and the oracle, distinct terms get distinct
 // IDs, Terms().Term gives the term back, a snapshot taken before growth still
 // decodes every ID it covers, and the snapshot's image records load
-// back into a dictionary that decodes the same terms.
+// back into a dictionary that decodes the same terms with the same
+// plain bits.
 func FuzzDictRoundTrip(f *testing.F) {
 	f.Add([]byte("\x02\x05a\x00@en\x00\x03\x01a\x02en"))
 	f.Add([]byte("\x02\x00\x00\x00\x00\x00\x01\x00\x00\x03\x00\x01\x00\x04\x00\x01\x00"))
@@ -239,6 +249,11 @@ func FuzzDictRoundTrip(f *testing.F) {
 		for i, tm := range byID {
 			if got := loaded.Terms().Term(ID(i + 1)); got != tm {
 				t.Fatalf("loaded dictionary decodes %d as %#v, want %#v", i+1, got, tm)
+			}
+			encoded, reloaded := d.Terms(), loaded.Terms()
+			_, _, _, want := encoded.Cell(ID(i + 1))
+			if _, _, _, got := reloaded.Cell(ID(i + 1)); got != want {
+				t.Fatalf("loaded dictionary's plain bit of %#v is %v, Encode set %v", tm, got, want)
 			}
 			if got, ok := loaded.Lookup(tm); !ok || got != ID(i+1) {
 				t.Fatalf("loaded Lookup(%#v) = (%d, %v), want %d", tm, got, ok, i+1)

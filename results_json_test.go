@@ -2,12 +2,15 @@ package sparqluo_test
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sparqluo"
+	"sparqluo/internal/lubm"
+	"sparqluo/internal/rdf"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files with current output")
@@ -75,4 +78,66 @@ func TestWriteJSONGolden(t *testing.T) {
 	if sb.String() != string(want) {
 		t.Errorf("JSON output diverged from golden file\ngot:  %s\nwant: %s", sb.String(), want)
 	}
+}
+
+// BenchmarkWriteJSON measures the W3C JSON writer alone on LUBM-1's
+// SELECT * { ?s ?p ?o } into io.Discard; the query runs outside the
+// timer. In the plain case no term needs escaping, so every cell takes
+// the raw-copy path. In the escape-heavy case every IRI holds a '&' and
+// every literal a quote, '<' and a tab, so every cell is escaped byte
+// by byte.
+func BenchmarkWriteJSON(b *testing.B) {
+	escaped := func(t rdf.Term) rdf.Term {
+		if t.Kind == rdf.IRI {
+			t.Value += "?a&b"
+		} else {
+			t.Value = "\"" + t.Value + "\" <\t>"
+		}
+		return t
+	}
+	plain := lubm.Generate(lubm.DefaultConfig(1))
+	heavy := make([]sparqluo.Triple, len(plain))
+	for i, t := range plain {
+		heavy[i] = sparqluo.Triple{S: escaped(t.S), P: escaped(t.P), O: escaped(t.O)}
+	}
+	for _, bc := range []struct {
+		name    string
+		triples []sparqluo.Triple
+	}{{"plain", plain}, {"escape-heavy", heavy}} {
+		b.Run(bc.name, func(b *testing.B) {
+			db := sparqluo.Open()
+			db.AddAll(bc.triples)
+			db.Freeze()
+			query := func() *sparqluo.Results {
+				res, err := db.Query(`SELECT * WHERE { ?s ?p ?o }`)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res
+			}
+			var n countingWriter
+			if err := query().WriteJSON(&n); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				res := query()
+				b.StartTimer()
+				if err := res.WriteJSON(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }
